@@ -23,6 +23,10 @@ cross-backend differential suite in ``tests/experiments/``).
   and retries are bounded — a crashed worker or corrupted payload delays
   a batch, it never corrupts or drops one.
 
+Every backend (and ``python -m repro.worker``) simulates a batch
+through the one loop :func:`run_batch`; each keeps only its transport —
+the scheduler report, the pool's ticker queue, or the broker.
+
 Selection: ``REPRO_BACKEND=serial|local|queue`` (or
 ``run_suite(backend=...)`` with a name or a configured instance); unset
 picks ``serial`` for single-worker runs and ``local`` otherwise, which
@@ -38,6 +42,7 @@ failure; the scheduler surfaces the first one after the grid drains).
 from __future__ import annotations
 
 import abc
+import functools
 import os
 import pathlib
 import queue as queue_module
@@ -46,7 +51,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
@@ -182,22 +186,18 @@ def point_meta(info: dict, point_trace, *,
 def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
     """Pay a batch's one-time trace-lowering cost up front, observably.
 
-    Returns True only when the compiled kernel applies to this point
-    (a ``redirect`` point replaying a trace, ``REPRO_KERNEL`` on — the
-    kernel now covers the ARVI configurations too, so every redirect
-    configuration shares the lowered form) *and*
-    the lowering pass actually ran now; the caller then reports it as a
+    Returns True only when the point will replay through the compiled
+    kernel (a ``redirect`` point with a trace) *and* the lowering pass
+    actually ran now; :func:`run_batch` then reports it as a
     :data:`~repro.pipeline.kernel.LOWER_TICK` progress tick, which the
     scheduler turns into a ``phase="lower"`` event — so the first point
     of a batch never looks stalled behind the lowering pass.  Any
     failure here is deferred: the point itself will surface it.
     """
-    from repro.experiments.tracing import kernel_mode
     from repro.pipeline.kernel import ensure_lowered, is_lowered
     from repro.workloads.registry import get_program
 
-    if (trace is None or point.speculation != "redirect"
-            or not kernel_mode()):
+    if trace is None or point.speculation != "redirect":
         return False
     try:
         program = get_program(point.benchmark, scale=point.scale,
@@ -212,6 +212,59 @@ def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
     return True
 
 
+def run_batch(points, *, on_ok, on_error, on_lower, before_point=None,
+              traces=None, shipped=None) -> bool:
+    """Simulate a same-workload batch of points, one after another.
+
+    The single batch loop every backend runs: per point it fetches the
+    committed trace (``shipped``, when the batch arrived with one, else
+    the ``traces`` pool — by default a fresh
+    :class:`~repro.experiments.tracing.SharedTraces` over ``points``),
+    pays the one-time lowering as a ``LOWER_TICK`` (``on_lower()``,
+    once), runs the point under its deadline and reports exactly one of
+
+    * ``on_ok(index, payload, meta, duration)`` — the result's
+      ``to_dict()`` payload, its :func:`point_meta` and its compute
+      seconds;
+    * ``on_error(index, exc)`` — called inside the ``except`` block, so
+      the caller can still format the live traceback.
+
+    Failures are isolated per point.  ``before_point(index)`` returning
+    False stops the batch early (a worker handing its lease back);
+    ``run_batch`` then returns False, otherwise True.
+    """
+    from repro.experiments.runner import execute_point
+    from repro.experiments.tracing import SharedTraces
+
+    if shipped is None and traces is None:
+        traces = SharedTraces(points)
+    lower_ticked = False
+    for index, point in enumerate(points):
+        if before_point is not None and not before_point(index):
+            return False
+        if shipped is not None:
+            point_trace = shipped if point.speculation == "redirect" \
+                else None
+        else:
+            point_trace = traces.get(point)
+        if not lower_ticked and _maybe_prelower(point, point_trace):
+            lower_ticked = True
+            on_lower()
+        info: dict = {}
+        started = time.perf_counter()
+        try:
+            with point_deadline():
+                payload = execute_point(point, trace=point_trace,
+                                        info=info).to_dict()
+        except Exception as exc:  # noqa: BLE001 - isolated per point
+            on_error(index, exc)
+            continue
+        on_ok(index, payload,
+              point_meta(info, point_trace, shipped=shipped is not None),
+              time.perf_counter() - started)
+    return True
+
+
 def _compute_batch(points: tuple[ExperimentPoint, ...],
                    batch_id: str | None = None,
                    ticker=None, obs_ctx: dict | None = None) -> list[tuple]:
@@ -219,15 +272,13 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
 
     The workload registry caches the shared ``Program`` (and its
     pre-decoded table) per process, so it is built once for the whole
-    batch — and under ``REPRO_TRACE`` the batch's ``redirect`` points
-    share a single recorded committed trace, so the functional core runs
-    once and every timing configuration replays it.  Failures are
-    isolated per point — the batch returns ``("ok", payload, meta)`` /
-    ``("error", exception)`` entries positionally so sibling results
-    still reach the parent (and its cache).  ``meta`` is per-point
-    delivery metadata for the live-view aggregator (``trace_source``,
-    ``kernel_source``, ``phase_seconds``) — observability only, never
-    part of the result payload or its cache bytes.
+    batch, and :func:`run_batch` shares one recorded trace across its
+    ``redirect`` points.  Failures are isolated per point — the batch
+    returns ``("ok", payload, meta)`` / ``("error", exception)`` entries
+    positionally so sibling results still reach the parent (and its
+    cache).  ``meta`` is per-point delivery metadata for the live-view
+    aggregator — observability only, never part of the result payload
+    or its cache bytes.
 
     ``ticker`` (a manager queue) receives ``(batch_id, index,
     duration_seconds)`` after each completed point so the parent can
@@ -240,9 +291,24 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
     ``batch`` span in a per-process shard stream the parent merges at
     run close.
     """
-    from repro.experiments.runner import execute_point
-    from repro.experiments.tracing import SharedTraces
     from repro.pipeline.kernel import LOWER_TICK
+
+    entries: list[tuple] = []
+
+    def tick(index: int, duration: float | None) -> None:
+        nonlocal ticker
+        if ticker is not None:
+            try:
+                ticker.put((batch_id, index, duration))
+            except Exception:  # noqa: BLE001 - a dead manager must
+                ticker = None  # not take the results down with it
+
+    def ok(index, payload, meta, duration) -> None:
+        entries.append(("ok", payload, meta))
+        tick(index, duration)
+
+    def error(_index, exc) -> None:
+        entries.append(("error", _relayable_exception(exc)))
 
     shard = obs.worker_shard(obs_ctx) if obs_ctx is not None else None
     with obs.activate(shard):
@@ -250,35 +316,8 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
                 "batch_id": batch_id, "points": len(points),
                 "benchmark": points[0].benchmark if points else None,
                 "worker": os.getpid()}):
-            traces = SharedTraces(points)
-            entries: list[tuple] = []
-            lower_ticked = False
-            for index, point in enumerate(points):
-                point_trace = traces.get(point)
-                if (not lower_ticked and ticker is not None
-                        and _maybe_prelower(point, point_trace)):
-                    lower_ticked = True
-                    try:
-                        ticker.put((batch_id, LOWER_TICK, None))
-                    except Exception:  # noqa: BLE001 - a dead manager must
-                        ticker = None  # not take the results down with it
-                info: dict = {}
-                started = time.perf_counter()
-                try:
-                    with point_deadline():
-                        result = execute_point(point, trace=point_trace,
-                                               info=info)
-                except Exception as exc:  # noqa: BLE001 - relayed to parent
-                    entries.append(("error", _relayable_exception(exc)))
-                    continue
-                duration = time.perf_counter() - started
-                entries.append(("ok", result.to_dict(),
-                                point_meta(info, point_trace)))
-                if ticker is not None:
-                    try:
-                        ticker.put((batch_id, index, duration))
-                    except Exception:  # noqa: BLE001 - a dead manager must
-                        ticker = None  # not take the results down with it
+            run_batch(points, on_ok=ok, on_error=error,
+                      on_lower=lambda: tick(LOWER_TICK, None))
         if shard is not None:
             shard.snapshot_event()
         return entries
@@ -384,37 +423,25 @@ class SerialBackend(ExecutionBackend):
 
     def execute(self, batches: Batches, report: BackendReport, *,
                 jobs: int) -> None:
-        from repro.experiments.runner import execute_point
         from repro.experiments.tracing import SharedTraces
         from repro.pipeline.kernel import LOWER_TICK
 
         traces = SharedTraces(
             [point for group in batches.values() for point in group])
         for batch_id, group in batches.items():
+
+            def ok(index, payload, meta, duration, batch_id=batch_id):
+                report.deliver(batch_id, index, payload, meta)
+                report.tick(batch_id, index, duration)
+
             with obs.span(batch_id, kind="batch", attrs={
                     "batch_id": batch_id, "points": len(group),
                     "benchmark": group[0].benchmark if group else None}):
-                lower_ticked = False
-                for index, point in enumerate(group):
-                    point_trace = traces.get(point)
-                    if not lower_ticked \
-                            and _maybe_prelower(point, point_trace):
-                        lower_ticked = True
-                        report.tick(batch_id, LOWER_TICK)
-                    info: dict = {}
-                    started = time.perf_counter()
-                    try:
-                        with point_deadline():
-                            payload = execute_point(
-                                point, trace=point_trace,
-                                info=info).to_dict()
-                    except Exception as exc:  # noqa: BLE001 - per point
-                        report.fail(batch_id, index, exc)
-                        continue
-                    duration = time.perf_counter() - started
-                    report.deliver(batch_id, index, payload,
-                                   point_meta(info, point_trace))
-                    report.tick(batch_id, index, duration)
+                run_batch(
+                    group, traces=traces, on_ok=ok,
+                    on_error=functools.partial(report.fail, batch_id),
+                    on_lower=functools.partial(report.tick, batch_id,
+                                               LOWER_TICK))
 
 
 class LocalPoolBackend(ExecutionBackend):
@@ -564,8 +591,9 @@ class QueueBackend(ExecutionBackend):
     replay a single parent-side functional run instead of re-running the
     interpreter per host (``trace_source`` in each result records what
     the worker actually used: ``shipped`` / ``local`` / ``live``; the
-    sibling ``kernel_source`` records how replays ran: ``kernel`` /
-    ``interpreted`` / ``live`` — workers lower shipped traces locally).
+    sibling ``kernel_source`` records whether any point replayed through
+    the compiled ``kernel`` or all ran ``live`` — workers lower shipped
+    traces locally).
 
     Fault model: a lease that stops heartbeating (crashed or wedged
     worker) or a result that fails its checksum re-queues the job, up to
@@ -628,26 +656,21 @@ class QueueBackend(ExecutionBackend):
     def _trace_blobs(batches: Batches) -> dict[tuple, bytes]:
         """Serialized committed traces, one per shippable workload identity.
 
-        Mirrors the :class:`~repro.experiments.tracing.SharedTraces`
-        policy: a trace is recorded (once, parent-side) when at least
-        two ``redirect`` points of the same (benchmark, scale, seed)
-        will amortize it, or the persistent disk store is on.  A
-        workload that fails to record (e.g. an unknown benchmark) ships
-        nothing — the workers will surface the same failure per point.
+        Which identities to record (once, parent-side) is
+        :func:`~repro.experiments.tracing.amortized_workloads`'s call —
+        the same rule :class:`~repro.experiments.tracing.SharedTraces`
+        applies in-process.  A workload that fails to record (e.g. an
+        unknown benchmark) ships nothing — the workers will surface the
+        same failure per point.
         """
-        from repro.experiments.tracing import load_or_record, trace_mode
+        from repro.experiments.tracing import (
+            amortized_workloads,
+            load_or_record,
+        )
 
-        mode = trace_mode()
-        if mode == "off":
-            return {}
-        counts = Counter(
-            (point.benchmark, point.scale, point.seed)
-            for group in batches.values() for point in group
-            if point.speculation == "redirect")
         blobs: dict[tuple, bytes] = {}
-        for identity, count in counts.items():
-            if count < 2 and mode != "disk":
-                continue
+        for identity in amortized_workloads(
+                point for group in batches.values() for point in group):
             try:
                 blobs[identity] = load_or_record(*identity).to_bytes()
             except Exception:  # noqa: BLE001 - workers report it per point

@@ -15,6 +15,12 @@ expands a benchmark x configuration x depth grid through
 completed points from :mod:`repro.experiments.cache` — identical keyed
 results whether a point was computed serially, in parallel, or loaded
 from the cache.
+
+A point runs one of exactly two ways: a ``redirect`` point with a
+recorded committed trace replays through the compiled kernel
+(:mod:`repro.pipeline.kernel`); every other point runs on the live
+:class:`~repro.pipeline.engine.PipelineEngine`, which is also the
+independent oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,27 +36,15 @@ from repro.experiments.plan import (
     build_plan,
     default_scale,
     default_warmup,
-    point_key,
 )
 from repro.experiments.scheduler import ProgressCallback, run_plan
-from repro.experiments.tracing import (
-    kernel_mode,
-    load_or_record,
-    spec_mode,
-    trace_mode,
-)
+from repro.experiments.tracing import load_or_record, trace_mode
 from repro.obs.interval import IntervalSampler
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
-from repro.pipeline.kernel import (
-    KernelUnsupported,
-    ensure_lowered,
-    is_lowered,
-    kernel_run,
-)
-from repro.pipeline.specialize import specialized_run
+from repro.pipeline.kernel import ensure_lowered, is_lowered, kernel_run
 from repro.pipeline.stats import SimulationResult
-from repro.pipeline.trace import CommittedTrace, TraceReplayCore
+from repro.pipeline.trace import CommittedTrace
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import BENCHMARKS, get_program
 
@@ -84,27 +78,19 @@ def execute_point(point: ExperimentPoint, *,
     (results are bit-for-bit identical either way):
 
     * a :class:`~repro.pipeline.trace.CommittedTrace` — replay it
-      instead of re-interpreting the program (how the scheduler shares
-      one recording across a batch);
+      through the compiled kernel instead of re-interpreting the program
+      (how the scheduler shares one recording across a batch):
+      ``baseline`` as the gskew stream pass, the ARVI configurations as
+      the fused pass;
     * ``None`` (default) — honour the environment: under
       ``REPRO_TRACE=disk`` the persistent trace store supplies (or
-      records) the trace, otherwise run the live core;
-    * ``False`` — force the live functional core regardless of the
-      environment (the perf harness measures the live path this way).
+      records) the trace, otherwise run the live engine;
+    * ``False`` — force the live engine regardless of the environment
+      (how the oracle checks run it).
 
-    ``wrongpath`` points always run the live core.
-
-    When a trace replays and the compiled kernel is on (``REPRO_KERNEL``,
-    :func:`~repro.experiments.tracing.kernel_mode`), every redirect
-    configuration runs over the lowered trace — ``baseline`` as the
-    stream pass, the ARVI configurations as the fused pass — and with
-    ``REPRO_KERNEL_SPEC`` on, stream-kind points first try the
-    trace-specialized generated module.  Anything a tier cannot express
-    falls through to the next (specialized -> kernel -> interpreted),
-    counted in ``kernel_fallback_total`` and attributed to the point in
-    the run ledger.  ``info``, when given, reports which path actually
-    ran: ``info["kernel_source"]`` is ``"specialized"``, ``"kernel"``,
-    ``"interpreted"`` or ``"live"`` (mirroring the backends'
+    ``wrongpath`` points always run the live engine.  ``info``, when
+    given, reports which path ran: ``info["kernel_source"]`` is
+    ``"kernel"`` or ``"live"`` (mirroring the backends'
     ``trace_source``).
     """
     point.validate()
@@ -140,50 +126,39 @@ def _execute_phases(point: ExperimentPoint,
 
     Each phase (``lower`` / ``replay`` / ``live``; ``record`` lives in
     :func:`~repro.experiments.tracing.load_or_record`) is wall-clock
-    timed into ``phase_seconds`` unconditionally — the bench harness
-    reads these — and wrapped in a ledger span when telemetry is on.
+    timed into ``phase_seconds`` unconditionally — the live-view status
+    reports them — and wrapped in a ledger span when telemetry is on.
     """
     program = get_program(point.benchmark, scale=point.scale,
                           seed=point.seed)
     config = machine_for_depth(point.pipeline_depth,
                                speculation=point.speculation)
+    if point.configuration == "baseline":
+        kind, mode = LevelTwoKind.HYBRID, ValueMode.CURRENT
+    else:
+        kind, mode = LevelTwoKind.ARVI, _VALUE_MODES[point.configuration]
 
-    core = None
     if point.speculation == "redirect" and trace is not False:
         if trace is None and trace_mode() == "disk":
             trace = load_or_record(point.benchmark, point.scale, point.seed)
         if trace is not None:
-            if kernel_mode():
-                replayed = _compiled_replay(point, program, trace, config,
-                                            phase_seconds, perf)
-                if replayed is not None:
-                    result, source = replayed
-                    if info is not None:
-                        info["kernel_source"] = source
-                    return result
-            core = TraceReplayCore(program, trace)
+            if info is not None:
+                info["kernel_source"] = "kernel"
+            return _kernel_replay(point, program, trace, config, kind, mode,
+                                  phase_seconds, perf)
     if info is not None:
-        info["kernel_source"] = "interpreted" if core is not None else "live"
+        info["kernel_source"] = "live"
 
-    if point.configuration == "baseline":
-        predictor = build_predictor(LevelTwoKind.HYBRID, config)
-        mode = ValueMode.CURRENT
-    else:
-        predictor = build_predictor(LevelTwoKind.ARVI, config,
-                                    point.arvi_config)
-        mode = _VALUE_MODES[point.configuration]
-
+    predictor = build_predictor(kind, config, point.arvi_config)
     telemetry = obs.current()
     every = obs.interval_cycles() if telemetry is not None else 0
     sampler = IntervalSampler(every) if every else None
 
-    phase = "replay" if core is not None else "live"
     start = perf()
-    with obs.span(phase, kind="phase", attrs={
-            "phase": phase,
-            "mode": "interpreted" if core is not None else "live"}):
+    with obs.span("live", kind="phase", attrs={"phase": "live",
+                                               "mode": "live"}):
         engine = PipelineEngine(program, config, predictor, value_mode=mode,
-                                warmup_instructions=point.warmup, core=core,
+                                warmup_instructions=point.warmup,
                                 sampler=sampler)
         result = engine.run()
         if sampler is not None and telemetry is not None:
@@ -192,85 +167,35 @@ def _execute_phases(point: ExperimentPoint,
                                attrs=sample.to_attrs())
                 telemetry.observe("engine.ddt_chain_length",
                                   sample.chain_length)
-    phase_seconds[phase] = perf() - start
+    phase_seconds["live"] = perf() - start
     return result
 
 
-def _kernel_fallback(point: ExperimentPoint, exc: Exception,
-                     tier: str) -> None:
-    """Count and attribute one compiled-replay fallback.
+def _kernel_replay(point: ExperimentPoint, program, trace, config,
+                   kind: LevelTwoKind, mode: ValueMode,
+                   phase_seconds: dict[str, float],
+                   perf) -> SimulationResult:
+    """Replay one redirect point through the compiled kernel.
 
-    ``kernel_fallback_total{reason=...}`` aggregates across a run; the
-    ``kernel_fallback`` ledger event carries the point key (prefix) and
-    grid coordinates so an interpreted point in a grid is attributable
-    from the run ledger alone.
+    ``baseline`` (``LevelTwoKind.HYBRID``) runs the gskew stream pass,
+    the paper's ARVI configurations the fused ARVI pass.  A trace not yet
+    lowered pays the one-time lowering as its own ``lower`` phase.
     """
-    obs.inc("kernel_fallback_total",
-            reason=str(exc).split(";")[0][:80])
-    obs.emit("kernel_fallback", kind="phase", attrs={
-        "point": point_key(point)[:12],
-        "benchmark": point.benchmark,
-        "configuration": point.configuration,
-        "depth": point.pipeline_depth,
-        "tier": tier,
-        "reason": str(exc)[:200]})
-
-
-def _compiled_replay(point: ExperimentPoint, program, trace, config,
-                     phase_seconds: dict[str, float],
-                     perf) -> "tuple[SimulationResult, str] | None":
-    """Try the compiled replay tiers for one redirect point.
-
-    ``baseline`` maps to the stream kernel (``LevelTwoKind.HYBRID``);
-    the paper's ARVI configurations map to the fused ARVI pass.  With
-    ``REPRO_KERNEL_SPEC`` on, stream-kind points first try the
-    trace-specialized generated module (its one-time codegen is timed
-    as its own ``codegen`` phase).  Returns ``(result, source)`` with
-    ``source`` in {"specialized", "kernel"}, or None when every tier
-    declined — each fallback is counted and attributed via
-    :func:`_kernel_fallback`, and the caller proceeds to the
-    interpreted replay.
-    """
-    if point.configuration == "baseline":
-        kind, value_mode = LevelTwoKind.HYBRID, ValueMode.CURRENT
-    else:
-        kind = LevelTwoKind.ARVI
-        value_mode = _VALUE_MODES[point.configuration]
-    try:
-        if not is_lowered(trace, program):
-            start = perf()
-            with obs.span("lower", kind="phase",
-                          attrs={"phase": "lower"}):
-                ensure_lowered(program, trace)
-            phase_seconds["lower"] = perf() - start
-        if kind is LevelTwoKind.HYBRID and spec_mode():
-            try:
-                start = perf()
-                with obs.span("replay", kind="phase", attrs={
-                        "phase": "replay", "mode": "specialized"}):
-                    result = specialized_run(
-                        program, trace, config, kind,
-                        warmup_instructions=point.warmup,
-                        phase_seconds=phase_seconds)
-                phase_seconds["replay"] = (
-                    perf() - start - phase_seconds.get("codegen", 0.0))
-            except KernelUnsupported as exc:
-                _kernel_fallback(point, exc, "specialized")
-            else:
-                return result, "specialized"
+    if not is_lowered(trace, program):
         start = perf()
-        with obs.span("replay", kind="phase", attrs={
-                "phase": "replay", "mode": "kernel"}):
-            result = kernel_run(
-                program, trace, config, kind,
-                warmup_instructions=point.warmup,
-                value_mode=value_mode,
-                arvi_config=point.arvi_config)
-        phase_seconds["replay"] = perf() - start
-    except KernelUnsupported as exc:
-        _kernel_fallback(point, exc, "kernel")
-        return None
-    return result, "kernel"
+        with obs.span("lower", kind="phase", attrs={"phase": "lower"}):
+            ensure_lowered(program, trace)
+        phase_seconds["lower"] = perf() - start
+    start = perf()
+    with obs.span("replay", kind="phase", attrs={
+            "phase": "replay", "mode": "kernel"}):
+        result = kernel_run(
+            program, trace, config, kind,
+            warmup_instructions=point.warmup,
+            value_mode=mode,
+            arvi_config=point.arvi_config)
+    phase_seconds["replay"] = perf() - start
+    return result
 
 
 def run_point(point: ExperimentPoint, *, scale: float | None = None,

@@ -16,23 +16,20 @@ experiment service uses them and where recorded traces persist:
   code_fingerprint`), so editing the simulator or a workload strands
   stale traces under dead keys instead of replaying them; corrupted or
   truncated files are misses that trigger re-recording, never errors.
-* :func:`kernel_mode` — the ``REPRO_KERNEL`` knob: whether replays of a
-  committed trace go through the compiled array kernel
-  (:mod:`repro.pipeline.kernel`, default) or the interpreted engine
-  loop — results are bit-for-bit identical either way.
-* :func:`spec_mode` — the ``REPRO_KERNEL_SPEC`` knob (default off):
-  whether stream-kind replays additionally try the trace-specialized
-  generated module (:mod:`repro.pipeline.specialize`) before the
-  kernel — again bit-for-bit identical, just faster once generated.
-* :class:`SharedTraces` — the per-batch/per-sweep pool.  Recording costs
-  one functional run, so a trace is only recorded when it will amortize:
-  at least two redirect points of the same workload identity
-  (benchmark, scale, seed), or the disk store is on (the recording
-  persists for future runs).  Wrong-path points always keep the live
-  core — wrong-path synthesis reads live architectural state.
+* :func:`amortized_workloads` — the one trace-amortization rule.
+  Recording costs one functional run, so a trace is only recorded when
+  it will amortize: at least two redirect points of the same workload
+  identity (benchmark, scale, seed), or the disk store is on (the
+  recording persists for future runs).  Wrong-path points always keep
+  the live core — wrong-path synthesis reads live architectural state.
+* :class:`SharedTraces` — the per-batch/per-sweep pool that applies the
+  rule locally; the queue backend applies the same rule to decide which
+  traces to record parent-side and ship.
 
-Changing this module never changes a simulation outcome (replay is
-bit-for-bit, enforced by the equality suite), so like the rest of the
+A redirect point with a trace replays through the compiled kernel
+(:mod:`repro.pipeline.kernel`); without one it runs on the live engine.
+Changing this module never changes a simulation outcome (kernel == live
+bit for bit, enforced by the equality suite), so like the rest of the
 experiment harness it is excluded from the result-cache fingerprint.
 """
 
@@ -64,38 +61,6 @@ def trace_mode() -> str:
     if raw == "disk":
         return "disk"
     return "memory"
-
-
-def kernel_mode() -> bool:
-    """``REPRO_KERNEL`` -> whether the compiled replay kernel is on.
-
-    Default on: when a redirect ``baseline`` point replays a committed
-    trace, :func:`~repro.experiments.runner.execute_point` lowers the
-    trace (:mod:`repro.pipeline.kernel`) and evaluates the config as an
-    array pass instead of the interpreted engine loop — bit-for-bit
-    equal results, enforced by the equality suite and ``repro.bench``.
-    Set ``REPRO_KERNEL=0`` to force the interpreted path everywhere.
-    """
-    raw = os.environ.get("REPRO_KERNEL", "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
-
-def spec_mode() -> bool:
-    """``REPRO_KERNEL_SPEC`` -> whether trace-specialized replay is on.
-
-    Default off.  When on (and the kernel is on), redirect points whose
-    configuration the stream kernel expresses try the trace-specialized
-    replay first: :mod:`repro.pipeline.specialize` generates a flattened
-    per-workload replay module (constants baked, hot segments unrolled),
-    caches the source content-addressed under ``REPRO_KERNEL_SPEC_DIR``
-    (default ``benchmarks/results/specialized/``) and executes it —
-    bit-for-bit equal to ``kernel_run`` (enforced by the equality suite
-    and ``repro.bench``), ~1.4x faster once generated.  Anything the
-    specializer cannot express falls through to the kernel, then the
-    interpreted replay, exactly like ``REPRO_KERNEL`` fallbacks.
-    """
-    raw = os.environ.get("REPRO_KERNEL_SPEC", "0").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
 
 
 def default_trace_dir() -> pathlib.Path:
@@ -231,6 +196,26 @@ def _workload_key(point: ExperimentPoint) -> tuple[str, float | None, int]:
     return (point.benchmark, point.scale, point.seed)
 
 
+def _redirect_counts(points) -> Counter:
+    return Counter(_workload_key(point) for point in points
+                   if point.speculation == "redirect")
+
+
+def amortized_workloads(points) -> list[tuple[str, float | None, int]]:
+    """Workload identities whose committed trace is worth recording.
+
+    The one place the amortization rule lives: record when at least two
+    ``redirect`` points share a (benchmark, scale, seed) identity, or
+    whenever the disk store is on (the recording outlives the run);
+    never with ``REPRO_TRACE=0``.  First-appearance order.
+    """
+    mode = trace_mode()
+    if mode == "off":
+        return []
+    return [key for key, count in _redirect_counts(points).items()
+            if count >= 2 or mode == "disk"]
+
+
 class SharedTraces:
     """Per-batch (or per-serial-sweep) committed-trace pool.
 
@@ -242,28 +227,22 @@ class SharedTraces:
     """
 
     def __init__(self, points) -> None:
-        self._mode = trace_mode()
-        self._remaining = Counter(
-            _workload_key(point) for point in points
-            if point.speculation == "redirect")
+        points = list(points)
+        self._record = amortized_workloads(points)
+        self._remaining = _redirect_counts(points)
         self._traces: dict[tuple, CommittedTrace] = {}
 
     def get(self, point: ExperimentPoint) -> CommittedTrace | None:
-        if self._mode == "off" or point.speculation != "redirect":
-            return None
         key = _workload_key(point)
+        if point.speculation != "redirect" or key not in self._record:
+            return None
         remaining = self._remaining[key]
         self._remaining[key] = remaining - 1
         trace = self._traces.get(key)
-        if trace is not None:
-            if remaining <= 1:
-                del self._traces[key]
-            return trace
-        if self._mode != "disk" and remaining < 2:
-            # Recording costs a functional run; with nothing to amortize
-            # against (and no store to persist into), live wins.
-            return None
-        trace = load_or_record(point.benchmark, point.scale, point.seed)
+        if trace is None:
+            trace = load_or_record(point.benchmark, point.scale, point.seed)
         if remaining > 1:
             self._traces[key] = trace
+        else:
+            self._traces.pop(key, None)
         return trace

@@ -27,6 +27,7 @@ import json
 import os
 import pathlib
 import signal
+import sys
 import threading
 import time
 from typing import Callable, Iterator
@@ -145,6 +146,14 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
     compute.  Only arms on the main thread (signals cannot be delivered
     elsewhere); pool/queue workers execute points on their main thread,
     which is where a runaway simulation would actually hang.
+
+    The timeout is raised only in frames the deadline guards: code of
+    the ``repro`` package, or the frame that opened the deadline.  A
+    firing that lands anywhere else — a gc callback, an unraisable or
+    import hook, any foreign frame the guarded code merely triggered —
+    returns without raising, and the timer's 5 ms repeat retries until
+    a firing lands in guarded code.  (Raised inside a callback, the
+    exception would be swallowed as unraisable, or break the hook.)
     """
     if seconds is None:
         seconds = point_timeout()
@@ -152,15 +161,20 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
         yield
         return
 
+    # Frame 0 is this generator, 1 is contextlib's __enter__, 2 the
+    # frame running the ``with`` body.
+    opener = sys._getframe(2)
+
     def _overrun(signum, frame):
-        raise PointTimeout(
-            f"point exceeded REPRO_POINT_TIMEOUT={seconds:g}s deadline")
+        module = frame.f_globals.get("__name__", "") if frame else ""
+        if frame is opener or module == "repro" \
+                or module.startswith("repro."):
+            raise PointTimeout(
+                f"point exceeded REPRO_POINT_TIMEOUT={seconds:g}s deadline")
 
     previous_handler = signal.signal(signal.SIGALRM, _overrun)
-    # Repeating interval: if the raise lands inside a C-level callback
-    # frame (e.g. a gc callback) the interpreter swallows it as
-    # unraisable — the next firing retries until one lands in
-    # interruptible bytecode.
+    # Repeating interval: a firing that lands outside guarded code is
+    # ignored, and the next firing retries.
     signal.setitimer(signal.ITIMER_REAL, seconds, 0.005)
     try:
         yield

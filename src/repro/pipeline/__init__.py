@@ -26,7 +26,6 @@ from repro.pipeline.trace import (
     CommittedTrace,
     TraceError,
     TraceRecorder,
-    TraceReplayCore,
     record_trace,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "TimingRecord",
     "TraceError",
     "TraceRecorder",
-    "TraceReplayCore",
     "build_predictor",
     "machine_for_depth",
     "record_trace",

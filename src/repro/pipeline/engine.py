@@ -128,7 +128,6 @@ class PipelineEngine:
                  warmup_instructions: int = 0,
                  observers: list[Observer] | None = None,
                  ddt_cross_check: bool = False,
-                 core: FunctionalCore | None = None,
                  sampler=None) -> None:
         self.program = program
         self.config = config
@@ -148,24 +147,7 @@ class PipelineEngine:
         # redirect path stays byte-identical to the seed engine.
         self.recovery = (RecoveryManager()
                          if config.speculation == "wrongpath" else None)
-
-        # The functional source is pluggable: a live interpreter by
-        # default, or any object exposing the same interface (``step``,
-        # ``halted``, ``instruction_count``, initial ``registers``) —
-        # notably ``pipeline.trace.TraceReplayCore``, which replays a
-        # recorded committed stream so one functional run can drive many
-        # timing configurations.
-        if core is None:
-            core = FunctionalCore(program)
-        elif core.program is not program:
-            raise ValueError(
-                "functional source was built for a different program")
-        if self.recovery is not None and getattr(core, "is_replay", False):
-            raise ValueError(
-                "trace replay cannot drive speculation='wrongpath': "
-                "wrong-path synthesis reads live architectural state; "
-                "use a live FunctionalCore")
-        self.core = core
+        self.core = FunctionalCore(program)
         self.memory = MemoryHierarchy(config)
         self.units = FunctionalUnits(config)
         self.fetch_bw = BandwidthLimiter(config.fetch_width)
@@ -232,15 +214,6 @@ class PipelineEngine:
 
     # -- public API ---------------------------------------------------------------
 
-    def _live_stream(self, core, max_instructions: int):
-        """Drive a live functional source one ``step()`` at a time."""
-        step = core.step
-        while not core.halted and core.instruction_count < max_instructions:
-            dyn = step()
-            if dyn is None:
-                return
-            yield dyn
-
     def run(self, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
             ) -> SimulationResult:
         """Simulate until HALT or the instruction budget; returns stats.
@@ -255,11 +228,7 @@ class PipelineEngine:
         unchanged stage for stage; results are bit-for-bit identical to
         the unfused engine (frozen redirect goldens + equality tests).
         """
-        core = self.core
-        take = getattr(core, "take_stream", None)
-        stream = take(max_instructions) if take is not None else None
-        if stream is None:
-            stream = self._live_stream(core, max_instructions)
+        stream = self.core.run(max_instructions)
 
         # ---- hot locals ---------------------------------------------------
         decoded = self._decoded
@@ -843,12 +812,11 @@ def simulate(program: Program, config: MachineConfig,
              max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
              arvi_config: ARVIConfig | None = None,
              observers: list[Observer] | None = None,
-             ddt_cross_check: bool = False,
-             core: FunctionalCore | None = None) -> SimulationResult:
+             ddt_cross_check: bool = False) -> SimulationResult:
     """One-call simulation helper used by examples and experiments."""
     predictor = build_predictor(kind, config, arvi_config)
     engine = PipelineEngine(
         program, config, predictor, value_mode=value_mode,
         warmup_instructions=warmup_instructions, observers=observers,
-        ddt_cross_check=ddt_cross_check, core=core)
+        ddt_cross_check=ddt_cross_check)
     return engine.run(max_instructions)

@@ -1,12 +1,11 @@
 """Compiled replay kernel: lower a committed trace once, replay it fast.
 
-PR 4 records the committed instruction stream once per workload and
-replays it through the interpreted engine loop per timing configuration;
-this module removes the remaining per-instruction interpretation cost.
-A :class:`LoweredTrace` converts :class:`~repro.pipeline.trace.
-CommittedTrace` columns into dense per-instruction arrays plus
-precomputed metadata, **once per workload identity**, shared read-only
-by every redirect timing point of a batch:
+Every redirect timing point of a workload sweeps the same committed
+instruction stream (recorded once by :mod:`repro.pipeline.trace`)
+through a different machine.  A :class:`LoweredTrace` converts the
+:class:`~repro.pipeline.trace.CommittedTrace` columns into dense
+per-instruction lists plus precomputed metadata, **once per workload
+identity**, shared read-only by every redirect timing point of a batch:
 
 * a fused per-instruction *kernel class* (ALU / frontend-other / load /
   store / mult / div / conditional branch, with an I-cache line-change
@@ -18,15 +17,15 @@ by every redirect timing point of a batch:
 * store-forwarding sources per memory op (the latest prior store to the
   same word — the engine's ``pending_stores`` dict, precomputed),
 * ROB/LSQ occupancy metadata (memory-op stream positions, so the
-  occupancy heads are plain array lookups per config),
+  occupancy heads are plain list lookups per config),
 * prefix sums for the measured-window load/store statistics, the RAS
   accuracy stream, and per-predictor-kind branch decision streams (the
   two-level gskew interplay is timing-independent, so its outcome
   sequence is simulated once and shared across every config).
 
 :func:`kernel_run` then evaluates one timing configuration as a lean
-array pass over the lowered form: the same fetch/issue/commit arithmetic
-as :meth:`~repro.pipeline.engine.PipelineEngine.run`, stage for stage,
+pass over the lowered form: the same fetch/issue/commit arithmetic as
+:meth:`~repro.pipeline.engine.PipelineEngine.run`, stage for stage,
 minus everything that cannot affect a redirect-mode result.  For the
 hybrid/none kinds that strips *all* rename/DDT/RSE/shadow maintenance
 (their decisions precompute into shared streams); for the ARVI kinds a
@@ -34,34 +33,23 @@ fused pass (DESIGN.md §13) keeps exactly the state the BVIT lookup keys
 read — the DDT retirement window, pending/shadow register values and
 load-hoist times, which are timing-*dependent* per configuration — and
 reuses precomputed level-1/confidence streams.  Results are
-**bit-for-bit equal** to the interpreted replay and to live execution —
+**bit-for-bit equal** to the live engine (the independent oracle) —
 enforced by the equality suites (``tests/pipeline/test_kernel.py``,
-``tests/pipeline/test_kernel_arvi.py``) and by the hard gates in
-``python -m repro.bench``.
+``tests/pipeline/test_kernel_arvi.py``) and by the frozen seed goldens
+(``tests/experiments/test_redirect_equivalence.py``).
 
-Fallback rules (DESIGN.md §10): anything the lowered form cannot
-express raises :class:`KernelUnsupported` and the caller falls back to
-the interpreted path — ``wrongpath`` speculation (needs live
-architectural state) and non-standard predictor stacks.  A budget that
-would step past a truncated recording raises
-:class:`~repro.pipeline.trace.TraceError`, matching the interpreted
-replay core.  The selection knob is ``REPRO_KERNEL``
-(:func:`repro.experiments.tracing.kernel_mode`); which path actually
-ran is observable via the ``kernel_source`` field threaded through
-:func:`~repro.experiments.runner.execute_point`, and every fallback
-increments the ``kernel_fallback_total`` counter with its reason.
-
-numpy is optional: the lowering pass vectorizes with numpy when it is
-importable (``REPRO_KERNEL_NUMPY=0`` forces the fallback), and otherwise
-builds identical arrays with pure-Python loops — the per-config replay
-loop itself uses plain lists either way (CPython scalar indexing beats
-numpy scalar indexing on this access pattern), so results are identical
-with and without numpy.
+Anything the lowered form cannot express raises
+:class:`KernelUnsupported` — ``wrongpath`` speculation (needs live
+architectural state) and non-standard predictor stacks; the experiment
+service never routes those here.  A budget that would step past a
+truncated recording raises :class:`~repro.pipeline.trace.TraceError`
+instead of silently running shorter.  Which path ran is observable via
+the ``kernel_source`` field threaded through
+:func:`~repro.experiments.runner.execute_point`.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
@@ -99,7 +87,6 @@ __all__ = [
     "ensure_lowered",
     "is_lowered",
     "kernel_run",
-    "lowering_backend",
 ]
 
 #: Pseudo point index backends tick when a batch pays the one-time
@@ -121,7 +108,7 @@ _SUPPORTED_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
 
 #: Level-2 kinds whose branch decisions are fully timing-independent and
 #: therefore precompute into shared :class:`_BranchStreams` — the form
-#: the flattened stream loop (and the trace specializer) replays.  ARVI
+#: the flattened stream loop replays.  ARVI
 #: is supported by :func:`kernel_run` but runs its own fused pass: only
 #: its level-1/confidence streams are timing-independent; the BVIT/RSE
 #: side reads live DDT and register-timing state per configuration.
@@ -129,25 +116,8 @@ _STREAM_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE)
 
 
 class KernelUnsupported(RuntimeError):
-    """The kernel cannot express this configuration; fall back to the
-    interpreted replay path (never silently diverge)."""
-
-
-def _numpy():
-    """The numpy module, or None (absent, or ``REPRO_KERNEL_NUMPY=0``)."""
-    if os.environ.get("REPRO_KERNEL_NUMPY", "1").strip().lower() in (
-            "0", "false", "no", "off"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def lowering_backend() -> str:
-    """Which lowering implementation a fresh pass would use."""
-    return "numpy" if _numpy() is not None else "python"
+    """The kernel cannot express this configuration (run it on the live
+    engine instead; never silently diverge)."""
 
 
 class _BranchStreams:
@@ -246,14 +216,13 @@ class LoweredTrace:
     """Dense array form of one committed trace, shared across configs."""
 
     __slots__ = (
-        "program", "trace", "length", "backend",
+        "program", "trace", "length",
         "pcs", "kclass", "byte_pcs", "dep1", "dep2",
         "mem_pos", "mem_addr", "store_dep",
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
         "jr_pos", "jr_correct_cum", "_hasres",
-        "_np", "_kclass_np", "_byte_np", "_codes", "_streams",
-        "_values", "_arvi_pre", "_specialized",
+        "_codes", "_streams", "_values", "_arvi_pre",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -263,24 +232,14 @@ class LoweredTrace:
         codes = self._codes.get(line_mask)
         if codes is not None:
             return codes
-        np = self._np
-        if np is not None:
-            lines = self._byte_np & line_mask
-            change = np.empty(self.length, dtype=bool)
-            if self.length:
-                change[0] = True  # last fetch line starts at -1
-                change[1:] = lines[1:] != lines[:-1]
-            codes = (self._kclass_np
-                     | (change.astype(np.int64) << 3)).tolist()
-        else:
-            codes = list(self.kclass)
-            last = -1
-            byte_pcs = self.byte_pcs
-            for i in range(self.length):
-                line = byte_pcs[i] & line_mask
-                if line != last:
-                    last = line
-                    codes[i] |= _LINE_CHANGE
+        codes = list(self.kclass)
+        last = -1
+        byte_pcs = self.byte_pcs
+        for i in range(self.length):
+            line = byte_pcs[i] & line_mask
+            if line != last:
+                last = line
+                codes[i] |= _LINE_CHANGE
         self._codes[line_mask] = codes
         return codes
 
@@ -312,38 +271,19 @@ class LoweredTrace:
             return vals
         results = self.trace.results
         hasres_tab = self._hasres
-        n = self.length
-        np = self._np
-        if np is not None:
-            if n:
-                hasres = np.array(hasres_tab, dtype=bool)[self._byte_np >> 2]
-            else:
-                hasres = np.zeros(0, dtype=bool)
-            count = int(hasres.sum())
-            if count != len(results):
-                raise TraceError(
-                    f"trace of {self.trace.program_name!r} is internally "
-                    "inconsistent (column lengths do not match the stream)")
-            vals_np = np.zeros(n, dtype=np.int64)
-            vals_np[hasres] = np.asarray(results)
-            vals = vals_np.tolist()
-        else:
-            vals = [0] * n
-            ri = 0
-            try:
-                for i, pc in enumerate(self.pcs):
-                    if hasres_tab[pc]:
-                        vals[i] = results[ri]
-                        ri += 1
-            except IndexError as exc:
-                raise TraceError(
-                    f"trace of {self.trace.program_name!r} is internally "
-                    "inconsistent (column lengths do not match the stream)"
-                ) from exc
-            if ri != len(results):
-                raise TraceError(
-                    f"trace of {self.trace.program_name!r} is internally "
-                    "inconsistent (column lengths do not match the stream)")
+        vals = [0] * self.length
+        ri = 0
+        try:
+            for i, pc in enumerate(self.pcs):
+                if hasres_tab[pc]:
+                    vals[i] = results[ri]
+                    ri += 1
+        except IndexError:
+            ri = -1
+        if ri != len(results):
+            raise TraceError(
+                f"trace of {self.trace.program_name!r} is internally "
+                "inconsistent (column lengths do not match the stream)")
         self._values = vals
         return vals
 
@@ -358,7 +298,6 @@ class LoweredTrace:
 
 def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     trace.validate_for(program)
-    np = _numpy()
     cls_tab, src1_tab, src2_tab, wr_tab, ras_tab, hasres_tab = \
         program.decoded().static_columns()
     n = trace.length
@@ -375,74 +314,38 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered._streams = {}
     lowered._values = None
     lowered._arvi_pre = None
-    lowered._specialized = None
 
-    if np is not None:
-        lowered.backend = "numpy"
-        pcs_np = np.array(pcs_list, dtype=np.int64)
-        kclass_np = np.array(cls_tab, dtype=np.int64)[pcs_np] \
-            if n else np.zeros(0, dtype=np.int64)
-        byte_np = pcs_np * 4
-        is_load = kclass_np == K_LOAD
-        is_store = kclass_np == K_STORE
-        lowered._np = np
-        lowered._kclass_np = kclass_np
-        lowered._byte_np = byte_np
-        lowered.kclass = kclass_np.tolist()
-        lowered.byte_pcs = byte_np.tolist()
-        lowered.load_prefix = np.concatenate(
-            ([0], np.cumsum(is_load))).tolist()
-        lowered.store_prefix = np.concatenate(
-            ([0], np.cumsum(is_store))).tolist()
-        lowered.mem_pos = np.nonzero(is_load | is_store)[0].tolist()
-        branch_idx = np.nonzero(kclass_np == K_BRANCH)[0]
-        lowered.branch_pos = branch_idx.tolist()
-        lowered.branch_pcs = pcs_np[branch_idx].tolist()
-        if branches:
-            bits = np.frombuffer(trace.taken_bits, dtype=np.uint8)
-            lowered.branch_taken = np.unpackbits(
-                bits, bitorder="little")[:branches].astype(bool).tolist()
-        else:
-            lowered.branch_taken = []
-        ras_hits = np.array(ras_tab, dtype=np.int64)[pcs_np] \
-            if n else np.zeros(0, dtype=np.int64)
-        ras_events = np.nonzero(ras_hits)[0].tolist()
-    else:
-        lowered.backend = "python"
-        lowered._np = None
-        lowered._kclass_np = None
-        lowered._byte_np = None
-        kclass = [cls_tab[pc] for pc in pcs_list]
-        lowered.kclass = kclass
-        lowered.byte_pcs = [pc * 4 for pc in pcs_list]
-        load_prefix = [0] * (n + 1)
-        store_prefix = [0] * (n + 1)
-        mem_pos: list[int] = []
-        branch_pos: list[int] = []
-        branch_pcs: list[int] = []
-        loads = stores = 0
-        for i, k in enumerate(kclass):
-            if k == K_LOAD:
-                loads += 1
-                mem_pos.append(i)
-            elif k == K_STORE:
-                stores += 1
-                mem_pos.append(i)
-            elif k == K_BRANCH:
-                branch_pos.append(i)
-                branch_pcs.append(pcs_list[i])
-            load_prefix[i + 1] = loads
-            store_prefix[i + 1] = stores
-        lowered.load_prefix = load_prefix
-        lowered.store_prefix = store_prefix
-        lowered.mem_pos = mem_pos
-        lowered.branch_pos = branch_pos
-        lowered.branch_pcs = branch_pcs
-        taken_bits = trace.taken_bits
-        lowered.branch_taken = [
-            bool((taken_bits[j >> 3] >> (j & 7)) & 1)
-            for j in range(branches)]
-        ras_events = [i for i, pc in enumerate(pcs_list) if ras_tab[pc]]
+    kclass = [cls_tab[pc] for pc in pcs_list]
+    lowered.kclass = kclass
+    lowered.byte_pcs = [pc * 4 for pc in pcs_list]
+    load_prefix = [0] * (n + 1)
+    store_prefix = [0] * (n + 1)
+    mem_pos: list[int] = []
+    branch_pos: list[int] = []
+    branch_pcs: list[int] = []
+    loads = stores = 0
+    for i, k in enumerate(kclass):
+        if k == K_LOAD:
+            loads += 1
+            mem_pos.append(i)
+        elif k == K_STORE:
+            stores += 1
+            mem_pos.append(i)
+        elif k == K_BRANCH:
+            branch_pos.append(i)
+            branch_pcs.append(pcs_list[i])
+        load_prefix[i + 1] = loads
+        store_prefix[i + 1] = stores
+    lowered.load_prefix = load_prefix
+    lowered.store_prefix = store_prefix
+    lowered.mem_pos = mem_pos
+    lowered.branch_pos = branch_pos
+    lowered.branch_pcs = branch_pcs
+    taken_bits = trace.taken_bits
+    lowered.branch_taken = [
+        bool((taken_bits[j >> 3] >> (j & 7)) & 1)
+        for j in range(branches)]
+    ras_events = [i for i, pc in enumerate(pcs_list) if ras_tab[pc]]
 
     if (len(lowered.branch_pos) != branches
             or len(lowered.mem_pos) != len(trace.addrs)):
@@ -474,7 +377,6 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     # ``pending_stores`` dict, resolved ahead of time.
     mem_addr = trace.addrs.tolist()
     lowered.mem_addr = mem_addr
-    kclass = lowered.kclass
     store_dep = [-1] * len(mem_addr)
     last_store: dict[int, int] = {}
     for m, pos in enumerate(lowered.mem_pos):
@@ -520,10 +422,9 @@ def is_lowered(trace: CommittedTrace, program: Program | None = None) -> bool:
 def ensure_lowered(program: Program, trace: CommittedTrace) -> LoweredTrace:
     """Lower (and cache) ``trace`` for ``program``.
 
-    Like :meth:`CommittedTrace.materialize`, the lowered form is built
-    once per (trace, program) pair and shared read-only by every replay
-    of the trace — a batch of redirect timing points pays the lowering
-    cost exactly once per workload identity.
+    The lowered form is built once per (trace, program) pair and shared
+    read-only by every replay of the trace — a batch of redirect timing
+    points pays the lowering cost exactly once per workload identity.
     """
     cached = trace._lowered_cache
     if cached is not None and cached.program is program:
@@ -543,15 +444,15 @@ def kernel_run(program: Program, trace: CommittedTrace,
                ) -> SimulationResult:
     """Replay one timing configuration over the lowered trace.
 
-    Produces a :class:`SimulationResult` bit-for-bit equal to
+    Produces a :class:`SimulationResult` bit-for-bit equal to the live
     ``PipelineEngine(program, config, build_predictor(kind, config,
-    arvi_config), value_mode=..., warmup_instructions=...,
-    core=TraceReplayCore(program, trace)).run(max_instructions)`` for
-    every supported configuration; raises :class:`KernelUnsupported`
-    for anything else.  The memory hierarchy runs live, in the engine's
-    exact access order — the shared L2 couples I-side and D-side state,
-    and store-forwarding outcomes depend on per-config timing, so cache
-    latencies cannot be precomputed.
+    arvi_config), value_mode=..., warmup_instructions=...)
+    .run(max_instructions)`` for every supported configuration (``trace``
+    must be ``program``'s recorded committed stream); raises
+    :class:`KernelUnsupported` for anything else.  The memory hierarchy
+    runs live, in the engine's exact access order — the shared L2 couples
+    I-side and D-side state, and store-forwarding outcomes depend on
+    per-config timing, so cache latencies cannot be precomputed.
 
     ``LevelTwoKind.ARVI`` (``value_mode`` / ``arvi_config`` select the
     paper's evaluation configurations) runs the fused ARVI pass: the
@@ -571,8 +472,8 @@ def kernel_run(program: Program, trace: CommittedTrace,
     lowered = ensure_lowered(program, trace)
     n = lowered.length
     if max_instructions > n and not trace.halted:
-        # Mirror TraceReplayCore.step: a budget past a truncated
-        # recording is an error, never a silently shorter run.
+        # A budget past a truncated recording is an error, never a
+        # silently shorter run.
         raise TraceError(
             f"trace of {trace.program_name!r} exhausted at instruction "
             f"{n}: it was truncated at max_instructions="
@@ -747,37 +648,12 @@ def kernel_run(program: Program, trace: CommittedTrace,
                     fetch_barrier = barrier
             branch_i += 1
 
-    return stream_result(lowered, kind, config, warmup_instructions,
-                         n_run, last_commit, commit_arr, memory)
-
-
-def stream_result(lowered: LoweredTrace, kind: LevelTwoKind,
-                  config: MachineConfig, warmup: int, n_run: int,
-                  last_commit: int, commit_arr: list[int],
-                  memory: MemoryHierarchy) -> SimulationResult:
-    """Statistics epilogue shared by the stream loop and the specializer.
-
-    Everything after the timing loop is a pure function of the lowered
-    trace, the branch streams and ``(last_commit, commit_arr)`` — the
-    specialized replay (``pipeline.specialize``) produces exactly those
-    two values, so routing both paths through this one epilogue makes
-    their results equal by construction.
-    """
-    streams = lowered.streams_for(kind)
-    result = SimulationResult(
-        benchmark=lowered.program.name,
-        configuration=f"2-level {kind.value}",
-        pipeline_depth=config.pipeline_depth,
-        warmup_instructions=warmup,
-        speculation=config.speculation,
-    )
-    measured_lo = warmup if warmup < n_run else n_run
-    result.loads = (lowered.load_prefix[n_run]
-                    - lowered.load_prefix[measured_lo])
-    result.stores = (lowered.store_prefix[n_run]
-                     - lowered.store_prefix[measured_lo])
-
-    branch_lo = bisect_left(lowered.branch_pos, measured_lo)
+    # ---- statistics (prefix-sum differences over the shared streams) ----
+    result = _timing_result(lowered, config, f"2-level {kind.value}",
+                            warmup_instructions, n_run, last_commit,
+                            commit_arr, memory)
+    branch_lo = bisect_left(lowered.branch_pos,
+                            min(warmup_instructions, n_run))
     branch_hi = bisect_left(lowered.branch_pos, n_run)
     result.cond_branches = branch_hi - branch_lo
     result.final_correct = (streams.cum_final[branch_hi]
@@ -792,7 +668,27 @@ def stream_result(lowered: LoweredTrace, kind: LevelTwoKind,
                                 - streams.cum_helpful[branch_lo])
     result.overrides_harmful = (streams.cum_harmful[branch_hi]
                                 - streams.cum_harmful[branch_lo])
+    return result
 
+
+def _timing_result(lowered: LoweredTrace, config: MachineConfig,
+                   configuration: str, warmup: int, n_run: int,
+                   last_commit: int, commit_arr: list[int],
+                   memory: MemoryHierarchy) -> SimulationResult:
+    """The statistics both passes share: a pure function of the lowered
+    trace and the timing loop's ``(last_commit, commit_arr)``."""
+    result = SimulationResult(
+        benchmark=lowered.program.name,
+        configuration=configuration,
+        pipeline_depth=config.pipeline_depth,
+        warmup_instructions=warmup,
+        speculation=config.speculation,
+    )
+    measured_lo = warmup if warmup < n_run else n_run
+    result.loads = (lowered.load_prefix[n_run]
+                    - lowered.load_prefix[measured_lo])
+    result.stores = (lowered.store_prefix[n_run]
+                     - lowered.store_prefix[measured_lo])
     result.total_instructions = n_run
     result.total_cycles = last_commit
     measured_start_cycle = commit_arr[warmup] if warmup < n_run else 0
@@ -828,8 +724,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     decision stream is **not** timing-independent per latency class —
     availability and chain membership depend on per-config commit
     timing — so it cannot be lowered into shared prefix sums the way
-    the gskew streams were.  Equality with the interpreted path is what
-    the tests and the bench gate assert instead.
+    the gskew streams were.  Equality with the live engine is what the
+    tests assert instead.
     """
     _cls, src1_tab, src2_tab, wr_tab, _ras, _hr = \
         program.decoded().static_columns()
@@ -1198,18 +1094,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
             branch_i += 1
 
     # ---- statistics -------------------------------------------------------
-    result = SimulationResult(
-        benchmark=program.name,
-        configuration=f"arvi {value_mode.value}",
-        pipeline_depth=config.pipeline_depth,
-        warmup_instructions=warmup,
-        speculation=config.speculation,
-    )
-    measured_lo = warmup if warmup < n_run else n_run
-    result.loads = (lowered.load_prefix[n_run]
-                    - lowered.load_prefix[measured_lo])
-    result.stores = (lowered.store_prefix[n_run]
-                     - lowered.store_prefix[measured_lo])
+    result = _timing_result(lowered, config, f"arvi {value_mode.value}",
+                            warmup, n_run, last_commit, commit_arr, memory)
     result.cond_branches = cond_branches
     result.final_correct = final_correct_n
     result.l1_correct = l1_correct_n
@@ -1221,15 +1107,4 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     result.load = BranchClassStats(branches=load_b, correct=load_c)
     result.arvi_lookups = bvit.stats.lookups
     result.arvi_bvit_hits = bvit.stats.hits
-
-    result.total_instructions = n_run
-    result.total_cycles = last_commit
-    measured_start_cycle = commit_arr[warmup] if warmup < n_run else 0
-    result.instructions = max(n_run - warmup, 0)
-    result.cycles = max(last_commit - measured_start_cycle, 0)
-    result.memory = memory.stats()
-
-    pops = bisect_left(lowered.jr_pos, n_run)
-    correct_pops = lowered.jr_correct_cum[pops]
-    result.ras_accuracy = correct_pops / pops if pops else 1.0
     return result

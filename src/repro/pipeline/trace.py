@@ -4,41 +4,36 @@ In ``redirect`` mode the functional path is configuration-independent:
 every timing point of a (benchmark, scale, seed) sweeps the *same*
 committed :class:`~repro.pipeline.functional.DynInst` stream through a
 different machine.  Re-interpreting the program per point is pure waste,
-so this module records the stream once and replays it everywhere:
+so this module records the stream once for the compiled replay kernel
+(:mod:`repro.pipeline.kernel`) to replay everywhere:
 
 * :class:`TraceRecorder` runs the functional core once and captures the
   committed stream into a :class:`CommittedTrace` — a compact *columnar*
   form (parallel arrays of decoded PC indices, results, bit-packed branch
   outcomes, load/store effective addresses and store values), not a list
   of per-instruction objects;
-* :class:`TraceReplayCore` exposes the ``FunctionalCore`` interface the
-  engine consumes (``step`` / ``halted`` / ``instruction_count`` /
-  initial ``registers``), reconstructing the stream from the columns, so
-  :class:`~repro.pipeline.engine.PipelineEngine` is source-agnostic;
 * :meth:`CommittedTrace.to_bytes` / :meth:`CommittedTrace.from_bytes`
-  give the on-disk form used by the experiment-service trace store
-  (``repro.experiments.tracing``).
+  give the on-disk and wire form used by the experiment-service trace
+  store (``repro.experiments.tracing``) and the queue backend.
 
 Invariants (DESIGN.md §8):
 
-* **Bit-for-bit replay** — a replayed run's ``SimulationResult`` equals
-  the live-core run exactly.  Every ``DynInst`` field the timing engine
-  reads is reproduced: ``seq``/``pc``/``op`` and the category flags,
-  ``result``, ``taken``, ``next_pc``, ``addr``, ``store_value``.  Column
-  *presence* is a pure opcode property (``DecodedInst.has_result``,
-  ``is_load``/``is_store``/``is_cond_branch``), so no per-instruction
-  presence flags are stored; ``next_pc`` is the following instruction's
-  PC (the stream is the committed architectural order), stored explicitly
-  only for the final instruction.
-* **Operand values are not recorded** — replayed ``DynInst``\\ s carry
-  ``sval1 == sval2 == 0``.  The engine never reads them; observers that
-  need operand values must drive the engine from a live core.
+* **Bit-for-bit replay** — a kernel replay's ``SimulationResult`` equals
+  the live-core run exactly.  Every committed-stream fact the timing
+  model reads is recorded: ``pc``, ``result``, ``taken``, ``next_pc``,
+  ``addr``, ``store_value``.  Column *presence* is a pure opcode
+  property (``DecodedInst.has_result``, ``is_load``/``is_store``/
+  ``is_cond_branch``), so no per-instruction presence flags are stored;
+  ``next_pc`` is the following instruction's PC (the stream is the
+  committed architectural order), stored explicitly only for the final
+  instruction.
+* **Operand values are not recorded** — observers that need them must
+  drive the live engine.
 * **Redirect only** — wrong-path synthesis reads live architectural
   state (registers/memory at the mispredicted branch), which a trace
-  does not carry.  The engine rejects a replay core in ``wrongpath``
-  mode.
+  does not carry; the kernel refuses ``wrongpath`` configurations.
 * A trace is valid for budgets up to its recorded ``max_instructions``;
-  asking a replay core to step past a budget-truncated recording raises
+  replaying past a budget-truncated recording raises
   :class:`TraceError` rather than silently diverging.
 """
 
@@ -50,13 +45,8 @@ import struct
 import sys
 from array import array
 
-from repro.isa import regs
-from repro.isa.program import DATA_BASE, STACK_TOP, Program
-from repro.pipeline.functional import (
-    DEFAULT_MAX_INSTRUCTIONS,
-    DynInst,
-    FunctionalCore,
-)
+from repro.isa.program import Program
+from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS, FunctionalCore
 
 #: Version of the serialized trace layout; mismatches are load errors
 #: (the trace store treats them as misses and re-records).
@@ -91,8 +81,7 @@ class CommittedTrace:
     __slots__ = (
         "program_name", "static_length", "entry", "length", "pcs",
         "results", "taken_bits", "branch_count", "addrs", "store_values",
-        "final_next_pc", "halted", "max_instructions",
-        "_dyn_cache", "_dyn_program", "_lowered_cache",
+        "final_next_pc", "halted", "max_instructions", "_lowered_cache",
     )
 
     def __init__(self, *, program_name: str, static_length: int, entry: int,
@@ -113,13 +102,8 @@ class CommittedTrace:
         self.final_next_pc = final_next_pc
         self.halted = halted
         self.max_instructions = max_instructions
-        # Materialized DynInst stream, built lazily per program object and
-        # shared by every replay of this trace (the engine never mutates
-        # a DynInst, so one stream drives any number of timing configs).
-        self._dyn_cache: list[DynInst] | None = None
-        self._dyn_program: Program | None = None
-        # Lowered array form (pipeline.kernel.LoweredTrace); like the
-        # DynInst cache, built once per (trace, program) pair.
+        # Lowered form (pipeline.kernel.LoweredTrace), built once per
+        # (trace, program) pair and shared by every replay of this trace.
         self._lowered_cache = None
 
     # -- validation ----------------------------------------------------------
@@ -135,64 +119,6 @@ class CommittedTrace:
                 f"{self.entry}) does not match program {program.name!r} "
                 f"({len(program.instructions)} instructions, entry "
                 f"{program.entry})")
-
-    # -- replay materialization ----------------------------------------------
-
-    def materialize(self, program: Program) -> list[DynInst]:
-        """Reconstruct (and cache) the DynInst stream for ``program``.
-
-        The list is built once per (trace, program) pair; replaying the
-        same trace across a batch of timing configurations reuses the
-        same read-only DynInst objects, so only the first replay pays the
-        reconstruction cost.
-        """
-        if self._dyn_cache is not None and self._dyn_program is program:
-            return self._dyn_cache
-        self.validate_for(program)
-        decoded = program.decoded().insts
-        pcs = self.pcs
-        results = self.results
-        taken_bits = self.taken_bits
-        addrs = self.addrs
-        store_values = self.store_values
-        n = self.length
-        dyns: list[DynInst] = []
-        append = dyns.append
-        ri = bi = mi = si = 0
-        try:
-            for i in range(n):
-                pc = pcs[i]
-                d = decoded[pc]
-                dyn = DynInst(i, pc, d.inst)
-                if d.has_result:
-                    dyn.result = results[ri]
-                    ri += 1
-                if d.is_cond_branch:
-                    dyn.taken = bool((taken_bits[bi >> 3] >> (bi & 7)) & 1)
-                    bi += 1
-                elif d.is_load:
-                    dyn.addr = addrs[mi]
-                    mi += 1
-                elif d.is_store:
-                    dyn.addr = addrs[mi]
-                    mi += 1
-                    dyn.store_value = store_values[si]
-                    si += 1
-                dyn.next_pc = pcs[i + 1] if i + 1 < n else self.final_next_pc
-                append(dyn)
-        except IndexError as exc:
-            raise TraceError(
-                f"trace of {self.program_name!r} is internally "
-                f"inconsistent (column exhausted at instruction {i})"
-            ) from exc
-        if (ri != len(results) or bi != self.branch_count
-                or mi != len(addrs) or si != len(store_values)):
-            raise TraceError(
-                f"trace of {self.program_name!r} is internally "
-                "inconsistent (column lengths do not match the stream)")
-        self._dyn_cache = dyns
-        self._dyn_program = program
-        return dyns
 
     # -- serialization -------------------------------------------------------
     #
@@ -361,78 +287,3 @@ def record_trace(program: Program,
                  ) -> CommittedTrace:
     """One-call convenience: record ``program``'s committed stream."""
     return TraceRecorder(program).record(max_instructions)
-
-
-class TraceReplayCore:
-    """Replays a :class:`CommittedTrace` through the FunctionalCore interface.
-
-    Exposes exactly what the timing engine consumes: ``step()`` yielding
-    the committed DynInst stream, ``halted`` / ``instruction_count`` with
-    live-core transition semantics, and the initial architectural
-    ``registers``.  It carries no memory image — the engine rejects it in
-    ``wrongpath`` mode, which needs live state for wrong-path synthesis.
-    """
-
-    is_replay = True
-
-    def __init__(self, program: Program, trace: CommittedTrace) -> None:
-        trace.validate_for(program)
-        self.program = program
-        self.trace = trace
-        self.registers = [0] * 32
-        self.registers[regs.sp] = STACK_TOP
-        self.registers[regs.gp] = DATA_BASE
-        self.pc = program.entry
-        self.halted = False
-        self.instruction_count = 0
-        self._dyns = trace.materialize(program)
-        self._length = trace.length
-        self._halted_at_end = trace.halted
-
-    def take_stream(self, max_instructions: int) -> list[DynInst] | None:
-        """Hand the whole materialized stream to the engine at once.
-
-        When this fresh core can satisfy the engine's full run — the
-        recorded program halted within both the recording budget and the
-        engine's — the engine iterates the DynInst list directly instead
-        of calling :meth:`step` per instruction, and the core jumps to
-        its final state here.  Returns None when wholesale consumption is
-        not possible (partially stepped core, or a budget that would
-        truncate the run), in which case the engine falls back to
-        ``step()``.
-        """
-        if (self.instruction_count == 0 and self._halted_at_end
-                and self._length <= max_instructions):
-            self.instruction_count = self._length
-            self.halted = True
-            self.pc = self.trace.final_next_pc
-            return self._dyns
-        return None
-
-    def step(self) -> DynInst | None:
-        """Replay one instruction; returns None once halted."""
-        if self.halted:
-            return None
-        i = self.instruction_count
-        if i >= self._length:
-            raise TraceError(
-                f"trace of {self.trace.program_name!r} exhausted at "
-                f"instruction {i}: it was truncated at max_instructions="
-                f"{self.trace.max_instructions}; use a live FunctionalCore "
-                "or record a longer trace")
-        dyn = self._dyns[i]
-        i += 1
-        self.instruction_count = i
-        self.pc = dyn.next_pc
-        if i == self._length and self._halted_at_end:
-            self.halted = True
-        return dyn
-
-    def run(self, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS):
-        """Yield replayed instructions until HALT or the budget (parity
-        with :meth:`FunctionalCore.run`)."""
-        while not self.halted and self.instruction_count < max_instructions:
-            dyn = self.step()
-            if dyn is None:
-                break
-            yield dyn

@@ -2,9 +2,10 @@
 
 Leases benchmark-pure batch jobs from a
 :class:`~repro.experiments.broker.FileBroker` directory, simulates every
-point through the same :func:`~repro.experiments.runner.execute_point`
-kernel as the serial and local-pool backends, and publishes an
-integrity-checked result message per job.  Any number of workers — on
+point through the same batch loop
+(:func:`~repro.experiments.backends.run_batch`) as the serial and
+local-pool backends, and publishes an integrity-checked result message
+per job.  Any number of workers — on
 this host or, with the broker directory on a shared filesystem, on many
 hosts — drain one queue; the scheduler side is
 :class:`~repro.experiments.backends.QueueBackend`.
@@ -56,20 +57,12 @@ import time
 import traceback
 
 from repro import obs
-from repro.experiments.backends import _maybe_prelower, point_meta
+from repro.experiments.backends import run_batch
 from repro.experiments.broker import FileBroker, LeasedJob
 from repro.experiments.plan import ExperimentPoint
-from repro.experiments.runner import execute_point
-from repro.experiments.tracing import SharedTraces
 from repro.faults.injector import active as _faults_active
-from repro.faults.policy import point_deadline
 from repro.pipeline.kernel import LOWER_TICK
 from repro.pipeline.trace import CommittedTrace
-
-#: kernel_source aggregation: a job reports the "best" path any of its
-#: points took (mirrors trace_source, which likewise summarizes per job).
-_KERNEL_SOURCE_RANK = {"live": 0, "interpreted": 1, "kernel": 2,
-                       "specialized": 3}
 
 
 def _describe_exception(exc: Exception) -> dict:
@@ -138,11 +131,46 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
             obs_ctx,
             shard_dir=broker.directory / "obs" / str(obs_ctx["run"]))
 
-    trace_source = "shipped" if trace is not None else "live"
-    kernel_source = "live"
-    lower_ticked = False
-    shared = SharedTraces(points) if trace is None else None
     entries: list[list] = []
+    seen: set[str] = set()  # trace/kernel sources the points reported
+    injector = _faults_active()
+
+    def before_point(index: int) -> bool:
+        if state.stop:
+            # SIGTERM between points: the completed points' ticks are
+            # already on disk; hand the lease back so the next worker
+            # re-runs the batch immediately instead of waiting out the
+            # lease timeout.
+            if broker.release(job_id):
+                obs.emit("released", kind="worker", attrs={
+                    "job": job_id, "completed_points": index})
+                return False
+            # The lease is no longer ours (expired + requeued);
+            # finishing and completing is still correct — the scheduler
+            # dedupes duplicate results.
+        if injector is not None:
+            delay = injector.slow_delay("worker.point")
+            if delay > 0.0:
+                time.sleep(delay)
+        return True
+
+    def ok(index: int, payload: dict, meta: dict, duration: float) -> None:
+        entries.append(["ok", payload, meta])
+        seen.update((meta["trace_source"], meta["kernel_source"]))
+        broker.tick(job_id, index, duration)
+        state.completed_points += 1
+        if (state.args.crash_after_points is not None
+                and state.completed_points >= state.args.crash_after_points
+                and _claim_crash_marker(broker)):
+            os._exit(3)  # injected crash: lease left to expire
+        if injector is not None:
+            # Seeded schedule-driven crash (REPRO_FAULTS): same
+            # one-per-broker-dir semantics, marker owned by the injector.
+            injector.maybe_crash(broker.directory)
+
+    def error(_index: int, exc: Exception) -> None:
+        entries.append(["error", _describe_exception(exc)])
+
     with obs.activate(shard):
         with obs.span(payload.get("batch_id") or job_id, kind="batch",
                       attrs={"batch_id": payload.get("batch_id"),
@@ -150,74 +178,24 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
                              "attempt": payload.get("attempt"),
                              "points": len(points),
                              "worker": os.getpid()}):
-            injector = _faults_active()
-            for index, point in enumerate(points):
-                if state.stop:
-                    # SIGTERM between points: the completed points'
-                    # ticks are already on disk; hand the lease back so
-                    # the next worker re-runs the batch immediately
-                    # instead of waiting out the lease timeout.
-                    if broker.release(job_id):
-                        obs.emit("released", kind="worker", attrs={
-                            "job": job_id, "completed_points": index})
-                        if shard is not None:
-                            shard.snapshot_event()
-                        return
-                    # The lease is no longer ours (expired + requeued);
-                    # finishing and completing is still correct — the
-                    # scheduler dedupes duplicate results.
-                if trace is not None:
-                    point_trace = trace \
-                        if point.speculation == "redirect" else None
-                else:
-                    point_trace = shared.get(point)
-                    if point_trace is not None:
-                        trace_source = "local"
-                if not lower_ticked and _maybe_prelower(point, point_trace):
-                    # Shipped traces are lowered locally, once per job;
-                    # the pseudo-tick shows up scheduler-side as a
-                    # "lower" phase (and renews the lease like any other
-                    # tick).
-                    lower_ticked = True
-                    broker.tick(job_id, LOWER_TICK)
-                if injector is not None:
-                    delay = injector.slow_delay("worker.point")
-                    if delay > 0.0:
-                        time.sleep(delay)
-                info: dict = {}
-                started = time.perf_counter()
-                try:
-                    with point_deadline():
-                        result = execute_point(point, trace=point_trace,
-                                               info=info)
-                except Exception as exc:  # noqa: BLE001 - per point
-                    entries.append(["error", _describe_exception(exc)])
-                    continue
-                point_source = info.get("kernel_source", "live")
-                if (_KERNEL_SOURCE_RANK.get(point_source, 0)
-                        > _KERNEL_SOURCE_RANK[kernel_source]):
-                    kernel_source = point_source
-                entries.append(["ok", result.to_dict(),
-                                point_meta(info, point_trace,
-                                           shipped=trace is not None)])
-                broker.tick(job_id, index,
-                            time.perf_counter() - started)
-                state.completed_points += 1
-                if (state.args.crash_after_points is not None
-                        and state.completed_points
-                        >= state.args.crash_after_points
-                        and _claim_crash_marker(broker)):
-                    os._exit(3)  # injected crash: lease left to expire
-                if injector is not None:
-                    # Seeded schedule-driven crash (REPRO_FAULTS): same
-                    # one-per-broker-dir semantics, marker owned by the
-                    # injector.
-                    injector.maybe_crash(broker.directory)
-            obs.emit("sources", kind="worker", attrs={
-                "trace_source": trace_source,
-                "kernel_source": kernel_source})
+            # Shipped traces are lowered locally, once per job; the
+            # pseudo-tick shows up scheduler-side as a "lower" phase
+            # (and renews the lease like any other tick).
+            finished = run_batch(
+                points, shipped=trace, on_ok=ok, on_error=error,
+                before_point=before_point,
+                on_lower=lambda: broker.tick(job_id, LOWER_TICK))
+            if finished:
+                trace_source = "shipped" if trace is not None else (
+                    "local" if "local" in seen else "live")
+                kernel_source = "kernel" if "kernel" in seen else "live"
+                obs.emit("sources", kind="worker", attrs={
+                    "trace_source": trace_source,
+                    "kernel_source": kernel_source})
         if shard is not None:
             shard.snapshot_event()
+    if not finished:
+        return
 
     result_payload = {
         "job_id": job_id,

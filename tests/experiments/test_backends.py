@@ -28,6 +28,7 @@ from repro.experiments.backends import (
     _tail_worker_logs,
     default_backend_name,
     resolve_backend,
+    run_batch,
 )
 from repro.experiments.broker import (
     FileBroker,
@@ -40,6 +41,10 @@ from repro.experiments.broker import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import ExperimentPoint, build_plan, point_key
 from repro.experiments.scheduler import run_plan, run_points
+from repro.experiments.tracing import SharedTraces
+from repro.faults.policy import PointTimeout
+from repro.pipeline.trace import record_trace
+from repro.workloads.registry import get_program
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -134,6 +139,152 @@ class TestProgressRetryConsistency:
         for event in events:
             assert event.batch_size == sum(
                 1 for e in events if e.batch_id == event.batch_id)
+
+
+def batch_point(configuration="baseline", depth=20, benchmark="li",
+                speculation="redirect"):
+    return ExperimentPoint(benchmark, configuration, depth, scale=0.01,
+                           warmup=50, speculation=speculation).resolve()
+
+
+class BatchLog:
+    """Callbacks for :func:`run_batch` that record what they were told,
+    in order, as ``(event, index, ...)`` tuples."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+
+    def ok(self, index, payload, meta, duration) -> None:
+        assert duration >= 0.0
+        self.events.append(("ok", index, payload, meta))
+
+    def error(self, index, exc) -> None:
+        self.events.append(("error", index, exc))
+
+    def lower(self) -> None:
+        self.events.append(("lower",))
+
+    def run(self, points, **kw) -> bool:
+        return run_batch(points, on_ok=self.ok, on_error=self.error,
+                         on_lower=self.lower, **kw)
+
+    def kinds(self) -> list:
+        return [event[0] for event in self.events]
+
+    def oks(self) -> list[tuple]:
+        return [event for event in self.events if event[0] == "ok"]
+
+
+class TestRunBatch:
+    """The one batch loop every backend and the worker share: per point
+    trace fetch, one-time lowering tick, deadline, execute, meta."""
+
+    GROUP = ("baseline", "current", "perfect")
+
+    def group(self):
+        return [batch_point(configuration) for configuration in self.GROUP]
+
+    def test_reports_every_point_in_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        log = BatchLog()
+        assert log.run(self.group()) is True
+        assert [event[1] for event in log.oks()] == [0, 1, 2]
+        for _, _, payload, meta in log.oks():
+            assert payload["instructions"] > 0
+            assert meta["trace_source"] == "local"
+            assert meta["kernel_source"] == "kernel"
+
+    def test_kernel_and_live_batches_deliver_equal_payloads(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        kernel = BatchLog()
+        kernel.run(self.group())
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        live = BatchLog()
+        live.run(self.group())
+        assert ([event[2] for event in kernel.oks()]
+                == [event[2] for event in live.oks()])
+        assert {event[3]["kernel_source"] for event in live.oks()} \
+            == {"live"}
+
+    def test_lowering_ticks_once_before_the_first_point(self,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        log = BatchLog()
+        log.run(self.group())
+        assert log.kinds() == ["lower", "ok", "ok", "ok"]
+
+    def test_no_lowering_tick_without_traces(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        log = BatchLog()
+        log.run(self.group())
+        assert log.kinds() == ["ok", "ok", "ok"]
+        assert {event[3]["trace_source"] for event in log.oks()} \
+            == {"live"}
+
+    def test_failure_is_isolated_per_point(self):
+        points = self.group()
+        points.insert(1, batch_point(benchmark="no-such-benchmark"))
+        log = BatchLog()
+        assert log.run(points) is True
+        assert [(event[0], event[1]) for event in log.events
+                if event[0] != "lower"] == [
+            ("ok", 0), ("error", 1), ("ok", 2), ("ok", 3)]
+
+    def test_before_point_can_stop_the_batch(self):
+        log = BatchLog()
+        asked = []
+
+        def before_point(index):
+            asked.append(index)
+            return index < 1
+
+        assert log.run(self.group(), before_point=before_point) is False
+        assert asked == [0, 1]
+        assert [event[1] for event in log.oks()] == [0]
+
+    def test_shipped_trace_reaches_only_redirect_points(self):
+        program = get_program("li", scale=0.01, seed=1)
+        shipped = record_trace(program)
+        points = [batch_point("baseline"),
+                  batch_point("baseline", speculation="wrongpath"),
+                  batch_point("current")]
+        log = BatchLog()
+        log.run(points, shipped=shipped)
+        metas = [event[3] for event in log.oks()]
+        assert [meta["kernel_source"] for meta in metas] == [
+            "kernel", "live", "kernel"]
+        assert {meta["trace_source"] for meta in metas} == {"shipped"}
+        assert log.kinds()[0] == "lower"
+
+    def test_caller_pool_spans_batches(self, monkeypatch):
+        """The serial backend hands one pool to every batch: two
+        single-point batches of one workload still share a recording."""
+        import repro.experiments.tracing as tracing
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        recorded = []
+        real = tracing.load_or_record
+
+        def counting(*identity):
+            recorded.append(identity)
+            return real(*identity)
+
+        monkeypatch.setattr(tracing, "load_or_record", counting)
+        first, second = batch_point("baseline"), batch_point("current")
+        traces = SharedTraces([first, second])
+        for group in ([first], [second]):
+            log = BatchLog()
+            log.run(group, traces=traces)
+            assert log.oks()[0][3]["kernel_source"] == "kernel"
+        assert recorded == [("li", 0.01, 1)]
+
+    def test_deadline_overrun_is_reported_as_an_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "0.001")
+        log = BatchLog()
+        assert log.run([batch_point()]) is True
+        assert log.kinds() == ["error"]
+        assert isinstance(log.events[0][2], PointTimeout)
 
 
 class TestSerialFailureIsolation:
@@ -340,13 +491,10 @@ class TestQueueBackendEndToEnd:
         # acceptance marker for cluster-shared functional runs.
         assert backend.trace_sources
         assert set(backend.trace_sources.values()) == {"shipped"}
-        # ...and workers lowered the shipped trace locally: batches with
-        # a baseline point report the compiled kernel, ARVI-only batches
-        # the interpreted replay — never "live".
+        # ...and workers lowered the shipped trace locally: every batch
+        # replayed through the compiled kernel — never "live".
         assert set(backend.trace_sources) == set(backend.kernel_sources)
-        assert set(backend.kernel_sources.values()) <= {
-            "kernel", "interpreted"}
-        assert "kernel" in backend.kernel_sources.values()
+        assert set(backend.kernel_sources.values()) == {"kernel"}
 
     def test_worker_crash_mid_batch_recovers(self, serial_results):
         """Kill a worker mid-batch (fault injection): the lease expires,

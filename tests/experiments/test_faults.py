@@ -23,6 +23,7 @@ queue grid either completes bit-identical to the fault-free serial run
 or fails with a typed error — never a hang, never silent divergence.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -401,6 +402,40 @@ class TestPointDeadline:
         assert time.monotonic() - started < 2.0
         time.sleep(0.1)                               # timer must be disarmed
 
+    def test_disabled_deadline_leaves_signal_state_alone(self):
+        before = signal.getsignal(signal.SIGALRM)
+        for seconds in (0, 0.0, -1):
+            with point_deadline(seconds):
+                assert signal.getsignal(signal.SIGALRM) is before
+                assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_previous_handler_and_timer_restored(self):
+        before = signal.getsignal(signal.SIGALRM)
+        with point_deadline(30):
+            assert signal.getsignal(signal.SIGALRM) is not before
+            assert signal.getitimer(signal.ITIMER_REAL)[0] > 0.0
+        assert signal.getsignal(signal.SIGALRM) is before
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_foreign_frames_are_skipped_until_a_guarded_one(self):
+        """Firings inside a helper outside the ``repro`` package are
+        ignored; the next firing in the frame that opened the deadline
+        raises."""
+        finished = []
+
+        def spin(seconds):
+            until = time.perf_counter() + seconds
+            while time.perf_counter() < until:
+                pass
+            finished.append(True)
+
+        with pytest.raises(PointTimeout):
+            with point_deadline(0.01):
+                spin(0.1)                 # many firings land here
+                while True:               # the opener's own frame
+                    pass
+        assert finished == [True]
+
     def test_noop_off_main_thread(self):
         outcome = []
 
@@ -420,6 +455,45 @@ class TestPointDeadline:
                                 warmup=50)
         with pytest.raises(PointTimeout):
             run_points([point], jobs=1, use_cache=False, backend="serial")
+
+    def test_timeout_never_raises_inside_foreign_callbacks(
+            self, monkeypatch):
+        """Regression: a firing that lands in a pure-Python gc callback
+        must not raise there (CPython would hand the timeout to
+        ``sys.unraisablehook`` and carry on); it is ignored, and a later
+        firing raises in the simulator's own frames instead."""
+        seen = []
+        stalled = []
+        thresholds = gc.get_threshold()
+
+        def stall_once(_phase, _info):
+            # The first collection after the deadline arms outlasts its
+            # first firings, so they land in this (foreign) frame.
+            if stalled or signal.getitimer(signal.ITIMER_REAL)[0] == 0.0:
+                return
+            stalled.append(True)
+            gc.set_threshold(*thresholds)
+            until = time.perf_counter() + 0.02
+            while time.perf_counter() < until:
+                pass
+
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "0.001")
+        point = ExperimentPoint("li", "baseline", 20, scale=0.01,
+                                warmup=50)
+        saved_hook = sys.unraisablehook
+        sys.unraisablehook = seen.append
+        gc.callbacks.append(stall_once)
+        gc.set_threshold(1)  # collect on the point's first allocation
+        try:
+            with pytest.raises(PointTimeout):
+                run_points([point], jobs=1, use_cache=False,
+                           backend="serial")
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(stall_once)
+            sys.unraisablehook = saved_hook
+        assert stalled, "no collection ran under the deadline"
+        assert seen == []
 
     def test_generous_deadline_changes_nothing(self, monkeypatch,
                                                serial_results):

@@ -8,6 +8,11 @@ benchmark x configuration x depth grid; every field it records must match
 a fresh run exactly.  If a future change legitimately alters simulation
 outcomes, regenerate the goldens in the same PR and say so — this test
 exists to make that an explicit decision rather than an accident.
+
+``run_point`` runs each spec on the live engine; the kernel test replays
+the same specs through the compiled kernel, which ties the kernel to the
+seed engine's numbers rather than only to the live engine of the same
+commit.
 """
 
 import json
@@ -16,7 +21,9 @@ import pathlib
 import pytest
 
 from repro.experiments.plan import ExperimentPoint, point_key
-from repro.experiments.runner import run_point, run_suite
+from repro.experiments.runner import execute_point, run_point, run_suite
+from repro.pipeline.trace import record_trace
+from repro.workloads.registry import get_program
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_redirect.json")
 GOLDEN_SCALE = 0.05
@@ -51,6 +58,27 @@ class TestRedirectEquivalence:
             scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
         bad = mismatches(load_golden()[spec], result.to_dict())
         assert not bad, f"{spec} drifted from seed behaviour: {bad}"
+
+    def test_kernel_replay_matches_seed_golden(self):
+        golden = load_golden()
+        traces = {}
+        drifted = {}
+        for spec in sorted(golden):
+            benchmark, configuration, depth = spec.split("/")
+            if benchmark not in traces:  # one shared recording per workload
+                traces[benchmark] = record_trace(get_program(
+                    benchmark, scale=GOLDEN_SCALE, seed=1))
+            point = ExperimentPoint(benchmark, configuration,
+                                    int(depth)).resolve(
+                scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
+            info = {}
+            result = execute_point(point, trace=traces[benchmark],
+                                   info=info)
+            assert info["kernel_source"] == "kernel", spec
+            bad = mismatches(golden[spec], result.to_dict())
+            if bad:
+                drifted[spec] = bad
+        assert not drifted, f"kernel drifted from seed behaviour: {drifted}"
 
     def test_redirect_runs_report_no_speculation_activity(self):
         result = run_point(ExperimentPoint("m88ksim", "baseline", 20),

@@ -18,6 +18,7 @@ from repro.experiments.scheduler import run_plan
 from repro.experiments.tracing import (
     SharedTraces,
     TraceStore,
+    amortized_workloads,
     default_trace_dir,
     load_or_record,
     trace_key,
@@ -154,6 +155,58 @@ class TestSharedTraces:
         assert traces._traces  # held for the remaining consumer
         traces.get(points[1])
         assert not traces._traces  # released: bounded memory
+
+
+class TestAmortizationRule:
+    """``amortized_workloads`` is the one owner of the record-or-not
+    rule; the in-process pool and the queue backend both defer to it."""
+
+    M88 = ("m88ksim", SCALE, 1)
+
+    @pytest.mark.parametrize("mode,points,expected", [
+        ("1", [point()], []),
+        ("1", [point(), point(configuration="current")], [M88]),
+        ("disk", [point()], [M88]),
+        ("0", [point(), point(configuration="current")], []),
+        ("1", [point(speculation="wrongpath"),
+               point(speculation="wrongpath")], []),
+        ("1", [point(), point(speculation="wrongpath")], []),
+        ("1", [point(seed=1), point(seed=2)], []),
+        ("1", [point(benchmark="li"), point(), point(benchmark="li"),
+               point()], [("li", SCALE, 1), M88]),
+    ], ids=["single-memory", "shared-memory", "single-disk", "off",
+            "wrongpath-only", "wrongpath-does-not-count",
+            "seeds-are-distinct", "first-appearance-order"])
+    def test_rule(self, monkeypatch, mode, points, expected):
+        monkeypatch.setenv("REPRO_TRACE", mode)
+        assert amortized_workloads(points) == expected
+
+    def test_queue_backend_ships_exactly_the_amortized_workloads(
+            self, monkeypatch):
+        import repro.experiments.tracing as tracing
+        from repro.experiments.backends import QueueBackend
+
+        class Blob:
+            def __init__(self, identity):
+                self.identity = identity
+
+            def to_bytes(self):
+                return repr(self.identity).encode()
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setattr(tracing, "load_or_record",
+                            lambda *identity: Blob(identity))
+        batches = {
+            "a": (point(), point(configuration="current")),
+            "b": (point(benchmark="li"),),
+            "c": (point(benchmark="compress", seed=3),
+                  point(benchmark="compress", seed=3, depth=40)),
+        }
+        flat = [p for group in batches.values() for p in group]
+        blobs = QueueBackend._trace_blobs(batches)
+        assert list(blobs) == amortized_workloads(flat) == [
+            self.M88, ("compress", SCALE, 3)]
+        assert blobs[self.M88] == repr(self.M88).encode()
 
 
 class TestExecutePointTraceArgument:

@@ -14,16 +14,16 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.inc("cache.hit")
         registry.inc("cache.hit", 2)
-        registry.inc("kernel.fallback", reason="arvi")
-        registry.inc("kernel.fallback", reason="redirect")
-        registry.inc("kernel.fallback", reason="arvi")
+        registry.inc("retry.attempt", what="broker")
+        registry.inc("retry.attempt", what="cache")
+        registry.inc("retry.attempt", what="broker")
         counters = {(entry["name"],
                      tuple(sorted(entry.get("labels", {}).items()))):
                     entry["value"]
                     for entry in registry.to_dict()["counters"]}
         assert counters[("cache.hit", ())] == 3
-        assert counters[("kernel.fallback", (("reason", "arvi"),))] == 2
-        assert counters[("kernel.fallback", (("reason", "redirect"),))] == 1
+        assert counters[("retry.attempt", (("what", "broker"),))] == 2
+        assert counters[("retry.attempt", (("what", "cache"),))] == 1
 
     def test_gauges_last_write_wins(self):
         registry = MetricsRegistry()
@@ -113,14 +113,14 @@ class TestPrometheus:
     def test_exposition_format(self):
         registry = MetricsRegistry()
         registry.inc("cache.hit", 3)
-        registry.inc("kernel.fallback", reason="arvi")
+        registry.inc("retry.attempt", what="broker")
         registry.set_gauge("queue.depth", 2)
         registry.observe("lease.age", 1.5, bounds=(1, 2))
         text = render_prometheus(registry)
 
         assert "# TYPE repro_cache_hit counter" in text
         assert "repro_cache_hit 3" in text
-        assert 'repro_kernel_fallback{reason="arvi"} 1' in text
+        assert 'repro_retry_attempt{what="broker"} 1' in text
         assert "# TYPE repro_queue_depth gauge" in text
         assert "repro_queue_depth 2" in text
         # Histogram buckets are cumulative and end at +Inf == count.

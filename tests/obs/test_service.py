@@ -80,13 +80,14 @@ def load_tree(run_dir):
 class TestSerialLedger:
     def test_run_matches_reference_and_ledger_reconstructs(
             self, tmp_path, monkeypatch, reference_results):
-        # Interval sampling observes the *engine* commit loop; since the
-        # fused ARVI pass (DESIGN.md §13) every redirect config replays
-        # through the compiled kernel, which has no engine loop to
-        # sample.  Force the interpreted replay so the sampler runs —
-        # the results must still match the kernel-on reference bit for
-        # bit (the standing invariant this fixture exists to check).
-        monkeypatch.setenv("REPRO_KERNEL", "0")
+        # Interval sampling observes the *engine* commit loop; every
+        # redirect point with a trace replays through the compiled
+        # kernel, which has no engine loop to sample.  Turn trace replay
+        # off so every point runs on the live engine and the sampler
+        # runs — the results must still match the kernel-replayed
+        # reference bit for bit (the standing invariant this fixture
+        # exists to check).
+        monkeypatch.setenv("REPRO_TRACE", "0")
         results, run_dir = obs_run(tmp_path, monkeypatch,
                                    backend="serial", jobs=1, interval=64)
         assert results == reference_results
@@ -112,7 +113,7 @@ class TestSerialLedger:
         assert len(progress) == len(points)
 
         # Interval sampling fired (64-cycle period, li runs thousands)
-        # on the interpreted/live points and landed under their spans.
+        # on the live points and landed under their spans.
         intervals = [e for node, _ in tree.walk() for e in node.events
                      if e["kind"] == "interval"]
         assert intervals

@@ -1,14 +1,12 @@
 """Compiled replay kernel (DESIGN.md §10).
 
-The hard invariant, mirroring the trace suite one level up: a kernel
-replay of a lowered committed trace is bit-for-bit equal (``==``) to the
-interpreted replay *and* to the live functional run, across workloads,
-predictor kinds, pipeline depths, warmups and replay budgets — with or
-without numpy.  Anything the kernel cannot express is a loud
+The hard invariant: a kernel replay of a lowered committed trace is
+bit-for-bit equal (``==``) to the live engine — the independent oracle —
+across workloads, predictor kinds, pipeline depths, warmups and replay
+budgets.  Anything the kernel cannot express is a loud
 ``KernelUnsupported`` (or ``TraceError`` for truncated recordings),
 never silent divergence; :func:`~repro.experiments.runner.execute_point`
-then falls back to the interpreted path and says so via
-``kernel_source``.
+reports which path ran via ``kernel_source``.
 """
 
 import functools
@@ -28,11 +26,10 @@ from repro.pipeline.kernel import (
     ensure_lowered,
     is_lowered,
     kernel_run,
-    lowering_backend,
 )
-from repro.pipeline.trace import TraceError, TraceReplayCore, record_trace
+from repro.pipeline.trace import TraceError, record_trace
 from repro.predictors.twolevel import LevelTwoKind
-from repro.workloads.registry import get_program
+from repro.workloads.registry import BENCHMARKS, get_program
 
 SCALE = 0.05
 
@@ -47,14 +44,14 @@ def trace(program):
     return record_trace(program)
 
 
-def engine_result(program, *, core=None, kind=LevelTwoKind.HYBRID,
-                  depth=20, warmup=500, budget=None,
-                  speculation="redirect"):
-    config = machine_for_depth(depth, speculation=speculation)
+def engine_result(program, *, kind=LevelTwoKind.HYBRID, depth=20,
+                  warmup=500, budget=None):
+    """The live engine: the oracle every kernel replay must equal."""
+    config = machine_for_depth(depth)
     predictor = build_predictor(kind, config)
     engine = PipelineEngine(program, config, predictor,
                             value_mode=ValueMode.CURRENT,
-                            warmup_instructions=warmup, core=core)
+                            warmup_instructions=warmup)
     return engine.run() if budget is None else engine.run(budget)
 
 
@@ -63,26 +60,19 @@ class TestEquality:
                                       LevelTwoKind.NONE])
     @pytest.mark.parametrize("depth", [20, 60])
     @pytest.mark.parametrize("warmup", [0, 500])
-    def test_kernel_equals_interpreted_equals_live(self, program, trace,
-                                                   kind, depth, warmup):
+    def test_kernel_equals_live(self, program, trace, kind, depth, warmup):
         live = engine_result(program, kind=kind, depth=depth, warmup=warmup)
-        interpreted = engine_result(
-            program, core=TraceReplayCore(program, trace), kind=kind,
-            depth=depth, warmup=warmup)
         kernel = kernel_run(program, trace, machine_for_depth(depth), kind,
                             warmup_instructions=warmup)
-        assert interpreted == live
-        assert kernel == interpreted
+        assert kernel == live
 
-    @pytest.mark.parametrize("workload", ["compress", "li"])
+    @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_other_workloads(self, workload):
         program = get_program(workload, scale=0.02, seed=1)
         trace = record_trace(program)
-        interpreted = engine_result(
-            program, core=TraceReplayCore(program, trace), warmup=100)
         kernel = kernel_run(program, trace, machine_for_depth(20),
                             warmup_instructions=100)
-        assert kernel == interpreted == engine_result(program, warmup=100)
+        assert kernel == engine_result(program, warmup=100)
 
     def test_lowered_form_is_shared_across_configs(self, program, trace):
         lowered = ensure_lowered(program, trace)
@@ -102,24 +92,23 @@ def _small():
 
 
 class TestBudgetProperty:
-    """Kernel == interpreted at *every* replay budget and warmup — the
+    """Kernel == live at *every* replay budget and warmup — the
     truncation arithmetic (prefix sums, bisected branch windows, RAS
     pops) must agree with the engine cutting off mid-stream."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_kernel_matches_interpreted_at_any_budget(self, data):
+    def test_kernel_matches_live_at_any_budget(self, data):
         program, trace = _small()
         budget = data.draw(st.integers(0, trace.length), label="budget")
         warmup = data.draw(st.integers(0, 60), label="warmup")
         depth = data.draw(st.sampled_from([20, 40, 60]), label="depth")
-        interpreted = engine_result(
-            program, core=TraceReplayCore(program, trace), depth=depth,
-            warmup=warmup, budget=budget)
+        live = engine_result(program, depth=depth, warmup=warmup,
+                             budget=budget)
         kernel = kernel_run(program, trace, machine_for_depth(depth),
                             warmup_instructions=warmup,
                             max_instructions=budget)
-        assert kernel == interpreted
+        assert kernel == live
 
 
 class TestFallback:
@@ -143,12 +132,9 @@ class TestFallback:
     def test_budget_truncated_recording_replays_within_budget(self,
                                                               program):
         short = record_trace(program, max_instructions=50)
-        interpreted = engine_result(
-            program, core=TraceReplayCore(program, short), warmup=0,
-            budget=50)
         kernel = kernel_run(program, short, machine_for_depth(20),
                             warmup_instructions=0, max_instructions=50)
-        assert kernel == interpreted
+        assert kernel == engine_result(program, warmup=0, budget=50)
 
     def test_wrong_program_rejected(self, trace):
         other = get_program("compress", scale=SCALE, seed=1)
@@ -156,49 +142,8 @@ class TestFallback:
             kernel_run(other, trace, machine_for_depth(20))
 
 
-class TestNumpyFallback:
-    """numpy is optional: the pure-Python lowering pass must produce the
-    exact same lowered form (and therefore the exact same results)."""
-
-    def test_forced_fallback_matches(self, program, monkeypatch):
-        fresh = record_trace(program)
-        with_numpy_available = lowering_backend()
-        monkeypatch.setenv("REPRO_KERNEL_NUMPY", "0")
-        assert lowering_backend() == "python"
-        lowered = ensure_lowered(program, fresh)
-        assert lowered.backend == "python"
-        pure = kernel_run(program, fresh, machine_for_depth(40),
-                          warmup_instructions=500)
-        monkeypatch.delenv("REPRO_KERNEL_NUMPY")
-        assert lowering_backend() == with_numpy_available
-        # Against a numpy-lowered (or, numpy absent, independently
-        # lowered) fresh trace *and* the interpreted replay.
-        second = record_trace(program)
-        assert pure == kernel_run(program, second, machine_for_depth(40),
-                                  warmup_instructions=500)
-        assert pure == engine_result(
-            program, core=TraceReplayCore(program, second), depth=40)
-
-    def test_lowered_arrays_identical_across_backends(self, program,
-                                                      monkeypatch):
-        with_numpy = ensure_lowered(program, record_trace(program))
-        monkeypatch.setenv("REPRO_KERNEL_NUMPY", "0")
-        pure = ensure_lowered(program, record_trace(program))
-        for field in ("kclass", "byte_pcs", "dep1", "dep2", "mem_pos",
-                      "mem_addr", "store_dep", "load_prefix",
-                      "store_prefix", "branch_pos", "branch_pcs",
-                      "branch_taken", "jr_pos", "jr_correct_cum",
-                      "_hasres"):
-            assert getattr(with_numpy, field) == getattr(pure, field), field
-        mask = ~(machine_for_depth(20).icache.line_bytes - 1)
-        assert with_numpy.codes_for(mask) == pure.codes_for(mask)
-        # The ARVI pass's densified committed values (numpy scatter vs
-        # the pure-Python cursor walk) must agree element-for-element.
-        assert with_numpy.values() == pure.values()
-
-
 class TestExecutePoint:
-    """The REPRO_KERNEL knob and the kernel_source observability."""
+    """The two paths of execute_point and the kernel_source marker."""
 
     def _point(self, **overrides):
         fields = dict(benchmark="m88ksim", configuration="baseline",
@@ -206,16 +151,14 @@ class TestExecutePoint:
         fields.update(overrides)
         return ExperimentPoint(**fields).resolve()
 
-    def test_kernel_on_off_equality_and_source(self, program, trace,
-                                               monkeypatch):
+    def test_kernel_and_live_points_agree(self, trace):
         point = self._point()
-        info_on, info_off = {}, {}
-        on = execute_point(point, trace=trace, info=info_on)
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        off = execute_point(point, trace=trace, info=info_off)
-        assert on == off
-        assert info_on["kernel_source"] == "kernel"
-        assert info_off["kernel_source"] == "interpreted"
+        info_kernel, info_live = {}, {}
+        kernel = execute_point(point, trace=trace, info=info_kernel)
+        live = execute_point(point, trace=False, info=info_live)
+        assert kernel == live
+        assert info_kernel["kernel_source"] == "kernel"
+        assert info_live["kernel_source"] == "live"
 
     def test_live_points_report_live(self, trace):
         info = {}
@@ -223,8 +166,6 @@ class TestExecutePoint:
         assert info["kernel_source"] == "live"
 
     def test_arvi_configuration_replays_through_kernel(self, trace):
-        # Since the fused ARVI pass landed, the paper's own grid axis
-        # replays compiled too — no more interpreted fallback.
         info = {}
         arvi = execute_point(self._point(configuration="current"),
                              trace=trace, info=info)
@@ -267,8 +208,9 @@ class TestProgressPhase:
         assert [e.completed for e in points] == list(
             range(1, len(plan) + 1))
 
-    def test_no_lower_phase_with_kernel_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "0")
+    def test_no_lower_phase_without_traces(self, monkeypatch):
+        # REPRO_TRACE=0: every point runs live, so nothing is lowered.
+        monkeypatch.setenv("REPRO_TRACE", "0")
         events = []
         plan, results = self._run(events)
         assert len(results) == len(plan)

@@ -2,11 +2,10 @@
 
 The same hard invariant as the stream kinds, extended to the paper's
 headline predictor: ``kernel_run(..., LevelTwoKind.ARVI)`` is
-bit-for-bit equal (``==``) to the interpreted replay *and* the live
-run across all three ARVI latency classes (Table 4: 6/12/18-cycle
-BVIT at depths 20/40/60), the three paper value modes
-(current / load back / perfect), warmups, replay budgets and custom
-ARVI geometries.  The fused pass precomputes only the shared
+bit-for-bit equal (``==``) to the live engine across all three ARVI
+latency classes (Table 4: 6/12/18-cycle BVIT at depths 20/40/60), the
+three paper value modes (current / load back / perfect), warmups,
+replay budgets and custom ARVI geometries.  The fused pass precomputes only the shared
 level-1/confidence streams; the DDT/RSE/BVIT machinery replays live
 per configuration — these tests are what keep that split honest.
 """
@@ -21,9 +20,9 @@ from repro.core.arvi import ARVIConfig, ValueMode
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.kernel import kernel_run
-from repro.pipeline.trace import TraceReplayCore, record_trace
+from repro.pipeline.trace import record_trace
 from repro.predictors.twolevel import LevelTwoKind
-from repro.workloads.registry import get_program
+from repro.workloads.registry import BENCHMARKS, get_program
 
 SCALE = 0.05
 MODES = (ValueMode.CURRENT, ValueMode.LOAD_BACK, ValueMode.PERFECT)
@@ -39,52 +38,43 @@ def trace(program):
     return record_trace(program)
 
 
-def arvi_engine(program, *, core=None, depth=20, warmup=500,
-                mode=ValueMode.CURRENT, arvi_config=None, budget=None):
+def arvi_engine(program, *, depth=20, warmup=500, mode=ValueMode.CURRENT,
+                arvi_config=None, budget=None):
+    """The live engine: the oracle every kernel replay must equal."""
     config = machine_for_depth(depth)
     predictor = build_predictor(LevelTwoKind.ARVI, config, arvi_config)
     engine = PipelineEngine(program, config, predictor, value_mode=mode,
-                            warmup_instructions=warmup, core=core)
+                            warmup_instructions=warmup)
     return engine.run() if budget is None else engine.run(budget)
 
 
 class TestARVIEquality:
-    """Every latency class x value mode x warmup, three ways."""
+    """Every latency class x value mode x warmup, kernel vs live."""
 
     @pytest.mark.parametrize("depth", [20, 40, 60])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("warmup", [0, 500])
-    def test_kernel_equals_interpreted_equals_live(self, program, trace,
-                                                   depth, mode, warmup):
+    def test_kernel_equals_live(self, program, trace, depth, mode, warmup):
         live = arvi_engine(program, depth=depth, mode=mode, warmup=warmup)
-        interpreted = arvi_engine(
-            program, core=TraceReplayCore(program, trace), depth=depth,
-            mode=mode, warmup=warmup)
         kernel = kernel_run(program, trace, machine_for_depth(depth),
                             LevelTwoKind.ARVI, warmup_instructions=warmup,
                             value_mode=mode)
-        assert interpreted == live
-        assert kernel == interpreted
+        assert kernel == live
 
-    @pytest.mark.parametrize("workload", ["compress", "li"])
+    @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_other_workloads(self, workload):
         program = get_program(workload, scale=0.02, seed=1)
         trace = record_trace(program)
-        interpreted = arvi_engine(
-            program, core=TraceReplayCore(program, trace), warmup=100)
         kernel = kernel_run(program, trace, machine_for_depth(20),
                             LevelTwoKind.ARVI, warmup_instructions=100)
-        assert kernel == interpreted == arvi_engine(program, warmup=100)
+        assert kernel == arvi_engine(program, warmup=100)
 
     def test_custom_arvi_geometry(self, program, trace):
         custom = ARVIConfig(sets=64, ways=2)
-        interpreted = arvi_engine(
-            program, core=TraceReplayCore(program, trace),
-            arvi_config=custom)
         kernel = kernel_run(program, trace, machine_for_depth(20),
                             LevelTwoKind.ARVI, warmup_instructions=500,
                             arvi_config=custom)
-        assert kernel == interpreted
+        assert kernel == arvi_engine(program, arvi_config=custom)
         # The geometry matters: the default-geometry result differs (the
         # equality above would be vacuous if the config were ignored).
         assert kernel != kernel_run(program, trace, machine_for_depth(20),
@@ -101,22 +91,21 @@ def _small():
 
 
 class TestARVIProperty:
-    """Kernel == interpreted at any (depth, mode, warmup, budget) draw —
-    the fused pass's precomputed confidence stream and live BVIT/RSE
-    replay must agree with the engine cutting off mid-stream."""
+    """Kernel == live at any (depth, mode, warmup, budget) draw — the
+    fused pass's precomputed confidence stream and live BVIT/RSE replay
+    must agree with the engine cutting off mid-stream."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_kernel_matches_interpreted_at_any_draw(self, data):
+    def test_kernel_matches_live_at_any_draw(self, data):
         program, trace = _small()
         depth = data.draw(st.sampled_from([20, 40, 60]), label="depth")
         mode = data.draw(st.sampled_from(MODES), label="mode")
         warmup = data.draw(st.integers(0, 60), label="warmup")
         budget = data.draw(st.integers(0, trace.length), label="budget")
-        interpreted = arvi_engine(
-            program, core=TraceReplayCore(program, trace), depth=depth,
-            mode=mode, warmup=warmup, budget=budget)
+        live = arvi_engine(program, depth=depth, mode=mode, warmup=warmup,
+                           budget=budget)
         kernel = kernel_run(program, trace, machine_for_depth(depth),
                             LevelTwoKind.ARVI, warmup_instructions=warmup,
                             value_mode=mode, max_instructions=budget)
-        assert kernel == interpreted
+        assert kernel == live

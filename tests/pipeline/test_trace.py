@@ -1,10 +1,11 @@
-"""Trace-record/replay core (DESIGN.md §8).
+"""Trace recording and the committed-trace wire form (DESIGN.md §8).
 
-The hard invariant: a replayed committed stream drives the timing engine
-to a ``SimulationResult`` bit-for-bit equal (``==``) to the live
-functional core, across configurations and depths — and the serialized
-form round-trips losslessly.  Malformed traces are loud ``TraceError``\\ s
-(the store layer turns them into misses), never silent divergence.
+The hard invariant: the recorded columns reproduce the live functional
+core's committed stream exactly, so a kernel replay of the trace is
+bit-for-bit equal (``==``) to the live engine across configurations and
+depths — and the serialized form round-trips losslessly.  Malformed
+traces are loud ``TraceError``\\ s (the store layer turns them into
+misses), never silent divergence.
 """
 
 import functools
@@ -17,11 +18,11 @@ from repro.core.arvi import ValueMode
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.functional import FunctionalCore
+from repro.pipeline.kernel import ensure_lowered, kernel_run
 from repro.pipeline.trace import (
     CommittedTrace,
     TraceError,
     TraceRecorder,
-    TraceReplayCore,
     record_trace,
 )
 from repro.predictors.twolevel import LevelTwoKind
@@ -40,34 +41,46 @@ def trace(program):
     return record_trace(program)
 
 
-def engine_result(program, *, core=None, kind=LevelTwoKind.HYBRID,
-                  mode=ValueMode.CURRENT, depth=20, warmup=500,
-                  speculation="redirect"):
-    config = machine_for_depth(depth, speculation=speculation)
+def engine_result(program, *, kind=LevelTwoKind.HYBRID,
+                  mode=ValueMode.CURRENT, depth=20, warmup=500):
+    """The live engine: the oracle every trace replay must equal."""
+    config = machine_for_depth(depth)
     predictor = build_predictor(kind, config)
     engine = PipelineEngine(program, config, predictor, value_mode=mode,
-                            warmup_instructions=warmup, core=core)
+                            warmup_instructions=warmup)
     return engine.run()
+
+
+def replay_result(program, trace, *, kind=LevelTwoKind.HYBRID,
+                  mode=ValueMode.CURRENT, depth=20, warmup=500):
+    return kernel_run(program, trace, machine_for_depth(depth), kind,
+                      warmup_instructions=warmup, value_mode=mode)
 
 
 class TestRecording:
     def test_stream_fidelity_field_by_field(self, program, trace):
-        """Every engine-consumed DynInst field replays exactly (operand
-        values are deliberately not recorded and replay as zero)."""
+        """Every committed-stream fact the timing model reads is
+        recorded exactly: the columns equal the live core's stream."""
         live = FunctionalCore(program)
-        replay = TraceReplayCore(program, trace)
-        for expected in live.run():
-            actual = replay.step()
-            assert actual is not None
-            for field in ("seq", "pc", "op", "rd", "rs1", "rs2", "result",
-                          "taken", "next_pc", "addr", "store_value",
-                          "is_load", "is_store", "is_cond_branch"):
-                assert getattr(actual, field) == getattr(expected, field), (
-                    field, expected.seq)
-            assert actual.sval1 == 0 and actual.sval2 == 0
-        assert replay.step() is None
-        assert replay.halted == live.halted
-        assert replay.instruction_count == live.instruction_count
+        stream = list(live.run())
+        assert trace.length == len(stream)
+        assert trace.halted == live.halted
+        assert list(trace.pcs) == [dyn.pc for dyn in stream]
+        assert list(trace.results) == [dyn.result for dyn in stream
+                                       if dyn.result is not None]
+        branches = [dyn.taken for dyn in stream if dyn.taken is not None]
+        assert trace.branch_count == len(branches)
+        assert [bool((trace.taken_bits[j >> 3] >> (j & 7)) & 1)
+                for j in range(trace.branch_count)] == branches
+        assert list(trace.addrs) == [dyn.addr for dyn in stream
+                                     if dyn.addr is not None]
+        assert list(trace.store_values) == [
+            dyn.store_value for dyn in stream
+            if dyn.store_value is not None]
+        # next_pc is implied by the following pc; only the last is stored.
+        assert all(dyn.next_pc == after.pc
+                   for dyn, after in zip(stream, stream[1:]))
+        assert trace.final_next_pc == stream[-1].next_pc
 
     def test_recorder_is_single_use(self, program):
         recorder = TraceRecorder(program)
@@ -99,19 +112,18 @@ class TestReplayEquality:
     def test_replay_equals_live_simulation(self, program, trace, kind,
                                            mode, depth):
         live = engine_result(program, kind=kind, mode=mode, depth=depth)
-        replayed = engine_result(
-            program, core=TraceReplayCore(program, trace), kind=kind,
-            mode=mode, depth=depth)
+        replayed = replay_result(program, trace, kind=kind, mode=mode,
+                                 depth=depth)
         assert replayed == live
 
-    def test_one_trace_drives_many_engines(self, program, trace):
-        """The materialized stream is shared: replaying twice reuses the
-        same DynInst objects and still matches the live run."""
-        first = engine_result(program, core=TraceReplayCore(program, trace))
-        second = engine_result(program, core=TraceReplayCore(program, trace))
-        live = engine_result(program)
-        assert first == second == live
-        assert trace.materialize(program) is trace.materialize(program)
+    def test_one_trace_drives_many_replays(self, program, trace):
+        """The lowered form is shared: replaying twice reuses it and
+        still matches the live run."""
+        first = replay_result(program, trace)
+        lowered = ensure_lowered(program, trace)
+        second = replay_result(program, trace)
+        assert first == second == engine_result(program)
+        assert ensure_lowered(program, trace) is lowered
 
 
 class TestRoundTrip:
@@ -124,8 +136,7 @@ class TestRoundTrip:
         assert loaded.addrs == trace.addrs
         assert loaded.store_values == trace.store_values
         assert loaded.halted == trace.halted
-        assert (engine_result(program, core=TraceReplayCore(program, loaded))
-                == engine_result(program))
+        assert replay_result(program, loaded) == engine_result(program)
 
     @pytest.mark.parametrize("mangle", [
         lambda blob: b"",
@@ -187,45 +198,7 @@ class TestWireFuzz:
 
 
 class TestGuards:
-    def test_wrongpath_rejects_replay_core(self, program, trace):
-        with pytest.raises(ValueError, match="wrongpath"):
-            engine_result(program, core=TraceReplayCore(program, trace),
-                          speculation="wrongpath")
-
     def test_wrong_program_rejected(self, trace):
         other = get_program("compress", scale=SCALE, seed=1)
         with pytest.raises(TraceError, match="does not match"):
-            TraceReplayCore(other, trace)
-
-    def test_engine_requires_matching_program(self, program, trace):
-        other = get_program("li", scale=SCALE, seed=1)
-        config = machine_for_depth(20)
-        with pytest.raises(ValueError, match="different program"):
-            PipelineEngine(other, config,
-                           build_predictor(LevelTwoKind.HYBRID, config),
-                           core=TraceReplayCore(program, trace))
-
-    def test_exhausted_trace_raises_instead_of_diverging(self, program):
-        short = record_trace(program, max_instructions=50)
-        core = TraceReplayCore(program, short)
-        for _ in range(50):
-            assert core.step() is not None
-        with pytest.raises(TraceError, match="exhausted"):
-            core.step()
-
-    def test_take_stream_respects_budget_and_freshness(self, program, trace):
-        core = TraceReplayCore(program, trace)
-        assert core.take_stream(trace.length - 1) is None  # would truncate
-        stream = core.take_stream(10_000_000)
-        assert stream is not None and len(stream) == trace.length
-        assert core.halted and core.instruction_count == trace.length
-        assert core.step() is None
-        # A partially stepped core can't hand over wholesale.
-        stepped = TraceReplayCore(program, trace)
-        stepped.step()
-        assert stepped.take_stream(10_000_000) is None
-
-    def test_truncated_trace_engine_run_raises(self, program):
-        short = record_trace(program, max_instructions=50)
-        with pytest.raises(TraceError, match="exhausted"):
-            engine_result(program, core=TraceReplayCore(program, short))
+            trace.validate_for(other)
