@@ -23,8 +23,8 @@ from repro.experiments.backends import QueueBackend
 from repro.experiments.broker import QueueError
 from repro.experiments.runner import run_suite
 from repro.faults.policy import PointTimeout, RetriesExhausted
-from repro.obs import obs_root
 from repro.obs.ledger import read_events
+from repro.settings import current
 
 GRID = dict(configurations=("baseline", "current"), depths=(20, 40),
             benchmarks=("compress",))
@@ -33,7 +33,7 @@ PROFILE = os.environ.get("CHAOS_PROFILE", "mixed")
 
 
 def newest_run_events() -> list[dict]:
-    root = obs_root()
+    root = current().obs_dir
     runs = sorted(path for path in root.iterdir()
                   if path.is_dir() and path.name.startswith("run-"))
     if not runs:

@@ -49,7 +49,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scheduler import (
     ProgressEvent,
-    default_jobs,
     run_plan,
     run_points,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "build_plan",
     "default_backend_name",
     "default_cache",
-    "default_jobs",
     "execute_point",
     "format_table",
     "geometric_mean",

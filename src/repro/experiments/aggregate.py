@@ -48,7 +48,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.report import (
     SPECULATION_HEADERS,
@@ -90,9 +90,7 @@ def views_from_env() -> "tuple[str, ...] | None":
     keeps every view).  Unknown names are a hard error — a typo that
     silently dropped a view would look like an empty run.
     """
-    import os
-
-    raw = os.environ.get("REPRO_VIEWS", "").strip()
+    raw = settings.current().views
     if not raw or raw.lower() == "all":
         return None
     names = tuple(part.strip() for part in raw.split(",") if part.strip())

@@ -55,7 +55,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.broker import (
     FileBroker,
     MessageError,
@@ -116,24 +116,6 @@ class BackendReport(Protocol):
     def fail(self, batch_id: str, index: int | None,
              error: Exception) -> None:
         """Point ``index`` (or the whole batch, ``None``) failed."""
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set and valid, else CPU count."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return jobs
-
-
-def default_batching() -> bool:
-    """In-worker point batching: on unless ``REPRO_BATCH`` disables it."""
-    return os.environ.get("REPRO_BATCH", "1").strip().lower() not in (
-        "0", "false", "no", "off")
 
 
 def _relayable_exception(exc: Exception) -> Exception:
@@ -622,19 +604,17 @@ class QueueBackend(ExecutionBackend):
                  poll: float = 0.02,
                  worker_args: tuple[str, ...] = (),
                  timeout: float | None = None) -> None:
-        env = os.environ.get
-        if workers is None:
-            raw = env("REPRO_QUEUE_WORKERS", "")
-            workers = int(raw) if raw.strip().isdigit() else None
-        self.workers = workers
+        knobs = settings.current()
+        self.workers = workers if workers is not None \
+            else knobs.queue_workers
         self.broker_dir = broker_dir if broker_dir is not None \
-            else env("REPRO_QUEUE_DIR") or None
+            else knobs.queue_dir
         self.lease_timeout = float(
             lease_timeout if lease_timeout is not None
-            else env("REPRO_QUEUE_LEASE", "30"))
+            else knobs.queue_lease)
         self.max_attempts = max(1, int(
             max_attempts if max_attempts is not None
-            else env("REPRO_QUEUE_RETRIES", "3")))
+            else knobs.queue_retries))
         self.poll = poll
         self.worker_args = tuple(worker_args)
         self.timeout = timeout
@@ -665,14 +645,14 @@ class QueueBackend(ExecutionBackend):
         """
         from repro.experiments.tracing import (
             amortized_workloads,
-            load_or_record,
+            record_workload,
         )
 
         blobs: dict[tuple, bytes] = {}
         for identity in amortized_workloads(
                 point for group in batches.values() for point in group):
             try:
-                blobs[identity] = load_or_record(*identity).to_bytes()
+                blobs[identity] = record_workload(*identity).to_bytes()
             except Exception:  # noqa: BLE001 - workers report it per point
                 continue
         return blobs
@@ -943,7 +923,7 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
 
 def default_backend_name() -> str | None:
     """``REPRO_BACKEND`` -> validated selector, or None for auto."""
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
+    raw = (settings.current().backend or "").lower()
     if not raw or raw == "auto":
         return None
     if raw not in BACKENDS:

@@ -28,6 +28,7 @@ import json
 import os
 import pathlib
 
+from repro import settings
 from repro.faults import fsio
 from repro.pipeline.stats import SimulationResult
 
@@ -42,30 +43,13 @@ def _result_digest(result_dict: dict) -> str:
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
-
-
-def default_cache_dir() -> pathlib.Path:
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override)
-    # In a source checkout the store lives under benchmarks/results/; for
-    # an installed package (no repo root above the module) fall back to
-    # the working directory rather than writing into the interpreter
-    # prefix.
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "cache"
-
 
 class ResultCache:
     """Content-addressed JSON store of simulation results."""
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = pathlib.Path(directory) if directory is not None \
-            else default_cache_dir()
+            else settings.current().cache_dir
         self.hits = 0
         self.misses = 0
 
@@ -130,4 +114,5 @@ class ResultCache:
 
 def default_cache() -> ResultCache | None:
     """The process-wide default store, or ``None`` when caching is off."""
-    return ResultCache() if cache_enabled() else None
+    knobs = settings.current()
+    return ResultCache(knobs.cache_dir) if knobs.cache else None

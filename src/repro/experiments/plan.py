@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import pathlib
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
+from repro import settings
 from repro.core.arvi import ARVIConfig
 from repro.pipeline.config import SPECULATION_MODES
 
@@ -55,11 +55,12 @@ def code_fingerprint() -> str:
         rel = path.relative_to(root)
         if rel.parts[0] == "experiments" and rel.name != "runner.py":
             continue
-        if rel.parts in (("worker.py",), ("serve.py",)):
+        if rel.parts in (("worker.py",), ("serve.py",), ("settings.py",)):
             # Harness, not simulator: the queue worker entrypoint
             # funnels into the same execute_point as every other path,
-            # and the view server only reads results.  Neither can
-            # change what a point computes.
+            # the view server only reads results, and the knob parser
+            # only hands values to them.  None can change what a point
+            # computes (the outcome-affecting knobs are in the key).
             continue
         if rel.parts[0] == "obs":
             # Telemetry observes; it never feeds back into a simulation
@@ -75,14 +76,6 @@ def code_fingerprint() -> str:
         digest.update(str(rel).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
-
-
-def default_scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
-
-
-def default_warmup() -> int:
-    return int(os.environ.get("REPRO_WARMUP", "10000"))
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,10 @@ class ExperimentPoint:
         """Fill every unset knob: explicit override > point field > env."""
         scale = scale if scale is not None else self.scale
         warmup = warmup if warmup is not None else self.warmup
+        if scale is None or warmup is None:
+            knobs = settings.current()
+            scale = knobs.scale if scale is None else scale
+            warmup = knobs.warmup if warmup is None else warmup
         arvi = arvi_config if arvi_config is not None else self.arvi_config
         if self.configuration == "baseline":
             # The baseline (two-level hybrid) never consults ARVI, so an
@@ -120,8 +117,8 @@ class ExperimentPoint:
             benchmark=self.benchmark,
             configuration=self.configuration,
             pipeline_depth=self.pipeline_depth,
-            scale=default_scale() if scale is None else float(scale),
-            warmup=default_warmup() if warmup is None else int(warmup),
+            scale=float(scale),
+            warmup=int(warmup),
             seed=self.seed if seed is None else int(seed),
             arvi_config=arvi,
             speculation=(self.speculation if speculation is None

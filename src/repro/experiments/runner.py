@@ -27,18 +27,15 @@ from __future__ import annotations
 
 import time
 
-from repro import obs
+from repro import obs, settings
 from repro.core.arvi import ARVIConfig, ValueMode
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import (
     CONFIGURATIONS,
     ExperimentPoint,
     build_plan,
-    default_scale,
-    default_warmup,
 )
 from repro.experiments.scheduler import ProgressCallback, run_plan
-from repro.experiments.tracing import load_or_record, trace_mode
 from repro.obs.interval import IntervalSampler
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
@@ -51,8 +48,6 @@ from repro.workloads.registry import BENCHMARKS, get_program
 __all__ = [
     "CONFIGURATIONS",
     "ExperimentPoint",
-    "default_scale",
-    "default_warmup",
     "execute_point",
     "run_point",
     "run_suite",
@@ -82,11 +77,8 @@ def execute_point(point: ExperimentPoint, *,
       (how the scheduler shares one recording across a batch):
       ``baseline`` as the gskew stream pass, the ARVI configurations as
       the fused pass;
-    * ``None`` (default) — honour the environment: under
-      ``REPRO_TRACE=disk`` the persistent trace store supplies (or
-      records) the trace, otherwise run the live engine;
-    * ``False`` — force the live engine regardless of the environment
-      (how the oracle checks run it).
+    * ``None`` (default) or ``False`` — run the live engine (``False``
+      is how the oracle checks spell it).
 
     ``wrongpath`` points always run the live engine.  ``info``, when
     given, reports which path ran: ``info["kernel_source"]`` is
@@ -97,8 +89,8 @@ def execute_point(point: ExperimentPoint, *,
     if trace is not None and not isinstance(trace, CommittedTrace) \
             and trace is not False:
         raise TypeError(
-            "trace must be a CommittedTrace, False (force the live "
-            f"core) or None (honour REPRO_TRACE); got {trace!r}")
+            "trace must be a CommittedTrace, False or None (both run "
+            f"the live core); got {trace!r}")
     if point.scale is None or point.warmup is None:
         raise ValueError(
             "execute_point requires a resolved point; call "
@@ -125,7 +117,7 @@ def _execute_phases(point: ExperimentPoint,
     """The phase-instrumented body of :func:`execute_point`.
 
     Each phase (``lower`` / ``replay`` / ``live``; ``record`` lives in
-    :func:`~repro.experiments.tracing.load_or_record`) is wall-clock
+    :func:`~repro.experiments.tracing.record_workload`) is wall-clock
     timed into ``phase_seconds`` unconditionally — the live-view status
     reports them — and wrapped in a ledger span when telemetry is on.
     """
@@ -138,20 +130,18 @@ def _execute_phases(point: ExperimentPoint,
     else:
         kind, mode = LevelTwoKind.ARVI, _VALUE_MODES[point.configuration]
 
-    if point.speculation == "redirect" and trace is not False:
-        if trace is None and trace_mode() == "disk":
-            trace = load_or_record(point.benchmark, point.scale, point.seed)
-        if trace is not None:
-            if info is not None:
-                info["kernel_source"] = "kernel"
-            return _kernel_replay(point, program, trace, config, kind, mode,
-                                  phase_seconds, perf)
+    if point.speculation == "redirect" and isinstance(trace,
+                                                       CommittedTrace):
+        if info is not None:
+            info["kernel_source"] = "kernel"
+        return _kernel_replay(point, program, trace, config, kind, mode,
+                              phase_seconds, perf)
     if info is not None:
         info["kernel_source"] = "live"
 
     predictor = build_predictor(kind, config, point.arvi_config)
     telemetry = obs.current()
-    every = obs.interval_cycles() if telemetry is not None else 0
+    every = settings.current().obs_interval if telemetry is not None else 0
     sampler = IntervalSampler(every) if every else None
 
     start = perf()
@@ -232,14 +222,14 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     ``speculation`` selects the engine's wrong-path model for every point
     of the grid ("redirect" | "wrongpath"); run the suite once per mode to
     sweep it — each mode has its own cache keys, so replays never mix.
-    ``batch=None`` honours ``REPRO_BATCH`` (default on): same-benchmark
-    points are simulated in per-worker batches that share one program
-    build (results are identical either way).  ``backend=None`` honours
-    ``REPRO_BACKEND`` (``serial`` | ``local`` | ``queue``; see
-    :mod:`repro.experiments.backends`) — results are bit-for-bit equal
-    on every backend.  ``manifest=None`` honours ``REPRO_MANIFEST``
-    (crash-safe resumable runs; see :func:`run_plan`).  ``sink`` is an
-    optional live-view aggregator (see
+    ``batch=None`` (or ``True``) simulates same-benchmark points in
+    per-worker batches that share one program build; ``batch=False``
+    submits one point per task (results are identical either way).
+    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local`` |
+    ``queue``; see :mod:`repro.experiments.backends`) — results are
+    bit-for-bit equal on every backend.  ``manifest=None`` honours
+    ``REPRO_MANIFEST`` (crash-safe resumable runs; see :func:`run_plan`).
+    ``sink`` is an optional live-view aggregator (see
     :mod:`repro.experiments.aggregate`) fed every progress tick and
     per-point result as the grid runs; ``sink=None`` honours
     ``REPRO_SERVE`` (serve the views over HTTP/SSE for the duration of

@@ -12,7 +12,7 @@ the local pool).  Point keys, cache bytes and progress events are
 identical on every backend, so the result cache and per-point progress
 ticks are backend-agnostic.
 
-**In-worker batching** (``REPRO_BATCH``, default on): pending points are
+**In-worker batching** (default on): pending points are
 grouped by workload identity — ``(benchmark, scale, seed)``, the
 arguments of :func:`~repro.workloads.registry.get_program` — and each
 worker receives a contiguous *batch* of same-benchmark points in one
@@ -20,8 +20,8 @@ submission.  The worker builds (and pre-decodes) the shared ``Program``
 once per batch and amortizes the per-task overhead across the batch.
 Batches never mix benchmarks, point keys and cache contents are exactly
 those of per-point execution, and one failing point inside a batch does
-not discard its siblings' completed results.  ``REPRO_BATCH=0`` (or
-``batch=False``) restores one-point-per-task submission.
+not discard its siblings' completed results.  ``batch=False`` restores
+one-point-per-task submission.
 
 **Trace sharing** (``REPRO_TRACE``, default on; DESIGN.md §8): within a
 batch — and across a serial sweep — the ``redirect`` points of one
@@ -54,19 +54,15 @@ drained — completed siblings always reach the cache first.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.backends import (
     BackendUnavailable,
     ExecutionBackend,
-    _compute_batch,
     _make_batches,
-    default_batching,
-    default_jobs,
     degrade_target,
     resolve_backend,
 )
@@ -78,25 +74,15 @@ from repro.experiments.plan import (
     point_key,
 )
 from repro.faults.manifest import resolve_manifest
-from repro.faults.policy import (
-    DeadletterStore,
-    deadletter_enabled,
-    degrade_enabled,
-)
+from repro.faults.policy import DeadletterStore
 from repro.pipeline.stats import SimulationResult
 
 __all__ = [
     "ProgressCallback",
     "ProgressEvent",
-    "default_batching",
-    "default_jobs",
     "run_plan",
     "run_points",
 ]
-
-# _compute_batch and _make_batches are re-exported above for callers and
-# tests that address the batching helpers through the scheduler module
-# (their home since PR 3); they live in backends.py now.
 
 
 @dataclass(frozen=True)
@@ -192,8 +178,8 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     ``cache=None`` with ``use_cache=True`` uses the default store (honours
     ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``); pass ``use_cache=False`` to
     force recomputation without touching any store.  ``batch=None``
-    honours ``REPRO_BATCH`` (default on): same-benchmark points travel to
-    workers in batches; ``batch=False`` submits one point per task.
+    (or ``True``) sends same-benchmark points to workers in batches;
+    ``batch=False`` submits one point per task.
     ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local`` |
     ``queue``; unset = serial for one worker, local pool otherwise); it
     also accepts a configured :class:`~repro.experiments.backends.
@@ -216,15 +202,16 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     HTTP/SSE view server (:mod:`repro.serve`) attached for its
     duration.
     """
+    knobs = settings.current()
     telemetry = None
-    if obs.enabled() and obs.current() is None:
+    if knobs.obs and obs.current() is None:
         # Outermost run_plan of the process owns the telemetry run; a
         # nested call (or one under a caller-managed run) just joins it.
         telemetry = obs.start_run(label="plan")
     try:
         with obs.span("plan", kind="plan", attrs={"points": len(plan)}):
-            with _resolve_sink(sink) as live_sink:
-                return _run_plan(plan, jobs=jobs, cache=cache,
+            with _resolve_sink(sink, knobs.serve) as live_sink:
+                return _run_plan(plan, knobs, jobs=jobs, cache=cache,
                                  use_cache=use_cache, progress=progress,
                                  batch=batch, backend=backend,
                                  manifest=manifest, sink=live_sink)
@@ -233,13 +220,7 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
             obs.close_run(telemetry)
 
 
-def serve_requested() -> bool:
-    """``REPRO_SERVE`` truthiness (default off)."""
-    return os.environ.get("REPRO_SERVE", "0").strip().lower() not in (
-        "", "0", "false", "no", "off")
-
-
-def _resolve_sink(sink):
+def _resolve_sink(sink, serving: bool):
     """The live-view sink context for one run_plan call.
 
     An explicit sink is used as-is (its owner manages any server and
@@ -250,19 +231,19 @@ def _resolve_sink(sink):
     lazily so the scheduler never pays for (or circularly imports) the
     serving tier unless it is actually on.
     """
-    if sink is not None or not serve_requested():
+    if sink is not None or not serving:
         return contextlib.nullcontext(sink)
     from repro import serve
 
     return serve.autoserve()
 
 
-def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
-              batch, backend, manifest, sink=None,
-              ) -> dict[ExperimentPoint, SimulationResult]:
+def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
+              cache, use_cache, progress, batch, backend, manifest,
+              sink=None) -> dict[ExperimentPoint, SimulationResult]:
     started = time.perf_counter()
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    batch = default_batching() if batch is None else bool(batch)
+    jobs = knobs.jobs if jobs is None else max(1, int(jobs))
+    batch = batch is None or bool(batch)
     if use_cache and cache is None:
         cache = default_cache()
     elif not use_cache:
@@ -366,7 +347,7 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
                 engine.execute(groups, report, jobs=jobs)
                 break
             except BackendUnavailable as exc:
-                fallback = degrade_target(engine) if degrade_enabled() \
+                fallback = degrade_target(engine) if knobs.degrade \
                     else None
                 if fallback is None:
                     raise
@@ -393,7 +374,9 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
                         keys.get(failed_point) if failed_point is not None
                         else None,
                         error)
-            quarantined = _quarantine(report.failures, keys)
+            quarantined = _quarantine(report.failures, keys,
+                                      knobs.deadletter_dir) \
+                if knobs.deadletter else None
             if quarantined is not None:
                 report.failure.add_note(
                     f"{len(report.failures)} failed point(s) quarantined "
@@ -408,16 +391,16 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
     return {point: results[point] for point in plan}
 
 
-def _quarantine(failures, keys) -> "str | None":
+def _quarantine(failures, keys, directory) -> "str | None":
     """Write failed points to the deadletter store; returns its dir.
 
     Best-effort by design: quarantine is diagnostics, so an unwritable
     deadletter directory must never mask the original failure (the
     caller is about to raise it).
     """
-    if not deadletter_enabled() or not failures:
+    if not failures:
         return None
-    store = DeadletterStore()
+    store = DeadletterStore(directory)
     try:
         for point, error in failures:
             store.add({

@@ -19,17 +19,8 @@ import os
 import pathlib
 import tempfile
 
+from repro import settings
 from repro.faults import injector as _injector
-
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
-
-
-def fsync_enabled() -> bool:
-    """``REPRO_FSYNC`` -> fsync-before-rename on (default on)."""
-    raw = os.environ.get("REPRO_FSYNC")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _TRUTHY_OFF
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
@@ -41,7 +32,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
     "broker.submit", ...); transient I/O errors are only injected at
     ``broker.*`` sites (broker calls are wrapped in a retry policy;
     cache/trace writes are not, their corruption is caught by content
-    digests instead).  ``fsync=None`` defers to :func:`fsync_enabled`.
+    digests instead).  ``fsync=None`` defers to ``REPRO_FSYNC``.
     """
     path = pathlib.Path(path)
     if site is not None:
@@ -51,7 +42,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
                 inj.maybe_io_error(site)
             data = inj.mangle(site, data)
     if fsync is None:
-        fsync = fsync_enabled()
+        fsync = settings.current().fsync
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                     suffix=".tmp")
     try:

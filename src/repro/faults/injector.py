@@ -5,8 +5,9 @@ handful of explicit seams (``maybe_io_error``, ``mangle``,
 ``slow_delay``, ``heartbeat_stalled``, ``maybe_crash``) and each seam
 consults a per-kind ``random.Random`` stream derived from the seed, so
 the same spec injects the same faults at the same call sequence every
-run.  With ``REPRO_FAULTS`` unset, :func:`active` memoizes to ``None``
-and every seam is a single attribute check — zero measurable overhead.
+run.  With ``REPRO_FAULTS`` unset, :func:`active` returns ``None``
+(one settings parse, no RNG) and every seam is a single ``is None``
+check.
 
 Spec grammar::
 
@@ -33,7 +34,7 @@ import random
 import threading
 import time
 
-from repro import obs
+from repro import obs, settings
 
 ENV_SPEC = "REPRO_FAULTS"
 
@@ -233,8 +234,8 @@ class FaultInjector:
 
 
 # Memoized on (spec, pid): forked pool workers must not inherit the
-# parent's RNG positions, and repeated seam calls with REPRO_FAULTS
-# unset must cost one dict probe.
+# parent's RNG positions, and repeated seam calls must keep advancing
+# the same RNG streams.
 _ACTIVE: tuple[str | None, int, FaultInjector | None] = ("", -1, None)
 _OVERRIDE: list[FaultInjector | None] = []
 
@@ -244,7 +245,7 @@ def active() -> FaultInjector | None:
     if _OVERRIDE:
         return _OVERRIDE[-1]
     global _ACTIVE
-    spec = os.environ.get(ENV_SPEC)
+    spec = settings.current().faults
     pid = os.getpid()
     cached_spec, cached_pid, injector = _ACTIVE
     if spec == cached_spec and pid == cached_pid:

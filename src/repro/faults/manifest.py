@@ -27,26 +27,9 @@ import os
 import pathlib
 from typing import Iterable
 
+from repro import settings
+
 MANIFEST_SCHEMA_VERSION = 1
-
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
-
-
-def manifest_enabled() -> bool:
-    """``REPRO_MANIFEST`` -> write/replay run manifests (default off)."""
-    raw = os.environ.get("REPRO_MANIFEST", "")
-    return raw.strip().lower() not in _TRUTHY_OFF
-
-
-def manifest_dir() -> pathlib.Path:
-    """Where manifests live (``REPRO_MANIFEST_DIR`` overrides)."""
-    override = os.environ.get("REPRO_MANIFEST_DIR")
-    if override:
-        return pathlib.Path(override)
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "manifests"
 
 
 def plan_hash(keys: Iterable[str]) -> str:
@@ -75,12 +58,11 @@ def resolve_manifest(manifest, keys: Iterable[str]) -> "RunManifest | None":
         return None
     if isinstance(manifest, RunManifest):
         return manifest
-    if manifest is None:
-        if not manifest_enabled():
+    if manifest is None or manifest is True:
+        knobs = settings.current()
+        if manifest is None and not knobs.manifest:
             return None
-        directory = manifest_dir()
-    elif manifest is True:
-        directory = manifest_dir()
+        directory = knobs.manifests_dir
     else:
         directory = pathlib.Path(manifest)
     return RunManifest.open(directory, keys)
@@ -144,12 +126,11 @@ class RunManifest:
         return manifest
 
     def _append(self, record: dict) -> None:
-        from repro.faults import fsio
         try:
             self._handle.write(json.dumps(record, sort_keys=True,
                                           separators=(",", ":")) + "\n")
             self._handle.flush()
-            if fsio.fsync_enabled():
+            if settings.current().fsync:
                 os.fsync(self._handle.fileno())
         except (OSError, ValueError):
             pass  # a failing manifest write must never fail the grid

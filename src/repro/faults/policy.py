@@ -13,8 +13,8 @@ Alongside it:
   a ``deadletter/`` directory with their full attempt history
   (:class:`DeadletterStore`, surfaced via ``python -m repro.obs
   deadletter``);
-* the degradation knob — ``REPRO_DEGRADE`` (default on) lets the
-  scheduler walk the queue → local → serial ladder when a backend
+* the degradation knob — ``REPRO_DEGRADE`` (default on, read by the
+  scheduler) walks the queue → local → serial ladder when a backend
   reports itself unavailable.
 """
 
@@ -32,9 +32,7 @@ import threading
 import time
 from typing import Callable, Iterator
 
-from repro import obs
-
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
+from repro import obs, settings
 
 DEFAULT_BACKOFF = 0.05
 DEFAULT_ATTEMPTS = 3
@@ -78,19 +76,13 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls, *, max_attempts: int | None = None) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRY_BACKOFF`` (+ optional attempt cap)."""
+        """Policy from ``REPRO_RETRY_BACKOFF`` and ``REPRO_QUEUE_RETRIES``
+        (``max_attempts`` overrides the latter)."""
+        knobs = settings.current()
         if max_attempts is None:
-            try:
-                max_attempts = int(os.environ.get("REPRO_QUEUE_RETRIES",
-                                                  DEFAULT_ATTEMPTS))
-            except ValueError:
-                max_attempts = DEFAULT_ATTEMPTS
-        try:
-            backoff = float(os.environ.get("REPRO_RETRY_BACKOFF",
-                                           DEFAULT_BACKOFF))
-        except ValueError:
-            backoff = DEFAULT_BACKOFF
-        return cls(max_attempts=max(1, max_attempts), backoff=max(0.0, backoff))
+            max_attempts = knobs.queue_retries
+        return cls(max_attempts=max(1, max_attempts),
+                   backoff=max(0.0, knobs.retry_backoff))
 
     def delay(self, attempt: int, key: str = "") -> float:
         if attempt <= 1 or self.backoff <= 0.0:
@@ -126,18 +118,6 @@ class RetryPolicy:
 # -- per-point deadlines ------------------------------------------------------
 
 
-def point_timeout() -> float:
-    """``REPRO_POINT_TIMEOUT`` -> per-point deadline in seconds (0=off)."""
-    raw = os.environ.get("REPRO_POINT_TIMEOUT", "").strip()
-    if raw.lower() in _TRUTHY_OFF:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        return 0.0
-    return value if value > 0.0 else 0.0
-
-
 @contextlib.contextmanager
 def point_deadline(seconds: float | None = None) -> Iterator[None]:
     """Raise :class:`PointTimeout` if the body runs past the deadline.
@@ -156,7 +136,7 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
     exception would be swallowed as unraisable, or break the hook.)
     """
     if seconds is None:
-        seconds = point_timeout()
+        seconds = settings.current().point_timeout
     if seconds <= 0.0 or threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -190,37 +170,7 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
                 continue
 
 
-# -- degradation --------------------------------------------------------------
-
-
-def degrade_enabled() -> bool:
-    """``REPRO_DEGRADE`` -> queue→local→serial fallback on (default on)."""
-    raw = os.environ.get("REPRO_DEGRADE")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _TRUTHY_OFF
-
-
 # -- deadletter quarantine ----------------------------------------------------
-
-
-def deadletter_enabled() -> bool:
-    """``REPRO_DEADLETTER`` -> quarantine failed points (default on)."""
-    raw = os.environ.get("REPRO_DEADLETTER")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _TRUTHY_OFF
-
-
-def default_deadletter_dir() -> pathlib.Path:
-    """Where quarantined points land (``REPRO_DEADLETTER_DIR`` overrides)."""
-    override = os.environ.get("REPRO_DEADLETTER_DIR")
-    if override:
-        return pathlib.Path(override)
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "deadletter"
 
 
 class DeadletterStore:
@@ -234,7 +184,7 @@ class DeadletterStore:
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = pathlib.Path(directory) if directory is not None \
-            else default_deadletter_dir()
+            else settings.current().deadletter_dir
         self._seq = 0
 
     def add(self, entry: dict) -> pathlib.Path:

@@ -11,8 +11,8 @@ events to it:
   requeue, retry, worker respawn) with monotonic durations and the
   existing ``trace_source`` / ``kernel_source`` markers as attributes;
 * **metrics** — counters, gauges and histograms
-  (:mod:`repro.obs.metrics`): cache hit/miss, trace-store warm/cold,
-  kernel-fallback reasons, queue depth, lease age, worker restarts —
+  (:mod:`repro.obs.metrics`): cache hit/miss, queue depth, lease age,
+  worker restarts —
   snapshotted into the ledger and to ``metrics.json`` /
   ``metrics.prom`` (Prometheus text exposition) at run close;
 * **worker shards** — pool and queue workers write their own streams
@@ -53,6 +53,7 @@ import shutil
 import time
 from typing import Iterator
 
+from repro import settings
 from repro.obs.ledger import EVENT_SCHEMA_VERSION, merge_streams
 from repro.obs.metrics import (
     DURATION_BOUNDS,
@@ -66,12 +67,9 @@ __all__ = [
     "activate",
     "close_run",
     "current",
-    "enabled",
     "emit",
     "gauge",
     "inc",
-    "interval_cycles",
-    "obs_root",
     "observe",
     "observe_duration",
     "span",
@@ -79,43 +77,6 @@ __all__ = [
     "worker_context",
     "worker_shard",
 ]
-
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
-
-
-def enabled() -> bool:
-    """``REPRO_OBS`` -> whether the scheduler opens a telemetry run."""
-    return os.environ.get("REPRO_OBS", "").strip().lower() not in _TRUTHY_OFF
-
-
-def interval_cycles() -> int:
-    """``REPRO_OBS_INTERVAL`` -> engine sampling period in cycles (0=off).
-
-    ``REPRO_OBS_INTERVAL=1`` (bare "on") selects the default period of
-    50_000 cycles; any larger integer is the period itself.
-    """
-    raw = os.environ.get("REPRO_OBS_INTERVAL", "").strip().lower()
-    if raw in _TRUTHY_OFF:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    if value <= 0:
-        return 0
-    return 50_000 if value == 1 else value
-
-
-def obs_root() -> pathlib.Path:
-    """Where telemetry runs live (``REPRO_OBS_DIR`` overrides)."""
-    override = os.environ.get("REPRO_OBS_DIR")
-    if override:
-        return pathlib.Path(override)
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "obs"
-
 
 class Telemetry:
     """One process's event stream within a telemetry run.
@@ -363,8 +324,10 @@ def start_run(label: str | None = None,
               root: str | os.PathLike | None = None) -> Telemetry:
     """Open a telemetry run and make it current; caller must close it.
 
-    The run directory is ``<obs_root>/<run_id>/``; the root ``run`` span
-    is opened immediately and closed by :func:`close_run`.
+    The run directory is ``<REPRO_OBS_DIR>/<run_id>/``; the root
+    ``run`` span is opened immediately, carries the resolved
+    :class:`~repro.settings.Settings` as attributes (which knobs produced
+    the run's numbers), and is closed by :func:`close_run`.
     """
     global _current, _run_counter
     _run_counter += 1
@@ -372,9 +335,11 @@ def start_run(label: str | None = None,
     run_id = f"run-{stamp}-{os.getpid()}-{_run_counter}"
     if label:
         run_id += f"-{label}"
-    run_dir = pathlib.Path(root) if root is not None else obs_root()
+    knobs = settings.current()
+    run_dir = pathlib.Path(root) if root is not None else knobs.obs_dir
     telemetry = Telemetry(run_id, run_dir / run_id)
-    telemetry.begin_span("run", "run", attrs={"label": label})
+    telemetry.begin_span("run", "run",
+                         attrs={"label": label, **knobs.as_attrs()})
     _current = telemetry
     return telemetry
 

@@ -24,12 +24,13 @@ a root or nothing is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
 import time
 
-from repro.obs import obs_root
+from repro import settings
 from repro.obs.ledger import (
     SpanNode,
     SpanTree,
@@ -43,7 +44,7 @@ from repro.obs.ledger import (
 
 def _resolve_run(path: str | None) -> pathlib.Path:
     """Turn the CLI path argument into a run directory or ledger file."""
-    candidate = pathlib.Path(path) if path else obs_root()
+    candidate = pathlib.Path(path) if path else settings.current().obs_dir
     if candidate.is_file():
         return candidate
     if candidate.is_dir():
@@ -85,6 +86,10 @@ def _load_events(run: pathlib.Path) -> list[dict]:
 # -- summary ------------------------------------------------------------------
 
 _TREE_EVENT_KINDS = ("lease", "queue", "worker", "error")
+
+#: The run span's settings attributes, in field order.
+_SETTINGS = tuple(spec.name
+                  for spec in dataclasses.fields(settings.Settings))
 
 
 def _format_span(node: SpanNode) -> str:
@@ -134,6 +139,12 @@ def summary(run: pathlib.Path, echo=print) -> int:
     tree = build_span_tree(events)
     echo(f"run: {events[0].get('run')}  ({len(events)} events, "
          f"{len(tree.nodes)} spans)")
+    for node in tree.find("run")[:1]:
+        knobs = {name: node.attrs[name] for name in _SETTINGS
+                 if name in node.attrs}
+        if knobs:
+            echo("settings: " + " ".join(f"{name}={value}"
+                                         for name, value in knobs.items()))
     echo("")
     for node, depth in tree.walk():
         echo("  " * depth + "- " + _format_span(node))
@@ -256,9 +267,10 @@ def validate(run: pathlib.Path, echo=print) -> int:
 
 def deadletter(path: str | None, echo=print) -> int:
     """List quarantined points with their attempt histories."""
-    from repro.faults.policy import DeadletterStore, default_deadletter_dir
+    from repro.faults.policy import DeadletterStore
 
-    directory = pathlib.Path(path) if path else default_deadletter_dir()
+    directory = pathlib.Path(path) if path \
+        else settings.current().deadletter_dir
     store = DeadletterStore(directory)
     entries = store.entries()
     if not entries:

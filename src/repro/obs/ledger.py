@@ -34,6 +34,8 @@ import pathlib
 import tempfile
 from dataclasses import dataclass, field
 
+from repro import settings
+
 #: Versions the per-line event schema; bump when fields change meaning.
 EVENT_SCHEMA_VERSION = 1
 
@@ -48,14 +50,6 @@ KNOWN_KINDS = (
     "queue", "lease", "worker", "interval", "metrics", "error",
     "fault", "backend", "view",
 )
-
-
-def _fsync_enabled() -> bool:
-    """Mirrors :func:`repro.faults.fsio.fsync_enabled` (same knob)."""
-    raw = os.environ.get("REPRO_FSYNC")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 class LedgerError(RuntimeError):
@@ -157,10 +151,10 @@ def merge_streams(paths, out_path: str | os.PathLike) -> int:
                 handle.write(json.dumps(record, sort_keys=True,
                                         separators=(",", ":")) + "\n")
             # fsync before rename (REPRO_FSYNC=0 skips) so a host crash
-            # cannot surface an empty-but-renamed ledger.  Local helper,
-            # not repro.faults.fsio: obs must stay import-cycle-free
+            # cannot surface an empty-but-renamed ledger.  Not
+            # repro.faults.fsio: obs must stay import-cycle-free
             # (faults.injector logs through obs).
-            if _fsync_enabled():
+            if settings.current().fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(tmp, out_path)

@@ -13,8 +13,7 @@ so this module records the stream once for the compiled replay kernel
   outcomes, load/store effective addresses and store values), not a list
   of per-instruction objects;
 * :meth:`CommittedTrace.to_bytes` / :meth:`CommittedTrace.from_bytes`
-  give the on-disk and wire form used by the experiment-service trace
-  store (``repro.experiments.tracing``) and the queue backend.
+  give the wire form the queue backend ships to its workers.
 
 Invariants (DESIGN.md §8):
 
@@ -48,8 +47,7 @@ from array import array
 from repro.isa.program import Program
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS, FunctionalCore
 
-#: Version of the serialized trace layout; mismatches are load errors
-#: (the trace store treats them as misses and re-records).
+#: Version of the serialized trace layout; mismatches are load errors.
 #: v2: the header carries a SHA-256 digest over the canonical header and
 #: the raw column bytes, so any truncation or bit flip of a serialized
 #: trace raises :class:`TraceError` instead of replaying divergently —

@@ -39,12 +39,11 @@ import argparse
 import asyncio
 import contextlib
 import json
-import os
 import pathlib
 import threading
 import time
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.aggregate import (
     ALL_VIEWS,
     ViewAggregator,
@@ -52,24 +51,10 @@ from repro.experiments.aggregate import (
     views_from_env,
 )
 
-__all__ = ["DEFAULT_PORT", "ViewServer", "autoserve", "main",
-           "serve_port"]
-
-DEFAULT_PORT = 8765
+__all__ = ["ViewServer", "autoserve", "main"]
 
 #: Queue sentinel: the server is shutting down, close the SSE stream.
 _SHUTDOWN = object()
-
-
-def serve_port() -> int:
-    """``REPRO_SERVE_PORT`` (0 = ephemeral), default :data:`DEFAULT_PORT`."""
-    raw = os.environ.get("REPRO_SERVE_PORT", "").strip()
-    try:
-        return int(raw) if raw else DEFAULT_PORT
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_PORT must be an integer port (0 for "
-            f"ephemeral); got {raw!r}") from None
 
 
 class ViewServer:
@@ -89,7 +74,8 @@ class ViewServer:
                  port: "int | None" = None) -> None:
         self.aggregator = aggregator
         self.host = host
-        self.port = serve_port() if port is None else int(port)
+        self.port = settings.current().serve_port if port is None \
+            else int(port)
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._thread: "threading.Thread | None" = None
         self._clients: "set[asyncio.Queue]" = set()  # loop thread only
@@ -320,7 +306,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=None,
                         help="listen port (default REPRO_SERVE_PORT or "
-                             f"{DEFAULT_PORT}; 0 = ephemeral)")
+                             "8765; 0 = ephemeral)")
     parser.add_argument("--benchmarks", default=None,
                         help="comma-separated benchmarks (default: all)")
     parser.add_argument("--configurations", default=None,

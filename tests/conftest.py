@@ -31,24 +31,6 @@ def isolated_result_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def isolated_trace_store(tmp_path_factory):
-    """Point the on-disk committed-trace store at a throwaway directory.
-
-    Disk mode is off by default (``REPRO_TRACE=1`` is in-memory only),
-    but any test that switches ``REPRO_TRACE=disk`` must never read or
-    mutate ``benchmarks/results/traces/``.
-    """
-    previous = os.environ.get("REPRO_TRACE_DIR")
-    os.environ["REPRO_TRACE_DIR"] = str(
-        tmp_path_factory.mktemp("trace-store"))
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_TRACE_DIR", None)
-    else:
-        os.environ["REPRO_TRACE_DIR"] = previous
-
-
-@pytest.fixture(scope="session", autouse=True)
 def isolated_obs_dir(tmp_path_factory):
     """Point telemetry run ledgers at a throwaway directory.
 

@@ -39,7 +39,8 @@ from repro.experiments.aggregate import (
 from repro.experiments.backends import QueueBackend
 from repro.experiments.broker import QueueError
 from repro.experiments.plan import build_plan, point_key
-from repro.experiments.scheduler import run_plan, serve_requested
+from repro.experiments.scheduler import run_plan
+from repro.settings import current
 from repro.faults.manifest import plan_hash
 from repro.faults.policy import PointTimeout, RetriesExhausted
 
@@ -113,12 +114,12 @@ class TestViewSelection:
 
     def test_serve_requested_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE", raising=False)
-        assert serve_requested() is False
+        assert current().serve is False
         for off in ("0", "false", "off", "no", ""):
             monkeypatch.setenv("REPRO_SERVE", off)
-            assert serve_requested() is False
+            assert current().serve is False
         monkeypatch.setenv("REPRO_SERVE", "1")
-        assert serve_requested() is True
+        assert current().serve is True
 
 
 # -- aggregator semantics -----------------------------------------------------

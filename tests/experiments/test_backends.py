@@ -264,13 +264,13 @@ class TestRunBatch:
 
         monkeypatch.setenv("REPRO_TRACE", "1")
         recorded = []
-        real = tracing.load_or_record
+        real = tracing.record_workload
 
         def counting(*identity):
             recorded.append(identity)
             return real(*identity)
 
-        monkeypatch.setattr(tracing, "load_or_record", counting)
+        monkeypatch.setattr(tracing, "record_workload", counting)
         first, second = batch_point("baseline"), batch_point("current")
         traces = SharedTraces([first, second])
         for group in ([first], [second]):

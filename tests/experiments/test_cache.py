@@ -113,13 +113,12 @@ def test_malformed_key_rejected(cache):
 
 
 def test_cache_disabled_via_env(monkeypatch):
-    from repro.experiments.cache import cache_enabled, default_cache
+    from repro.experiments.cache import default_cache
 
     monkeypatch.setenv("REPRO_CACHE", "0")
-    assert not cache_enabled()
     assert default_cache() is None
     monkeypatch.setenv("REPRO_CACHE", "1")
-    assert cache_enabled()
+    assert default_cache() is not None
 
 
 def test_cache_dir_override(monkeypatch, tmp_path):

@@ -67,8 +67,8 @@ from repro.faults.policy import (
     RetriesExhausted,
     RetryPolicy,
     point_deadline,
-    point_timeout,
 )
+from repro.settings import SettingsError, current
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -242,12 +242,14 @@ class TestActiveAndOverride:
 class TestFsyncKnob:
     def test_default_on_and_off_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_FSYNC", raising=False)
-        assert fsio.fsync_enabled()
-        for off in ("0", "false", "no", "off", ""):
+        assert current().fsync
+        for off in ("0", "false", "no", "off"):
             monkeypatch.setenv("REPRO_FSYNC", off)
-            assert not fsio.fsync_enabled()
+            assert not current().fsync
+        monkeypatch.setenv("REPRO_FSYNC", "")         # empty = default
+        assert current().fsync
         monkeypatch.setenv("REPRO_FSYNC", "1")
-        assert fsio.fsync_enabled()
+        assert current().fsync
 
     def test_atomic_write_replaces_durably(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FSYNC", "1")        # the fsync path itself
@@ -377,8 +379,11 @@ class TestRetryPolicy:
     def test_from_env_reads_backoff(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
         assert RetryPolicy.from_env(max_attempts=4).backoff == 0.25
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "bogus")
+        monkeypatch.delenv("REPRO_RETRY_BACKOFF")
         assert RetryPolicy.from_env().backoff == 0.05
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "bogus")
+        with pytest.raises(SettingsError, match="REPRO_RETRY_BACKOFF"):
+            RetryPolicy.from_env()
 
 
 # -- per-point deadlines ------------------------------------------------------
@@ -387,12 +392,15 @@ class TestRetryPolicy:
 class TestPointDeadline:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
-        assert point_timeout() == 0.0
-        for off in ("0", "off", "garbage", "-3"):
+        assert current().point_timeout == 0.0
+        for off in ("0", "off", "-3"):
             monkeypatch.setenv("REPRO_POINT_TIMEOUT", off)
-            assert point_timeout() == 0.0
+            assert current().point_timeout == 0.0
         monkeypatch.setenv("REPRO_POINT_TIMEOUT", "2.5")
-        assert point_timeout() == 2.5
+        assert current().point_timeout == 2.5
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "garbage")
+        with pytest.raises(SettingsError, match="REPRO_POINT_TIMEOUT"):
+            current()
 
     def test_deadline_interrupts_and_disarms(self):
         started = time.monotonic()

@@ -10,6 +10,7 @@ grids are ``==`` in both speculation modes (the queue fault machinery
 has its own suite in ``test_backends.py``).
 """
 
+import os
 import tempfile
 import time
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.backends import QueueBackend
+from repro.experiments.backends import QueueBackend, _make_batches
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import (
     ExperimentPoint,
@@ -26,13 +27,8 @@ from repro.experiments.plan import (
     point_key,
 )
 from repro.experiments.runner import run_suite
-from repro.experiments.scheduler import (
-    _make_batches,
-    default_batching,
-    default_jobs,
-    run_plan,
-    run_points,
-)
+from repro.experiments.scheduler import run_plan, run_points
+from repro.settings import SettingsError, current
 
 GRID = dict(configurations=("baseline", "current", "load back", "perfect"),
             depths=(20, 40), benchmarks=("li", "vortex"),
@@ -190,20 +186,27 @@ class TestSchedulerBehaviour:
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
+        assert current().jobs == 3
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert current().jobs == (os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert default_jobs() >= 1
+        with pytest.raises(SettingsError, match="REPRO_JOBS"):
+            current()
         monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() >= 1
+        assert current().jobs == (os.cpu_count() or 1)
 
-    def test_default_batching_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert default_batching() is True
-        for off in ("0", "false", "no", "off", "FALSE"):
-            monkeypatch.setenv("REPRO_BATCH", off)
-            assert default_batching() is False
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert default_batching() is True
+    def test_batch_none_means_batched(self):
+        plan = build_plan(("baseline", "current"), (20,), ("li",),
+                          scale=0.01, warmup=50)
+        sizes = {}
+        for batch in (None, True, False):
+            events = []
+            run_plan(plan, jobs=1, use_cache=False, batch=batch,
+                     progress=events.append)
+            sizes[batch] = {event.batch_size for event in events
+                            if event.phase == "point"}
+        assert sizes[None] == sizes[True] == {2}
+        assert sizes[False] == {1}
 
 
 class TestBatching:

@@ -16,7 +16,8 @@ import pytest
 from repro.experiments.aggregate import ViewAggregator, canonical_json
 from repro.experiments.plan import build_plan
 from repro.experiments.scheduler import run_plan
-from repro.serve import DEFAULT_PORT, ViewServer, serve_port
+from repro.serve import ViewServer
+from repro.settings import SettingsError, current
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -138,12 +139,13 @@ class TestEndpoints:
 
     def test_default_port_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
-        assert serve_port() == DEFAULT_PORT
+        assert current().serve_port == 8765
         monkeypatch.setenv("REPRO_SERVE_PORT", "0")
-        assert serve_port() == 0
+        assert current().serve_port == 0
+        assert ViewServer(ViewAggregator()).port == 0
         monkeypatch.setenv("REPRO_SERVE_PORT", "nope")
-        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            serve_port()
+        with pytest.raises(SettingsError, match="REPRO_SERVE_PORT"):
+            current()
 
 
 class TestConcurrentReaders:

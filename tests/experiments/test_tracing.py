@@ -1,9 +1,8 @@
-"""Experiment-service trace layer: sharing policy, disk store, equality.
+"""Experiment-service trace layer: sharing policy and equality.
 
 The satellite property for PR 4: trace-replayed grids equal live-core
 grids ``==`` across workloads x configurations x depths x both
-speculation modes — plus the store-robustness rules (fingerprint-keyed
-staleness, corrupt files recompute, atomic writes).
+speculation modes.
 """
 
 import os
@@ -15,16 +14,9 @@ from hypothesis import strategies as st
 from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
-from repro.experiments.tracing import (
-    SharedTraces,
-    TraceStore,
-    amortized_workloads,
-    default_trace_dir,
-    load_or_record,
-    trace_key,
-    trace_mode,
-)
+from repro.experiments.tracing import SharedTraces, amortized_workloads
 from repro.pipeline.trace import record_trace
+from repro.settings import SettingsError, current
 from repro.workloads.registry import get_program
 
 SCALE = 0.02
@@ -41,83 +33,16 @@ def point(benchmark="m88ksim", configuration="baseline", depth=20,
 class TestKnobs:
     def test_trace_mode_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_mode() == "memory"
+        assert current().trace is True
         for off in ("0", "false", "no", "off", "OFF"):
             monkeypatch.setenv("REPRO_TRACE", off)
-            assert trace_mode() == "off"
+            assert current().trace is False
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace_mode() == "memory"
+        assert current().trace is True
+        # The on-disk trace store is gone: its mode is a typo now.
         monkeypatch.setenv("REPRO_TRACE", "disk")
-        assert trace_mode() == "disk"
-
-    def test_default_trace_dir_honours_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        assert default_trace_dir() == tmp_path
-
-    def test_trace_key_covers_workload_identity(self):
-        base = trace_key("m88ksim", SCALE, 1)
-        assert trace_key("m88ksim", SCALE, 1) == base  # stable
-        assert trace_key("compress", SCALE, 1) != base
-        assert trace_key("m88ksim", SCALE * 2, 1) != base
-        assert trace_key("m88ksim", SCALE, 2) != base
-        assert trace_key("m88ksim", SCALE, 1, max_instructions=10) != base
-
-    def test_trace_key_tracks_source_fingerprint(self, monkeypatch):
-        """Editing the simulator strands stale traces, like stale results."""
-        import repro.experiments.tracing as tracing_module
-
-        before = trace_key("m88ksim", SCALE, 1)
-        monkeypatch.setattr(tracing_module, "code_fingerprint",
-                            lambda: "deadbeef")
-        assert trace_key("m88ksim", SCALE, 1) != before
-
-
-class TestTraceStore:
-    def test_put_get_round_trip(self, tmp_path):
-        store = TraceStore(tmp_path)
-        program = get_program("m88ksim", scale=SCALE, seed=1)
-        trace = record_trace(program)
-        key = trace_key("m88ksim", SCALE, 1)
-        assert store.get(key) is None and store.misses == 1
-        store.put(key, trace)
-        assert key in store and len(store) == 1
-        loaded = store.get(key)
-        assert loaded is not None and store.hits == 1
-        assert loaded.pcs == trace.pcs and loaded.halted == trace.halted
-
-    def test_corrupt_entry_is_a_miss_and_rerecorded(self, tmp_path):
-        store = TraceStore(tmp_path)
-        key = trace_key("m88ksim", SCALE, 1)
-        store.directory.mkdir(parents=True, exist_ok=True)
-        (store.directory / f"{key}.trace").write_bytes(b"garbage")
-        assert store.get(key) is None
-        trace = load_or_record("m88ksim", SCALE, 1, store=store)
-        assert trace.length > 0
-        assert store.get(key) is not None  # overwritten with a good one
-
-    def test_stale_trace_under_colliding_key_is_rerecorded(self, tmp_path):
-        """A trace of the wrong program under a key (hand-copied file)
-        fails validation and is recomputed, not replayed."""
-        store = TraceStore(tmp_path)
-        key = trace_key("m88ksim", SCALE, 1)
-        store.put(key, record_trace(get_program("compress", scale=SCALE,
-                                                seed=1)))
-        trace = load_or_record("m88ksim", SCALE, 1, store=store)
-        assert trace.program_name == get_program(
-            "m88ksim", scale=SCALE, seed=1).name
-        assert store.get(key).program_name == trace.program_name
-
-    def test_malformed_key_rejected(self, tmp_path):
-        store = TraceStore(tmp_path)
-        with pytest.raises(ValueError):
-            store.get("../escape")
-
-    def test_clear_removes_entries(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.put(trace_key("m88ksim", SCALE, 1),
-                  record_trace(get_program("m88ksim", scale=SCALE, seed=1)))
-        assert store.clear() == 1
-        assert len(store) == 0
+        with pytest.raises(SettingsError, match="REPRO_TRACE"):
+            current()
 
 
 class TestSharedTraces:
@@ -166,7 +91,6 @@ class TestAmortizationRule:
     @pytest.mark.parametrize("mode,points,expected", [
         ("1", [point()], []),
         ("1", [point(), point(configuration="current")], [M88]),
-        ("disk", [point()], [M88]),
         ("0", [point(), point(configuration="current")], []),
         ("1", [point(speculation="wrongpath"),
                point(speculation="wrongpath")], []),
@@ -174,7 +98,7 @@ class TestAmortizationRule:
         ("1", [point(seed=1), point(seed=2)], []),
         ("1", [point(benchmark="li"), point(), point(benchmark="li"),
                point()], [("li", SCALE, 1), M88]),
-    ], ids=["single-memory", "shared-memory", "single-disk", "off",
+    ], ids=["single-memory", "shared-memory", "off",
             "wrongpath-only", "wrongpath-does-not-count",
             "seeds-are-distinct", "first-appearance-order"])
     def test_rule(self, monkeypatch, mode, points, expected):
@@ -194,7 +118,7 @@ class TestAmortizationRule:
                 return repr(self.identity).encode()
 
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setattr(tracing, "load_or_record",
+        monkeypatch.setattr(tracing, "record_workload",
                             lambda *identity: Blob(identity))
         batches = {
             "a": (point(), point(configuration="current")),
@@ -221,27 +145,6 @@ class TestExecutePointTraceArgument:
         trace = record_trace(program)
         assert (execute_point(point(), trace=trace)
                 == execute_point(point(), trace=False))
-
-
-class TestDiskMode:
-    def test_cold_single_point_records_then_replays(self, monkeypatch,
-                                                    tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        live = execute_point(point())
-        monkeypatch.setenv("REPRO_TRACE", "disk")
-        cold = execute_point(point())       # records into the store
-        store = TraceStore(tmp_path)
-        assert len(store) == 1
-        warm = execute_point(point())       # replays from the store
-        assert cold == live == warm
-
-    def test_disk_mode_key_isolation_by_seed(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE", "disk")
-        execute_point(point(seed=1))
-        execute_point(point(seed=2))
-        assert len(TraceStore(tmp_path)) == 2
 
 
 class TestGridEquality:

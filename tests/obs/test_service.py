@@ -138,6 +138,23 @@ class TestSerialLedger:
         # tail --no-follow renders what exists and exits.
         assert obs_main(["tail", str(run_dir), "--no-follow"]) == 0
 
+    def test_run_span_records_resolved_settings(self, tmp_path, monkeypatch,
+                                                reference_results, capsys):
+        """Provenance: the ledger alone says which knobs produced a run."""
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        results, run_dir = obs_run(tmp_path, monkeypatch,
+                                   backend=None, jobs=None)
+        assert results == reference_results
+        _, tree = load_tree(run_dir)
+        [run] = tree.find("run")
+        assert run.attrs["jobs"] == 1
+        assert run.attrs["obs"] is True
+        assert run.attrs["obs_dir"] == str(tmp_path / "obs")
+        assert obs_main(["summary", str(run_dir)]) == 0
+        settings_line = next(line for line in capsys.readouterr().out
+                             .splitlines() if line.startswith("settings:"))
+        assert "jobs=1" in settings_line.split()
+
     def test_cli_validate_flags_corruption(self, tmp_path, monkeypatch,
                                            reference_results, capsys):
         _, run_dir = obs_run(tmp_path, monkeypatch,
