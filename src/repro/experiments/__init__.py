@@ -4,26 +4,19 @@ Layered as an experiment service (see DESIGN.md §6 and §9):
 
 * :mod:`repro.experiments.plan`      — sweep expansion + content-hash keys;
 * :mod:`repro.experiments.scheduler` — plan execution + progress/caching;
-* :mod:`repro.experiments.backends`  — serial / local-pool / queue
-  execution backends (``REPRO_BACKEND``);
-* :mod:`repro.experiments.broker`    — the work-queue wire format and
-  filesystem broker behind the queue backend;
+* :mod:`repro.experiments.backends`  — serial / local-pool execution
+  backends (``REPRO_BACKEND``);
 * :mod:`repro.experiments.cache`     — persistent JSON result store;
+* :mod:`repro.experiments.aggregate` — the view model every figure and
+  table renders from;
 * :mod:`repro.experiments.runner`    — the plan->schedule->cache facade.
 """
 
 from repro.experiments.backends import (
     ExecutionBackend,
     LocalPoolBackend,
-    QueueBackend,
     SerialBackend,
     default_backend_name,
-)
-from repro.experiments.broker import (
-    FileBroker,
-    MessageError,
-    QueueError,
-    RemotePointError,
 )
 from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.figure5 import Figure5Data, run_figure5
@@ -69,13 +62,8 @@ __all__ = [
     "ExperimentPoint",
     "Figure5Data",
     "Figure6Data",
-    "FileBroker",
     "LocalPoolBackend",
-    "MessageError",
     "ProgressEvent",
-    "QueueBackend",
-    "QueueError",
-    "RemotePointError",
     "ResultCache",
     "SerialBackend",
     "arithmetic_mean",

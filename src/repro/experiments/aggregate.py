@@ -1,9 +1,8 @@
-"""Streaming aggregation tier: per-point materialized views (DESIGN.md §14).
+"""The view model: every figure and table as a pure function of results.
 
-The figures and tables used to exist only *after* a grid drained — a
-multi-hour sweep had no readable intermediate state.  This module turns
-the scheduler's per-point progress/result stream into **materialized
-views** updated as each point lands, on every backend:
+The scheduler's per-point result stream feeds a :class:`ViewAggregator`
+sink (DESIGN.md §14), which builds these **views** once the run is
+over:
 
 * ``figure5``   — load-branch fraction per (benchmark, depth) and the
   calculated-vs-load accuracy split (paper Figure 5);
@@ -17,38 +16,33 @@ views** updated as each point lands, on every backend:
   sources, the ``trace_source``/``kernel_source`` mix, and per-phase
   timing rollups from ``phase_seconds``.
 
-**Copy-on-write snapshots.**  Every applied event rebuilds the view
-bodies from the accumulated per-point cells and publishes a fresh
-immutable :class:`ViewSnapshot` with a monotonically increasing
-version; readers (the :mod:`repro.serve` HTTP/SSE front end, or any
-thread holding a reference) only ever touch a fully-built snapshot —
-never a half-applied point.
+:class:`~repro.experiments.figure5.Figure5Data` and
+:class:`~repro.experiments.figure6.Figure6Data` render from the same
+views, so each normalization and mean is computed in one place.
 
 **The view-identity invariant.**  The data views are *pure functions of
 the final result set*: per-point scalars are stored in cells keyed by
 the point's canonical identity, and every derived aggregate (means,
-normalizations, table rows) is recomputed over the cells **in sorted
-cell order** at snapshot-build time.  Arrival order therefore cannot
-leak into the bytes — not even through float-summation order — so a
-live-attached aggregator converges to views byte-identical to
-:func:`build_views` run post-hoc over the finished results, across
-serial/local/queue backends, under chaos schedules, and across a
-SIGKILL + ``REPRO_MANIFEST`` resume (gated in
-``tests/experiments/test_aggregate.py`` and CI's serve-smoke job).
-Duplicate deliveries (requeued batches, manifest replays) are deduped
-on the cell key; results are bit-identical per the standing invariant,
-so first-wins is exact.  The ``status`` view describes the *run*, not
-the results, and is excluded from the identity set.
+normalizations, table rows) is computed over the cells **in sorted
+cell order**.  Arrival order therefore cannot leak into the bytes — not
+even through float-summation order — so a sink attached to a run yields
+views byte-identical to :func:`build_views` run post-hoc over the
+finished results, on both backends, under seeded write faults, and
+across a SIGKILL + ``REPRO_MANIFEST`` resume (gated in
+``tests/experiments/test_aggregate.py`` and ``test_faults.py``).
+Duplicate deliveries are deduped on the cell key; results are
+bit-identical per the standing invariant, so first-wins is exact.  The
+``status`` view describes the *run*, not the results, and is excluded
+from the identity set.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro import obs, settings
+from repro import obs
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.report import (
     SPECULATION_HEADERS,
@@ -65,14 +59,13 @@ __all__ = [
     "build_views",
     "canonical_json",
     "identity_json",
-    "views_from_env",
 ]
 
 #: Views covered by the bit-for-bit view-identity invariant: pure
 #: functions of the delivered result set.
 IDENTITY_VIEWS = ("figure5", "figure6", "speculation", "benchmarks")
 
-#: Every maintainable view; ``status`` is live-run metadata (sources,
+#: Every view a sink builds; ``status`` is live-run metadata (sources,
 #: timing rollups, failure counts) and deliberately outside the
 #: identity set.
 ALL_VIEWS = IDENTITY_VIEWS + ("status",)
@@ -83,49 +76,19 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def views_from_env() -> "tuple[str, ...] | None":
-    """``REPRO_VIEWS`` -> view selection, or None for all.
-
-    A comma-separated subset of :data:`ALL_VIEWS` (unset or ``all``
-    keeps every view).  Unknown names are a hard error — a typo that
-    silently dropped a view would look like an empty run.
-    """
-    raw = settings.current().views
-    if not raw or raw.lower() == "all":
-        return None
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    unknown = sorted(set(names) - set(ALL_VIEWS))
-    if unknown:
-        raise ValueError(
-            f"unknown REPRO_VIEWS entr{'ies' if len(unknown) > 1 else 'y'} "
-            f"{unknown}; expected a comma-separated subset of "
-            f"{list(ALL_VIEWS)}")
-    return names
-
-
 @dataclass(frozen=True)
 class ViewSnapshot:
-    """One immutable, fully-applied state of every maintained view.
+    """Every view, built from one state of the aggregator.
 
-    ``views`` maps view name -> JSON-ready body.  Snapshots are built
-    copy-on-write: the aggregator never mutates a published snapshot's
-    bodies, so readers may hold one indefinitely without locking.
+    ``views`` maps view name -> JSON-ready body; ``done`` is True once
+    the producing run marked itself complete.
     """
 
-    version: int
     views: Mapping[str, Any]
-    #: View names whose bytes changed vs. the previous version.
-    changed: tuple[str, ...] = ()
-    #: True once the producing run marked itself complete.
     done: bool = False
 
     def to_json(self) -> str:
-        return canonical_json({
-            "version": self.version, "done": self.done,
-            "views": self.views})
-
-    def view_json(self, name: str) -> str:
-        return canonical_json(self.views[name])
+        return canonical_json({"done": self.done, "views": self.views})
 
 
 def identity_json(snapshot: ViewSnapshot) -> str:
@@ -140,8 +103,8 @@ def _cell_id(point: ExperimentPoint) -> str:
 
     Content-addressed from ``to_dict`` (not :func:`~repro.experiments.
     plan.point_key`, which folds in the source fingerprint): stable
-    across processes, so a served run and an in-process post-hoc build
-    key their cells identically.
+    across processes, so a live sink and a post-hoc build key their
+    cells identically.
     """
     return canonical_json(point.to_dict())
 
@@ -187,10 +150,9 @@ def _figure5_view(cells) -> dict:
 def _figure6_view(cells) -> dict:
     """Figure 6 series: accuracy + normalized IPC per depth.
 
-    ``normalized_ipc`` appears once a benchmark's ``baseline`` cell has
-    landed (None until then — a live reader sees the view *grow toward*
-    the final figure, never a wrong number); the per-depth
-    ``mean_normalized_ipc`` averages only fully-normalizable cells.
+    ``normalized_ipc`` is None for a benchmark with no ``baseline``
+    cell at that depth; the per-depth ``mean_normalized_ipc`` averages
+    only normalizable cells, in sorted-benchmark order.
     """
     depths: dict[str, dict[str, dict[str, dict]]] = {}
     for _, (point, result) in _sorted_cells(cells):
@@ -274,24 +236,18 @@ _BUILDERS: dict[str, Callable] = {
 
 
 class ViewAggregator:
-    """Incremental materialized views over the scheduler's event stream.
+    """A run's result sink that builds the views once, when it is done.
 
-    The scheduler-facing half of the streaming tier: attach one as
-    ``run_plan(..., sink=aggregator)`` (or let ``REPRO_SERVE`` do it)
-    and it consumes the per-point stream — ``on_plan`` once,
-    ``on_progress`` per :class:`~repro.experiments.scheduler.
-    ProgressEvent`, ``on_result`` per delivered result (backend
-    deliveries, cache hits and manifest replays alike; duplicates are
-    deduped on the point's canonical cell id), ``on_failure`` for final
-    failures — and republishes an immutable :class:`ViewSnapshot` after
-    each applied event.
-
-    Thread model: mutators are serialized by an internal lock (the
-    scheduler calls them from one thread anyway); :meth:`snapshot` is a
-    single attribute read of an immutable object, safe from any thread
-    with no lock.  ``subscribe`` callbacks fire under the lock, in
-    version order — keep them cheap and non-reentrant (the HTTP server
-    just trampolines the delta onto its event loop).
+    Attach one as ``run_plan(..., sink=aggregator)``: it consumes the
+    per-point stream — ``on_plan`` once, ``on_progress`` per
+    :class:`~repro.experiments.scheduler.ProgressEvent`, ``on_result``
+    per delivered result (backend deliveries, cache hits and manifest
+    replays alike; duplicates are deduped on the point's canonical cell
+    id), ``on_failure`` for final failures.  :meth:`mark_done` builds
+    the views; a :meth:`snapshot` taken before that builds them from
+    what has landed so far.  Both backends call the sink from the
+    scheduler's thread.  ``views`` names the views to build (default
+    :data:`ALL_VIEWS`); an unknown name raises ``ValueError``.
     """
 
     def __init__(self, *, views: "Iterable[str] | None" = None) -> None:
@@ -301,7 +257,6 @@ class ViewAggregator:
             raise ValueError(f"unknown view(s) {unknown}; expected a "
                              f"subset of {list(ALL_VIEWS)}")
         self._views = selected
-        self._lock = threading.RLock()
         self._cells: dict[str, tuple[ExperimentPoint, SimulationResult]] = {}
         self._cell_meta: dict[str, dict] = {}
         self._sources: dict[str, int] = {}
@@ -310,93 +265,69 @@ class ViewAggregator:
         self._ticked: set[str] = set()
         self._lower_ticks = 0
         self._done = False
-        self._rendered: dict[str, str] = {}
-        self._subscribers: list[Callable[[dict], None]] = []
+        self._snapshot: "ViewSnapshot | None" = None
         self.duplicates = 0
-        self._snapshot = ViewSnapshot(version=0, views=self._build_views())
 
     # -- scheduler protocol --------------------------------------------------
 
     def on_plan(self, plan, keys: Mapping[ExperimentPoint, str]) -> None:
         """A run over ``plan`` is starting (idempotent across resumes)."""
-        with self._lock:
-            self._total = len(plan)
-            self._publish()
+        self._total = len(plan)
+        self._snapshot = None
 
     def on_progress(self, event) -> None:
         """One scheduler ProgressEvent (``phase`` "point" or "lower")."""
-        with self._lock:
-            if event.phase == "lower":
-                self._lower_ticks += 1
-            else:
-                self._ticked.add(event.key)
-            self._publish()
+        if event.phase == "lower":
+            self._lower_ticks += 1
+        else:
+            self._ticked.add(event.key)
+        self._snapshot = None
 
     def on_result(self, point: ExperimentPoint, key: "str | None",
                   result: SimulationResult, *, source: str = "unknown",
                   meta: "dict | None" = None) -> None:
-        """A point's result landed (at-least-once; first delivery wins)."""
-        with self._lock:
-            cell = _cell_id(point)
-            if cell in self._cells:
-                self.duplicates += 1
-                return
-            self._cells[cell] = (point, result)
-            if meta:
-                self._cell_meta[cell] = meta
-            self._sources[source] = self._sources.get(source, 0) + 1
-            self._publish()
+        """A point's result landed (first delivery wins)."""
+        cell = _cell_id(point)
+        if cell in self._cells:
+            self.duplicates += 1
+            return
+        self._cells[cell] = (point, result)
+        if meta:
+            self._cell_meta[cell] = meta
+        self._sources[source] = self._sources.get(source, 0) + 1
+        self._snapshot = None
 
     def on_failure(self, point: "ExperimentPoint | None",
                    key: "str | None", error: Exception) -> None:
         """A point (or whole batch, ``point=None``) finally failed."""
-        with self._lock:
-            self._failures.append({
-                "point": point.to_dict() if point is not None else None,
-                "error": f"{type(error).__name__}: {error}",
-            })
-            self._publish()
+        self._failures.append({
+            "point": point.to_dict() if point is not None else None,
+            "error": f"{type(error).__name__}: {error}",
+        })
+        self._snapshot = None
 
     def mark_done(self) -> None:
-        """The producing run is over; the current snapshot is final."""
-        with self._lock:
-            if not self._done:
-                self._done = True
-                self._publish()
+        """The producing run is over: build the final views."""
+        self._done = True
+        self._snapshot = self._build()
 
     # -- read side -----------------------------------------------------------
 
     def snapshot(self) -> ViewSnapshot:
-        """The latest fully-applied snapshot (lock-free, any thread)."""
+        """The views over every event applied so far."""
+        if self._snapshot is None:
+            self._snapshot = self._build()
         return self._snapshot
-
-    def subscribe(self, callback: Callable[[dict], None]):
-        """Register a delta callback; returns an unsubscribe callable.
-
-        Each delta is ``{"version", "changed", "views": {changed-name:
-        body}, "done"}`` — a reader holding snapshot ``v`` reconstructs
-        ``v+1`` by replacing the changed views wholesale (the SSE
-        protocol, DESIGN.md §14).
-        """
-        with self._lock:
-            self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                if callback in self._subscribers:
-                    self._subscribers.remove(callback)
-        return unsubscribe
 
     # -- internals -----------------------------------------------------------
 
-    def _build_views(self) -> dict[str, Any]:
-        views: dict[str, Any] = {}
-        for name in self._views:
-            if name == "status":
-                views[name] = self._status_view()
-            else:
-                views[name] = _BUILDERS[name](self._cells)
-        return views
+    def _build(self) -> ViewSnapshot:
+        with obs.span("views", kind="view",
+                      attrs={"results": len(self._cells)}):
+            views = {name: self._status_view() if name == "status"
+                     else _BUILDERS[name](self._cells)
+                     for name in self._views}
+        return ViewSnapshot(views=views, done=self._done)
 
     def _status_view(self) -> dict:
         trace_mix: dict[str, int] = {}
@@ -433,46 +364,17 @@ class ViewAggregator:
             "complete": self._done,
         }
 
-    def _publish(self) -> None:
-        """Rebuild, diff, and swap in a fresh snapshot (caller holds lock)."""
-        previous = self._snapshot
-        with obs.span("view_update", kind="view", attrs={
-                "results": len(self._cells),
-                "version": previous.version + 1}):
-            views = self._build_views()
-        rendered = {name: canonical_json(body)
-                    for name, body in views.items()}
-        changed = tuple(sorted(
-            name for name, body in rendered.items()
-            if self._rendered.get(name) != body))
-        if not changed and previous.done == self._done \
-                and previous.version > 0:
-            return  # byte-identical: publishing would be a no-op delta
-        self._rendered = rendered
-        snapshot = ViewSnapshot(
-            version=previous.version + 1, views=views,
-            changed=changed, done=self._done)
-        self._snapshot = snapshot
-        obs.inc("views_updated_total", value=max(len(changed), 1))
-        delta = {
-            "version": snapshot.version,
-            "changed": list(changed),
-            "views": {name: views[name] for name in changed},
-            "done": snapshot.done,
-        }
-        for callback in list(self._subscribers):
-            callback(delta)
-
 
 def build_views(results: Mapping[ExperimentPoint, SimulationResult], *,
                 views: "Iterable[str] | None" = None) -> ViewSnapshot:
     """Post-hoc view construction — the invariant's reference side.
 
     Feeds a finished ``{point: result}`` mapping (``run_plan``'s return
-    shape) through a fresh aggregator.  A live-attached aggregator's
+    shape) through a fresh aggregator.  A run-attached aggregator's
     identity views must equal this function's output byte-for-byte
     (:func:`identity_json`); the ``status`` view will differ — it
     describes the run that produced the results, and this one had none.
+    ``views`` selects a subset, as for :class:`ViewAggregator`.
     """
     aggregator = ViewAggregator(views=views)
     for point, result in results.items():

@@ -10,9 +10,10 @@ Robustness rules:
 
 * a corrupted, truncated or schema-mismatched cache file is treated as a
   miss (and the point recomputed) — never an error; since format 2 every
-  entry carries a SHA-256 digest of its result payload, so even a
-  single flipped bit that still parses as JSON is detected as a miss
-  rather than replayed as a silently different result;
+  entry carries a SHA-256 digest of its result payload, and a hit must
+  be byte-for-byte the file ``put`` writes for its key, so every single
+  flipped bit — even one that still parses to an equal result, such as
+  an exponent's ``e`` turned ``E`` — is a miss;
 * writes are atomic and durable (temp file + fsync + ``os.replace`` via
   :mod:`repro.faults.fsio`; ``REPRO_FSYNC=0`` drops the fsync) so a
   crashed run — or a crashed *host* — cannot leave a half-written entry
@@ -44,6 +45,14 @@ def _result_digest(result_dict: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _encode(key: str, result_dict: dict) -> bytes:
+    """The one byte form of an entry: what ``put`` writes and ``get``
+    accepts."""
+    return json.dumps({"format": CACHE_FORMAT_VERSION, "key": key,
+                       "result": result_dict,
+                       "sha256": _result_digest(result_dict)}).encode()
+
+
 class ResultCache:
     """Content-addressed JSON store of simulation results."""
 
@@ -62,12 +71,11 @@ class ResultCache:
         """Load a cached result; any malformed entry is a miss."""
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("format") != CACHE_FORMAT_VERSION:
-                raise ValueError("cache format mismatch")
-            if payload.get("sha256") != _result_digest(payload["result"]):
-                raise ValueError("cache entry digest mismatch")
-            result = SimulationResult.from_dict(payload["result"])
+            raw = path.read_bytes()
+            result_dict = json.loads(raw)["result"]
+            if raw != _encode(key, result_dict):
+                raise ValueError("cache entry is not the bytes put wrote")
+            result = SimulationResult.from_dict(result_dict)
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.misses += 1
             return None
@@ -78,11 +86,7 @@ class ResultCache:
         """Atomically and durably persist one result under its point key."""
         path = self._path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        result_dict = result.to_dict()
-        payload = {"format": CACHE_FORMAT_VERSION, "key": key,
-                   "result": result_dict,
-                   "sha256": _result_digest(result_dict)}
-        fsio.atomic_write_bytes(path, json.dumps(payload).encode(),
+        fsio.atomic_write_bytes(path, _encode(key, result.to_dict()),
                                 site="cache.put")
 
     def __contains__(self, key: str) -> bool:

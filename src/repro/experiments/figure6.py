@@ -7,43 +7,48 @@ For each pipeline depth (20/40/60), the paper plots per benchmark:
 * (b,d,f) IPC normalized to the two-level baseline, with the suite
   average as the headline (paper: +12.6% at 20 stages for current value,
   +15.6% at 60 stages).
+
+Every series and mean is read from the ``figure6`` view
+(:mod:`repro.experiments.aggregate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.experiments.aggregate import build_views
 from repro.experiments.cache import ResultCache
-from repro.experiments.report import arithmetic_mean, format_table
-from repro.experiments.runner import CONFIGURATIONS, run_suite
-from repro.experiments.scheduler import ProgressCallback
-from repro.pipeline.stats import SimulationResult
+from repro.experiments.plan import build_plan
+from repro.experiments.report import format_table
+from repro.experiments.runner import CONFIGURATIONS
+from repro.experiments.scheduler import ProgressCallback, run_plan
 from repro.workloads.registry import BENCHMARKS
 
 
 @dataclass
 class Figure6Data:
+    """One depth of Figure 6 over a ``figure6`` view body."""
+
     depth: int
-    results: dict[tuple[str, str], SimulationResult] = field(
-        default_factory=dict)
+    view: dict
 
     # -- series ------------------------------------------------------------
 
+    def _cells(self) -> dict:
+        return self.view["depths"][str(self.depth)]
+
     def accuracy(self, benchmark: str, configuration: str) -> float:
-        return self.results[(benchmark, configuration)].prediction_accuracy
+        return self._cells()[benchmark][configuration]["accuracy"]
 
     def normalized_ipc(self, benchmark: str, configuration: str) -> float:
-        base = self.results[(benchmark, "baseline")].ipc
-        return self.results[(benchmark, configuration)].ipc / base
+        return self._cells()[benchmark][configuration]["normalized_ipc"]
 
     def benchmarks(self) -> list[str]:
-        return sorted({bench for bench, _ in self.results})
+        return sorted(self._cells())
 
     def mean_normalized_ipc(self, configuration: str) -> float:
-        return arithmetic_mean([
-            self.normalized_ipc(bench, configuration)
-            for bench in self.benchmarks()
-        ])
+        return self.view["mean_normalized_ipc"][str(self.depth)][
+            configuration]
 
     def mean_ipc_gain_percent(self, configuration: str) -> float:
         return 100.0 * (self.mean_normalized_ipc(configuration) - 1.0)
@@ -88,10 +93,9 @@ def run_figure6(depth: int, *, scale: float | None = None,
                 use_cache: bool = True,
                 progress: ProgressCallback | None = None,
                 sink=None) -> Figure6Data:
-    grid = run_suite(configurations, depths=(depth,), benchmarks=benchmarks,
-                     scale=scale, warmup=warmup, jobs=jobs, cache=cache,
-                     use_cache=use_cache, progress=progress, sink=sink)
-    data = Figure6Data(depth=depth)
-    for (benchmark, configuration, _), result in grid.items():
-        data.results[(benchmark, configuration)] = result
-    return data
+    plan = build_plan(configurations, (depth,), benchmarks, scale=scale,
+                      warmup=warmup)
+    results = run_plan(plan, jobs=jobs, cache=cache, use_cache=use_cache,
+                       progress=progress, sink=sink)
+    view = build_views(results, views=("figure6",)).views["figure6"]
+    return Figure6Data(depth, view)

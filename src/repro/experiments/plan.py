@@ -55,11 +55,9 @@ def code_fingerprint() -> str:
         rel = path.relative_to(root)
         if rel.parts[0] == "experiments" and rel.name != "runner.py":
             continue
-        if rel.parts in (("worker.py",), ("serve.py",), ("settings.py",)):
-            # Harness, not simulator: the queue worker entrypoint
-            # funnels into the same execute_point as every other path,
-            # the view server only reads results, and the knob parser
-            # only hands values to them.  None can change what a point
+        if rel.parts == ("settings.py",):
+            # Harness, not simulator: the knob parser only hands values
+            # to the layers above; it cannot change what a point
             # computes (the outcome-affecting knobs are in the key).
             continue
         if rel.parts[0] == "obs":
@@ -131,7 +129,7 @@ class ExperimentPoint:
         return (self.benchmark, self.configuration, self.pipeline_depth)
 
     def to_dict(self) -> dict:
-        """Lossless JSON-safe form (the queue backend's wire shape)."""
+        """Lossless JSON-safe form (view cell ids, deadletter records)."""
         arvi = self.arvi_config
         return {
             "benchmark": self.benchmark,

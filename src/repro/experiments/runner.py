@@ -118,7 +118,7 @@ def _execute_phases(point: ExperimentPoint,
 
     Each phase (``lower`` / ``replay`` / ``live``; ``record`` lives in
     :func:`~repro.experiments.tracing.record_workload`) is wall-clock
-    timed into ``phase_seconds`` unconditionally — the live-view status
+    timed into ``phase_seconds`` unconditionally — the ``status`` view
     reports them — and wrapped in a ledger span when telemetry is on.
     """
     program = get_program(point.benchmark, scale=point.scale,
@@ -225,15 +225,13 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     ``batch=None`` (or ``True``) simulates same-benchmark points in
     per-worker batches that share one program build; ``batch=False``
     submits one point per task (results are identical either way).
-    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local`` |
-    ``queue``; see :mod:`repro.experiments.backends`) — results are
-    bit-for-bit equal on every backend.  ``manifest=None`` honours
+    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local``;
+    see :mod:`repro.experiments.backends`) — results are bit-for-bit
+    equal on both backends.  ``manifest=None`` honours
     ``REPRO_MANIFEST`` (crash-safe resumable runs; see :func:`run_plan`).
-    ``sink`` is an optional live-view aggregator (see
+    ``sink`` is an optional view aggregator (see
     :mod:`repro.experiments.aggregate`) fed every progress tick and
-    per-point result as the grid runs; ``sink=None`` honours
-    ``REPRO_SERVE`` (serve the views over HTTP/SSE for the duration of
-    the run; see :mod:`repro.serve`).
+    per-point result as the grid runs.
     """
     plan = build_plan(configurations, depths, benchmarks, scale=scale,
                       warmup=warmup, seed=seed, arvi_config=arvi_config,

@@ -3,14 +3,13 @@
 :func:`run_plan` takes an :class:`~repro.experiments.plan.ExperimentPlan`
 and executes every point that is not already in the result cache.  The
 *where* is delegated to an :class:`~repro.experiments.backends.
-ExecutionBackend` — in-process (``serial``), a local
-``ProcessPoolExecutor`` (``local``), or a distributed work queue drained
-by ``python -m repro.worker`` processes (``queue``) — selected via
-``REPRO_BACKEND`` or the ``backend=`` argument; unset keeps the
-historical behaviour (``REPRO_JOBS=1`` runs serially, more workers use
-the local pool).  Point keys, cache bytes and progress events are
-identical on every backend, so the result cache and per-point progress
-ticks are backend-agnostic.
+ExecutionBackend` — in-process (``serial``) or a local
+``ProcessPoolExecutor`` (``local``) — selected via ``REPRO_BACKEND`` or
+the ``backend=`` argument; unset keeps the historical behaviour
+(``REPRO_JOBS=1`` runs serially, more workers use the local pool).
+Point keys, cache bytes and progress events are identical on both
+backends, so the result cache and per-point progress ticks are
+backend-agnostic.
 
 **In-worker batching** (default on): pending points are
 grouped by workload identity — ``(benchmark, scale, seed)``, the
@@ -26,44 +25,36 @@ one-point-per-task submission.
 **Trace sharing** (``REPRO_TRACE``, default on; DESIGN.md §8): within a
 batch — and across a serial sweep — the ``redirect`` points of one
 workload identity share a single recorded committed-instruction trace
-(:mod:`repro.experiments.tracing`); the queue backend additionally
-*ships* the serialized trace inside each job, so a whole cluster shares
-one functional run per workload.  ``wrongpath`` points keep the live
-core.
+(:mod:`repro.experiments.tracing`).  ``wrongpath`` points keep the
+live core.
 
 Determinism: every point is an independent, fully seeded simulation, and
-every result — computed serially, in a pool worker, on a queue worker,
-replayed from a shared or shipped trace, or replayed from the cache —
-passes through the same ``SimulationResult.to_dict``/``from_dict`` round
-trip, so the returned objects are bit-for-bit equal (``==``) no matter
-which path produced them (enforced by the cross-backend differential
-suite).
+every result — computed serially, in a pool worker, replayed from a
+shared trace, or replayed from the cache — passes through the same
+``SimulationResult.to_dict``/``from_dict`` round trip, so the returned
+objects are bit-for-bit equal (``==``) no matter which path produced
+them (enforced by the cross-backend differential suite).
 
 Progress is streamed through an optional callback receiving one
 :class:`ProgressEvent` per completed point, in completion order (plus
 one ``phase="lower"`` event when a batch pays the one-time kernel
-trace-lowering cost, so the first point never looks stalled).
-Backends may report a point more than once (a queue batch that is
-retried after a worker crash re-runs from its start); the scheduler
-dedupes, so the callback still sees exactly one event per point with a
-monotone ``completed`` counter and stable batch metadata.  Failures are
-collected per point and the first one is raised once the grid has
-drained — completed siblings always reach the cache first.
+trace-lowering cost, so the first point never looks stalled), with a
+monotone ``completed`` counter; a point a backend reports twice still
+yields one event.  Failures are collected per point and
+the first one is raised once the grid has drained — completed siblings
+always reach the cache first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs, settings
 from repro.experiments.backends import (
-    BackendUnavailable,
     ExecutionBackend,
     _make_batches,
-    degrade_target,
     resolve_backend,
 )
 from repro.experiments.cache import ResultCache, default_cache
@@ -94,7 +85,6 @@ class ProgressEvent:
     completed: int            # points done so far (including this one)
     total: int                # points in the plan
     source: str               # "cache" | "manifest" | "serial" | "worker"
-                              # | "queue"
     elapsed: float            # seconds since run_plan started
     batch_id: str | None = None   # worker batch the point travelled in
     batch_size: int = 1           # points in that batch
@@ -106,7 +96,7 @@ class ProgressEvent:
     #: with the monotonic ``elapsed`` for cross-process correlation.
     timestamp: float = 0.0
     #: Seconds this point's simulation took, when the producing backend
-    #: measured it (serial always; pool/queue workers ship it with their
+    #: measured it (serial always; pool workers ship it with their
     #: progress ticks).  None for cache hits and lower pseudo-events.
     duration: float | None = None
 
@@ -119,9 +109,9 @@ class _PlanReport:
 
     Translates backend callbacks into cache writes, progress events and
     collected failures.  Ticks are deduplicated on (batch, index): a
-    retried queue batch re-executes points whose ticks already streamed,
-    and the callback must still see exactly one event per point with a
-    monotone ``completed`` counter (the double-tick fix).
+    backend that re-runs a batch from its start may re-report points
+    whose ticks already streamed, and the callback must still see
+    exactly one event per point with a monotone ``completed`` counter.
     """
 
     def __init__(self, batches: dict[str, tuple[ExperimentPoint, ...]],
@@ -180,8 +170,8 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     force recomputation without touching any store.  ``batch=None``
     (or ``True``) sends same-benchmark points to workers in batches;
     ``batch=False`` submits one point per task.
-    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local`` |
-    ``queue``; unset = serial for one worker, local pool otherwise); it
+    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local``;
+    unset = serial for one worker, local pool otherwise); it
     also accepts a configured :class:`~repro.experiments.backends.
     ExecutionBackend` instance.  ``manifest=None`` honours
     ``REPRO_MANIFEST`` (default off); a directory path or ``True``
@@ -191,16 +181,13 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     the remainder, converging to bit-identical results
     (:mod:`repro.faults.manifest`).
 
-    ``sink`` attaches a live-view aggregator (duck-typed; see
+    ``sink`` attaches a view aggregator (duck-typed; see
     :class:`~repro.experiments.aggregate.ViewAggregator`): it receives
-    every :class:`ProgressEvent` (``on_progress``), every delivered
-    result — backend deliveries, cache hits and manifest replays alike
-    (``on_result``) — and the final failure list (``on_failure``), so
-    its materialized views converge to the same bytes post-hoc
-    construction yields.  ``sink=None`` honours ``REPRO_SERVE``
-    (default off): when set, the plan runs with an aggregator plus an
-    HTTP/SSE view server (:mod:`repro.serve`) attached for its
-    duration.
+    the plan (``on_plan``), every :class:`ProgressEvent`
+    (``on_progress``), every delivered result — backend deliveries,
+    cache hits and manifest replays alike (``on_result``) — and the
+    final failure list (``on_failure``), so its views equal the bytes
+    post-hoc construction yields.
     """
     knobs = settings.current()
     telemetry = None
@@ -210,32 +197,13 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
         telemetry = obs.start_run(label="plan")
     try:
         with obs.span("plan", kind="plan", attrs={"points": len(plan)}):
-            with _resolve_sink(sink, knobs.serve) as live_sink:
-                return _run_plan(plan, knobs, jobs=jobs, cache=cache,
-                                 use_cache=use_cache, progress=progress,
-                                 batch=batch, backend=backend,
-                                 manifest=manifest, sink=live_sink)
+            return _run_plan(plan, knobs, jobs=jobs, cache=cache,
+                             use_cache=use_cache, progress=progress,
+                             batch=batch, backend=backend,
+                             manifest=manifest, sink=sink)
     finally:
         if telemetry is not None:
             obs.close_run(telemetry)
-
-
-def _resolve_sink(sink, serving: bool):
-    """The live-view sink context for one run_plan call.
-
-    An explicit sink is used as-is (its owner manages any server and
-    its lifetime).  With no sink, ``REPRO_SERVE`` wires up the full
-    streaming tier for the duration of the plan: a
-    :class:`~repro.experiments.aggregate.ViewAggregator` plus a
-    :class:`~repro.serve.ViewServer` on ``REPRO_SERVE_PORT``.  Imported
-    lazily so the scheduler never pays for (or circularly imports) the
-    serving tier unless it is actually on.
-    """
-    if sink is not None or not serving:
-        return contextlib.nullcontext(sink)
-    from repro import serve
-
-    return serve.autoserve()
 
 
 def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
@@ -252,20 +220,12 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
     keys = {point: point_key(point) for point in plan}
     results: dict[ExperimentPoint, SimulationResult] = {}
     done = 0
-    # Per-point event dedupe across *backend attempts*: when a backend
-    # degrades mid-grid, a point that ticked in the aborted attempt but
-    # re-runs under the fallback must not advance ``completed`` twice
-    # (per-report tick dedupe can't see across reports).
-    emitted: set[str] = set()
 
     def emit(point: ExperimentPoint, source: str,
              batch_id: str | None = None, batch_size: int = 1,
              phase: str = "point", duration: float | None = None) -> None:
         nonlocal done
         if phase == "point":
-            if keys[point] in emitted:
-                return
-            emitted.add(keys[point])
             done += 1
         attrs = {"benchmark": point.benchmark,
                  "configuration": point.configuration,
@@ -322,19 +282,17 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
             else:
                 pending.append(point)
 
-        def deliver(point: ExperimentPoint, payload: dict,
-                    meta: dict | None = None) -> None:
-            results[point] = _finish(point, payload, keys, cache)
-            if store is not None:
-                store.record(keys[point], payload)
-            sink_result(point, engine.source, results[point], meta)
+        if pending:
+            engine = resolve_backend(backend, jobs=jobs,
+                                     pending=len(pending))
 
-        report: _PlanReport | None = None
-        engine = None
-        while pending:
-            if engine is None:
-                engine = resolve_backend(backend, jobs=jobs,
-                                         pending=len(pending))
+            def deliver(point: ExperimentPoint, payload: dict,
+                        meta: dict | None = None) -> None:
+                results[point] = _finish(point, payload, keys, cache)
+                if store is not None:
+                    store.record(keys[point], payload)
+                sink_result(point, engine.source, results[point], meta)
+
             batches = (_make_batches(pending, jobs) if batch
                        else [(point,) for point in pending])
             groups = {f"batch-{index}": group
@@ -343,52 +301,33 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
                                  wants_ticks=(progress is not None
                                               or sink is not None
                                               or obs.current() is not None))
-            try:
-                engine.execute(groups, report, jobs=jobs)
-                break
-            except BackendUnavailable as exc:
-                fallback = degrade_target(engine) if knobs.degrade \
-                    else None
-                if fallback is None:
-                    raise
-                obs.inc("backend.degrade")
-                obs.emit("degrade", kind="backend", attrs={
-                    "from": engine.name, "to": fallback.name,
-                    "reason": str(exc)[:300]})
-                engine = fallback
-                # Whatever the failed attempt already delivered stays
-                # delivered; only the remainder moves down the ladder.
-                # Its collected failures are attempt artifacts (the
-                # fallback re-runs those points), so the report resets.
-                pending = [p for p in pending if p not in results]
-                report = None
-
-        if report is not None and report.failure is not None:
-            if sink is not None:
-                # Final failures only: a degraded attempt's failures are
-                # attempt artifacts (the fallback re-ran those points),
-                # so the sink sees exactly what the caller is about to.
-                for failed_point, error in report.failures:
-                    sink.on_failure(
-                        failed_point,
-                        keys.get(failed_point) if failed_point is not None
-                        else None,
-                        error)
-            quarantined = _quarantine(report.failures, keys,
-                                      knobs.deadletter_dir) \
-                if knobs.deadletter else None
-            if quarantined is not None:
-                report.failure.add_note(
-                    f"{len(report.failures)} failed point(s) quarantined "
-                    f"to {quarantined} (inspect with `python -m repro.obs "
-                    f"deadletter`)")
-            raise report.failure
+            engine.execute(groups, report, jobs=jobs)
+            if report.failure is not None:
+                _raise_failures(report, keys, knobs, sink)
     finally:
         if store is not None:
             store.close()
 
     # Return in plan order regardless of completion order.
     return {point: results[point] for point in plan}
+
+
+def _raise_failures(report: _PlanReport, keys, knobs: settings.Settings,
+                    sink) -> None:
+    """Hand the drained grid's failures to the sink and the deadletter
+    store, then raise the first one."""
+    if sink is not None:
+        for point, error in report.failures:
+            sink.on_failure(point, keys.get(point) if point is not None
+                            else None, error)
+    quarantined = _quarantine(report.failures, keys, knobs.deadletter_dir) \
+        if knobs.deadletter else None
+    if quarantined is not None:
+        report.failure.add_note(
+            f"{len(report.failures)} failed point(s) quarantined to "
+            f"{quarantined} (inspect with `python -m repro.obs "
+            f"deadletter`)")
+    raise report.failure
 
 
 def _quarantine(failures, keys, directory) -> "str | None":
@@ -408,7 +347,6 @@ def _quarantine(failures, keys, directory) -> "str | None":
                 "key": keys.get(point) if point is not None else None,
                 "error": {"type": type(error).__name__,
                           "message": str(error)},
-                "history": list(getattr(error, "history", ())),
                 "notes": list(getattr(error, "__notes__", ())),
             })
     except OSError:

@@ -13,8 +13,7 @@ experiment service uses them:
   identity (benchmark, scale, seed).  Wrong-path points always keep the
   live core — wrong-path synthesis reads live architectural state.
 * :class:`SharedTraces` — the per-batch/per-sweep pool that applies the
-  rule locally; the queue backend applies the same rule to decide which
-  traces to record parent-side and ship.
+  rule.
 
 A redirect point with a trace replays through the compiled kernel
 (:mod:`repro.pipeline.kernel`); without one it runs on the live engine.

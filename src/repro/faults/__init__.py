@@ -3,18 +3,16 @@
 Four small modules (DESIGN.md §12):
 
 * :mod:`repro.faults.injector` — deterministic, seeded fault injection
-  (``REPRO_FAULTS=<seed>:<profile>``) at the service's existing seams:
-  broker I/O, cache/trace/queue file writes, worker execution and lease
-  heartbeats.  Every injected fault is logged as an obs event.
+  (``REPRO_FAULTS=<seed>:<profile>``) into result-cache writes: partial
+  writes and bit flips.  Every injected fault is logged as an obs event.
 * :mod:`repro.faults.fsio` — crash-durable atomic file writes (fsync
-  before rename, ``REPRO_FSYNC``) shared by the cache, broker, trace
-  store and ledger; also the single choke point where write-path faults
-  (partial writes, bit flips, transient ``OSError``) are injected.
-* :mod:`repro.faults.policy` — the unified resilience policy layer:
-  :class:`~repro.faults.policy.RetryPolicy` (bounded attempts,
-  exponential backoff, deterministic jitter), per-point deadlines
-  (``REPRO_POINT_TIMEOUT``), the degradation knob (``REPRO_DEGRADE``)
-  and the poison-job :class:`~repro.faults.policy.DeadletterStore`.
+  before rename, ``REPRO_FSYNC``) shared by the result cache and the
+  deadletter store; also the single choke point where the injector
+  mangles written bytes.
+* :mod:`repro.faults.policy` — :class:`~repro.faults.policy.RetryPolicy`
+  (bounded attempts, exponential backoff, deterministic jitter),
+  per-point deadlines (``REPRO_POINT_TIMEOUT``) and the poison-point
+  :class:`~repro.faults.policy.DeadletterStore`.
 * :mod:`repro.faults.manifest` — crash-safe run manifests
   (``REPRO_MANIFEST``): a killed grid restarted with the same plan
   skips completed points and converges to bit-identical results.
@@ -25,7 +23,7 @@ fingerprint, and with ``REPRO_FAULTS`` unset the injector is a single
 memoized environment lookup.
 """
 
-from repro.faults.injector import FaultInjector, InjectedIOError, active
+from repro.faults.injector import FaultInjector, active
 from repro.faults.policy import (
     DeadletterStore,
     PointTimeout,
@@ -37,7 +35,6 @@ from repro.faults.policy import (
 __all__ = [
     "DeadletterStore",
     "FaultInjector",
-    "InjectedIOError",
     "PointTimeout",
     "RetriesExhausted",
     "RetryPolicy",

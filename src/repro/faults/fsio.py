@@ -1,4 +1,4 @@
-"""Crash-durable atomic file writes shared by cache, broker and ledger.
+"""Crash-durable atomic file writes shared by the cache and deadletter.
 
 ``tmp + os.replace`` alone is atomic against *process* crashes but not
 against *host* crashes: without an fsync before the rename, journaling
@@ -8,9 +8,8 @@ directory) before the rename.  ``REPRO_FSYNC=0`` disables the fsyncs —
 the test suite runs with them off, durability tests turn them back on.
 
 This is also the single choke point where the fault injector mangles
-data on its way to disk (partial writes, bit flips) and raises
-transient I/O errors for broker sites, so every consumer of atomic
-writes is chaos-testable through one seam.
+data on its way to disk (partial writes, bit flips), so every consumer
+of atomic writes is chaos-testable through one seam.
 """
 
 from __future__ import annotations
@@ -28,18 +27,14 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
                        fsync: bool | None = None) -> None:
     """Write ``data`` to ``path`` atomically and (by default) durably.
 
-    ``site`` names the call seam for the fault injector ("cache.put",
-    "broker.submit", ...); transient I/O errors are only injected at
-    ``broker.*`` sites (broker calls are wrapped in a retry policy;
-    cache/trace writes are not, their corruption is caught by content
-    digests instead).  ``fsync=None`` defers to ``REPRO_FSYNC``.
+    ``site`` names the call seam for the fault injector ("cache.put");
+    a mangled write is caught by the reader's content digest.
+    ``fsync=None`` defers to ``REPRO_FSYNC``.
     """
     path = pathlib.Path(path)
     if site is not None:
         inj = _injector.active()
         if inj is not None:
-            if site.startswith("broker."):
-                inj.maybe_io_error(site)
             data = inj.mangle(site, data)
     if fsync is None:
         fsync = settings.current().fsync

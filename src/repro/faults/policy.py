@@ -1,21 +1,16 @@
-"""The unified resilience policy layer (DESIGN.md §12).
+"""The resilience policy layer (DESIGN.md §12).
 
-One :class:`RetryPolicy` replaces the scattered fixed-retry logic:
-bounded attempts, exponential backoff with *deterministic* jitter (a
-hash of the retry key, not a clock or RNG — two runs of the same grid
-back off identically), shared by broker I/O and queue job requeues.
-Alongside it:
-
+* :class:`RetryPolicy` — bounded attempts, exponential backoff with
+  *deterministic* jitter (a hash of the retry key, not a clock or RNG —
+  two runs back off identically).  Nothing on the serial or local run
+  path retries today; the policy stays a library for callers that do;
 * per-point deadlines — ``REPRO_POINT_TIMEOUT`` arms a SIGALRM timer
   around each point's execution; an overrun raises the typed
   :class:`PointTimeout` instead of hanging the grid;
-* poison-job quarantine — points that fail all attempts are written to
-  a ``deadletter/`` directory with their full attempt history
+* poison-point quarantine — points that fail are written to a
+  ``deadletter/`` directory with their error and its notes
   (:class:`DeadletterStore`, surfaced via ``python -m repro.obs
-  deadletter``);
-* the degradation knob — ``REPRO_DEGRADE`` (default on, read by the
-  scheduler) walks the queue → local → serial ladder when a backend
-  reports itself unavailable.
+  deadletter``).
 """
 
 from __future__ import annotations
@@ -42,8 +37,8 @@ class PointTimeout(RuntimeError):
     """A point exceeded ``REPRO_POINT_TIMEOUT`` seconds.
 
     Deliberately *not* a ``TimeoutError``: ``TimeoutError`` is an
-    ``OSError`` subclass (PEP 3151), and retry policies treat ``OSError``
-    as transient — a deadline overrun is final, not transient.
+    ``OSError`` subclass (PEP 3151), which callers commonly treat as
+    transient — a deadline overrun is final.
     """
 
 
@@ -75,14 +70,11 @@ class RetryPolicy:
     cap: float = 2.0
 
     @classmethod
-    def from_env(cls, *, max_attempts: int | None = None) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRY_BACKOFF`` and ``REPRO_QUEUE_RETRIES``
-        (``max_attempts`` overrides the latter)."""
-        knobs = settings.current()
-        if max_attempts is None:
-            max_attempts = knobs.queue_retries
+    def from_env(cls, *, max_attempts: int = DEFAULT_ATTEMPTS,
+                 ) -> "RetryPolicy":
+        """Policy with ``REPRO_RETRY_BACKOFF`` as its base backoff."""
         return cls(max_attempts=max(1, max_attempts),
-                   backoff=max(0.0, knobs.retry_backoff))
+                   backoff=max(0.0, settings.current().retry_backoff))
 
     def delay(self, attempt: int, key: str = "") -> float:
         if attempt <= 1 or self.backoff <= 0.0:
@@ -124,8 +116,8 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
 
     SIGALRM-based, so it interrupts a simulation stuck in pure-Python
     compute.  Only arms on the main thread (signals cannot be delivered
-    elsewhere); pool/queue workers execute points on their main thread,
-    which is where a runaway simulation would actually hang.
+    elsewhere); pool workers execute points on their main thread, which
+    is where a runaway simulation would actually hang.
 
     The timeout is raised only in frames the deadline guards: code of
     the ``repro`` package, or the frame that opened the deadline.  A
@@ -176,10 +168,10 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
 class DeadletterStore:
     """Poison-point quarantine: one JSON file per failed point.
 
-    Entries carry the point, its cache key, the final error and the
-    full attempt history, so a poisoned grid is diagnosable after the
-    fact (``python -m repro.obs deadletter``) instead of only through a
-    traceback that scrolled by.
+    Entries carry the point, its cache key, the final error and its
+    notes (the worker traceback), so a poisoned grid is diagnosable
+    after the fact (``python -m repro.obs deadletter``) instead of only
+    through a traceback that scrolled by.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):

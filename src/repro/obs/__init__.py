@@ -7,18 +7,17 @@ A zero-dependency flight recorder for the whole execution stack
 events to it:
 
 * **spans** — ``run → plan → batch → point → phase`` (record / lower /
-  replay / live), plus queue lifecycle events (submit, lease expiry,
-  requeue, retry, worker respawn) with monotonic durations and the
-  existing ``trace_source`` / ``kernel_source`` markers as attributes;
+  replay / live) with monotonic durations and the ``trace_source`` /
+  ``kernel_source`` markers as attributes, plus events for injected
+  faults and quarantined points;
 * **metrics** — counters, gauges and histograms
-  (:mod:`repro.obs.metrics`): cache hit/miss, queue depth, lease age,
-  worker restarts —
-  snapshotted into the ledger and to ``metrics.json`` /
-  ``metrics.prom`` (Prometheus text exposition) at run close;
-* **worker shards** — pool and queue workers write their own streams
-  (:meth:`Telemetry.fork_shard`, queue workers via the broker
-  directory); the parent adopts and merges them into one totally
-  ordered ``ledger.jsonl``, written atomically at run close
+  (:mod:`repro.obs.metrics`): cache hit/miss, point durations,
+  injected faults — snapshotted into the ledger and to
+  ``metrics.json`` / ``metrics.prom`` (Prometheus text exposition) at
+  run close;
+* **worker shards** — pool workers write their own streams into the
+  run directory (:func:`worker_shard`); the parent merges them into
+  one totally ordered ``ledger.jsonl``, written atomically at run close
   (:mod:`repro.obs.ledger`);
 * **interval samples** — ``REPRO_OBS_INTERVAL=N`` attaches a read-only
   per-N-cycle sampler to the engine (:mod:`repro.obs.interval`): IPC,
@@ -118,8 +117,8 @@ class Telemetry:
                                         separators=(",", ":")) + "\n")
             self._file.flush()
         except (OSError, ValueError):
-            # A torn-down filesystem (temp broker dir removed under a
-            # straggling worker) must never take the simulation down.
+            # A torn-down filesystem (run dir removed under a straggling
+            # worker) must never take the simulation down.
             self._closed = True
 
     def _record(self, event: str, name: str, kind: str,
@@ -219,12 +218,10 @@ class Telemetry:
             root_span=context.get("parent"))
 
     def adopt_shard(self, path: str | os.PathLike) -> None:
-        """Copy a worker's shard file into this run (pre-merge).
+        """Copy a shard file written outside the run directory into it.
 
-        Queue workers write shards into the *broker* directory (the only
-        filesystem guaranteed to be shared); the scheduler adopts them
-        before the broker is torn down so the close-time merge sees
-        them.
+        Call before close so the merge sees it.  A same-named shard
+        already in the run is renamed aside, never overwritten.
         """
         path = pathlib.Path(path)
         shard_dir = self.run_dir / "shards"
@@ -378,25 +375,21 @@ def worker_context() -> dict | None:
 _shards: dict[tuple[str, str, int], Telemetry] = {}
 
 
-def worker_shard(context: dict | None,
-                 shard_dir: str | os.PathLike | None = None,
-                 ) -> Telemetry | None:
+def worker_shard(context: dict | None) -> Telemetry | None:
     """This worker process's shard stream for a parent's run, cached.
 
-    ``context`` is a shipped :meth:`Telemetry.context`; ``shard_dir``
-    overrides where the shard file lives (queue workers write into the
-    broker directory — the only filesystem guaranteed to be shared with
-    the scheduler, which adopts the shards before broker teardown).
-    One instance per (run, directory, pid) is reused across batches so
-    sequence numbers stay monotone and metrics stay cumulative; the
-    stream lives until process exit (every line is flushed, so even an
-    ``os._exit`` crash leaves it readable).  Returns None when the
-    context is unusable — telemetry must never fail a simulation.
+    ``context`` is a shipped :meth:`Telemetry.context`; the shard file
+    lives in the run directory's ``shards/``.  One instance per (run,
+    directory, pid) is reused across batches so sequence numbers stay
+    monotone and metrics stay cumulative; the stream lives until process
+    exit (every line is flushed, so even an ``os._exit`` crash leaves it
+    readable).  Returns None when the context is unusable — telemetry
+    must never fail a simulation.
     """
     if not isinstance(context, dict) or not context.get("run"):
         return None
-    base = pathlib.Path(shard_dir) if shard_dir is not None \
-        else pathlib.Path(context.get("dir", "")) / "shards"
+    run_dir = pathlib.Path(context.get("dir", ""))
+    base = run_dir / "shards"
     key = (str(context["run"]), str(base), os.getpid())
     shard = _shards.get(key)
     if shard is not None and not shard._closed:
@@ -405,8 +398,8 @@ def worker_shard(context: dict | None,
     parent = context.get("parent")
     try:
         shard = Telemetry(
-            str(context["run"]), pathlib.Path(context.get("dir", base)),
-            emitter=emitter, path=base / f"{emitter}.jsonl",
+            str(context["run"]), run_dir, emitter=emitter,
+            path=base / f"{emitter}.jsonl",
             root_span=parent if isinstance(parent, str) else None)
     except OSError:
         return None

@@ -2,18 +2,16 @@
 
 * ``summary`` (default) — render a finished run: the reconstructed
   run → plan → batch → point → phase span tree (crashed/unclosed spans
-  flagged), per-phase timing breakdown, queue lifecycle events
-  (lease expiries, requeues, respawns) and the metrics snapshot.
+  flagged), injected faults and quarantines, per-phase timing
+  breakdown and the metrics snapshot.
 * ``tail`` — follow a *live* run: stream new events from the parent's
   ``events.jsonl`` and every worker shard as they are written, with a
   one-line grid progress / per-worker status header per refresh.
 * ``validate`` — check every line of a ledger (or a whole run
-  directory) against the event schema; exit 1 on any violation.  CI
-  runs this over the queue-smoke ledger artifact.
+  directory) against the event schema; exit 1 on any violation.
 * ``deadletter`` — list quarantined poison points (grid points that
-  failed all their attempts; DESIGN.md §12): point identity, final
-  error, and the full attempt history.  ``path`` is the deadletter
-  directory (default ``REPRO_DEADLETTER_DIR`` /
+  failed; DESIGN.md §12): point identity and final error.  ``path`` is
+  the deadletter directory (default ``REPRO_DEADLETTER_DIR`` /
   ``benchmarks/results/deadletter/``).
 
 ``path`` may be a run directory, a ledger file, or an observability
@@ -85,7 +83,7 @@ def _load_events(run: pathlib.Path) -> list[dict]:
 
 # -- summary ------------------------------------------------------------------
 
-_TREE_EVENT_KINDS = ("lease", "queue", "worker", "error")
+_TREE_EVENT_KINDS = ("fault", "backend")
 
 #: The run span's settings attributes, in field order.
 _SETTINGS = tuple(spec.name
@@ -102,7 +100,6 @@ def _format_span(node: SpanNode) -> str:
             str(attrs.get("batch_id", "")),
             f"{attrs.get('points', '?')}pts",
             attrs.get("benchmark", ""),
-            f"attempt {attrs['attempt']}" if attrs.get("attempt") else "",
             f"worker {attrs['worker']}" if attrs.get("worker") else ""))),
         "point": lambda: " ".join(filter(None, (
             attrs.get("benchmark", ""), attrs.get("configuration", ""),
@@ -266,7 +263,7 @@ def validate(run: pathlib.Path, echo=print) -> int:
 
 
 def deadletter(path: str | None, echo=print) -> int:
-    """List quarantined points with their attempt histories."""
+    """List quarantined points with their final errors."""
     from repro.faults.policy import DeadletterStore
 
     directory = pathlib.Path(path) if path \
@@ -293,8 +290,6 @@ def deadletter(path: str | None, echo=print) -> int:
             echo(f"  key: {entry['key']}")
         echo(f"  error: {error.get('type', 'Error')}: "
              f"{error.get('message', '')}")
-        for line in entry.get("history") or ():
-            echo(f"  {line}")
     return 0
 
 

@@ -5,9 +5,7 @@ One telemetry *run* produces a directory (DESIGN.md §11):
 * ``events.jsonl`` — the parent process's live event stream (appended a
   line at a time, flushed per line, so ``python -m repro.obs tail`` can
   follow a run in flight);
-* ``shards/*.jsonl`` — one stream per worker process (pool workers fork
-  into the run directory; queue workers write into the broker directory
-  and the scheduler adopts their shards before the broker is torn down);
+* ``shards/*.jsonl`` — one stream per pool worker process;
 * ``ledger.jsonl`` — written **atomically at run close**: every stream
   merged and totally ordered by ``(ts, emitter, seq)``.  A reader either
   sees no ledger (run still live / crashed before close) or a complete
@@ -47,8 +45,7 @@ EVENT_TYPES = ("span_start", "span_end", "event", "metrics")
 #: the stack emits and the summary view groups by.
 KNOWN_KINDS = (
     "run", "plan", "batch", "point", "phase", "cache", "trace",
-    "queue", "lease", "worker", "interval", "metrics", "error",
-    "fault", "backend", "view",
+    "interval", "metrics", "error", "fault", "backend", "view",
 )
 
 

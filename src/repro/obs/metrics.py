@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: Default histogram bucket upper bounds: powers of two cover the
-#: integer-shaped metrics this repo histograms (DDT chain lengths, queue
-#: depths, lease ages in whole seconds) without per-metric tuning.
+#: integer-shaped metrics this repo histograms (DDT chain lengths)
+#: without per-metric tuning.
 DEFAULT_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 #: Bucket bounds for durations in seconds.

@@ -92,8 +92,7 @@ __all__ = [
 #: Pseudo point index backends tick when a batch pays the one-time
 #: lowering cost; the scheduler turns it into a ``phase="lower"``
 #: ProgressEvent instead of a completed point (negative so it can never
-#: collide with a real index — and it survives the queue's integer tick
-#: wire format).
+#: collide with a real index).
 LOWER_TICK = -1
 
 #: Folded into the per-(line-mask) fused code when the instruction's

@@ -11,9 +11,9 @@ so this module records the stream once for the compiled replay kernel
   committed stream into a :class:`CommittedTrace` — a compact *columnar*
   form (parallel arrays of decoded PC indices, results, bit-packed branch
   outcomes, load/store effective addresses and store values), not a list
-  of per-instruction objects;
+  of per-instruction objects.  Pool workers record their own traces;
 * :meth:`CommittedTrace.to_bytes` / :meth:`CommittedTrace.from_bytes`
-  give the wire form the queue backend ships to its workers.
+  give a checksummed byte form for a trace that leaves its process.
 
 Invariants (DESIGN.md §8):
 
@@ -50,8 +50,7 @@ from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS, FunctionalCore
 #: Version of the serialized trace layout; mismatches are load errors.
 #: v2: the header carries a SHA-256 digest over the canonical header and
 #: the raw column bytes, so any truncation or bit flip of a serialized
-#: trace raises :class:`TraceError` instead of replaying divergently —
-#: required now that traces are shipped to distributed queue workers.
+#: trace raises :class:`TraceError` instead of replaying divergently.
 TRACE_FORMAT_VERSION = 2
 
 _MAGIC = b"REPROTRC"

@@ -9,17 +9,17 @@ snapshot, one field per knob, with one grammar for all of them:
 * a value that does not parse raises :class:`SettingsError` naming the
   variable — a typo never silently falls back to a default.
 
-Domain checks that need more than a type (backend names, view names,
-the fault-spec grammar) stay with their modules, which read the raw
-string from the snapshot.  ``current()`` parses afresh on every call
-(tens of microseconds, never inside a replay loop), so a changed
-environment takes effect at once; pool and queue workers inherit the
-parent's environment and parse the same values.
+Domain checks that need more than a type (backend names, the
+fault-spec grammar) stay with their modules, which read the raw string
+from the snapshot.  ``current()`` parses afresh on every call (tens of
+microseconds, never inside a replay loop), so a changed environment
+takes effect at once; pool workers inherit the parent's environment
+and parse the same values.
 
-Like ``worker.py`` and ``serve.py`` this module is harness, not
-simulator: it is excluded from the result-cache code fingerprint, and
-it imports only the standard library so every layer (``obs`` and
-``faults`` included) can use it without an import cycle.
+This module is harness, not simulator: it is excluded from the
+result-cache code fingerprint, and it imports only the standard library
+so every layer (``obs`` and ``faults`` included) can use it without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ def _int(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ValueError("expected an integer") from None
-
-
-def _count(raw: str) -> int:
-    value = _int(raw)
-    if value < 0:
-        raise ValueError("expected a non-negative integer")
-    return value
 
 
 def _float(raw: str) -> float:
@@ -124,15 +117,9 @@ class Settings:
     cache: bool = _knob("REPRO_CACHE", True, _flag)
     cache_dir: pathlib.Path = _store("REPRO_CACHE_DIR", "cache")
     trace: bool = _knob("REPRO_TRACE", True, _flag)
-    # Queue backend.
-    queue_workers: int | None = _knob("REPRO_QUEUE_WORKERS", parse=_count)
-    queue_dir: str | None = _knob("REPRO_QUEUE_DIR")
-    queue_lease: float = _knob("REPRO_QUEUE_LEASE", 30.0, _float)
-    queue_retries: int = _knob("REPRO_QUEUE_RETRIES", 3, _int)
     # Resilience.
     retry_backoff: float = _knob("REPRO_RETRY_BACKOFF", 0.05, _float)
     point_timeout: float = _knob("REPRO_POINT_TIMEOUT", 0.0, _seconds)
-    degrade: bool = _knob("REPRO_DEGRADE", True, _flag)
     deadletter: bool = _knob("REPRO_DEADLETTER", True, _flag)
     deadletter_dir: pathlib.Path = _store("REPRO_DEADLETTER_DIR",
                                           "deadletter")
@@ -140,13 +127,10 @@ class Settings:
     manifests_dir: pathlib.Path = _store("REPRO_MANIFEST_DIR", "manifests")
     fsync: bool = _knob("REPRO_FSYNC", True, _flag)
     faults: str | None = _knob("REPRO_FAULTS")
-    # Telemetry and serving.
+    # Telemetry.
     obs: bool = _knob("REPRO_OBS", False, _flag)
     obs_interval: int = _knob("REPRO_OBS_INTERVAL", 0, _interval)
     obs_dir: pathlib.Path = _store("REPRO_OBS_DIR", "obs")
-    serve: bool = _knob("REPRO_SERVE", False, _flag)
-    serve_port: int = _knob("REPRO_SERVE_PORT", 8765, _int)
-    views: str | None = _knob("REPRO_VIEWS")
 
     def as_attrs(self) -> dict:
         """JSON-ready ``{field: value}`` (paths as strings)."""

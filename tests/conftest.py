@@ -63,16 +63,14 @@ def isolated_resilience_dirs(tmp_path_factory):
     saved = {name: os.environ.get(name) for name in (
         "REPRO_DEADLETTER_DIR", "REPRO_MANIFEST_DIR", "REPRO_FSYNC",
         "REPRO_FAULTS", "REPRO_MANIFEST", "REPRO_POINT_TIMEOUT",
-        "REPRO_DEGRADE", "REPRO_DEADLETTER",
-        "REPRO_SERVE", "REPRO_SERVE_PORT", "REPRO_VIEWS")}
+        "REPRO_DEADLETTER")}
     os.environ["REPRO_DEADLETTER_DIR"] = str(
         tmp_path_factory.mktemp("deadletter"))
     os.environ["REPRO_MANIFEST_DIR"] = str(
         tmp_path_factory.mktemp("manifests"))
     os.environ["REPRO_FSYNC"] = "0"
     for name in ("REPRO_FAULTS", "REPRO_MANIFEST", "REPRO_POINT_TIMEOUT",
-                 "REPRO_DEGRADE", "REPRO_DEADLETTER",
-                 "REPRO_SERVE", "REPRO_SERVE_PORT", "REPRO_VIEWS"):
+                 "REPRO_DEADLETTER"):
         os.environ.pop(name, None)
     yield
     for name, value in saved.items():

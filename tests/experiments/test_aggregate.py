@@ -1,30 +1,31 @@
-"""The streaming aggregation tier (ISSUE 10 / DESIGN.md §14).
+"""The view model and its sink (DESIGN.md §14).
 
 Three layers of guarantees:
 
-* aggregator semantics — copy-on-write snapshots (a held snapshot never
-  mutates), monotone versions, duplicate deliveries deduped on the
-  canonical cell id, delta subscribers can reconstruct every version;
+* aggregator semantics — views are built once at ``mark_done`` (on
+  demand before it), a held snapshot never changes, duplicate
+  deliveries are deduped on the canonical cell id;
 * order independence — the hypothesis property: *any* permutation of
   the same event multiset (ticks, results, duplicates, the plan event)
   converges to a byte-identical final snapshot, status view included;
-* the view-identity invariant — a live-attached aggregator's identity
+* the view-identity invariant — a run-attached aggregator's identity
   views equal :func:`~repro.experiments.aggregate.build_views` run
-  post-hoc over the finished results, byte for byte, across
-  serial/local/queue backends, under seeded chaos schedules, and
-  across interrupted / SIGKILLed runs resumed from their
-  ``REPRO_MANIFEST``.
+  post-hoc over the finished results, byte for byte, on serial and
+  local backends, from the cache, and across interrupted / SIGKILLed
+  runs resumed from their ``REPRO_MANIFEST`` (under seeded write
+  faults: ``test_faults.py``).
 """
 
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.aggregate import (
@@ -32,17 +33,12 @@ from repro.experiments.aggregate import (
     IDENTITY_VIEWS,
     ViewAggregator,
     build_views,
-    canonical_json,
     identity_json,
-    views_from_env,
 )
-from repro.experiments.backends import QueueBackend
-from repro.experiments.broker import QueueError
+from repro.experiments.cache import ResultCache
 from repro.experiments.plan import build_plan, point_key
 from repro.experiments.scheduler import run_plan
-from repro.settings import current
 from repro.faults.manifest import plan_hash
-from repro.faults.policy import PointTimeout, RetriesExhausted
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -61,12 +57,6 @@ def subprocess_env(**extra):
     return env
 
 
-def queue_backend(**overrides):
-    kw = dict(workers=2, lease_timeout=10.0, poll=0.01, timeout=180.0)
-    kw.update(overrides)
-    return QueueBackend(**kw)
-
-
 @pytest.fixture(scope="module")
 def serial_results():
     return run_plan(small_plan(), jobs=1, use_cache=False,
@@ -82,21 +72,10 @@ def live_aggregate(**run_kw):
     return aggregator, results
 
 
-# -- view selection -----------------------------------------------------------
+# -- view set -----------------------------------------------------------------
 
 
 class TestViewSelection:
-    def test_views_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VIEWS", raising=False)
-        assert views_from_env() is None
-        monkeypatch.setenv("REPRO_VIEWS", "all")
-        assert views_from_env() is None
-        monkeypatch.setenv("REPRO_VIEWS", "figure5, status")
-        assert views_from_env() == ("figure5", "status")
-        monkeypatch.setenv("REPRO_VIEWS", "figure5,typo")
-        with pytest.raises(ValueError, match="typo"):
-            views_from_env()
-
     def test_unknown_view_rejected(self):
         with pytest.raises(ValueError, match="nope"):
             ViewAggregator(views=("figure5", "nope"))
@@ -107,19 +86,12 @@ class TestViewSelection:
             aggregator.on_result(point, None, result, source="serial")
         aggregator.mark_done()
         assert set(aggregator.snapshot().views) == {"figure6"}
+        assert aggregator.snapshot().views["figure6"] \
+            == build_views(serial_results).views["figure6"]
 
     def test_identity_excludes_status(self):
         assert "status" not in IDENTITY_VIEWS
         assert set(ALL_VIEWS) == set(IDENTITY_VIEWS) | {"status"}
-
-    def test_serve_requested_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE", raising=False)
-        assert current().serve is False
-        for off in ("0", "false", "off", "no", ""):
-            monkeypatch.setenv("REPRO_SERVE", off)
-            assert current().serve is False
-        monkeypatch.setenv("REPRO_SERVE", "1")
-        assert current().serve is True
 
 
 # -- aggregator semantics -----------------------------------------------------
@@ -129,14 +101,12 @@ class TestAggregatorSemantics:
     def test_duplicates_deduped_first_wins(self, serial_results):
         aggregator = ViewAggregator()
         (point, result), *rest = serial_results.items()
-        aggregator.on_result(point, None, result, source="queue")
-        version = aggregator.snapshot().version
-        aggregator.on_result(point, None, result, source="queue")
+        aggregator.on_result(point, None, result, source="worker")
+        aggregator.on_result(point, None, result, source="worker")
         assert aggregator.duplicates == 1
-        assert aggregator.snapshot().version == version  # no-op, no bump
         status = aggregator.snapshot().views["status"]
         assert status["done"] == 1
-        assert status["sources"] == {"queue": 1}
+        assert status["sources"] == {"worker": 1}
 
     def test_snapshots_are_copy_on_write(self, serial_results):
         aggregator = ViewAggregator()
@@ -148,43 +118,30 @@ class TestAggregatorSemantics:
         point, result = next(items)
         aggregator.on_result(point, None, result, source="serial")
         assert held.to_json() == held_bytes          # held snapshot frozen
-        assert aggregator.snapshot().version > held.version
+        assert aggregator.snapshot().views["status"]["done"] == 2
 
-    def test_deltas_reconstruct_every_version(self, serial_results):
-        """The SSE contract: snapshot v + replace-changed-views per
-        delta == snapshot v+n, for every published version."""
+    def test_views_are_built_once_at_mark_done(self, serial_results,
+                                               monkeypatch):
+        """The sink does no view work per event: ``mark_done`` builds
+        the views once, and reads after it reuse that build."""
         aggregator = ViewAggregator()
-        deltas = []
-        aggregator.subscribe(deltas.append)
-        base = dict(aggregator.snapshot().views)
-        version = aggregator.snapshot().version
+        builds = []
+        real = aggregator._build
+        monkeypatch.setattr(aggregator, "_build",
+                            lambda: builds.append(1) or real())
         aggregator.on_plan(small_plan(), {})
         for point, result in serial_results.items():
             aggregator.on_progress(SimpleNamespace(
                 phase="point", key=point_key(point)))
             aggregator.on_result(point, None, result, source="serial")
+        assert builds == []
         aggregator.mark_done()
-        reconstructed = base
-        for delta in deltas:
-            assert delta["version"] == version + 1   # no gaps
-            version = delta["version"]
-            assert set(delta["views"]) == set(delta["changed"])
-            reconstructed.update(delta["views"])
         final = aggregator.snapshot()
-        assert version == final.version
-        assert deltas[-1]["done"] is True
-        assert canonical_json(reconstructed) == canonical_json(
-            dict(final.views))
-
-    def test_unsubscribe_stops_deltas(self, serial_results):
-        aggregator = ViewAggregator()
-        deltas = []
-        unsubscribe = aggregator.subscribe(deltas.append)
-        (point, result), *_ = serial_results.items()
-        aggregator.on_result(point, None, result, source="serial")
-        unsubscribe()
-        aggregator.mark_done()
-        assert len(deltas) == 1
+        assert aggregator.snapshot() is final
+        assert builds == [1]
+        assert final.done
+        assert identity_json(final) \
+            == identity_json(build_views(serial_results))
 
     def test_failures_surface_in_status(self):
         aggregator = ViewAggregator()
@@ -281,14 +238,7 @@ class TestLiveEqualsPosthoc:
         aggregator, results = live_aggregate(jobs=2, backend="local")
         self.check(aggregator, results, serial_results)
 
-    def test_queue(self, serial_results):
-        aggregator, results = live_aggregate(jobs=2,
-                                             backend=queue_backend())
-        self.check(aggregator, results, serial_results)
-
     def test_cache_replay(self, serial_results, tmp_path):
-        from repro.experiments.cache import ResultCache
-
         cache = ResultCache(tmp_path)
         run_plan(small_plan(), jobs=1, backend="serial", cache=cache)
         aggregator = ViewAggregator()
@@ -301,31 +251,23 @@ class TestLiveEqualsPosthoc:
 
     @settings(max_examples=2, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=10**6),
-           profile=st.sampled_from(["io", "stall", "crash"]))
+           profile=st.sampled_from(["partial", "corrupt", "mixed"]))
+    @example(seed=7, profile="mixed")   # faults in both the cold and warm run
     def test_under_chaos(self, seed, profile, serial_results):
-        """Chaos extension of the invariant: when a faulted queue grid
-        completes at all, its live views are byte-identical to the
-        post-hoc build (typed failure is the only other outcome)."""
-        previous = os.environ.get("REPRO_FAULTS")
-        os.environ["REPRO_FAULTS"] = f"{seed}:{profile}"
-        try:
-            aggregator = ViewAggregator()
-            backend = QueueBackend(workers=2, lease_timeout=0.8,
-                                   poll=0.02, timeout=240.0,
-                                   max_attempts=4)
-            try:
-                results = run_plan(small_plan(), jobs=2, use_cache=False,
-                                   backend=backend, sink=aggregator)
-            except (QueueError, RetriesExhausted, PointTimeout) as exc:
-                assert "timed out" not in str(exc)
-            else:
+        """Chaos extension of the invariant on the serial backend: with
+        seeded faults mangling result-cache writes, a cold run and a warm
+        run from the faulted cache both build views byte-identical to
+        the post-hoc build (the pooled case is in ``test_faults.py``)."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as env:
+            env.setenv("REPRO_FAULTS", f"{seed}:{profile}")
+            cache = ResultCache(pathlib.Path(tmp))
+            for _run in ("cold", "warm"):
+                aggregator = ViewAggregator()
+                results = run_plan(small_plan(), jobs=1, backend="serial",
+                                   cache=cache, sink=aggregator)
                 aggregator.mark_done()
                 self.check(aggregator, results, serial_results)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_FAULTS", None)
-            else:
-                os.environ["REPRO_FAULTS"] = previous
 
     def test_interrupted_run_resumes_identical(self, tmp_path,
                                                serial_results):

@@ -58,6 +58,12 @@ class TestFigure5:
         assert ("li", 20) in data.load_rates
         assert 0 <= data.load_rates[("li", 20)] <= 1
         assert 0 <= data.calc_accuracy["li"] <= 1
+        # Figure 5(b) is the shallowest machine run, whatever order the
+        # depths are given in.
+        deep_first = run_figure5(depths=(40, 20),
+                                 benchmarks=("li", "vortex"), **SMALL)
+        assert deep_first.calc_accuracy == data.calc_accuracy
+        assert deep_first.load_accuracy == data.load_accuracy
 
     def test_render_contains_benchmarks(self):
         data = run_figure5(depths=(20,), benchmarks=("li", "vortex"),

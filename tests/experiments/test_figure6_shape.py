@@ -6,15 +6,19 @@ slice of the grid (8 workloads x 4 configurations = 32 points at scale
 baseline on mean IPC, m88ksim is among the top two gainers, oracle
 (``perfect``) values never trail ``current`` by more than one point of
 IPC gain, and ARVI predicts more accurately than the baseline.  The
-scale is passed explicitly, so ``REPRO_SCALE`` does not apply.
+scale is passed explicitly, so ``REPRO_SCALE`` does not apply.  The
+same grid checks that :class:`~repro.experiments.figure6.Figure6Data`
+renders the view's numbers, bit for bit.
 """
 
 import statistics
 
 import pytest
 
-from repro.experiments.aggregate import ViewAggregator
+from repro.experiments.aggregate import ViewAggregator, build_views
+from repro.experiments.figure6 import Figure6Data
 from repro.experiments.plan import CONFIGURATIONS, build_plan
+from repro.experiments.report import arithmetic_mean
 from repro.experiments.scheduler import run_plan
 from repro.workloads.registry import BENCHMARKS
 
@@ -22,7 +26,8 @@ DEPTH = 20
 
 
 @pytest.fixture(scope="module")
-def figure6():
+def grid():
+    """The depth-20 results and the figure6 view their run's sink built."""
     plan = build_plan(CONFIGURATIONS, (DEPTH,), BENCHMARKS, scale=0.03,
                       warmup=1000)
     sink = ViewAggregator()
@@ -30,7 +35,12 @@ def figure6():
                        sink=sink)
     assert len(results) == len(plan) == 32
     sink.mark_done()
-    view = sink.snapshot().views["figure6"]
+    return results, sink.snapshot().views["figure6"]
+
+
+@pytest.fixture(scope="module")
+def figure6(grid):
+    _, view = grid
     return (view["depths"][str(DEPTH)],
             view["mean_normalized_ipc"][str(DEPTH)])
 
@@ -58,3 +68,19 @@ def test_arvi_accuracy_beats_baseline(figure6):
         configs[config]["accuracy"] for configs in benches.values())
         for config in ("baseline", "current")}
     assert accuracy["current"] > accuracy["baseline"], accuracy
+
+
+def test_figure6_data_renders_the_view_means(grid):
+    """Figure6Data's means are the view's means, which equal the plain
+    mean of per-benchmark IPC ratios in sorted-benchmark order — the
+    rendered Figure 6 numbers did not move when it moved onto the view."""
+    results, view = grid
+    data = Figure6Data(DEPTH, build_views(results).views["figure6"])
+    ipc = {(point.benchmark, point.configuration): result.ipc
+           for point, result in results.items()}
+    for config in CONFIGURATIONS:
+        direct = arithmetic_mean([
+            ipc[(bench, config)] / ipc[(bench, "baseline")]
+            for bench in sorted(BENCHMARKS)])
+        assert data.mean_normalized_ipc(config) \
+            == view["mean_normalized_ipc"][str(DEPTH)][config] == direct

@@ -4,10 +4,9 @@ The acceptance grid for the experiment service: a 2-benchmark x 4-config
 x 2-depth sweep must produce identical keyed results under
 ``REPRO_JOBS=1``, ``REPRO_JOBS=4`` and a cached re-run — and the cached
 replay must be at least 10x faster than the cold run.  The hypothesis
-property extends the equality invariant across every execution backend:
-batched, unbatched-parallel, serial, queue-worker and cache-replayed
-grids are ``==`` in both speculation modes (the queue fault machinery
-has its own suite in ``test_backends.py``).
+property extends the equality invariant across every execution path:
+batched, unbatched-parallel, serial and cache-replayed grids are ``==``
+in both speculation modes.
 """
 
 import os
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.backends import QueueBackend, _make_batches
+from repro.experiments.backends import _make_batches
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import (
     ExperimentPoint,
@@ -264,8 +263,8 @@ class TestBatching:
     def test_all_backends_and_cache_replay_are_equal(
             self, benchmarks, configurations, depths, seed, speculation):
         """The cross-backend differential property: serial, local-pool
-        (batched and unbatched), queue-worker and cache-replayed
-        execution return ``==`` results, in both speculation modes."""
+        (batched and unbatched) and cache-replayed execution return
+        ``==`` results, in both speculation modes."""
         plan = plan_from_points([
             ExperimentPoint(benchmark, configuration, depth, scale=0.01,
                             warmup=50, seed=seed, speculation=speculation)
@@ -278,11 +277,6 @@ class TestBatching:
         unbatched = run_plan(plan, jobs=2, use_cache=False, batch=False)
         assert batched == serial
         assert unbatched == serial
-        queued = run_plan(
-            plan, jobs=2, use_cache=False,
-            backend=QueueBackend(workers=2, lease_timeout=10.0, poll=0.01,
-                                 timeout=180.0))
-        assert queued == serial
         with tempfile.TemporaryDirectory() as tmp:
             store = ResultCache(tmp)
             for point, result in serial.items():

@@ -84,7 +84,7 @@ class TestSharedTraces:
 
 class TestAmortizationRule:
     """``amortized_workloads`` is the one owner of the record-or-not
-    rule; the in-process pool and the queue backend both defer to it."""
+    rule; :class:`SharedTraces` defers to it."""
 
     M88 = ("m88ksim", SCALE, 1)
 
@@ -104,33 +104,6 @@ class TestAmortizationRule:
     def test_rule(self, monkeypatch, mode, points, expected):
         monkeypatch.setenv("REPRO_TRACE", mode)
         assert amortized_workloads(points) == expected
-
-    def test_queue_backend_ships_exactly_the_amortized_workloads(
-            self, monkeypatch):
-        import repro.experiments.tracing as tracing
-        from repro.experiments.backends import QueueBackend
-
-        class Blob:
-            def __init__(self, identity):
-                self.identity = identity
-
-            def to_bytes(self):
-                return repr(self.identity).encode()
-
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setattr(tracing, "record_workload",
-                            lambda *identity: Blob(identity))
-        batches = {
-            "a": (point(), point(configuration="current")),
-            "b": (point(benchmark="li"),),
-            "c": (point(benchmark="compress", seed=3),
-                  point(benchmark="compress", seed=3, depth=40)),
-        }
-        flat = [p for group in batches.values() for p in group]
-        blobs = QueueBackend._trace_blobs(batches)
-        assert list(blobs) == amortized_workloads(flat) == [
-            self.M88, ("compress", SCALE, 3)]
-        assert blobs[self.M88] == repr(self.M88).encode()
 
 
 class TestExecutePointTraceArgument:

@@ -107,7 +107,7 @@ class TestMerge:
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
 
     def test_append_jsonl_creates_parents_and_flushes(self, tmp_path):
-        path = tmp_path / "obs" / "worker-errors.jsonl"
+        path = tmp_path / "obs" / "errors.jsonl"
         append_jsonl(path, {"worker": 1, "error": "boom"})
         append_jsonl(path, {"worker": 2, "error": "bang"})
         lines = [json.loads(line) for line in
@@ -178,10 +178,10 @@ class TestTelemetryPlumbing:
         assert telemetry._closed
 
     def test_adopt_shard_never_clobbers(self, tmp_path):
-        """Re-leased jobs can produce same-named shards (same worker pid
-        on a respawn); adoption renames instead of overwriting."""
+        """Adopting a second shard with an already-adopted name renames
+        it aside instead of overwriting the first."""
         telemetry = Telemetry("run-t", tmp_path / "run-t")
-        shard = tmp_path / "broker" / "worker-7.jsonl"
+        shard = tmp_path / "elsewhere" / "worker-7.jsonl"
         shard.parent.mkdir()
         shard.write_text(json.dumps(_event(emitter="worker-7")) + "\n")
         telemetry.adopt_shard(shard)
@@ -200,9 +200,9 @@ class TestTelemetryPlumbing:
         shard = root.fork_shard({"run": "run-t",
                                  "dir": str(tmp_path / "run-t"),
                                  "parent": None})
-        shard.inc("queue.requeue")
+        shard.inc("points.done")
         shard.snapshot_event()            # after batch 1 (cumulative: 1)
-        shard.inc("queue.requeue")
+        shard.inc("points.done")
         shard.snapshot_event()            # after batch 2 (cumulative: 2)
         shard.close(merge=False)
         ledger = root.close()
@@ -214,6 +214,6 @@ class TestTelemetryPlumbing:
             (tmp_path / "run-t" / "metrics.json").read_text())
         counters = {entry["name"]: entry["value"]
                     for entry in metrics["counters"]}
-        assert counters == {"cache.miss": 2, "queue.requeue": 2}
+        assert counters == {"cache.miss": 2, "points.done": 2}
         assert (tmp_path / "run-t" / "metrics.prom").read_text() \
             .startswith("# TYPE repro_cache_miss counter")

@@ -1,14 +1,10 @@
-"""The flight recorder end to end, across all three backends.
-
-The ISSUE 7 acceptance surface:
+"""The flight recorder end to end, on both backends.
 
 * ``REPRO_OBS=1`` leaves every ``SimulationResult`` bit-for-bit
-  identical on serial, local-pool and queue backends (the do-no-harm
+  identical on serial and local-pool backends (the do-no-harm
   invariant — telemetry observes, never feeds back);
-* a queue run with an injected worker crash still yields a merged
-  ledger that reconstructs the full run → plan → batch → point → phase
-  span tree, including the lease-expiry/requeue lifecycle and the
-  crashed worker's unclosed batch span;
+* the merged ledger reconstructs the full run → plan → batch → point →
+  phase span tree, pool worker shards included;
 * ``python -m repro.obs`` summarizes and validates those ledgers.
 """
 
@@ -16,7 +12,6 @@ import json
 
 import pytest
 
-from repro.experiments.backends import QueueBackend
 from repro.experiments.plan import build_plan
 from repro.experiments.scheduler import run_plan
 from repro.obs.__main__ import main as obs_main
@@ -28,12 +23,6 @@ PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
 
 def small_plan():
     return build_plan(**PLAN_KW)
-
-
-def queue_backend(**overrides):
-    kw = dict(workers=2, lease_timeout=10.0, poll=0.01, timeout=180.0)
-    kw.update(overrides)
-    return QueueBackend(**kw)
 
 
 @pytest.fixture(scope="module")
@@ -187,68 +176,6 @@ class TestPoolLedger:
                    for b in batches)
 
 
-class TestQueueCrashAcceptance:
-    def test_crashed_worker_run_reconstructs_full_span_tree(
-            self, tmp_path, monkeypatch, reference_results, capsys):
-        """The ISSUE acceptance scenario: a queue grid whose first worker
-        hard-exits mid-batch under REPRO_OBS=1.  Results must still match
-        the serial telemetry-off reference, and the merged ledger must
-        tell the whole story: the span tree, the lease expiry, the
-        requeue, and the crashed batch's unclosed span."""
-        backend = queue_backend(lease_timeout=0.5,
-                                worker_args=("--crash-after-points", "1"))
-        results, run_dir = obs_run(tmp_path, monkeypatch, backend=backend)
-        assert results == reference_results
-        assert backend.requeues >= 1 and backend.respawns >= 1
-
-        events, tree = load_tree(run_dir)
-
-        # The tree spans processes: parent scheduler + queue workers.
-        [run] = tree.find("run")
-        assert tree.roots == [run]
-        [plan] = tree.find("plan")
-        batches = tree.find("batch")
-        assert any(b.start["emitter"].startswith("worker-")
-                   for b in batches)
-        # The crash left an unclosed batch span from a worker shard.
-        assert any(not b.closed for b in batches)
-        # ...and the healthy retry of that batch did close, with points.
-        closed = [b for b in batches if b.closed]
-        assert closed
-        points = tree.find("point")
-        assert len(points) >= len(small_plan())
-        assert all(p.closed for p in [pt for b in closed
-                                      for pt in b.children
-                                      if pt.kind == "point"])
-
-        # Queue lifecycle events made it into the ledger.
-        names = {e["name"] for node, _ in tree.walk()
-                 for e in node.events}
-        assert "submit" in names
-        assert "lease_expired" in names
-        assert "requeue" in names
-        assert "respawn" in names
-        expiries = [e for node, _ in tree.walk() for e in node.events
-                    if e["name"] == "lease_expired"]
-        assert all("age" in e["attrs"] and "timeout" in e["attrs"]
-                   for e in expiries)
-
-        # Queue counters survived into the merged metrics snapshot.
-        metrics = json.loads((run_dir / "metrics.json").read_text())
-        counters = {entry["name"]: entry["value"]
-                    for entry in metrics["counters"]}
-        assert counters.get("queue.lease_expired", 0) >= 1
-        assert counters.get("queue.requeue", 0) >= 1
-        assert counters.get("queue.worker_respawn", 0) >= 1
-
-        # The CLI renders the crash and the ledger validates clean.
-        assert obs_main(["summary", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "UNCLOSED" in out
-        assert "lease_expired" in out
-        assert obs_main(["validate", str(run_dir)]) == 0
-
-
 class TestSatellites:
     def test_progress_events_carry_timestamp_and_duration(self):
         events = []
@@ -260,20 +187,6 @@ class TestSatellites:
             assert event.timestamp > 1e9          # wall clock, not zero
             assert isinstance(event.duration, float)
             assert event.duration >= 0.0
-
-    def test_crash_report_surfaces_structured_worker_errors(self, tmp_path):
-        """The crash-loop QueueError names which batch took which worker
-        down, from the workers' structured error lines."""
-        from repro.experiments.backends import _crash_report
-        from repro.obs.ledger import append_jsonl
-
-        append_jsonl(tmp_path / "obs" / "worker-errors.jsonl",
-                     {"worker": 41, "job": "batch-0", "batch": "batch-0",
-                      "error": "RuntimeError: boom",
-                      "lease": "/b/leased/batch-0.msg"})
-        report = _crash_report(tmp_path)
-        assert "structured worker errors" in report
-        assert "batch-0" in report and "RuntimeError: boom" in report
 
     def test_obs_disabled_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)

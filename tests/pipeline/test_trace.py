@@ -1,11 +1,11 @@
-"""Trace recording and the committed-trace wire form (DESIGN.md §8).
+"""Trace recording and the committed-trace byte form (DESIGN.md §8).
 
 The hard invariant: the recorded columns reproduce the live functional
 core's committed stream exactly, so a kernel replay of the trace is
 bit-for-bit equal (``==``) to the live engine across configurations and
-depths — and the serialized form round-trips losslessly.  Malformed
-traces are loud ``TraceError``\\ s (the store layer turns them into
-misses), never silent divergence.
+depths — and the serialized form round-trips losslessly.  Mismatched,
+exhausted or malformed traces are loud ``TraceError``\\ s, never
+silent divergence.
 """
 
 import functools
@@ -166,11 +166,10 @@ def _fuzz_blob() -> bytes:
 
 
 class TestWireFuzz:
-    """The shipped-trace integrity property (ISSUE 5): traces travel to
-    distributed queue workers as bytes, so *any* truncation or bit flip
+    """The byte form's integrity property: *any* truncation or bit flip
     — framing, header, digest, or a single column value — must raise
-    ``TraceError``.  A silently divergent replay is the one failure mode
-    a distributed backend can never tolerate."""
+    ``TraceError``, never load as a silently different committed
+    stream."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -21,7 +21,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 KNOBS = {spec.metadata["env"]: spec for spec in dataclasses.fields(Settings)}
 BOOLEANS = sorted(env for env, spec in KNOBS.items() if spec.type == "bool")
 NUMERIC = sorted(env for env, spec in KNOBS.items()
-                 if spec.type in ("int", "float", "int | None"))
+                 if spec.type in ("int", "float"))
 
 ON = ("1", "true", "yes", "on", "TRUE", "Yes", "On", " 1 ", " on\t")
 OFF = ("0", "false", "no", "off", "FALSE", "No", "OFF", "False", " 0")
@@ -78,17 +78,16 @@ def test_cache_off_spellings_disable_the_cache(clean_env, spelling):
 def test_parsed_values_keep_their_meaning(clean_env):
     for env, raw in (("REPRO_SCALE", "0.25"), ("REPRO_WARMUP", "500"),
                      ("REPRO_JOBS", "3"), ("REPRO_POINT_TIMEOUT", "2.5"),
-                     ("REPRO_OBS_INTERVAL", "1"), ("REPRO_SERVE_PORT", "0"),
+                     ("REPRO_OBS_INTERVAL", "1"),
                      ("REPRO_CACHE_DIR", "/tmp/elsewhere"),
-                     ("REPRO_BACKEND", "queue")):
+                     ("REPRO_BACKEND", "local")):
         clean_env.setenv(env, raw)
     knobs = current()
     assert (knobs.scale, knobs.warmup, knobs.jobs) == (0.25, 500, 3)
     assert knobs.point_timeout == 2.5
     assert knobs.obs_interval == 50_000          # bare "on" period
-    assert knobs.serve_port == 0
     assert knobs.cache_dir == pathlib.Path("/tmp/elsewhere")
-    assert knobs.backend == "queue"
+    assert knobs.backend == "local"
 
 
 # -- tooling: one reader, one documented list ---------------------------------
