@@ -5,19 +5,13 @@ Layered as an experiment service (see DESIGN.md §6 and §9):
 * :mod:`repro.experiments.plan`      — sweep expansion + content-hash keys;
 * :mod:`repro.experiments.scheduler` — plan execution + progress/caching;
 * :mod:`repro.experiments.backends`  — serial / local-pool execution
-  backends (``REPRO_BACKEND``);
+  (``backend=``);
 * :mod:`repro.experiments.cache`     — persistent JSON result store;
 * :mod:`repro.experiments.aggregate` — the view model every figure and
   table renders from;
 * :mod:`repro.experiments.runner`    — the plan->schedule->cache facade.
 """
 
-from repro.experiments.backends import (
-    ExecutionBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    default_backend_name,
-)
 from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.figure5 import Figure5Data, run_figure5
 from repro.experiments.figure6 import Figure6Data, run_figure6
@@ -57,18 +51,14 @@ from repro.experiments.tables import (
 
 __all__ = [
     "CONFIGURATIONS",
-    "ExecutionBackend",
     "ExperimentPlan",
     "ExperimentPoint",
     "Figure5Data",
     "Figure6Data",
-    "LocalPoolBackend",
     "ProgressEvent",
     "ResultCache",
-    "SerialBackend",
     "arithmetic_mean",
     "build_plan",
-    "default_backend_name",
     "default_cache",
     "execute_point",
     "format_table",

@@ -13,8 +13,8 @@ over:
 * ``benchmarks`` — per-benchmark rollups (points, mean IPC/accuracy,
   best-IPC cell);
 * ``status``    — the run itself: points done/pending/failed, result
-  sources, the ``trace_source``/``kernel_source`` mix, and per-phase
-  timing rollups from ``phase_seconds``.
+  sources and the ``trace_source``/``kernel_source`` mix (phase times
+  live in the ledger's ``phase`` spans, not here).
 
 :class:`~repro.experiments.figure5.Figure5Data` and
 :class:`~repro.experiments.figure6.Figure6Data` render from the same
@@ -263,7 +263,6 @@ class ViewAggregator:
         self._failures: list[dict] = []
         self._total: "int | None" = None
         self._ticked: set[str] = set()
-        self._lower_ticks = 0
         self._done = False
         self._snapshot: "ViewSnapshot | None" = None
         self.duplicates = 0
@@ -276,11 +275,8 @@ class ViewAggregator:
         self._snapshot = None
 
     def on_progress(self, event) -> None:
-        """One scheduler ProgressEvent (``phase`` "point" or "lower")."""
-        if event.phase == "lower":
-            self._lower_ticks += 1
-        else:
-            self._ticked.add(event.key)
+        """One scheduler ProgressEvent (a completed point)."""
+        self._ticked.add(event.key)
         self._snapshot = None
 
     def on_result(self, point: ExperimentPoint, key: "str | None",
@@ -332,7 +328,6 @@ class ViewAggregator:
     def _status_view(self) -> dict:
         trace_mix: dict[str, int] = {}
         kernel_mix: dict[str, int] = {}
-        phase_cells: dict[str, list[float]] = {}
         for cell in sorted(self._cell_meta):
             meta = self._cell_meta[cell]
             for mix, field in ((trace_mix, "trace_source"),
@@ -340,9 +335,6 @@ class ViewAggregator:
                 value = meta.get(field)
                 if value:
                     mix[value] = mix.get(value, 0) + 1
-            for phase, seconds in sorted(
-                    (meta.get("phase_seconds") or {}).items()):
-                phase_cells.setdefault(phase, []).append(float(seconds))
         done = len(self._cells)
         return {
             "done": done,
@@ -354,13 +346,7 @@ class ViewAggregator:
             "sources": dict(sorted(self._sources.items())),
             "trace_sources": dict(sorted(trace_mix.items())),
             "kernel_sources": dict(sorted(kernel_mix.items())),
-            # Sorted-cell accumulation: the rollup is a function of the
-            # meta *set*, not of delivery order.
-            "phase_seconds": {
-                phase: round(sum(values), 6)
-                for phase, values in sorted(phase_cells.items())},
             "ticks": len(self._ticked),
-            "lower_ticks": self._lower_ticks,
             "complete": self._done,
         }
 

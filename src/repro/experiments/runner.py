@@ -25,8 +25,6 @@ independent oracle the kernel is tested against.
 
 from __future__ import annotations
 
-import time
-
 from repro import obs, settings
 from repro.core.arvi import ARVIConfig, ValueMode
 from repro.experiments.cache import ResultCache
@@ -95,31 +93,25 @@ def execute_point(point: ExperimentPoint, *,
         raise ValueError(
             "execute_point requires a resolved point; call "
             "point.resolve() first or use run_point/run_suite")
-    perf = time.perf_counter
-    phase_seconds: dict[str, float] = {}
-    if info is not None:
-        info["phase_seconds"] = phase_seconds
     with obs.span(point.benchmark, kind="point", attrs={
             "benchmark": point.benchmark,
             "configuration": point.configuration,
             "depth": point.pipeline_depth,
             "speculation": point.speculation}):
-        result = _execute_phases(point, trace, info, phase_seconds, perf)
+        result = _execute_phases(point, trace, info)
     result.configuration = point.configuration
     return result
 
 
 def _execute_phases(point: ExperimentPoint,
                     trace: "CommittedTrace | bool | None",
-                    info: dict | None,
-                    phase_seconds: dict[str, float],
-                    perf) -> SimulationResult:
+                    info: dict | None) -> SimulationResult:
     """The phase-instrumented body of :func:`execute_point`.
 
     Each phase (``lower`` / ``replay`` / ``live``; ``record`` lives in
-    :func:`~repro.experiments.tracing.record_workload`) is wall-clock
-    timed into ``phase_seconds`` unconditionally — the ``status`` view
-    reports them — and wrapped in a ledger span when telemetry is on.
+    :func:`~repro.experiments.tracing.record_workload`) runs under a
+    ledger ``phase`` span, the one place phase times are recorded
+    (``python -m repro.obs summary`` rolls them up).
     """
     program = get_program(point.benchmark, scale=point.scale,
                           seed=point.seed)
@@ -134,8 +126,7 @@ def _execute_phases(point: ExperimentPoint,
                                                        CommittedTrace):
         if info is not None:
             info["kernel_source"] = "kernel"
-        return _kernel_replay(point, program, trace, config, kind, mode,
-                              phase_seconds, perf)
+        return _kernel_replay(point, program, trace, config, kind, mode)
     if info is not None:
         info["kernel_source"] = "live"
 
@@ -144,7 +135,6 @@ def _execute_phases(point: ExperimentPoint,
     every = settings.current().obs_interval if telemetry is not None else 0
     sampler = IntervalSampler(every) if every else None
 
-    start = perf()
     with obs.span("live", kind="phase", attrs={"phase": "live",
                                                "mode": "live"}):
         engine = PipelineEngine(program, config, predictor, value_mode=mode,
@@ -157,35 +147,29 @@ def _execute_phases(point: ExperimentPoint,
                                attrs=sample.to_attrs())
                 telemetry.observe("engine.ddt_chain_length",
                                   sample.chain_length)
-    phase_seconds["live"] = perf() - start
     return result
 
 
 def _kernel_replay(point: ExperimentPoint, program, trace, config,
-                   kind: LevelTwoKind, mode: ValueMode,
-                   phase_seconds: dict[str, float],
-                   perf) -> SimulationResult:
+                   kind: LevelTwoKind, mode: ValueMode) -> SimulationResult:
     """Replay one redirect point through the compiled kernel.
 
     ``baseline`` (``LevelTwoKind.HYBRID``) runs the gskew stream pass,
     the paper's ARVI configurations the fused ARVI pass.  A trace not yet
-    lowered pays the one-time lowering as its own ``lower`` phase.
+    lowered pays the one-time lowering as its own ``lower`` phase.  This
+    is the only place a trace is lowered, so the first kernel point of a
+    serial sweep or of a pool batch pays it.
     """
     if not is_lowered(trace, program):
-        start = perf()
         with obs.span("lower", kind="phase", attrs={"phase": "lower"}):
             ensure_lowered(program, trace)
-        phase_seconds["lower"] = perf() - start
-    start = perf()
     with obs.span("replay", kind="phase", attrs={
             "phase": "replay", "mode": "kernel"}):
-        result = kernel_run(
+        return kernel_run(
             program, trace, config, kind,
             warmup_instructions=point.warmup,
             value_mode=mode,
             arvi_config=point.arvi_config)
-    phase_seconds["replay"] = perf() - start
-    return result
 
 
 def run_point(point: ExperimentPoint, *, scale: float | None = None,
@@ -225,9 +209,10 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     ``batch=None`` (or ``True``) simulates same-benchmark points in
     per-worker batches that share one program build; ``batch=False``
     submits one point per task (results are identical either way).
-    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local``;
-    see :mod:`repro.experiments.backends`) — results are bit-for-bit
-    equal on both backends.  ``manifest=None`` honours
+    ``backend`` is ``"serial"``, ``"local"`` or ``None`` (serial for one
+    worker, the local pool otherwise; see
+    :mod:`repro.experiments.backends`) — results are bit-for-bit equal
+    on both backends.  ``manifest=None`` honours
     ``REPRO_MANIFEST`` (crash-safe resumable runs; see :func:`run_plan`).
     ``sink`` is an optional view aggregator (see
     :mod:`repro.experiments.aggregate`) fed every progress tick and

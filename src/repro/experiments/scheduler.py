@@ -1,12 +1,11 @@
-"""Experiment scheduling: execution of a plan over a pluggable backend.
+"""Experiment scheduling: execution of a plan, serially or on a pool.
 
 :func:`run_plan` takes an :class:`~repro.experiments.plan.ExperimentPlan`
 and executes every point that is not already in the result cache.  The
-*where* is delegated to an :class:`~repro.experiments.backends.
-ExecutionBackend` — in-process (``serial``) or a local
-``ProcessPoolExecutor`` (``local``) — selected via ``REPRO_BACKEND`` or
-the ``backend=`` argument; unset keeps the historical behaviour
-(``REPRO_JOBS=1`` runs serially, more workers use the local pool).
+*where* is one of two functions in :mod:`repro.experiments.backends` —
+in-process (``backend="serial"``) or a local ``ProcessPoolExecutor``
+(``backend="local"``); ``backend=None`` runs serially for one worker
+(``REPRO_JOBS=1``) and on the local pool otherwise.
 Point keys, cache bytes and progress events are identical on both
 backends, so the result cache and per-point progress ticks are
 backend-agnostic.
@@ -36,11 +35,8 @@ objects are bit-for-bit equal (``==``) no matter which path produced
 them (enforced by the cross-backend differential suite).
 
 Progress is streamed through an optional callback receiving one
-:class:`ProgressEvent` per completed point, in completion order (plus
-one ``phase="lower"`` event when a batch pays the one-time kernel
-trace-lowering cost, so the first point never looks stalled), with a
-monotone ``completed`` counter; a point a backend reports twice still
-yields one event.  Failures are collected per point and
+:class:`ProgressEvent` per completed point, in completion order, with a
+monotone ``completed`` counter.  Failures are collected per point and
 the first one is raised once the grid has drained — completed siblings
 always reach the cache first.
 """
@@ -53,9 +49,10 @@ from typing import Callable
 
 from repro import obs, settings
 from repro.experiments.backends import (
-    ExecutionBackend,
     _make_batches,
     resolve_backend,
+    run_pool,
+    run_serial,
 )
 from repro.experiments.cache import ResultCache, default_cache
 from repro.experiments.plan import (
@@ -88,16 +85,15 @@ class ProgressEvent:
     elapsed: float            # seconds since run_plan started
     batch_id: str | None = None   # worker batch the point travelled in
     batch_size: int = 1           # points in that batch
-    #: "point" for a completed point; "lower" for a batch's one-time
-    #: trace-lowering pass (``point`` is then the batch's first point,
-    #: and ``completed`` does not advance — no point finished yet).
+    #: Always "point" (a completed point); a batch's one-time trace
+    #: lowering is part of its first kernel point's ``duration``.
     phase: str = "point"
     #: Wall-clock time the event was emitted (``time.time()``); pairs
     #: with the monotonic ``elapsed`` for cross-process correlation.
     timestamp: float = 0.0
     #: Seconds this point's simulation took, when the producing backend
     #: measured it (serial always; pool workers ship it with their
-    #: progress ticks).  None for cache hits and lower pseudo-events.
+    #: progress ticks).  None for cache and manifest replays.
     duration: float | None = None
 
 
@@ -105,13 +101,16 @@ ProgressCallback = Callable[[ProgressEvent], None]
 
 
 class _PlanReport:
-    """Scheduler side of the backend protocol.
+    """What :func:`~repro.experiments.backends.run_serial` and
+    :func:`~repro.experiments.backends.run_pool` report to.
 
-    Translates backend callbacks into cache writes, progress events and
-    collected failures.  Ticks are deduplicated on (batch, index): a
-    backend that re-runs a batch from its start may re-report points
-    whose ticks already streamed, and the callback must still see
-    exactly one event per point with a monotone ``completed`` counter.
+    Translates their callbacks into cache writes, progress events and
+    collected failures: ``tick`` (a point finished; once per point, with
+    its compute seconds), ``deliver`` (its result payload and
+    :func:`~repro.experiments.backends.point_meta` arrived; once per
+    point) and ``fail`` (a per-point or, ``index=None``, whole-batch
+    failure; the first one is raised after the grid drains).
+    ``wants_ticks`` tells the pool whether anyone listens to ticks.
     """
 
     def __init__(self, batches: dict[str, tuple[ExperimentPoint, ...]],
@@ -121,25 +120,12 @@ class _PlanReport:
         self._source = source
         self._emit = emit            # (point, source, batch_id, batch_size)
         self._deliver = deliver      # (point, payload, meta) -> None
-        self._ticked: set[tuple[str, int]] = set()
         self.wants_ticks = wants_ticks
         self.failure: Exception | None = None
         self.failures: list[tuple[ExperimentPoint | None, Exception]] = []
 
-    def tick(self, batch_id: str, index: int,
-             duration: float | None = None) -> None:
-        if (batch_id, index) in self._ticked:
-            return
-        self._ticked.add((batch_id, index))
+    def tick(self, batch_id: str, index: int, duration: float) -> None:
         group = self._batches[batch_id]
-        if index < 0:
-            # Pseudo-tick (kernel.LOWER_TICK): the batch's one-time
-            # trace-lowering pass ran — report it as its own phase so
-            # the first point doesn't look stalled, without advancing
-            # the completed counter.
-            self._emit(group[0], self._source, batch_id, len(group),
-                       phase="lower")
-            return
         self._emit(group[index], self._source, batch_id, len(group),
                    duration=duration)
 
@@ -159,7 +145,7 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
              cache: ResultCache | None = None, use_cache: bool = True,
              progress: ProgressCallback | None = None,
              batch: bool | None = None,
-             backend: "str | ExecutionBackend | None" = None,
+             backend: str | None = None,
              manifest=None,
              sink=None,
              ) -> dict[ExperimentPoint, SimulationResult]:
@@ -170,10 +156,9 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     force recomputation without touching any store.  ``batch=None``
     (or ``True``) sends same-benchmark points to workers in batches;
     ``batch=False`` submits one point per task.
-    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local``;
-    unset = serial for one worker, local pool otherwise); it
-    also accepts a configured :class:`~repro.experiments.backends.
-    ExecutionBackend` instance.  ``manifest=None`` honours
+    ``backend`` is ``"serial"``, ``"local"`` or ``None`` (serial for one
+    worker or one pending point, the local pool otherwise); any other
+    value raises ``ValueError``.  ``manifest=None`` honours
     ``REPRO_MANIFEST`` (default off); a directory path or ``True``
     enables the crash-safe run manifest (``False`` forces it off): a
     killed grid restarted with the same plan replays the points its
@@ -223,14 +208,13 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
 
     def emit(point: ExperimentPoint, source: str,
              batch_id: str | None = None, batch_size: int = 1,
-             phase: str = "point", duration: float | None = None) -> None:
+             duration: float | None = None) -> None:
         nonlocal done
-        if phase == "point":
-            done += 1
+        done += 1
         attrs = {"benchmark": point.benchmark,
                  "configuration": point.configuration,
                  "depth": point.pipeline_depth, "source": source,
-                 "phase": phase, "completed": done, "total": len(plan)}
+                 "completed": done, "total": len(plan)}
         if batch_id is not None:
             attrs["batch_id"] = batch_id
         if duration is not None:
@@ -243,7 +227,7 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
                 point=point, key=keys[point], completed=done,
                 total=len(plan), source=source,
                 elapsed=time.perf_counter() - started,
-                batch_id=batch_id, batch_size=batch_size, phase=phase,
+                batch_id=batch_id, batch_size=batch_size,
                 timestamp=time.time(), duration=duration)
             if progress is not None:
                 progress(event)
@@ -282,26 +266,31 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
             else:
                 pending.append(point)
 
+        # Checked even when every point was a cache hit, so a bad
+        # ``backend=`` never depends on the cache's contents.
+        name = resolve_backend(backend, jobs=jobs, pending=len(pending))
         if pending:
-            engine = resolve_backend(backend, jobs=jobs,
-                                     pending=len(pending))
+            source = "serial" if name == "serial" else "worker"
 
             def deliver(point: ExperimentPoint, payload: dict,
                         meta: dict | None = None) -> None:
                 results[point] = _finish(point, payload, keys, cache)
                 if store is not None:
                     store.record(keys[point], payload)
-                sink_result(point, engine.source, results[point], meta)
+                sink_result(point, source, results[point], meta)
 
             batches = (_make_batches(pending, jobs) if batch
                        else [(point,) for point in pending])
             groups = {f"batch-{index}": group
                       for index, group in enumerate(batches)}
-            report = _PlanReport(groups, engine.source, emit, deliver,
+            report = _PlanReport(groups, source, emit, deliver,
                                  wants_ticks=(progress is not None
                                               or sink is not None
                                               or obs.current() is not None))
-            engine.execute(groups, report, jobs=jobs)
+            if name == "serial":
+                run_serial(groups, report)
+            else:
+                run_pool(groups, report, jobs=jobs)
             if report.failure is not None:
                 _raise_failures(report, keys, knobs, sink)
     finally:
@@ -369,7 +358,7 @@ def run_points(points, *, jobs: int | None = None,
                cache: ResultCache | None = None, use_cache: bool = True,
                progress: ProgressCallback | None = None,
                batch: bool | None = None,
-               backend: "str | ExecutionBackend | None" = None,
+               backend: str | None = None,
                manifest=None,
                sink=None,
                ) -> dict[ExperimentPoint, SimulationResult]:

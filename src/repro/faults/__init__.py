@@ -9,9 +9,8 @@ Four small modules (DESIGN.md §12):
   before rename, ``REPRO_FSYNC``) shared by the result cache and the
   deadletter store; also the single choke point where the injector
   mangles written bytes.
-* :mod:`repro.faults.policy` — :class:`~repro.faults.policy.RetryPolicy`
-  (bounded attempts, exponential backoff, deterministic jitter),
-  per-point deadlines (``REPRO_POINT_TIMEOUT``) and the poison-point
+* :mod:`repro.faults.policy` — per-point deadlines
+  (``REPRO_POINT_TIMEOUT``) and the poison-point
   :class:`~repro.faults.policy.DeadletterStore`.
 * :mod:`repro.faults.manifest` — crash-safe run manifests
   (``REPRO_MANIFEST``): a killed grid restarted with the same plan
@@ -27,8 +26,6 @@ from repro.faults.injector import FaultInjector, active
 from repro.faults.policy import (
     DeadletterStore,
     PointTimeout,
-    RetriesExhausted,
-    RetryPolicy,
     point_deadline,
 )
 
@@ -36,8 +33,6 @@ __all__ = [
     "DeadletterStore",
     "FaultInjector",
     "PointTimeout",
-    "RetriesExhausted",
-    "RetryPolicy",
     "active",
     "point_deadline",
 ]

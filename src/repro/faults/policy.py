@@ -1,9 +1,5 @@
 """The resilience policy layer (DESIGN.md §12).
 
-* :class:`RetryPolicy` — bounded attempts, exponential backoff with
-  *deterministic* jitter (a hash of the retry key, not a clock or RNG —
-  two runs back off identically).  Nothing on the serial or local run
-  path retries today; the policy stays a library for callers that do;
 * per-point deadlines — ``REPRO_POINT_TIMEOUT`` arms a SIGALRM timer
   around each point's execution; an overrun raises the typed
   :class:`PointTimeout` instead of hanging the grid;
@@ -16,8 +12,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -25,12 +19,9 @@ import signal
 import sys
 import threading
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro import obs, settings
-
-DEFAULT_BACKOFF = 0.05
-DEFAULT_ATTEMPTS = 3
 
 
 class PointTimeout(RuntimeError):
@@ -40,71 +31,6 @@ class PointTimeout(RuntimeError):
     ``OSError`` subclass (PEP 3151), which callers commonly treat as
     transient — a deadline overrun is final.
     """
-
-
-class RetriesExhausted(RuntimeError):
-    """An operation failed every attempt its :class:`RetryPolicy` allowed."""
-
-    def __init__(self, what: str, attempts: int, history: list[str]):
-        super().__init__(
-            f"{what} failed after {attempts} attempt(s): " + "; ".join(history))
-        self.what = what
-        self.attempts = attempts
-        self.history = list(history)
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded attempts + exponential backoff + deterministic jitter.
-
-    ``delay(attempt, key)`` for attempt ``n`` (1-based; the delay taken
-    *before* attempt ``n``) is ``backoff * factor**(n-2)`` capped at
-    ``cap``, scaled into ``[1/2, 1]`` by a SHA-256 hash of
-    ``f"{key}:{attempt}"`` — jitter that desynchronizes concurrent
-    retriers yet is bit-stable across runs.
-    """
-
-    max_attempts: int = DEFAULT_ATTEMPTS
-    backoff: float = DEFAULT_BACKOFF
-    factor: float = 2.0
-    cap: float = 2.0
-
-    @classmethod
-    def from_env(cls, *, max_attempts: int = DEFAULT_ATTEMPTS,
-                 ) -> "RetryPolicy":
-        """Policy with ``REPRO_RETRY_BACKOFF`` as its base backoff."""
-        return cls(max_attempts=max(1, max_attempts),
-                   backoff=max(0.0, settings.current().retry_backoff))
-
-    def delay(self, attempt: int, key: str = "") -> float:
-        if attempt <= 1 or self.backoff <= 0.0:
-            return 0.0
-        base = min(self.backoff * self.factor ** (attempt - 2), self.cap)
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).hexdigest()[:8]
-        jitter = 0.5 + 0.5 * (int(digest, 16) / 0xFFFFFFFF)
-        return base * jitter
-
-    def call(self, fn: Callable[[], object], *, key: str, what: str,
-             retry_on: tuple[type[BaseException], ...] = (OSError,)):
-        """Run ``fn`` under this policy; raise :class:`RetriesExhausted`.
-
-        ``PointTimeout`` is never retried even if listed in ``retry_on``
-        (a deadline overrun is final by definition).
-        """
-        history: list[str] = []
-        for attempt in range(1, self.max_attempts + 1):
-            pause = self.delay(attempt, key)
-            if pause > 0.0:
-                time.sleep(pause)
-            try:
-                return fn()
-            except PointTimeout:
-                raise
-            except retry_on as exc:
-                history.append(f"attempt {attempt}: "
-                               f"{type(exc).__name__}: {exc}")
-                obs.inc("retry.attempt", what=what)
-        raise RetriesExhausted(what, self.max_attempts, history)
 
 
 # -- per-point deadlines ------------------------------------------------------

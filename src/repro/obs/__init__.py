@@ -48,7 +48,6 @@ import contextlib
 import json
 import os
 import pathlib
-import shutil
 import time
 from typing import Iterator
 
@@ -201,42 +200,6 @@ class Telemetry:
         return {"run": self.run_id, "parent": self._stack[-1],
                 "dir": str(self.run_dir)}
 
-    def fork_shard(self, context: dict | None = None) -> "Telemetry":
-        """A shard stream for a worker process of this run.
-
-        Call in the *worker* (after fork/spawn): the shard writes to
-        ``<run_dir>/shards/worker-<pid>.jsonl`` and roots its spans at
-        the parent span carried by ``context`` (the scheduler's batch
-        submission context), so the merged ledger reconstructs one tree.
-        """
-        context = context or self.context()
-        run_dir = pathlib.Path(context.get("dir", self.run_dir))
-        emitter = f"worker-{os.getpid()}"
-        return Telemetry(
-            context.get("run", self.run_id), run_dir, emitter=emitter,
-            path=run_dir / "shards" / f"{emitter}.jsonl",
-            root_span=context.get("parent"))
-
-    def adopt_shard(self, path: str | os.PathLike) -> None:
-        """Copy a shard file written outside the run directory into it.
-
-        Call before close so the merge sees it.  A same-named shard
-        already in the run is renamed aside, never overwritten.
-        """
-        path = pathlib.Path(path)
-        shard_dir = self.run_dir / "shards"
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        target = shard_dir / path.name
-        stem, suffix = path.stem, path.suffix
-        n = 0
-        while target.exists():
-            n += 1
-            target = shard_dir / f"{stem}-{n}{suffix}"
-        try:
-            shutil.copyfile(path, target)
-        except OSError:
-            pass  # a vanished shard loses events, never results
-
     # -- lifecycle -----------------------------------------------------------
 
     def snapshot_metrics(self) -> dict:
@@ -310,7 +273,7 @@ def current() -> Telemetry | None:
     An instance inherited across ``fork`` is the parent's — writing to
     its stream would interleave two processes' sequence numbers — so it
     is invisible here; workers join explicitly via :func:`activate` with
-    a :meth:`Telemetry.fork_shard` instance.
+    their :func:`worker_shard`.
     """
     if _current is not None and _current.pid == os.getpid():
         return _current

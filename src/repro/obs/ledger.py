@@ -164,16 +164,6 @@ def merge_streams(paths, out_path: str | os.PathLike) -> int:
     return len(events)
 
 
-def append_jsonl(path: str | os.PathLike, record: dict) -> None:
-    """Append one structured line, flushed immediately (crash-safe)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-        handle.flush()
-
-
 # -- span-tree reconstruction ------------------------------------------------
 
 

@@ -82,18 +82,11 @@ from repro.predictors.twolevel import LevelTwoKind
 
 __all__ = [
     "KernelUnsupported",
-    "LOWER_TICK",
     "LoweredTrace",
     "ensure_lowered",
     "is_lowered",
     "kernel_run",
 ]
-
-#: Pseudo point index backends tick when a batch pays the one-time
-#: lowering cost; the scheduler turns it into a ``phase="lower"``
-#: ProgressEvent instead of a completed point (negative so it can never
-#: collide with a real index).
-LOWER_TICK = -1
 
 #: Folded into the per-(line-mask) fused code when the instruction's
 #: fetch starts a new I-cache line (``code & 7`` recovers the kernel

@@ -11,9 +11,8 @@ so this module records the stream once for the compiled replay kernel
   committed stream into a :class:`CommittedTrace` — a compact *columnar*
   form (parallel arrays of decoded PC indices, results, bit-packed branch
   outcomes, load/store effective addresses and store values), not a list
-  of per-instruction objects.  Pool workers record their own traces;
-* :meth:`CommittedTrace.to_bytes` / :meth:`CommittedTrace.from_bytes`
-  give a checksummed byte form for a trace that leaves its process.
+  of per-instruction objects.  A trace never leaves its process: pool
+  workers record their own.
 
 Invariants (DESIGN.md §8):
 
@@ -38,29 +37,17 @@ Invariants (DESIGN.md §8):
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
-import sys
 from array import array
 
 from repro.isa.program import Program
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS, FunctionalCore
-
-#: Version of the serialized trace layout; mismatches are load errors.
-#: v2: the header carries a SHA-256 digest over the canonical header and
-#: the raw column bytes, so any truncation or bit flip of a serialized
-#: trace raises :class:`TraceError` instead of replaying divergently.
-TRACE_FORMAT_VERSION = 2
-
-_MAGIC = b"REPROTRC"
 
 #: 4-byte unsigned array typecode ('L' is 8 bytes on LP64 platforms).
 _U32 = "I" if array("I").itemsize == 4 else "L"
 
 
 class TraceError(RuntimeError):
-    """A trace is malformed, mismatched with its program, or exhausted."""
+    """A trace is mismatched with its program, or exhausted."""
 
 
 class CommittedTrace:
@@ -116,114 +103,6 @@ class CommittedTrace:
                 f"{self.entry}) does not match program {program.name!r} "
                 f"({len(program.instructions)} instructions, entry "
                 f"{program.entry})")
-
-    # -- serialization -------------------------------------------------------
-    #
-    # Layout: 8-byte magic, little-endian u32 header length, JSON header,
-    # then the raw column bytes in fixed order (pcs, results, taken_bits,
-    # addrs, store_values).  Arrays are written in native byte order with
-    # the order recorded in the header; a cross-endian load byteswaps.
-    # The header's "sha256" field digests the canonical header (minus the
-    # digest itself) plus the column bytes, so every field and every
-    # column is tamper-evident: a corrupted trace loads as TraceError,
-    # never as a silently different committed stream.
-
-    def to_bytes(self) -> bytes:
-        header = {
-            "format": TRACE_FORMAT_VERSION,
-            "program": self.program_name,
-            "static_length": self.static_length,
-            "entry": self.entry,
-            "length": self.length,
-            "results": len(self.results),
-            "branches": self.branch_count,
-            "mem_ops": len(self.addrs),
-            "stores": len(self.store_values),
-            "final_next_pc": self.final_next_pc,
-            "halted": self.halted,
-            "max_instructions": self.max_instructions,
-            "byteorder": sys.byteorder,
-            "itemsize": array(_U32).itemsize,
-        }
-        columns = (self.pcs.tobytes() + self.results.tobytes()
-                   + self.taken_bits + self.addrs.tobytes()
-                   + self.store_values.tobytes())
-        core = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        header["sha256"] = hashlib.sha256(core + columns).hexdigest()
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        out = bytearray(_MAGIC)
-        out += struct.pack("<I", len(blob))
-        out += blob
-        out += columns
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CommittedTrace":
-        """Parse a serialized trace; any malformed input is a TraceError."""
-        try:
-            if data[:8] != _MAGIC:
-                raise TraceError("bad trace magic")
-            (header_len,) = struct.unpack_from("<I", data, 8)
-            header = json.loads(data[12:12 + header_len].decode())
-            if header["format"] != TRACE_FORMAT_VERSION:
-                raise TraceError(
-                    f"trace format {header['format']} != "
-                    f"{TRACE_FORMAT_VERSION}")
-            itemsize = array(_U32).itemsize
-            if header["itemsize"] != itemsize:
-                raise TraceError("trace recorded with a different word size")
-            length = header["length"]
-            n_results = header["results"]
-            n_branches = header["branches"]
-            n_mem = header["mem_ops"]
-            n_stores = header["stores"]
-            n_taken_bytes = (n_branches + 7) // 8
-            offset = 12 + header_len
-            expected = (offset + (length + n_results + n_mem + n_stores)
-                        * itemsize + n_taken_bytes)
-            if len(data) != expected:
-                raise TraceError(
-                    f"trace payload is {len(data)} bytes, expected "
-                    f"{expected}")
-            stated = header.pop("sha256")
-            core = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode()
-            actual = hashlib.sha256(core + data[offset:]).hexdigest()
-            if stated != actual:
-                raise TraceError("trace checksum mismatch")
-
-            def take_array(count: int) -> array:
-                nonlocal offset
-                column = array(_U32)
-                column.frombytes(data[offset:offset + count * itemsize])
-                offset += count * itemsize
-                if header["byteorder"] != sys.byteorder:
-                    column.byteswap()
-                return column
-
-            pcs = take_array(length)
-            results = take_array(n_results)
-            taken_bits = bytes(data[offset:offset + n_taken_bytes])
-            offset += n_taken_bytes
-            addrs = take_array(n_mem)
-            store_values = take_array(n_stores)
-            return cls(
-                program_name=header["program"],
-                static_length=header["static_length"],
-                entry=header["entry"],
-                pcs=pcs, results=results, taken_bits=taken_bits,
-                branch_count=n_branches, addrs=addrs,
-                store_values=store_values,
-                final_next_pc=header["final_next_pc"],
-                halted=bool(header["halted"]),
-                max_instructions=header["max_instructions"],
-            )
-        except TraceError:
-            raise
-        except Exception as exc:  # truncated/garbage input of any shape
-            raise TraceError(f"malformed trace: {exc}") from exc
 
 
 class TraceRecorder:

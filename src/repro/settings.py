@@ -7,14 +7,17 @@ snapshot, one field per knob, with one grammar for all of them:
 * surrounding spaces are stripped, and an empty or unset value means the
   field's default;
 * a value that does not parse raises :class:`SettingsError` naming the
-  variable — a typo never silently falls back to a default.
+  variable — a typo never silently falls back to a default;
+* a non-empty ``REPRO_*`` variable that is not a field here (a typo, or
+  a knob that no longer exists) raises :class:`SettingsError` naming
+  it, rather than being ignored.
 
-Domain checks that need more than a type (backend names, the
-fault-spec grammar) stay with their modules, which read the raw string
-from the snapshot.  ``current()`` parses afresh on every call (tens of
-microseconds, never inside a replay loop), so a changed environment
-takes effect at once; pool workers inherit the parent's environment
-and parse the same values.
+Domain checks that need more than a type (the fault-spec grammar) stay
+with their modules, which read the raw string from the snapshot.
+``current()`` parses afresh on every call (tens of microseconds, never
+inside a replay loop), so a changed environment takes effect at once;
+pool workers inherit the parent's environment and parse the same
+values.
 
 This module is harness, not simulator: it is excluded from the
 result-cache code fingerprint, and it imports only the standard library
@@ -39,7 +42,8 @@ if not (_CHECKOUT / "pyproject.toml").is_file():
 
 
 class SettingsError(ValueError):
-    """A ``REPRO_*`` variable holds a value its grammar rejects."""
+    """A ``REPRO_*`` variable is not a setting, or holds a value its
+    grammar rejects."""
 
 
 def _results_dir(name: str) -> pathlib.Path:
@@ -113,12 +117,10 @@ class Settings:
     # Execution.
     jobs: int = _knob("REPRO_JOBS", parse=_jobs,
                       factory=lambda: os.cpu_count() or 1)
-    backend: str | None = _knob("REPRO_BACKEND")
     cache: bool = _knob("REPRO_CACHE", True, _flag)
     cache_dir: pathlib.Path = _store("REPRO_CACHE_DIR", "cache")
     trace: bool = _knob("REPRO_TRACE", True, _flag)
     # Resilience.
-    retry_backoff: float = _knob("REPRO_RETRY_BACKOFF", 0.05, _float)
     point_timeout: float = _knob("REPRO_POINT_TIMEOUT", 0.0, _seconds)
     deadletter: bool = _knob("REPRO_DEADLETTER", True, _flag)
     deadletter_dir: pathlib.Path = _store("REPRO_DEADLETTER_DIR",
@@ -141,10 +143,18 @@ class Settings:
 
 _KNOBS = tuple((spec.name, spec.metadata["env"], spec.metadata["parse"])
                for spec in dataclasses.fields(Settings))
+_ENVS = frozenset(env for _, env, _ in _KNOBS)
 
 
 def current() -> Settings:
     """Parse the ``REPRO_*`` variables of ``os.environ`` afresh."""
+    unknown = sorted(name for name in os.environ
+                     if name.startswith("REPRO_") and name not in _ENVS
+                     and os.environ[name].strip())
+    if unknown:
+        raise SettingsError(
+            f"{', '.join(unknown)}: not a REPRO_* setting (the settings "
+            f"are {', '.join(sorted(_ENVS))}); unset it")
     values = {}
     for field, env, parse in _KNOBS:
         raw = os.environ.get(env, "").strip()

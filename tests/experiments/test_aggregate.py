@@ -157,13 +157,10 @@ class TestAggregatorSemantics:
         for point, result in serial_results.items():
             aggregator.on_result(point, None, result, source="serial",
                                  meta={"trace_source": "local",
-                                       "kernel_source": "kernel",
-                                       "phase_seconds": {"replay": 0.25}})
+                                       "kernel_source": "kernel"})
         status = aggregator.snapshot().views["status"]
         assert status["trace_sources"] == {"local": len(serial_results)}
         assert status["kernel_sources"] == {"kernel": len(serial_results)}
-        assert status["phase_seconds"] == {
-            "replay": round(0.25 * len(serial_results), 6)}
 
 
 # -- order independence -------------------------------------------------------
@@ -277,8 +274,6 @@ class TestLiveEqualsPosthoc:
         seen = []
 
         def die_after_two(event):
-            if event.phase != "point":
-                return
             seen.append(event)
             if len(seen) == 2:
                 raise KeyboardInterrupt

@@ -2,29 +2,24 @@
 
 Guarantees (DESIGN.md §9):
 
-* backend selection — ``REPRO_BACKEND`` / ``backend=`` pick serial or
-  local-pool execution without changing results or keys, and any other
-  name is rejected;
+* backend selection — ``backend=`` picks serial or local-pool execution
+  without changing results or keys; any other value, and a stray
+  ``REPRO_BACKEND`` in the environment, is rejected;
 * :func:`~repro.experiments.backends.run_batch` — the batch loop both
-  backends share: per-point trace fetch, one lowering tick, deadline,
-  per-point failure isolation;
-* a failing point never discards its siblings' completed results;
-* a point a backend reports twice still yields one progress event.
+  backends share: per-point trace fetch, deadline, per-point failure
+  isolation;
+* a failing point never discards its siblings' completed results.
 """
 
 import pytest
 
-from repro.experiments.backends import (
-    SerialBackend,
-    default_backend_name,
-    resolve_backend,
-    run_batch,
-)
+from repro.experiments.backends import resolve_backend, run_batch
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import ExperimentPoint, build_plan, point_key
 from repro.experiments.scheduler import run_plan, run_points
 from repro.experiments.tracing import SharedTraces
 from repro.faults.policy import PointTimeout
+from repro.settings import SettingsError
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -35,33 +30,16 @@ def small_plan():
 
 
 class TestBackendSelection:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend_name() is None
-        for name in ("serial", "local"):
-            monkeypatch.setenv("REPRO_BACKEND", name)
-            assert default_backend_name() == name
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        assert default_backend_name() is None
-        for bad in ("bogus", "queue"):
-            monkeypatch.setenv("REPRO_BACKEND", bad)
-            with pytest.raises(ValueError, match="REPRO_BACKEND"):
-                default_backend_name()
+    def test_auto_matches_historical_behaviour(self):
+        assert resolve_backend(None, jobs=1, pending=9) == "serial"
+        assert resolve_backend(None, jobs=4, pending=1) == "serial"
+        assert resolve_backend(None, jobs=4, pending=9) == "local"
 
-    def test_auto_matches_historical_behaviour(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None, jobs=1, pending=9).name == "serial"
-        assert resolve_backend(None, jobs=4, pending=1).name == "serial"
-        assert resolve_backend(None, jobs=4, pending=9).name == "local"
-
-    def test_instance_passthrough_and_bad_names(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend, jobs=4, pending=9) is backend
-        for bad in ("hadoop", "queue"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                resolve_backend(bad, jobs=4, pending=9)
-        with pytest.raises(TypeError):
-            resolve_backend(42, jobs=4, pending=9)
+    @pytest.mark.parametrize("bad", ["hadoop", "queue", "Serial", 42,
+                                     pytest.param(object(), id="object")])
+    def test_other_backends_raise(self, bad):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_plan(small_plan(), jobs=2, use_cache=False, backend=bad)
 
     def test_explicit_serial_overrides_jobs(self):
         """backend="serial" must not shard even with many workers."""
@@ -70,49 +48,12 @@ class TestBackendSelection:
                  progress=events.append)
         assert events and all(e.source == "serial" for e in events)
 
-    def test_env_backend_drives_run_plan(self, monkeypatch):
+    def test_env_backend_is_rejected(self, monkeypatch):
+        """``REPRO_BACKEND`` is gone; a shell that still exports it must
+        not quietly run the pool."""
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        events = []
-        run_plan(small_plan(), jobs=4, use_cache=False,
-                 progress=events.append)
-        assert events and all(e.source == "serial" for e in events)
-
-
-class TestProgressRetryConsistency:
-    def test_replayed_ticks_from_a_retried_batch_are_deduped(self):
-        """A backend whose batch is retried re-reports ticks for points
-        that already streamed; the callback must still see one event per
-        point, a monotone completed counter and stable batch metadata."""
-        from repro.experiments.backends import ExecutionBackend, _compute_batch
-
-        class RetriedBatchBackend(ExecutionBackend):
-            name = "retried"
-            source = "retried"
-
-            def execute(self, batches, report, *, jobs):
-                for batch_id, group in batches.items():
-                    entries = _compute_batch(group)
-                    # Attempt 1 completed two points, then "crashed".
-                    for index in range(min(2, len(group))):
-                        report.tick(batch_id, index)
-                    # Attempt 2 re-runs the whole batch from the start.
-                    for index, (status, payload, _meta) in enumerate(entries):
-                        report.tick(batch_id, index)
-                        report.deliver(batch_id, index, payload)
-
-        events = []
-        plan = small_plan()
-        results = run_plan(plan, jobs=2, use_cache=False,
-                           backend=RetriedBatchBackend(),
-                           progress=events.append)
-        assert len(results) == len(plan)
-        assert len(events) == len(plan)           # no double ticks
-        assert {e.point for e in events} == set(plan)
-        assert [e.completed for e in events] == list(
-            range(1, len(plan) + 1))
-        for event in events:
-            assert event.batch_size == sum(
-                1 for e in events if e.batch_id == event.batch_id)
+        with pytest.raises(SettingsError, match="REPRO_BACKEND"):
+            run_plan(small_plan(), jobs=4, use_cache=False)
 
 
 def batch_point(configuration="baseline", depth=20, benchmark="li",
@@ -135,12 +76,8 @@ class BatchLog:
     def error(self, index, exc) -> None:
         self.events.append(("error", index, exc))
 
-    def lower(self) -> None:
-        self.events.append(("lower",))
-
     def run(self, points, **kw) -> None:
-        run_batch(points, on_ok=self.ok, on_error=self.error,
-                  on_lower=self.lower, **kw)
+        run_batch(points, on_ok=self.ok, on_error=self.error, **kw)
 
     def kinds(self) -> list:
         return [event[0] for event in self.events]
@@ -151,7 +88,7 @@ class BatchLog:
 
 class TestRunBatch:
     """The one batch loop both backends share: per point trace fetch,
-    one-time lowering tick, deadline, execute, meta."""
+    deadline, execute, meta."""
 
     GROUP = ("baseline", "current", "perfect")
 
@@ -181,14 +118,7 @@ class TestRunBatch:
         assert {event[3]["kernel_source"] for event in live.oks()} \
             == {"live"}
 
-    def test_lowering_ticks_once_before_the_first_point(self,
-                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        log = BatchLog()
-        log.run(self.group())
-        assert log.kinds() == ["lower", "ok", "ok", "ok"]
-
-    def test_no_lowering_tick_without_traces(self, monkeypatch):
+    def test_points_run_live_without_traces(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
         log = BatchLog()
         log.run(self.group())
@@ -201,8 +131,7 @@ class TestRunBatch:
         points.insert(1, batch_point(benchmark="no-such-benchmark"))
         log = BatchLog()
         log.run(points)
-        assert [(event[0], event[1]) for event in log.events
-                if event[0] != "lower"] == [
+        assert [(event[0], event[1]) for event in log.events] == [
             ("ok", 0), ("error", 1), ("ok", 2), ("ok", 3)]
 
     def test_caller_pool_spans_batches(self, monkeypatch):

@@ -6,8 +6,7 @@ Four layers of guarantees:
   at the same call sequence, budgets respected, retired profiles
   rejected, zero ambient effect when unset (and excluded from cache
   keys);
-* the policy layer — bounded retries with deterministic backoff,
-  per-point SIGALRM deadlines, durability fsyncs,
+* the policy layer — per-point SIGALRM deadlines, durability fsyncs,
   and digest-guarded cache entries that turn torn/bit-flipped files
   into misses, never wrong results;
 * poison-point quarantine — failed points land in ``deadletter/`` while
@@ -54,8 +53,6 @@ from repro.faults.manifest import RunManifest, plan_hash, resolve_manifest
 from repro.faults.policy import (
     DeadletterStore,
     PointTimeout,
-    RetriesExhausted,
-    RetryPolicy,
     point_deadline,
 )
 from repro.obs.ledger import read_events
@@ -313,73 +310,6 @@ class TestCacheDigestGuards:
             assert got is None or got == one_result
 
 
-# -- retry policy -------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_delay_shape_and_cap(self):
-        policy = RetryPolicy(max_attempts=9, backoff=0.1, factor=2.0,
-                             cap=0.5)
-        assert policy.delay(1, "k") == 0.0            # first try is free
-        assert 0.05 <= policy.delay(2, "k") <= 0.1    # backoff * [1/2, 1]
-        assert 0.1 <= policy.delay(3, "k") <= 0.2
-        assert policy.delay(9, "k") <= 0.5            # capped
-
-    def test_jitter_is_deterministic_per_key(self):
-        policy = RetryPolicy(backoff=0.1)
-        assert policy.delay(3, "a") == policy.delay(3, "a")
-        assert policy.delay(3, "a") != policy.delay(3, "b")
-
-    def test_call_retries_transient_then_succeeds(self):
-        policy = RetryPolicy(max_attempts=3, backoff=0.0)
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise OSError("transient")
-            return 42
-
-        assert policy.call(flaky, key="k", what="flaky op") == 42
-        assert len(attempts) == 3
-
-    def test_exhaustion_is_typed_with_history(self):
-        policy = RetryPolicy(max_attempts=2, backoff=0.0)
-
-        def always():
-            raise OSError("disk on fire")
-
-        with pytest.raises(RetriesExhausted,
-                           match="failed after 2 attempt") as excinfo:
-            policy.call(always, key="k", what="doomed op")
-        assert excinfo.value.attempts == 2
-        assert len(excinfo.value.history) == 2
-        assert all("disk on fire" in line
-                   for line in excinfo.value.history)
-
-    def test_point_timeout_is_never_retried(self):
-        policy = RetryPolicy(max_attempts=5, backoff=0.0)
-        attempts = []
-
-        def overrun():
-            attempts.append(1)
-            raise PointTimeout("too slow")
-
-        with pytest.raises(PointTimeout):
-            policy.call(overrun, key="k", what="slow op",
-                        retry_on=(RuntimeError,))
-        assert len(attempts) == 1                     # deadline is final
-
-    def test_from_env_reads_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-        assert RetryPolicy.from_env(max_attempts=4).backoff == 0.25
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF")
-        assert RetryPolicy.from_env().backoff == 0.05
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "bogus")
-        with pytest.raises(SettingsError, match="REPRO_RETRY_BACKOFF"):
-            RetryPolicy.from_env()
-
-
 # -- per-point deadlines ------------------------------------------------------
 
 
@@ -633,8 +563,6 @@ class TestManifestResume:
         seen = []
 
         def die_after_two(event):
-            if event.phase != "point":                # skip lower ticks
-                return
             seen.append(event)
             if len(seen) == 2:
                 raise KeyboardInterrupt
@@ -650,8 +578,7 @@ class TestManifestResume:
         assert resumed == serial_results
         replayed = [e for e in events if e.source == "manifest"]
         assert len(replayed) == 2
-        assert len([e for e in events if e.phase == "point"]) \
-            == len(small_plan())
+        assert len(events) == len(small_plan())
 
     def test_sigkilled_grid_resumes_from_manifest(self, tmp_path,
                                                   serial_results):

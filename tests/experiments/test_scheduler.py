@@ -131,24 +131,19 @@ class TestSchedulerBehaviour:
         events = []
         results = run_plan(plan, jobs=2, use_cache=False, batch=True,
                            progress=events.append)
-        point_events = [e for e in events if e.phase == "point"]
-        lower_events = [e for e in events if e.phase == "lower"]
-        assert len(point_events) + len(lower_events) == len(events)
         assert len(results) == len(plan)
-        assert len(point_events) == len(plan)    # one event per point
+        assert len(events) == len(plan)          # one event per point
+        assert all(e.phase == "point" for e in events)
         assert all(e.source == "worker" for e in events)
         assert all(e.batch_id is not None for e in events)
         assert len({e.batch_id for e in events}) >= 2  # several batches
         # Monotone completion counter in emission order, ending complete.
-        assert [e.completed for e in point_events] == list(
+        assert [e.completed for e in events] == list(
             range(1, len(plan) + 1))
         assert all(e.total == len(plan) for e in events)
         assert all(e.batch_size >= 1 for e in events)
         # Every point is reported exactly once.
-        assert {e.point for e in point_events} == set(plan)
-        # Kernel trace-lowering is its own phase (at most one per batch)
-        # and never advances the completed counter.
-        assert len(lower_events) <= len({e.batch_id for e in events})
+        assert {e.point for e in events} == set(plan)
 
     def test_use_cache_false_recomputes(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -202,8 +197,7 @@ class TestSchedulerBehaviour:
             events = []
             run_plan(plan, jobs=1, use_cache=False, batch=batch,
                      progress=events.append)
-            sizes[batch] = {event.batch_size for event in events
-                            if event.phase == "point"}
+            sizes[batch] = {event.batch_size for event in events}
         assert sizes[None] == sizes[True] == {2}
         assert sizes[False] == {1}
 

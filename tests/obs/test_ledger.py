@@ -5,11 +5,11 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.obs import Telemetry
 from repro.obs.ledger import (
     EVENT_SCHEMA_VERSION,
     LedgerError,
-    append_jsonl,
     build_span_tree,
     iter_lines,
     merge_streams,
@@ -106,14 +106,6 @@ class TestMerge:
         assert len(read_events(out)) == 1
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
 
-    def test_append_jsonl_creates_parents_and_flushes(self, tmp_path):
-        path = tmp_path / "obs" / "errors.jsonl"
-        append_jsonl(path, {"worker": 1, "error": "boom"})
-        append_jsonl(path, {"worker": 2, "error": "bang"})
-        lines = [json.loads(line) for line in
-                 path.read_text().splitlines()]
-        assert [line["worker"] for line in lines] == [1, 2]
-
 
 class TestSpanTree:
     def test_nesting_events_and_durations(self, tmp_path):
@@ -177,29 +169,15 @@ class TestTelemetryPlumbing:
         telemetry.emit("after-teardown")   # must not raise
         assert telemetry._closed
 
-    def test_adopt_shard_never_clobbers(self, tmp_path):
-        """Adopting a second shard with an already-adopted name renames
-        it aside instead of overwriting the first."""
-        telemetry = Telemetry("run-t", tmp_path / "run-t")
-        shard = tmp_path / "elsewhere" / "worker-7.jsonl"
-        shard.parent.mkdir()
-        shard.write_text(json.dumps(_event(emitter="worker-7")) + "\n")
-        telemetry.adopt_shard(shard)
-        shard.write_text(json.dumps(_event(emitter="worker-7", seq=1)) + "\n")
-        telemetry.adopt_shard(shard)
-        telemetry.close(merge=False)
-        names = sorted(p.name for p in
-                       (tmp_path / "run-t" / "shards").iterdir())
-        assert names == ["worker-7-1.jsonl", "worker-7.jsonl"]
-
-    def test_close_merges_shards_and_folds_last_snapshot(self, tmp_path):
+    def test_close_merges_shards_and_folds_last_snapshot(
+            self, tmp_path, monkeypatch):
         """Only a shard's final (cumulative) metrics snapshot is folded —
         per-batch snapshots must not double count."""
+        monkeypatch.setattr(obs, "_shards", {})
         root = Telemetry("run-t", tmp_path / "run-t")
         root.inc("cache.miss", 2)
-        shard = root.fork_shard({"run": "run-t",
-                                 "dir": str(tmp_path / "run-t"),
-                                 "parent": None})
+        shard = obs.worker_shard(root.context())
+        assert obs.worker_shard(root.context()) is shard   # one per process
         shard.inc("points.done")
         shard.snapshot_event()            # after batch 1 (cumulative: 1)
         shard.inc("points.done")

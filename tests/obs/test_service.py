@@ -4,7 +4,8 @@
   identical on serial and local-pool backends (the do-no-harm
   invariant — telemetry observes, never feeds back);
 * the merged ledger reconstructs the full run → plan → batch → point →
-  phase span tree, pool worker shards included;
+  phase span tree, pool worker shards included, and in it each recorded
+  trace is lowered once, inside a point;
 * ``python -m repro.obs`` summarizes and validates those ledgers.
 """
 
@@ -97,8 +98,7 @@ class TestSerialLedger:
                                                 "replay", "live"}
         # Every point streamed exactly one progress event into the tree.
         progress = [e for node, _ in tree.walk() for e in node.events
-                    if e["name"] == "progress"
-                    and e["attrs"]["phase"] == "point"]
+                    if e["name"] == "progress"]
         assert len(progress) == len(points)
 
         # Interval sampling fired (64-cycle period, li runs thousands)
@@ -174,6 +174,42 @@ class TestPoolLedger:
         assert {b.span_id for b in batches} <= under_run
         assert all(not b.start["emitter"].startswith("parent")
                    for b in batches)
+
+
+def descendants(node):
+    for child in node.children:
+        yield child
+        yield from descendants(child)
+
+
+class TestOneLoweringSite:
+    @pytest.mark.parametrize("backend", ["serial", "local"])
+    def test_each_trace_is_lowered_once_inside_a_point(
+            self, tmp_path, monkeypatch, reference_results, backend):
+        """The kernel lowers a trace in one place: the first kernel
+        point that replays it, as that point's ``lower`` phase.  Two
+        batches of one workload share one recording on ``serial`` (the
+        sweep's pool) but record and lower once each on ``local``."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        results, run_dir = obs_run(tmp_path, monkeypatch,
+                                   backend=backend, jobs=2)
+        assert results == reference_results
+
+        _, tree = load_tree(run_dir)
+        batches = tree.find("batch")
+        assert len(batches) == 2
+        phases = tree.find("phase")
+        records = [node for node in phases if node.name == "record"]
+        lowers = [node for node in phases if node.name == "lower"]
+        traces = 1 if backend == "serial" else len(batches)
+        assert len(records) == len(lowers) == traces
+        for lower in lowers:
+            assert tree.nodes[lower.start["parent"]].kind == "point"
+        lowered = {node.span_id for node in lowers}
+        per_batch = [sum(node.span_id in lowered
+                         for node in descendants(batch))
+                     for batch in batches]
+        assert per_batch == ([1, 0] if backend == "serial" else [1, 1])
 
 
 class TestSatellites:

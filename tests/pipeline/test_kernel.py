@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arvi import ValueMode
-from repro.experiments.plan import ExperimentPoint, build_plan
+from repro.experiments.plan import ExperimentPoint
 from repro.experiments.runner import execute_point
-from repro.experiments.scheduler import run_plan
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.kernel import (
@@ -178,40 +177,3 @@ class TestExecutePoint:
         execute_point(self._point(benchmark="li", scale=0.01, warmup=50,
                                   speculation="wrongpath"), info=info)
         assert info["kernel_source"] == "live"
-
-
-class TestProgressPhase:
-    """The scheduler satellite: one-time lowering is its own
-    ``phase="lower"`` event and never advances the completed counter."""
-
-    def _run(self, events):
-        plan = build_plan(("baseline",), (20, 40, 60), ("li",),
-                          scale=0.01, warmup=50)
-        results = run_plan(plan, jobs=1, use_cache=False, batch=True,
-                           backend="serial", progress=events.append)
-        return plan, results
-
-    def test_lowering_is_its_own_phase(self):
-        events = []
-        plan, results = self._run(events)
-        assert len(results) == len(plan)
-        lower = [e for e in events if e.phase == "lower"]
-        points = [e for e in events if e.phase == "point"]
-        assert len(lower) == 1            # one workload identity -> once
-        assert len(points) == len(plan)
-        # The lower event precedes every completed point of its batch
-        # and does not advance the counter.
-        assert events.index(lower[0]) < min(
-            events.index(e) for e in points
-            if e.batch_id == lower[0].batch_id)
-        assert lower[0].completed == 0
-        assert [e.completed for e in points] == list(
-            range(1, len(plan) + 1))
-
-    def test_no_lower_phase_without_traces(self, monkeypatch):
-        # REPRO_TRACE=0: every point runs live, so nothing is lowered.
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        events = []
-        plan, results = self._run(events)
-        assert len(results) == len(plan)
-        assert [e.phase for e in events] == ["point"] * len(plan)

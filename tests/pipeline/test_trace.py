@@ -1,18 +1,13 @@
-"""Trace recording and the committed-trace byte form (DESIGN.md §8).
+"""Trace recording (DESIGN.md §8).
 
 The hard invariant: the recorded columns reproduce the live functional
 core's committed stream exactly, so a kernel replay of the trace is
 bit-for-bit equal (``==``) to the live engine across configurations and
-depths — and the serialized form round-trips losslessly.  Mismatched,
-exhausted or malformed traces are loud ``TraceError``\\ s, never
-silent divergence.
+depths.  Mismatched or exhausted traces are loud ``TraceError``\\ s,
+never silent divergence.
 """
 
-import functools
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.arvi import ValueMode
 from repro.pipeline.config import machine_for_depth
@@ -20,7 +15,6 @@ from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.functional import FunctionalCore
 from repro.pipeline.kernel import ensure_lowered, kernel_run
 from repro.pipeline.trace import (
-    CommittedTrace,
     TraceError,
     TraceRecorder,
     record_trace,
@@ -124,76 +118,6 @@ class TestReplayEquality:
         second = replay_result(program, trace)
         assert first == second == engine_result(program)
         assert ensure_lowered(program, trace) is lowered
-
-
-class TestRoundTrip:
-    def test_serialize_load_replay(self, program, trace):
-        loaded = CommittedTrace.from_bytes(trace.to_bytes())
-        assert loaded.length == trace.length
-        assert loaded.pcs == trace.pcs
-        assert loaded.results == trace.results
-        assert loaded.taken_bits == trace.taken_bits
-        assert loaded.addrs == trace.addrs
-        assert loaded.store_values == trace.store_values
-        assert loaded.halted == trace.halted
-        assert replay_result(program, loaded) == engine_result(program)
-
-    @pytest.mark.parametrize("mangle", [
-        lambda blob: b"",
-        lambda blob: b"NOTATRACE" + blob[9:],
-        lambda blob: blob[:40],
-        lambda blob: blob[:-8],
-        lambda blob: blob + b"trailing-garbage",
-    ])
-    def test_malformed_bytes_raise(self, trace, mangle):
-        with pytest.raises(TraceError):
-            CommittedTrace.from_bytes(mangle(trace.to_bytes()))
-
-    def test_format_version_mismatch_raises(self, trace, monkeypatch):
-        import repro.pipeline.trace as trace_module
-
-        blob = trace.to_bytes()
-        monkeypatch.setattr(trace_module, "TRACE_FORMAT_VERSION", 999)
-        with pytest.raises(TraceError, match="format"):
-            CommittedTrace.from_bytes(blob)
-
-
-@functools.lru_cache(maxsize=1)
-def _fuzz_blob() -> bytes:
-    """A small serialized trace the fuzz property corrupts (built once;
-    hypothesis forbids function-scoped fixtures)."""
-    return record_trace(get_program("li", scale=0.01, seed=1)).to_bytes()
-
-
-class TestWireFuzz:
-    """The byte form's integrity property: *any* truncation or bit flip
-    — framing, header, digest, or a single column value — must raise
-    ``TraceError``, never load as a silently different committed
-    stream."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_truncation_and_bitflips_always_raise(self, data):
-        blob = _fuzz_blob()
-        if data.draw(st.booleans(), label="truncate"):
-            cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-            corrupted = blob[:cut]
-        else:
-            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
-            bit = data.draw(st.integers(0, 7), label="bit")
-            mutated = bytearray(blob)
-            mutated[pos] ^= 1 << bit
-            corrupted = bytes(mutated)
-        with pytest.raises(TraceError):
-            CommittedTrace.from_bytes(corrupted)
-
-    def test_column_bitflip_is_caught_by_checksum(self, trace):
-        """A flipped result value passes every structural check; only
-        the digest can (and must) reject it."""
-        blob = bytearray(trace.to_bytes())
-        blob[-3] ^= 0x10                 # inside the store_values column
-        with pytest.raises(TraceError, match="checksum"):
-            CommittedTrace.from_bytes(bytes(blob))
 
 
 class TestGuards:

@@ -3,7 +3,7 @@
 Every knob shares one grammar: booleans take ``1/true/yes/on`` and
 ``0/false/no/off`` in any case and with surrounding spaces; empty or
 unset means the default; anything unparseable raises ``SettingsError``
-naming the variable.  Two tooling checks keep the parser the only
+naming the variable, and so does a ``REPRO_*`` name that is no setting.  Two tooling checks keep the parser the only
 reader of the environment and the README table in step with it.
 """
 
@@ -79,15 +79,25 @@ def test_parsed_values_keep_their_meaning(clean_env):
     for env, raw in (("REPRO_SCALE", "0.25"), ("REPRO_WARMUP", "500"),
                      ("REPRO_JOBS", "3"), ("REPRO_POINT_TIMEOUT", "2.5"),
                      ("REPRO_OBS_INTERVAL", "1"),
-                     ("REPRO_CACHE_DIR", "/tmp/elsewhere"),
-                     ("REPRO_BACKEND", "local")):
+                     ("REPRO_CACHE_DIR", "/tmp/elsewhere")):
         clean_env.setenv(env, raw)
     knobs = current()
     assert (knobs.scale, knobs.warmup, knobs.jobs) == (0.25, 500, 3)
     assert knobs.point_timeout == 2.5
     assert knobs.obs_interval == 50_000          # bare "on" period
     assert knobs.cache_dir == pathlib.Path("/tmp/elsewhere")
-    assert knobs.backend == "local"
+
+
+@pytest.mark.parametrize("env", ["REPRO_BACKEND", "REPRO_BATCH",
+                                 "REPRO_JOB"])
+def test_unknown_variable_is_named(clean_env, env):
+    """A retired knob or a typo raises instead of being ignored; an
+    empty value is as good as unset."""
+    clean_env.setenv(env, "  ")
+    current()
+    clean_env.setenv(env, "1")
+    with pytest.raises(SettingsError, match=rf"^{env}: not a REPRO_"):
+        current()
 
 
 # -- tooling: one reader, one documented list ---------------------------------
