@@ -28,7 +28,7 @@ cell order**.  Arrival order therefore cannot leak into the bytes — not
 even through float-summation order — so a sink attached to a run yields
 views byte-identical to :func:`build_views` run post-hoc over the
 finished results, on both backends, under seeded write faults, and
-across a SIGKILL + ``REPRO_MANIFEST`` resume (gated in
+across a SIGKILL + cache resume (gated in
 ``tests/experiments/test_aggregate.py`` and ``test_faults.py``).
 Duplicate deliveries are deduped on the cell key; results are
 bit-identical per the standing invariant, so first-wins is exact.  The
@@ -241,9 +241,9 @@ class ViewAggregator:
     Attach one as ``run_plan(..., sink=aggregator)``: it consumes the
     per-point stream — ``on_plan`` once, ``on_progress`` per
     :class:`~repro.experiments.scheduler.ProgressEvent`, ``on_result``
-    per delivered result (backend deliveries, cache hits and manifest
-    replays alike; duplicates are deduped on the point's canonical cell
-    id), ``on_failure`` for final failures.  :meth:`mark_done` builds
+    per delivered result (backend deliveries and cache hits alike;
+    duplicates are deduped on the point's canonical cell id),
+    ``on_failure`` for final failures.  :meth:`mark_done` builds
     the views; a :meth:`snapshot` taken before that builds them from
     what has landed so far.  Both backends call the sink from the
     scheduler's thread.  ``views`` names the views to build (default

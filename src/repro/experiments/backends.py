@@ -38,7 +38,6 @@ from typing import Mapping
 
 from repro import obs
 from repro.experiments.plan import ExperimentPoint
-from repro.faults.policy import point_deadline
 
 Batches = Mapping[str, tuple[ExperimentPoint, ...]]
 
@@ -90,9 +89,9 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     The single batch loop both backends run: per point it fetches the
     committed trace from the ``traces`` pool (by default a fresh
     :class:`~repro.experiments.tracing.SharedTraces` over ``points``),
-    runs the point under its deadline — the first kernel point of a
-    trace also lowers it, inside :func:`~repro.experiments.runner.
-    execute_point` — and reports exactly one of
+    runs the point — the first kernel point of a trace also lowers
+    it, inside :func:`~repro.experiments.runner.execute_point` — and
+    reports exactly one of
 
     * ``on_ok(index, payload, meta, duration)`` — the result's
       ``to_dict()`` payload, its :func:`point_meta` and its compute
@@ -112,9 +111,8 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
         info: dict = {}
         started = time.perf_counter()
         try:
-            with point_deadline():
-                payload = execute_point(point, trace=point_trace,
-                                        info=info).to_dict()
+            payload = execute_point(point, trace=point_trace,
+                                    info=info).to_dict()
         except Exception as exc:  # noqa: BLE001 - isolated per point
             on_error(index, exc)
             continue

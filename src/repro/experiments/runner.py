@@ -194,7 +194,6 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
               progress: ProgressCallback | None = None,
               batch: bool | None = None,
               backend=None,
-              manifest=None,
               sink=None,
               ) -> dict[tuple[str, str, int], SimulationResult]:
     """Run a grid of experiment points; keyed (benchmark, config, depth).
@@ -212,8 +211,8 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     ``backend`` is ``"serial"``, ``"local"`` or ``None`` (serial for one
     worker, the local pool otherwise; see
     :mod:`repro.experiments.backends`) — results are bit-for-bit equal
-    on both backends.  ``manifest=None`` honours
-    ``REPRO_MANIFEST`` (crash-safe resumable runs; see :func:`run_plan`).
+    on both backends; a killed grid resumes from the cache (see
+    :func:`run_plan`).
     ``sink`` is an optional view aggregator (see
     :mod:`repro.experiments.aggregate`) fed every progress tick and
     per-point result as the grid runs.
@@ -223,5 +222,5 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
                       speculation=speculation)
     results = run_plan(plan, jobs=jobs, cache=cache, use_cache=use_cache,
                        progress=progress, batch=batch, backend=backend,
-                       manifest=manifest, sink=sink)
+                       sink=sink)
     return {point.grid_key: result for point, result in results.items()}

@@ -38,7 +38,9 @@ Progress is streamed through an optional callback receiving one
 :class:`ProgressEvent` per completed point, in completion order, with a
 monotone ``completed`` counter.  Failures are collected per point and
 the first one is raised once the grid has drained — completed siblings
-always reach the cache first.
+always reach the cache first.  The cache is also the resume store: a
+killed grid rerun with the same plan and cache recomputes only the
+points that never reached it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from repro.experiments.plan import (
     plan_from_points,
     point_key,
 )
-from repro.faults.manifest import resolve_manifest
 from repro.faults.policy import DeadletterStore
 from repro.pipeline.stats import SimulationResult
 
@@ -81,7 +82,7 @@ class ProgressEvent:
     key: str
     completed: int            # points done so far (including this one)
     total: int                # points in the plan
-    source: str               # "cache" | "manifest" | "serial" | "worker"
+    source: str               # "cache" | "serial" | "worker"
     elapsed: float            # seconds since run_plan started
     batch_id: str | None = None   # worker batch the point travelled in
     batch_size: int = 1           # points in that batch
@@ -93,7 +94,7 @@ class ProgressEvent:
     timestamp: float = 0.0
     #: Seconds this point's simulation took, when the producing backend
     #: measured it (serial always; pool workers ship it with their
-    #: progress ticks).  None for cache and manifest replays.
+    #: progress ticks).  None for cache hits.
     duration: float | None = None
 
 
@@ -146,7 +147,6 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
              progress: ProgressCallback | None = None,
              batch: bool | None = None,
              backend: str | None = None,
-             manifest=None,
              sink=None,
              ) -> dict[ExperimentPoint, SimulationResult]:
     """Execute a plan; returns {resolved point -> result}.
@@ -158,21 +158,19 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     ``batch=False`` submits one point per task.
     ``backend`` is ``"serial"``, ``"local"`` or ``None`` (serial for one
     worker or one pending point, the local pool otherwise); any other
-    value raises ``ValueError``.  ``manifest=None`` honours
-    ``REPRO_MANIFEST`` (default off); a directory path or ``True``
-    enables the crash-safe run manifest (``False`` forces it off): a
-    killed grid restarted with the same plan replays the points its
-    manifest recorded (``source="manifest"`` events) and executes only
-    the remainder, converging to bit-identical results
-    (:mod:`repro.faults.manifest`).
+    value raises ``ValueError``.  Each delivered point is written to
+    the cache at once, so a killed grid restarted with the same plan
+    and cache replays every point that reached it (``source="cache"``
+    events) and executes only the remainder, converging to
+    bit-identical results.
 
     ``sink`` attaches a view aggregator (duck-typed; see
     :class:`~repro.experiments.aggregate.ViewAggregator`): it receives
     the plan (``on_plan``), every :class:`ProgressEvent`
-    (``on_progress``), every delivered result — backend deliveries,
-    cache hits and manifest replays alike (``on_result``) — and the
-    final failure list (``on_failure``), so its views equal the bytes
-    post-hoc construction yields.
+    (``on_progress``), every delivered result — backend deliveries and
+    cache hits alike (``on_result``) — and the final failure list
+    (``on_failure``), so its views equal the bytes post-hoc
+    construction yields.
     """
     knobs = settings.current()
     telemetry = None
@@ -184,15 +182,14 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
         with obs.span("plan", kind="plan", attrs={"points": len(plan)}):
             return _run_plan(plan, knobs, jobs=jobs, cache=cache,
                              use_cache=use_cache, progress=progress,
-                             batch=batch, backend=backend,
-                             manifest=manifest, sink=sink)
+                             batch=batch, backend=backend, sink=sink)
     finally:
         if telemetry is not None:
             obs.close_run(telemetry)
 
 
 def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
-              cache, use_cache, progress, batch, backend, manifest,
+              cache, use_cache, progress, batch, backend,
               sink=None) -> dict[ExperimentPoint, SimulationResult]:
     started = time.perf_counter()
     jobs = knobs.jobs if jobs is None else max(1, int(jobs))
@@ -241,61 +238,45 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
             sink.on_result(point, keys[point], result,
                            source=source, meta=meta)
 
-    store = resolve_manifest(manifest, [keys[point] for point in plan])
     if sink is not None:
         sink.on_plan(plan, keys)
-    try:
-        pending: list[ExperimentPoint] = []
-        for point in plan:
-            hit = cache.get(keys[point]) if cache is not None else None
-            if cache is not None:
-                obs.inc("cache.hit" if hit is not None else "cache.miss")
-            if hit is not None:
-                results[point] = hit
-                sink_result(point, "cache", hit)
-                emit(point, "cache")
-            elif store is not None and keys[point] in store.completed:
-                # A previous (possibly killed) run of this exact plan
-                # already completed the point; replay its recorded
-                # payload through the normal delivery path.
-                results[point] = _finish(point, store.completed[keys[point]],
-                                         keys, cache)
-                obs.inc("manifest.replayed")
-                sink_result(point, "manifest", results[point])
-                emit(point, "manifest")
-            else:
-                pending.append(point)
+    pending: list[ExperimentPoint] = []
+    for point in plan:
+        hit = cache.get(keys[point]) if cache is not None else None
+        if cache is not None:
+            obs.inc("cache.hit" if hit is not None else "cache.miss")
+        if hit is not None:
+            results[point] = hit
+            sink_result(point, "cache", hit)
+            emit(point, "cache")
+        else:
+            pending.append(point)
 
-        # Checked even when every point was a cache hit, so a bad
-        # ``backend=`` never depends on the cache's contents.
-        name = resolve_backend(backend, jobs=jobs, pending=len(pending))
-        if pending:
-            source = "serial" if name == "serial" else "worker"
+    # Checked even when every point was a cache hit, so a bad
+    # ``backend=`` never depends on the cache's contents.
+    name = resolve_backend(backend, jobs=jobs, pending=len(pending))
+    if pending:
+        source = "serial" if name == "serial" else "worker"
 
-            def deliver(point: ExperimentPoint, payload: dict,
-                        meta: dict | None = None) -> None:
-                results[point] = _finish(point, payload, keys, cache)
-                if store is not None:
-                    store.record(keys[point], payload)
-                sink_result(point, source, results[point], meta)
+        def deliver(point: ExperimentPoint, payload: dict,
+                    meta: dict | None = None) -> None:
+            results[point] = _finish(point, payload, keys, cache)
+            sink_result(point, source, results[point], meta)
 
-            batches = (_make_batches(pending, jobs) if batch
-                       else [(point,) for point in pending])
-            groups = {f"batch-{index}": group
-                      for index, group in enumerate(batches)}
-            report = _PlanReport(groups, source, emit, deliver,
-                                 wants_ticks=(progress is not None
-                                              or sink is not None
-                                              or obs.current() is not None))
-            if name == "serial":
-                run_serial(groups, report)
-            else:
-                run_pool(groups, report, jobs=jobs)
-            if report.failure is not None:
-                _raise_failures(report, keys, knobs, sink)
-    finally:
-        if store is not None:
-            store.close()
+        batches = (_make_batches(pending, jobs) if batch
+                   else [(point,) for point in pending])
+        groups = {f"batch-{index}": group
+                  for index, group in enumerate(batches)}
+        report = _PlanReport(groups, source, emit, deliver,
+                             wants_ticks=(progress is not None
+                                          or sink is not None
+                                          or obs.current() is not None))
+        if name == "serial":
+            run_serial(groups, report)
+        else:
+            run_pool(groups, report, jobs=jobs)
+        if report.failure is not None:
+            _raise_failures(report, keys, knobs, sink)
 
     # Return in plan order regardless of completion order.
     return {point: results[point] for point in plan}
@@ -309,8 +290,7 @@ def _raise_failures(report: _PlanReport, keys, knobs: settings.Settings,
         for point, error in report.failures:
             sink.on_failure(point, keys.get(point) if point is not None
                             else None, error)
-    quarantined = _quarantine(report.failures, keys, knobs.deadletter_dir) \
-        if knobs.deadletter else None
+    quarantined = _quarantine(report.failures, keys, knobs.deadletter_dir)
     if quarantined is not None:
         report.failure.add_note(
             f"{len(report.failures)} failed point(s) quarantined to "
@@ -359,10 +339,9 @@ def run_points(points, *, jobs: int | None = None,
                progress: ProgressCallback | None = None,
                batch: bool | None = None,
                backend: str | None = None,
-               manifest=None,
                sink=None,
                ) -> dict[ExperimentPoint, SimulationResult]:
     """Convenience wrapper: plan from explicit points, then run."""
     return run_plan(plan_from_points(points), jobs=jobs, cache=cache,
                     use_cache=use_cache, progress=progress, batch=batch,
-                    backend=backend, manifest=manifest, sink=sink)
+                    backend=backend, sink=sink)

@@ -1,6 +1,6 @@
 """Chaos harness + resilience policies for the experiment service.
 
-Four small modules (DESIGN.md §12):
+Three small modules (DESIGN.md §12):
 
 * :mod:`repro.faults.injector` — deterministic, seeded fault injection
   (``REPRO_FAULTS=<seed>:<profile>``) into result-cache writes: partial
@@ -9,12 +9,14 @@ Four small modules (DESIGN.md §12):
   before rename, ``REPRO_FSYNC``) shared by the result cache and the
   deadletter store; also the single choke point where the injector
   mangles written bytes.
-* :mod:`repro.faults.policy` — per-point deadlines
-  (``REPRO_POINT_TIMEOUT``) and the poison-point
+* :mod:`repro.faults.policy` — the poison-point
   :class:`~repro.faults.policy.DeadletterStore`.
-* :mod:`repro.faults.manifest` — crash-safe run manifests
-  (``REPRO_MANIFEST``): a killed grid restarted with the same plan
-  skips completed points and converges to bit-identical results.
+
+A killed grid resumes from the result cache alone: every completed
+point is an atomic, digest-guarded cache entry, so a restarted plan
+replays those as hits and computes only the rest.  No point needs a
+wall-clock deadline either: each one commits at most its instruction
+budget.
 
 Like the rest of the harness, nothing here can change a simulation
 outcome: the package is excluded from the result-cache code
@@ -23,16 +25,10 @@ memoized environment lookup.
 """
 
 from repro.faults.injector import FaultInjector, active
-from repro.faults.policy import (
-    DeadletterStore,
-    PointTimeout,
-    point_deadline,
-)
+from repro.faults.policy import DeadletterStore
 
 __all__ = [
     "DeadletterStore",
     "FaultInjector",
-    "PointTimeout",
     "active",
-    "point_deadline",
 ]

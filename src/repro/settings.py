@@ -80,13 +80,6 @@ def _jobs(raw: str) -> int:
     return value if value > 0 else os.cpu_count() or 1
 
 
-def _seconds(raw: str) -> float:
-    """A duration in seconds; an off spelling or a value <= 0 is 0 (off)."""
-    if raw.lower() in _OFF:
-        return 0.0
-    return max(0.0, _float(raw))
-
-
 def _interval(raw: str) -> int:
     """Cycles between samples: off = 0, on (or ``1``) = 50 000."""
     if raw.lower() in _OFF + _ON:
@@ -121,12 +114,8 @@ class Settings:
     cache_dir: pathlib.Path = _store("REPRO_CACHE_DIR", "cache")
     trace: bool = _knob("REPRO_TRACE", True, _flag)
     # Resilience.
-    point_timeout: float = _knob("REPRO_POINT_TIMEOUT", 0.0, _seconds)
-    deadletter: bool = _knob("REPRO_DEADLETTER", True, _flag)
     deadletter_dir: pathlib.Path = _store("REPRO_DEADLETTER_DIR",
                                           "deadletter")
-    manifest: bool = _knob("REPRO_MANIFEST", False, _flag)
-    manifests_dir: pathlib.Path = _store("REPRO_MANIFEST_DIR", "manifests")
     fsync: bool = _knob("REPRO_FSYNC", True, _flag)
     faults: str | None = _knob("REPRO_FAULTS")
     # Telemetry.

@@ -52,26 +52,19 @@ def isolated_obs_dir(tmp_path_factory):
 def isolated_resilience_dirs(tmp_path_factory):
     """Isolate the resilience layer (DESIGN.md §12) from the repo and env.
 
-    * deadletter quarantine and run manifests go to throwaway dirs —
-      tests must never write ``benchmarks/results/deadletter/`` or
-      ``.../manifests/``;
+    * deadletter quarantine goes to a throwaway dir — tests must never
+      write ``benchmarks/results/deadletter/``;
     * ``REPRO_FSYNC=0`` — durability fsyncs are pure overhead on tmpfs
       test dirs (the fsync behaviour itself is unit-tested explicitly);
-    * any ambient chaos/timeout/manifest knobs are cleared so the suite
-      is deterministic regardless of the invoking shell.
+    * any ambient ``REPRO_FAULTS`` chaos spec is cleared so the suite is
+      deterministic regardless of the invoking shell.
     """
     saved = {name: os.environ.get(name) for name in (
-        "REPRO_DEADLETTER_DIR", "REPRO_MANIFEST_DIR", "REPRO_FSYNC",
-        "REPRO_FAULTS", "REPRO_MANIFEST", "REPRO_POINT_TIMEOUT",
-        "REPRO_DEADLETTER")}
+        "REPRO_DEADLETTER_DIR", "REPRO_FSYNC", "REPRO_FAULTS")}
     os.environ["REPRO_DEADLETTER_DIR"] = str(
         tmp_path_factory.mktemp("deadletter"))
-    os.environ["REPRO_MANIFEST_DIR"] = str(
-        tmp_path_factory.mktemp("manifests"))
     os.environ["REPRO_FSYNC"] = "0"
-    for name in ("REPRO_FAULTS", "REPRO_MANIFEST", "REPRO_POINT_TIMEOUT",
-                 "REPRO_DEADLETTER"):
-        os.environ.pop(name, None)
+    os.environ.pop("REPRO_FAULTS", None)
     yield
     for name, value in saved.items():
         if value is None:

@@ -12,8 +12,8 @@ Three layers of guarantees:
   views equal :func:`~repro.experiments.aggregate.build_views` run
   post-hoc over the finished results, byte for byte, on serial and
   local backends, from the cache, and across interrupted / SIGKILLed
-  runs resumed from their ``REPRO_MANIFEST`` (under seeded write
-  faults: ``test_faults.py``).
+  runs resumed from their result cache (under seeded write faults:
+  ``test_faults.py``).
 """
 
 import os
@@ -38,7 +38,6 @@ from repro.experiments.aggregate import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import build_plan, point_key
 from repro.experiments.scheduler import run_plan
-from repro.faults.manifest import plan_hash
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -269,8 +268,8 @@ class TestLiveEqualsPosthoc:
     def test_interrupted_run_resumes_identical(self, tmp_path,
                                                serial_results):
         """Kill a grid after two points; the resumed run's live views
-        (fed by manifest replays + fresh computes) equal the post-hoc
-        build over the full results."""
+        (fed by cache hits + fresh computes) equal the post-hoc build
+        over the full results."""
         seen = []
 
         def die_after_two(event):
@@ -279,17 +278,16 @@ class TestLiveEqualsPosthoc:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_plan(small_plan(), jobs=1, use_cache=False,
-                     backend="serial", manifest=tmp_path,
-                     progress=die_after_two, sink=ViewAggregator())
+            run_plan(small_plan(), jobs=1, cache=ResultCache(tmp_path),
+                     backend="serial", progress=die_after_two,
+                     sink=ViewAggregator())
         aggregator = ViewAggregator()
-        resumed = run_plan(small_plan(), jobs=1, use_cache=False,
-                           backend="serial", manifest=tmp_path,
-                           sink=aggregator)
+        resumed = run_plan(small_plan(), jobs=1, cache=ResultCache(tmp_path),
+                           backend="serial", sink=aggregator)
         aggregator.mark_done()
         self.check(aggregator, resumed, serial_results)
         sources = aggregator.snapshot().views["status"]["sources"]
-        assert sources.get("manifest") == 2
+        assert sources["cache"] == 2
 
     def test_sigkilled_run_resumes_identical(self, tmp_path,
                                              serial_results):
@@ -298,13 +296,12 @@ class TestLiveEqualsPosthoc:
         are still byte-identical to post-hoc."""
         script = (
             "import sys\n"
+            "from repro.experiments.cache import ResultCache\n"
             "from repro.experiments.plan import build_plan\n"
             "from repro.experiments.scheduler import run_plan\n"
             f"plan = build_plan(**{PLAN_KW!r})\n"
-            "run_plan(plan, jobs=1, use_cache=False, backend='serial',\n"
-            "         manifest=sys.argv[1])\n")
-        keys = [point_key(point) for point in small_plan()]
-        manifest_path = tmp_path / f"{plan_hash(keys)[:32]}.jsonl"
+            "run_plan(plan, jobs=1, cache=ResultCache(sys.argv[1]),\n"
+            "         backend='serial')\n")
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(tmp_path)],
             env=subprocess_env(), cwd=REPO_ROOT,
@@ -312,10 +309,8 @@ class TestLiveEqualsPosthoc:
         try:
             deadline = time.monotonic() + 120
             while True:
-                if manifest_path.is_file():
-                    text = manifest_path.read_text()
-                    if text.count("\n") >= 2:
-                        break
+                if any(tmp_path.glob("*.json")):     # first cache entry
+                    break
                 if proc.poll() is not None:
                     break
                 assert time.monotonic() < deadline, "grid never progressed"
@@ -327,9 +322,12 @@ class TestLiveEqualsPosthoc:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+        cached = len(list(tmp_path.glob("*.json")))
+        assert cached >= 1
         aggregator = ViewAggregator()
-        resumed = run_plan(small_plan(), jobs=1, use_cache=False,
-                           backend="serial", manifest=tmp_path,
-                           sink=aggregator)
+        resumed = run_plan(small_plan(), jobs=1, cache=ResultCache(tmp_path),
+                           backend="serial", sink=aggregator)
         aggregator.mark_done()
         self.check(aggregator, resumed, serial_results)
+        sources = aggregator.snapshot().views["status"]["sources"]
+        assert sources["cache"] == cached

@@ -6,8 +6,7 @@ Guarantees (DESIGN.md §9):
   without changing results or keys; any other value, and a stray
   ``REPRO_BACKEND`` in the environment, is rejected;
 * :func:`~repro.experiments.backends.run_batch` — the batch loop both
-  backends share: per-point trace fetch, deadline, per-point failure
-  isolation;
+  backends share: per-point trace fetch, per-point failure isolation;
 * a failing point never discards its siblings' completed results.
 """
 
@@ -18,7 +17,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.plan import ExperimentPoint, build_plan, point_key
 from repro.experiments.scheduler import run_plan, run_points
 from repro.experiments.tracing import SharedTraces
-from repro.faults.policy import PointTimeout
 from repro.settings import SettingsError
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
@@ -88,7 +86,7 @@ class BatchLog:
 
 class TestRunBatch:
     """The one batch loop both backends share: per point trace fetch,
-    deadline, execute, meta."""
+    execute, meta."""
 
     GROUP = ("baseline", "current", "perfect")
 
@@ -155,13 +153,6 @@ class TestRunBatch:
             log.run(group, traces=traces)
             assert log.oks()[0][3]["kernel_source"] == "kernel"
         assert recorded == [("li", 0.01, 1)]
-
-    def test_deadline_overrun_is_reported_as_an_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "0.001")
-        log = BatchLog()
-        log.run([batch_point()])
-        assert log.kinds() == ["error"]
-        assert isinstance(log.events[0][2], PointTimeout)
 
 
 class TestSerialFailureIsolation:

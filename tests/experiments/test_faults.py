@@ -6,14 +6,13 @@ Four layers of guarantees:
   at the same call sequence, budgets respected, retired profiles
   rejected, zero ambient effect when unset (and excluded from cache
   keys);
-* the policy layer — per-point SIGALRM deadlines, durability fsyncs,
-  and digest-guarded cache entries that turn torn/bit-flipped files
-  into misses, never wrong results;
+* durability fsyncs and digest-guarded cache entries that turn
+  torn/bit-flipped files into misses, never wrong results;
 * poison-point quarantine — failed points land in ``deadletter/`` while
   siblings complete, surfaced via ``python -m repro.obs deadletter``;
-* resumable runs — a killed grid restarted with the same plan replays
-  its crash-safe manifest and converges bit-identically, serial and
-  pooled;
+* resumable runs — a killed grid restarted with the same plan and
+  result cache replays the points that reached the cache and converges
+  bit-identically, serial and pooled;
 
 plus the top-level chaos property: under any seeded write-fault
 schedule a pooled grid, cold and then warm from the faulted cache, is
@@ -22,7 +21,6 @@ post-hoc build, every fault is a warm-run miss, and the ledger records
 every fault.
 """
 
-import gc
 import hashlib
 import json
 import os
@@ -31,7 +29,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 import pytest
@@ -49,14 +46,9 @@ from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan, run_points
 from repro.faults import fsio
 from repro.faults.injector import FaultInjector, active, override, parse_spec
-from repro.faults.manifest import RunManifest, plan_hash, resolve_manifest
-from repro.faults.policy import (
-    DeadletterStore,
-    PointTimeout,
-    point_deadline,
-)
+from repro.faults.policy import DeadletterStore
 from repro.obs.ledger import read_events
-from repro.settings import SettingsError, current
+from repro.settings import current
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -310,130 +302,6 @@ class TestCacheDigestGuards:
             assert got is None or got == one_result
 
 
-# -- per-point deadlines ------------------------------------------------------
-
-
-class TestPointDeadline:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
-        assert current().point_timeout == 0.0
-        for off in ("0", "off", "-3"):
-            monkeypatch.setenv("REPRO_POINT_TIMEOUT", off)
-            assert current().point_timeout == 0.0
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "2.5")
-        assert current().point_timeout == 2.5
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "garbage")
-        with pytest.raises(SettingsError, match="REPRO_POINT_TIMEOUT"):
-            current()
-
-    def test_deadline_interrupts_and_disarms(self):
-        started = time.monotonic()
-        with pytest.raises(PointTimeout, match="deadline"):
-            with point_deadline(0.05):
-                time.sleep(5)
-        assert time.monotonic() - started < 2.0
-        time.sleep(0.1)                               # timer must be disarmed
-
-    def test_disabled_deadline_leaves_signal_state_alone(self):
-        before = signal.getsignal(signal.SIGALRM)
-        for seconds in (0, 0.0, -1):
-            with point_deadline(seconds):
-                assert signal.getsignal(signal.SIGALRM) is before
-                assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-    def test_previous_handler_and_timer_restored(self):
-        before = signal.getsignal(signal.SIGALRM)
-        with point_deadline(30):
-            assert signal.getsignal(signal.SIGALRM) is not before
-            assert signal.getitimer(signal.ITIMER_REAL)[0] > 0.0
-        assert signal.getsignal(signal.SIGALRM) is before
-        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-    def test_foreign_frames_are_skipped_until_a_guarded_one(self):
-        """Firings inside a helper outside the ``repro`` package are
-        ignored; the next firing in the frame that opened the deadline
-        raises."""
-        finished = []
-
-        def spin(seconds):
-            until = time.perf_counter() + seconds
-            while time.perf_counter() < until:
-                pass
-            finished.append(True)
-
-        with pytest.raises(PointTimeout):
-            with point_deadline(0.01):
-                spin(0.1)                 # many firings land here
-                while True:               # the opener's own frame
-                    pass
-        assert finished == [True]
-
-    def test_noop_off_main_thread(self):
-        outcome = []
-
-        def run():
-            with point_deadline(0.01):
-                time.sleep(0.05)
-            outcome.append("survived")
-
-        worker = threading.Thread(target=run)
-        worker.start()
-        worker.join(10)
-        assert outcome == ["survived"]
-
-    def test_serial_grid_surfaces_point_timeout(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "0.001")
-        point = ExperimentPoint("li", "baseline", 20, scale=0.01,
-                                warmup=50)
-        with pytest.raises(PointTimeout):
-            run_points([point], jobs=1, use_cache=False, backend="serial")
-
-    def test_timeout_never_raises_inside_foreign_callbacks(
-            self, monkeypatch):
-        """Regression: a firing that lands in a pure-Python gc callback
-        must not raise there (CPython would hand the timeout to
-        ``sys.unraisablehook`` and carry on); it is ignored, and a later
-        firing raises in the simulator's own frames instead."""
-        seen = []
-        stalled = []
-        thresholds = gc.get_threshold()
-
-        def stall_once(_phase, _info):
-            # The first collection after the deadline arms outlasts its
-            # first firings, so they land in this (foreign) frame.
-            if stalled or signal.getitimer(signal.ITIMER_REAL)[0] == 0.0:
-                return
-            stalled.append(True)
-            gc.set_threshold(*thresholds)
-            until = time.perf_counter() + 0.02
-            while time.perf_counter() < until:
-                pass
-
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "0.001")
-        point = ExperimentPoint("li", "baseline", 20, scale=0.01,
-                                warmup=50)
-        saved_hook = sys.unraisablehook
-        sys.unraisablehook = seen.append
-        gc.callbacks.append(stall_once)
-        gc.set_threshold(1)  # collect on the point's first allocation
-        try:
-            with pytest.raises(PointTimeout):
-                run_points([point], jobs=1, use_cache=False,
-                           backend="serial")
-        finally:
-            gc.set_threshold(*thresholds)
-            gc.callbacks.remove(stall_once)
-            sys.unraisablehook = saved_hook
-        assert stalled, "no collection ran under the deadline"
-        assert seen == []
-
-    def test_generous_deadline_changes_nothing(self, monkeypatch,
-                                               serial_results):
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "300")
-        assert run_plan(small_plan(), jobs=1, use_cache=False,
-                        backend="serial") == serial_results
-
-
 # -- deadletter quarantine ----------------------------------------------------
 
 
@@ -460,14 +328,23 @@ class TestDeadletterQuarantine:
         assert entry["error"]["type"]
         assert "no-such-benchmark" in entry["error"]["message"]
 
-    def test_quarantine_can_be_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "dl"))
-        monkeypatch.setenv("REPRO_DEADLETTER", "0")
+    def test_unwritable_deadletter_dir_keeps_the_original_error(
+            self, tmp_path, monkeypatch):
+        """Quarantine is best-effort: a deadletter directory that cannot
+        be created (here: under a regular file) leaves the poison
+        point's own error to be raised, without a quarantine note, and
+        its siblings still reach the cache."""
+        (tmp_path / "f").write_text("a file, not a directory")
+        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "f" / "dl"))
+        store = ResultCache(tmp_path / "cache")
+        good = ExperimentPoint("li", "baseline", 20, scale=0.01, warmup=50)
         bad = ExperimentPoint("no-such-benchmark", "baseline", 20,
                               scale=0.01, warmup=50)
-        with pytest.raises(Exception):
-            run_points([bad], jobs=1, use_cache=False, backend="serial")
-        assert DeadletterStore(tmp_path / "dl").entries() == []
+        with pytest.raises(Exception, match="no-such-benchmark") as excinfo:
+            run_points([good, bad], jobs=1, cache=store, backend="serial")
+        assert not any("quarantined" in note for note
+                       in getattr(excinfo.value, "__notes__", ()))
+        assert point_key(good) in store
 
     def test_cli_lists_quarantined_points(self, tmp_path, capsys):
         from repro.obs import __main__ as obs_cli
@@ -488,78 +365,16 @@ class TestDeadletterQuarantine:
         assert "RuntimeError: boom" in out
 
 
-# -- crash-safe run manifests -------------------------------------------------
+# -- resume from the result cache --------------------------------------------
 
 
-class TestRunManifest:
-    KEYS = ["k-alpha", "k-beta", "k-gamma"]
-
-    def test_record_and_reopen(self, tmp_path):
-        manifest = RunManifest.open(tmp_path, self.KEYS)
-        manifest.record("k-alpha", {"ipc": 1.0})
-        manifest.record("k-beta", {"ipc": 2.0})
-        manifest.record("k-alpha", {"ipc": 99.0})     # idempotent per key
-        manifest.close()
-        reopened = RunManifest.open(tmp_path, self.KEYS)
-        assert reopened.completed == {"k-alpha": {"ipc": 1.0},
-                                      "k-beta": {"ipc": 2.0}}
-        reopened.close()
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        manifest = RunManifest.open(tmp_path, self.KEYS)
-        manifest.record("k-alpha", {"ipc": 1.0})
-        manifest.close()
-        with open(manifest.path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "result", "key": "k-beta", "pay')
-        reopened = RunManifest.open(tmp_path, self.KEYS)
-        assert set(reopened.completed) == {"k-alpha"}
-        reopened.record("k-beta", {"ipc": 2.0})       # appends fine after
-        reopened.close()
-
-    def test_tampered_line_fails_its_self_digest(self, tmp_path):
-        manifest = RunManifest.open(tmp_path, self.KEYS)
-        manifest.record("k-alpha", {"ipc": 1.0})
-        manifest.close()
-        lines = manifest.path.read_text().splitlines()
-        assert '"ipc":1.0' in lines[1]                # canonical JSON
-        lines[1] = lines[1].replace('"ipc":1.0', '"ipc":7.0')
-        manifest.path.write_text("\n".join(lines) + "\n")
-        reopened = RunManifest.open(tmp_path, self.KEYS)
-        assert reopened.completed == {}               # tamper => recompute
-        reopened.close()
-
-    def test_foreign_header_restarts_the_manifest(self, tmp_path):
-        plan = plan_hash(self.KEYS)
-        path = tmp_path / f"{plan[:32]}.jsonl"
-        path.write_text('{"kind": "plan", "plan": "someone-else", '
-                        '"v": 1}\n')
-        manifest = RunManifest.open(tmp_path, self.KEYS)
-        assert manifest.completed == {}
-        manifest.close()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["plan"] == plan                 # rewritten for us
-
-    def test_resolve_manifest_modes(self, tmp_path, monkeypatch):
-        assert resolve_manifest(False, self.KEYS) is None
-        monkeypatch.delenv("REPRO_MANIFEST", raising=False)
-        assert resolve_manifest(None, self.KEYS) is None
-        monkeypatch.setenv("REPRO_MANIFEST", "1")
-        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
-        via_env = resolve_manifest(None, self.KEYS)
-        assert isinstance(via_env, RunManifest)
-        via_env.close()
-        explicit = resolve_manifest(tmp_path, self.KEYS)
-        assert explicit.path == via_env.path
-        explicit.close()
-
-
-class TestManifestResume:
+class TestCacheResume:
     def test_interrupted_grid_resumes_bit_identical(self, tmp_path,
                                                     serial_results):
         """Kill a grid (here: an exception out of the progress callback)
-        after two points; restarting with the same plan and manifest
-        directory replays them as source="manifest" events and
-        converges to the fault-free results."""
+        after two points; restarting with the same plan and cache
+        replays them as source="cache" events and converges to the
+        fault-free results."""
         seen = []
 
         def die_after_two(event):
@@ -568,40 +383,38 @@ class TestManifestResume:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_plan(small_plan(), jobs=1, use_cache=False,
-                     backend="serial", manifest=tmp_path,
-                     progress=die_after_two)
+            run_plan(small_plan(), jobs=1, cache=ResultCache(tmp_path),
+                     backend="serial", progress=die_after_two)
         events = []
-        resumed = run_plan(small_plan(), jobs=1, use_cache=False,
-                           backend="serial", manifest=tmp_path,
-                           progress=events.append)
+        resumed = run_plan(small_plan(), jobs=1, cache=ResultCache(tmp_path),
+                           backend="serial", progress=events.append)
         assert resumed == serial_results
-        replayed = [e for e in events if e.source == "manifest"]
+        replayed = [e for e in events if e.source == "cache"]
         assert len(replayed) == 2
         assert len(events) == len(small_plan())
 
-    def test_sigkilled_grid_resumes_from_manifest(self, tmp_path,
-                                                  serial_results):
+    def test_sigkilled_grid_resumes_from_cache(self, tmp_path,
+                                               serial_results):
         self.sigkill_and_resume(tmp_path, serial_results, "serial", 1)
 
-    def test_sigkilled_pooled_grid_resumes_from_manifest(self, tmp_path,
-                                                         serial_results):
+    def test_sigkilled_pooled_grid_resumes_from_cache(self, tmp_path,
+                                                      serial_results):
         self.sigkill_and_resume(tmp_path, serial_results, "local", 2)
 
     @staticmethod
     def sigkill_and_resume(tmp_path, serial_results, backend, jobs):
         """The real crash: SIGKILL a separate grid process (and, on the
-        pool, its workers) mid-run, then resume in-process from its
-        manifest on the same backend."""
+        pool, its workers) once its first cache entry lands, then resume
+        in-process from the same cache on the same backend; the resumed
+        run's views equal the post-hoc build."""
         script = (
             "import sys\n"
+            "from repro.experiments.cache import ResultCache\n"
             "from repro.experiments.plan import build_plan\n"
             "from repro.experiments.scheduler import run_plan\n"
             f"plan = build_plan(**{PLAN_KW!r})\n"
-            f"run_plan(plan, jobs={jobs}, use_cache=False,\n"
-            f"         backend={backend!r}, manifest=sys.argv[1])\n")
-        keys = [point_key(point) for point in small_plan()]
-        manifest_path = tmp_path / f"{plan_hash(keys)[:32]}.jsonl"
+            f"run_plan(plan, jobs={jobs}, cache=ResultCache(sys.argv[1]),\n"
+            f"         backend={backend!r})\n")
         # Its own session, so one killpg takes the pool workers down with
         # the grid process.
         proc = subprocess.Popen(
@@ -617,11 +430,10 @@ class TestManifestResume:
         try:
             deadline = time.monotonic() + 120
             while True:
-                if manifest_path.is_file():
-                    text = manifest_path.read_text()
-                    # header + >=1 complete result line
-                    if text.count("\n") >= 2:
-                        break
+                # Entries are renamed into place whole, so a *.json
+                # file is a completed point.
+                if any(tmp_path.glob("*.json")):
+                    break
                 if proc.poll() is not None:
                     break                             # finished before kill
                 assert time.monotonic() < deadline, "grid never progressed"
@@ -631,12 +443,18 @@ class TestManifestResume:
         finally:
             kill_session()
             proc.wait()
+        cached = len(list(tmp_path.glob("*.json")))
+        assert cached >= 1
         events = []
-        resumed = run_plan(small_plan(), jobs=jobs, use_cache=False,
-                           backend=backend, manifest=tmp_path,
-                           progress=events.append)
+        sink = ViewAggregator()
+        resumed = run_plan(small_plan(), jobs=jobs,
+                           cache=ResultCache(tmp_path), backend=backend,
+                           progress=events.append, sink=sink)
+        sink.mark_done()
         assert resumed == serial_results
-        assert [e for e in events if e.source == "manifest"]
+        assert len([e for e in events if e.source == "cache"]) == cached
+        assert identity_json(sink.snapshot()) \
+            == identity_json(build_views(resumed))
 
 
 # -- chaos must not leak into keys or fault-free runs -------------------------
@@ -649,7 +467,6 @@ class TestFaultsAreKeyNeutral:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         clean = point_key(point)
         monkeypatch.setenv("REPRO_FAULTS", "7:mixed")
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "60")
         assert point_key(point) == clean
 
     def test_faults_package_is_outside_the_code_fingerprint(self):

@@ -1,6 +1,11 @@
-"""Public API surface tests."""
+"""Public API surface tests, and a guard on what the package imports."""
+
+import ast
+import pathlib
 
 import repro
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 class TestPublicAPI:
@@ -28,3 +33,21 @@ class TestPublicAPI:
         import repro.predictors
         import repro.workloads
         assert repro.workloads.BENCHMARKS
+
+
+def test_no_module_imports_signal():
+    """No signal handler, hence no asynchronous exception, can reach
+    simulator state: every failure is raised where the code raises it."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "signal" for name in names):
+                offenders.append(f"{path.relative_to(SRC.parent)}:"
+                                 f"{node.lineno}")
+    assert offenders == []

@@ -77,19 +77,20 @@ def test_cache_off_spellings_disable_the_cache(clean_env, spelling):
 
 def test_parsed_values_keep_their_meaning(clean_env):
     for env, raw in (("REPRO_SCALE", "0.25"), ("REPRO_WARMUP", "500"),
-                     ("REPRO_JOBS", "3"), ("REPRO_POINT_TIMEOUT", "2.5"),
+                     ("REPRO_JOBS", "3"),
                      ("REPRO_OBS_INTERVAL", "1"),
                      ("REPRO_CACHE_DIR", "/tmp/elsewhere")):
         clean_env.setenv(env, raw)
     knobs = current()
     assert (knobs.scale, knobs.warmup, knobs.jobs) == (0.25, 500, 3)
-    assert knobs.point_timeout == 2.5
     assert knobs.obs_interval == 50_000          # bare "on" period
     assert knobs.cache_dir == pathlib.Path("/tmp/elsewhere")
 
 
 @pytest.mark.parametrize("env", ["REPRO_BACKEND", "REPRO_BATCH",
-                                 "REPRO_JOB"])
+                                 "REPRO_JOB", "REPRO_MANIFEST",
+                                 "REPRO_MANIFEST_DIR", "REPRO_POINT_TIMEOUT",
+                                 "REPRO_DEADLETTER"])
 def test_unknown_variable_is_named(clean_env, env):
     """A retired knob or a typo raises instead of being ignored; an
     empty value is as good as unset."""
@@ -115,6 +116,17 @@ def test_only_settings_reads_repro_variables():
             if _READ.search(line):
                 offenders.append(f"{path.relative_to(REPO)}:{number}")
     assert offenders == [], "read REPRO_* through repro.settings.current()"
+
+
+def test_src_names_only_real_knobs():
+    """Every ``REPRO_*`` token under ``src/`` — docstrings included —
+    names a setting, so no text points at a retired knob."""
+    stray = sorted({f"{path.relative_to(REPO)}: {name}"
+                    for path in (REPO / "src").rglob("*.py")
+                    for name in re.findall(r"REPRO_[A-Z0-9_]+",
+                                           path.read_text())
+                    if name not in KNOBS})
+    assert stray == []
 
 
 def test_readme_knob_table_matches_settings():
