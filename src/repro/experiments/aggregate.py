@@ -27,9 +27,10 @@ normalizations, table rows) is computed over the cells **in sorted
 cell order**.  Arrival order therefore cannot leak into the bytes — not
 even through float-summation order — so a sink attached to a run yields
 views byte-identical to :func:`build_views` run post-hoc over the
-finished results, on both backends, under seeded write faults, and
-across a SIGKILL + cache resume (gated in
-``tests/experiments/test_aggregate.py`` and ``test_faults.py``).
+finished results, on both backends, warm from a cache whose entries
+were truncated or bit-flipped on disk, and across a SIGKILL + cache
+resume (gated in ``tests/experiments/test_aggregate.py`` and
+``test_faults.py``).
 Duplicate deliveries are deduped on the cell key; results are
 bit-identical per the standing invariant, so first-wins is exact.  The
 ``status`` view describes the *run*, not the results, and is excluded

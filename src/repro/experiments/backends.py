@@ -107,10 +107,12 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     if traces is None:
         traces = SharedTraces(points)
     for index, point in enumerate(points):
-        point_trace = traces.get(point)
         info: dict = {}
-        started = time.perf_counter()
         try:
+            # Inside the try: a workload whose trace cannot be recorded
+            # fails its own points, not the rest of the batch.
+            point_trace = traces.get(point)
+            started = time.perf_counter()
             payload = execute_point(point, trace=point_trace,
                                     info=info).to_dict()
         except Exception as exc:  # noqa: BLE001 - isolated per point

@@ -15,9 +15,8 @@ Robustness rules:
   flipped bit — even one that still parses to an equal result, such as
   an exponent's ``e`` turned ``E`` — is a miss;
 * writes are atomic and durable (temp file + fsync + ``os.replace`` via
-  :mod:`repro.faults.fsio`; ``REPRO_FSYNC=0`` drops the fsync) so a
-  crashed run — or a crashed *host* — cannot leave a half-written entry
-  that later loads;
+  :func:`repro.fsio.atomic_write_bytes`) so a crashed run — or a
+  crashed *host* — cannot leave a half-written entry that later loads;
 * ``REPRO_CACHE=0`` disables caching entirely; ``REPRO_CACHE_DIR``
   relocates the store.
 """
@@ -29,8 +28,7 @@ import json
 import os
 import pathlib
 
-from repro import settings
-from repro.faults import fsio
+from repro import fsio, settings
 from repro.pipeline.stats import SimulationResult
 
 #: Format version of the cache files themselves (distinct from the plan
@@ -86,8 +84,7 @@ class ResultCache:
         """Atomically and durably persist one result under its point key."""
         path = self._path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        fsio.atomic_write_bytes(path, _encode(key, result.to_dict()),
-                                site="cache.put")
+        fsio.atomic_write_bytes(path, _encode(key, result.to_dict()))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

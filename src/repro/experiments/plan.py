@@ -55,21 +55,16 @@ def code_fingerprint() -> str:
         rel = path.relative_to(root)
         if rel.parts[0] == "experiments" and rel.name != "runner.py":
             continue
-        if rel.parts == ("settings.py",):
+        if rel.parts in (("settings.py",), ("fsio.py",)):
             # Harness, not simulator: the knob parser only hands values
-            # to the layers above; it cannot change what a point
-            # computes (the outcome-affecting knobs are in the key).
+            # to the layers above, and the atomic write only stores
+            # results; neither can change what a point computes (the
+            # outcome-affecting knobs are in the key).
             continue
         if rel.parts[0] == "obs":
             # Telemetry observes; it never feeds back into a simulation
             # (identity suite in tests/obs/), so editing it must not
             # strand cached results or recorded traces.
-            continue
-        if rel.parts[0] == "faults":
-            # The chaos/resilience harness injects, retries and resumes
-            # around execute_point but never inside it: any fault it
-            # injects is either retried away or surfaces as a typed
-            # error, so editing it cannot change a cacheable outcome.
             continue
         digest.update(str(rel).encode())
         digest.update(path.read_bytes())
@@ -129,7 +124,7 @@ class ExperimentPoint:
         return (self.benchmark, self.configuration, self.pipeline_depth)
 
     def to_dict(self) -> dict:
-        """Lossless JSON-safe form (view cell ids, deadletter records)."""
+        """Lossless JSON-safe form (view cell ids, ``error`` events)."""
         arvi = self.arvi_config
         return {
             "benchmark": self.benchmark,

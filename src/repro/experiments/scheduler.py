@@ -38,9 +38,11 @@ Progress is streamed through an optional callback receiving one
 :class:`ProgressEvent` per completed point, in completion order, with a
 monotone ``completed`` counter.  Failures are collected per point and
 the first one is raised once the grid has drained — completed siblings
-always reach the cache first.  The cache is also the resume store: a
-killed grid rerun with the same plan and cache recomputes only the
-points that never reached it.
+always reach the cache first; the raised error carries one ``also
+failed`` note per other failure, and each failure is also a
+``kind="error"`` ledger event and a ``status`` view entry.  The cache
+is also the resume store: a killed grid rerun with the same plan and
+cache recomputes only the points that never reached it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from repro.experiments.plan import (
     plan_from_points,
     point_key,
 )
-from repro.faults.policy import DeadletterStore
 from repro.pipeline.stats import SimulationResult
 
 __all__ = [
@@ -276,53 +277,39 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
         else:
             run_pool(groups, report, jobs=jobs)
         if report.failure is not None:
-            _raise_failures(report, keys, knobs, sink)
+            _raise_failures(report, keys, sink)
 
     # Return in plan order regardless of completion order.
     return {point: results[point] for point in plan}
 
 
-def _raise_failures(report: _PlanReport, keys, knobs: settings.Settings,
-                    sink) -> None:
-    """Hand the drained grid's failures to the sink and the deadletter
-    store, then raise the first one."""
-    if sink is not None:
-        for point, error in report.failures:
-            sink.on_failure(point, keys.get(point) if point is not None
-                            else None, error)
-    quarantined = _quarantine(report.failures, keys, knobs.deadletter_dir)
-    if quarantined is not None:
-        report.failure.add_note(
-            f"{len(report.failures)} failed point(s) quarantined to "
-            f"{quarantined} (inspect with `python -m repro.obs "
-            f"deadletter`)")
+def _raise_failures(report: _PlanReport, keys, sink) -> None:
+    """Report the drained grid's failures, then raise the first one.
+
+    Each failure — a point's, or a whole batch's (``point=None``) — goes
+    to the sink and becomes one ``kind="error"`` ledger event; the
+    raised first failure gets one note per other failure.
+    """
+    for point, error in report.failures:
+        key = keys.get(point)
+        if sink is not None:
+            sink.on_failure(point, key, error)
+        obs.emit(f"failed: {_describe(point)}", kind="error", attrs={
+            "point": point.to_dict() if point is not None else None,
+            "key": key, "type": type(error).__name__,
+            "message": str(error),
+            "notes": list(getattr(error, "__notes__", ()))})
+    for point, error in report.failures[1:]:
+        report.failure.add_note(f"also failed: {_describe(point)}: "
+                                f"{type(error).__name__}: {error}")
     raise report.failure
 
 
-def _quarantine(failures, keys, directory) -> "str | None":
-    """Write failed points to the deadletter store; returns its dir.
-
-    Best-effort by design: quarantine is diagnostics, so an unwritable
-    deadletter directory must never mask the original failure (the
-    caller is about to raise it).
-    """
-    if not failures:
-        return None
-    store = DeadletterStore(directory)
-    try:
-        for point, error in failures:
-            store.add({
-                "point": point.to_dict() if point is not None else None,
-                "key": keys.get(point) if point is not None else None,
-                "error": {"type": type(error).__name__,
-                          "message": str(error)},
-                "notes": list(getattr(error, "__notes__", ())),
-            })
-    except OSError:
-        return None
-    obs.emit("quarantined", kind="backend", attrs={
-        "points": len(failures), "directory": str(store.directory)})
-    return str(store.directory)
+def _describe(point: ExperimentPoint | None) -> str:
+    if point is None:
+        return "a whole batch"
+    return (f"{point.benchmark} {point.configuration} "
+            f"d{point.pipeline_depth} {point.speculation}")
 
 
 def _finish(point: ExperimentPoint, payload: dict,

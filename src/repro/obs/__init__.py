@@ -8,11 +8,11 @@ events to it:
 
 * **spans** — ``run → plan → batch → point → phase`` (record / lower /
   replay / live) with monotonic durations and the ``trace_source`` /
-  ``kernel_source`` markers as attributes, plus events for injected
-  faults and quarantined points;
+  ``kernel_source`` markers as attributes, plus one ``kind="error"``
+  event per failed point;
 * **metrics** — counters, gauges and histograms
-  (:mod:`repro.obs.metrics`): cache hit/miss, point durations,
-  injected faults — snapshotted into the ledger and to
+  (:mod:`repro.obs.metrics`): cache hit/miss, point durations —
+  snapshotted into the ledger and to
   ``metrics.json`` / ``metrics.prom`` (Prometheus text exposition) at
   run close;
 * **worker shards** — pool workers write their own streams into the

@@ -2,17 +2,13 @@
 
 * ``summary`` (default) — render a finished run: the reconstructed
   run → plan → batch → point → phase span tree (crashed/unclosed spans
-  flagged), injected faults and quarantines, per-phase timing
+  flagged), failed points (``kind="error"`` events), per-phase timing
   breakdown and the metrics snapshot.
 * ``tail`` — follow a *live* run: stream new events from the parent's
   ``events.jsonl`` and every worker shard as they are written, with a
   one-line grid progress / per-worker status header per refresh.
 * ``validate`` — check every line of a ledger (or a whole run
   directory) against the event schema; exit 1 on any violation.
-* ``deadletter`` — list quarantined poison points (grid points that
-  failed; DESIGN.md §12): point identity and final error.  ``path`` is
-  the deadletter directory (default ``REPRO_DEADLETTER_DIR`` /
-  ``benchmarks/results/deadletter/``).
 
 ``path`` may be a run directory, a ledger file, or an observability
 root (``REPRO_OBS_DIR``) — the newest run is picked automatically when
@@ -83,8 +79,6 @@ def _load_events(run: pathlib.Path) -> list[dict]:
 
 # -- summary ------------------------------------------------------------------
 
-_TREE_EVENT_KINDS = ("fault", "backend")
-
 #: The run span's settings attributes, in field order.
 _SETTINGS = tuple(spec.name
                   for spec in dataclasses.fields(settings.Settings))
@@ -146,10 +140,10 @@ def summary(run: pathlib.Path, echo=print) -> int:
     for node, depth in tree.walk():
         echo("  " * depth + "- " + _format_span(node))
         for event in node.events:
-            if event.get("kind") in _TREE_EVENT_KINDS:
+            if event.get("kind") == "error":
                 attrs = event.get("attrs") or {}
-                detail = " ".join(f"{k}={v}" for k, v in attrs.items())
-                echo("  " * (depth + 1) + f"* {event.get('name')} {detail}")
+                echo("  " * (depth + 1) + f"* {event.get('name')}: "
+                     f"{attrs.get('type')}: {attrs.get('message')}")
     unclosed = [node for node in tree.nodes.values() if not node.closed]
     if unclosed:
         echo("")
@@ -262,58 +256,21 @@ def validate(run: pathlib.Path, echo=print) -> int:
     return 0 if bad == 0 else 1
 
 
-def deadletter(path: str | None, echo=print) -> int:
-    """List quarantined points with their final errors."""
-    from repro.faults.policy import DeadletterStore
-
-    directory = pathlib.Path(path) if path \
-        else settings.current().deadletter_dir
-    store = DeadletterStore(directory)
-    entries = store.entries()
-    if not entries:
-        echo(f"{directory}: no quarantined points")
-        return 0
-    echo(f"{directory}: {len(entries)} quarantined point(s)")
-    for entry in entries:
-        point = entry.get("point") or {}
-        error = entry.get("error") or {}
-        stamp = time.strftime(
-            "%Y-%m-%d %H:%M:%S", time.localtime(entry.get("ts", 0)))
-        label = " ".join(str(part) for part in (
-            point.get("benchmark"), point.get("configuration"),
-            f"d{point.get('pipeline_depth')}"
-            if point.get("pipeline_depth") is not None else None,
-            point.get("speculation")) if part is not None)
-        echo("")
-        echo(f"- {label or '(unknown point)'}  [{stamp}]")
-        if entry.get("key"):
-            echo(f"  key: {entry['key']}")
-        echo(f"  error: {error.get('type', 'Error')}: "
-             f"{error.get('message', '')}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Inspect telemetry run ledgers (REPRO_OBS=1).")
     parser.add_argument("command", nargs="?", default="summary",
-                        choices=("summary", "tail", "validate",
-                                 "deadletter"),
-                        help="summary (default) | tail | validate | "
-                             "deadletter")
+                        choices=("summary", "tail", "validate"),
+                        help="summary (default) | tail | validate")
     parser.add_argument("path", nargs="?", default=None,
                         help="run directory, ledger file, or obs root "
-                             "(default: newest run under REPRO_OBS_DIR); "
-                             "for deadletter: the quarantine directory")
+                             "(default: newest run under REPRO_OBS_DIR)")
     parser.add_argument("--no-follow", action="store_true",
                         help="tail: print what exists and exit")
     parser.add_argument("--poll", type=float, default=0.5,
                         help="tail: seconds between polls (default 0.5)")
     args = parser.parse_args(argv)
-    if args.command == "deadletter":
-        # Deadletter directories are not telemetry runs; resolve apart.
-        return deadletter(args.path)
     run = _resolve_run(args.path)
     if args.command == "summary":
         return summary(run)

@@ -29,10 +29,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 
-from repro import settings
+from repro import fsio
 
 #: Versions the per-line event schema; bump when fields change meaning.
 EVENT_SCHEMA_VERSION = 1
@@ -45,7 +44,7 @@ EVENT_TYPES = ("span_start", "span_end", "event", "metrics")
 #: the stack emits and the summary view groups by.
 KNOWN_KINDS = (
     "run", "plan", "batch", "point", "phase", "cache", "trace",
-    "interval", "metrics", "error", "fault", "backend", "view",
+    "interval", "metrics", "error", "view",
 )
 
 
@@ -129,8 +128,9 @@ def merge_streams(paths, out_path: str | os.PathLike) -> int:
     Unparseable lines are dropped (a crashed worker may leave a torn
     final line; the flight recorder must still close), the merged lines
     are totally ordered by ``(ts, emitter, seq)``, and the output file
-    appears via write-to-temp + rename — a concurrent reader never sees
-    a partial ledger.  Returns the number of merged events.
+    appears via :func:`repro.fsio.atomic_write_bytes` — a concurrent
+    reader never sees a partial ledger.  Returns the number of merged
+    events.
     """
     events: list[dict] = []
     for path in paths:
@@ -141,26 +141,9 @@ def merge_streams(paths, out_path: str | os.PathLike) -> int:
     events.sort(key=sort_key)
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for record in events:
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-            # fsync before rename (REPRO_FSYNC=0 skips) so a host crash
-            # cannot surface an empty-but-renamed ledger.  Not
-            # repro.faults.fsio: obs must stay import-cycle-free
-            # (faults.injector logs through obs).
-            if settings.current().fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    fsio.atomic_write_bytes(out_path, "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in events).encode())
     return len(events)
 
 

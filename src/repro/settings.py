@@ -12,8 +12,6 @@ snapshot, one field per knob, with one grammar for all of them:
   a knob that no longer exists) raises :class:`SettingsError` naming
   it, rather than being ignored.
 
-Domain checks that need more than a type (the fault-spec grammar) stay
-with their modules, which read the raw string from the snapshot.
 ``current()`` parses afresh on every call (tens of microseconds, never
 inside a replay loop), so a changed environment takes effect at once;
 pool workers inherit the parent's environment and parse the same
@@ -21,7 +19,7 @@ values.
 
 This module is harness, not simulator: it is excluded from the
 result-cache code fingerprint, and it imports only the standard library
-so every layer (``obs`` and ``faults`` included) can use it without an
+so every layer (``obs`` included) can use it without an
 import cycle.
 """
 
@@ -113,11 +111,6 @@ class Settings:
     cache: bool = _knob("REPRO_CACHE", True, _flag)
     cache_dir: pathlib.Path = _store("REPRO_CACHE_DIR", "cache")
     trace: bool = _knob("REPRO_TRACE", True, _flag)
-    # Resilience.
-    deadletter_dir: pathlib.Path = _store("REPRO_DEADLETTER_DIR",
-                                          "deadletter")
-    fsync: bool = _knob("REPRO_FSYNC", True, _flag)
-    faults: str | None = _knob("REPRO_FAULTS")
     # Telemetry.
     obs: bool = _knob("REPRO_OBS", False, _flag)
     obs_interval: int = _knob("REPRO_OBS_INTERVAL", 0, _interval)

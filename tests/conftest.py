@@ -48,31 +48,6 @@ def isolated_obs_dir(tmp_path_factory):
         os.environ["REPRO_OBS_DIR"] = previous
 
 
-@pytest.fixture(scope="session", autouse=True)
-def isolated_resilience_dirs(tmp_path_factory):
-    """Isolate the resilience layer (DESIGN.md §12) from the repo and env.
-
-    * deadletter quarantine goes to a throwaway dir — tests must never
-      write ``benchmarks/results/deadletter/``;
-    * ``REPRO_FSYNC=0`` — durability fsyncs are pure overhead on tmpfs
-      test dirs (the fsync behaviour itself is unit-tested explicitly);
-    * any ambient ``REPRO_FAULTS`` chaos spec is cleared so the suite is
-      deterministic regardless of the invoking shell.
-    """
-    saved = {name: os.environ.get(name) for name in (
-        "REPRO_DEADLETTER_DIR", "REPRO_FSYNC", "REPRO_FAULTS")}
-    os.environ["REPRO_DEADLETTER_DIR"] = str(
-        tmp_path_factory.mktemp("deadletter"))
-    os.environ["REPRO_FSYNC"] = "0"
-    os.environ.pop("REPRO_FAULTS", None)
-    yield
-    for name, value in saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-
-
 @pytest.fixture
 def tiny_machine():
     """The 20-stage paper machine."""

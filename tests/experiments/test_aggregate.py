@@ -12,8 +12,8 @@ Three layers of guarantees:
   views equal :func:`~repro.experiments.aggregate.build_views` run
   post-hoc over the finished results, byte for byte, on serial and
   local backends, from the cache, and across interrupted / SIGKILLed
-  runs resumed from their result cache (under seeded write faults:
-  ``test_faults.py``).
+  runs resumed from their result cache (from a cache damaged on disk:
+  here on the serial backend, ``test_faults.py`` on the pool).
 """
 
 import os
@@ -38,6 +38,7 @@ from repro.experiments.aggregate import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import build_plan, point_key
 from repro.experiments.scheduler import run_plan
+from tests.experiments.test_faults import damage_entries
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -65,8 +66,8 @@ def serial_results():
 def live_aggregate(**run_kw):
     """run_plan with a live sink; returns (aggregator, results)."""
     aggregator = ViewAggregator()
-    results = run_plan(small_plan(), use_cache=False, sink=aggregator,
-                       **run_kw)
+    run_kw.setdefault("use_cache", False)
+    results = run_plan(small_plan(), sink=aggregator, **run_kw)
     aggregator.mark_done()
     return aggregator, results
 
@@ -246,24 +247,25 @@ class TestLiveEqualsPosthoc:
             == {"cache": len(serial_results)}
 
     @settings(max_examples=2, deadline=None, derandomize=True)
-    @given(seed=st.integers(min_value=0, max_value=10**6),
-           profile=st.sampled_from(["partial", "corrupt", "mixed"]))
-    @example(seed=7, profile="mixed")   # faults in both the cold and warm run
-    def test_under_chaos(self, seed, profile, serial_results):
-        """Chaos extension of the invariant on the serial backend: with
-        seeded faults mangling result-cache writes, a cold run and a warm
-        run from the faulted cache both build views byte-identical to
-        the post-hoc build (the pooled case is in ``test_faults.py``)."""
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as env:
-            env.setenv("REPRO_FAULTS", f"{seed}:{profile}")
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @example(seed=7)
+    def test_under_chaos(self, seed, serial_results):
+        """The invariant on the serial backend with a damaged cache: a
+        cold run, then a warm run after a seeded subset of the entries
+        was truncated or bit-flipped on disk, both build views
+        byte-identical to the post-hoc build, and each damaged entry is
+        one warm miss (the pooled case is in ``test_faults.py``)."""
+        with tempfile.TemporaryDirectory() as tmp:
             cache = ResultCache(pathlib.Path(tmp))
-            for _run in ("cold", "warm"):
-                aggregator = ViewAggregator()
-                results = run_plan(small_plan(), jobs=1, backend="serial",
-                                   cache=cache, sink=aggregator)
-                aggregator.mark_done()
-                self.check(aggregator, results, serial_results)
+            self.check(*live_aggregate(jobs=1, backend="serial",
+                                       use_cache=True, cache=cache),
+                       serial_results)                          # cold
+            damaged = damage_entries(tmp, seed)
+            misses_before = cache.misses
+            self.check(*live_aggregate(jobs=1, backend="serial",
+                                       use_cache=True, cache=cache),
+                       serial_results)                          # warm
+            assert cache.misses - misses_before == damaged
 
     def test_interrupted_run_resumes_identical(self, tmp_path,
                                                serial_results):

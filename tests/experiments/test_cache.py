@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import shutil
 
 import pytest
 
@@ -173,6 +175,46 @@ def test_key_covers_simulator_code(point, monkeypatch):
     monkeypatch.setattr(plan_module, "code_fingerprint",
                         lambda: "0" * 64)
     assert point_key(point) != base
+
+
+#: Harness files a fingerprint must ignore, and simulator files it must
+#: cover (paths relative to ``src/repro``).
+HARNESS = ("fsio.py", "settings.py", "obs/ledger.py",
+           "experiments/scheduler.py")
+SIMULATOR = ("experiments/runner.py", "pipeline/engine.py")
+
+
+def test_harness_edits_keep_the_code_fingerprint(tmp_path, monkeypatch):
+    """Fingerprint a copy of the package: editing a harness file leaves
+    the fingerprint (and so every cached result) valid; editing the
+    simulator invalidates it."""
+    import repro.experiments.plan as plan_module
+
+    real = plan_module.code_fingerprint()
+    copy = tmp_path / "repro"
+    shutil.copytree(pathlib.Path(plan_module.__file__).parents[1], copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(plan_module, "__file__",
+                        str(copy / "experiments" / "plan.py"))
+
+    def fingerprint(edited=None) -> str:
+        if edited is not None:
+            with open(copy / edited, "a") as handle:
+                handle.write("\n# edited\n")
+        plan_module.code_fingerprint.cache_clear()
+        return plan_module.code_fingerprint()
+
+    try:
+        base = fingerprint()
+        assert base == real
+        for rel in HARNESS:
+            assert fingerprint(rel) == base, rel
+        for rel in SIMULATOR:
+            assert fingerprint(rel) != base, rel
+            base = fingerprint()
+    finally:
+        monkeypatch.undo()
+        plan_module.code_fingerprint.cache_clear()
 
 
 def test_key_resolves_environment(point, monkeypatch):

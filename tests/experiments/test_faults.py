@@ -1,30 +1,28 @@
-"""The chaos harness + resilience policy layer (DESIGN.md §12).
+"""Storage faults and failure reports (DESIGN.md §12).
 
-Four layers of guarantees:
+Three layers of guarantees:
 
-* the seeded injector itself — same ``REPRO_FAULTS`` spec, same faults
-  at the same call sequence, budgets respected, retired profiles
-  rejected, zero ambient effect when unset (and excluded from cache
-  keys);
-* durability fsyncs and digest-guarded cache entries that turn
-  torn/bit-flipped files into misses, never wrong results;
-* poison-point quarantine — failed points land in ``deadletter/`` while
-  siblings complete, surfaced via ``python -m repro.obs deadletter``;
+* digest-guarded cache entries turn torn or bit-flipped files into
+  misses, never wrong results;
+* failed points are reported once, completely — the first error is
+  raised after the grid drains, with one note per other failure, one
+  ``kind="error"`` ledger event per failure, and every sibling cached;
 * resumable runs — a killed grid restarted with the same plan and
   result cache replays the points that reached the cache and converges
   bit-identically, serial and pooled;
 
-plus the top-level chaos property: under any seeded write-fault
-schedule a pooled grid, cold and then warm from the faulted cache, is
-bit-identical to the fault-free serial run, its views equal the
-post-hoc build, every fault is a warm-run miss, and the ledger records
-every fault.
+plus the top-level storage property: a pooled grid run cold into a
+fresh cache, then warm after a seeded subset of its entries was
+truncated or bit-flipped on disk, is bit-identical to the serial run
+both times, its views equal the post-hoc build, and every damaged entry
+is exactly one warm-run miss.
 """
 
 import hashlib
 import json
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -44,11 +42,8 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.plan import ExperimentPoint, build_plan, point_key
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan, run_points
-from repro.faults import fsio
-from repro.faults.injector import FaultInjector, active, override, parse_spec
-from repro.faults.policy import DeadletterStore
+from repro.obs import __main__ as obs_cli
 from repro.obs.ledger import read_events
-from repro.settings import current
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -79,153 +74,27 @@ def serial_results():
                     backend="serial")
 
 
-# -- spec parsing -------------------------------------------------------------
-
-
-class TestSpecParsing:
-    def test_single_profile(self):
-        seed, rates, budgets = parse_spec("7:corrupt")
-        assert seed == "7"
-        assert rates == {"corrupt": 0.5}
-        assert budgets == {"corrupt": 2}
-
-    def test_combined_profiles_take_the_max_rate(self):
-        _, rates, budgets = parse_spec("s:mixed+corrupt")
-        assert rates == {"corrupt": 0.5, "partial": 0.3}
-        _, comma_rates, _ = parse_spec("s:mixed,corrupt")
-        assert comma_rates == rates
-        assert budgets == {"corrupt": 2, "partial": 2}
-
-    def test_explicit_budget_caps_every_kind(self):
-        _, rates, budgets = parse_spec("s:mixed:5")
-        assert set(budgets) == set(rates)
-        assert set(budgets.values()) == {5}
-
-    def test_mixed_and_all_are_aliases(self):
-        assert parse_spec("s:mixed")[1] == parse_spec("s:all")[1]
-        assert set(parse_spec("s:mixed")[1]) == {"corrupt", "partial"}
-
-    @pytest.mark.parametrize("bad", [
-        "", "7", ":io", "7:", "7:nope", "7:io:x", "7:io:0", "7:io:-1",
-        "7:io:1:extra", "7:corrupt:x", "7:corrupt:0", "7:corrupt:-1",
-        "7:corrupt:1:extra",
-        # Retired worker-side profiles: their seams are gone, so naming
-        # one must fail loudly, never run clean.
-        "7:crash", "7:io", "7:stall", "7:slow", "7:corrupt+crash"])
-    def test_malformed_specs_raise(self, bad):
-        with pytest.raises(ValueError):
-            parse_spec(bad)
-
-
-# -- the injector schedule ----------------------------------------------------
-
-
-DATA = bytes(range(200))
-
-
-def corrupt_pattern(spec: str, calls: int = 40) -> list[bool]:
-    """Which of ``calls`` cache writes the schedule mangled."""
-    injector = FaultInjector(spec)
-    return [injector.mangle("cache.put", DATA) != DATA
-            for _ in range(calls)]
-
-
-class TestInjectorSchedule:
-    def test_same_spec_same_schedule(self):
-        assert corrupt_pattern("42:corrupt:99") \
-            == corrupt_pattern("42:corrupt:99")
-        assert corrupt_pattern("42:corrupt:99") \
-            != corrupt_pattern("43:corrupt:99")
-
-    def test_kind_streams_are_independent(self):
-        """Enabling an extra profile must not shift the corrupt stream."""
-        def corrupt_draws(spec):
-            injector = FaultInjector(spec)
-            draws = []
-            for _ in range(40):
-                injector._decide("partial")       # False when not enabled
-                draws.append(injector._decide("corrupt"))
-            return draws
-
-        assert corrupt_draws("42:corrupt:99") \
-            == corrupt_draws("42:corrupt+partial:99")
-
-    def test_budget_bounds_injections(self):
-        assert sum(corrupt_pattern("42:corrupt")) <= 2   # DEFAULT_BUDGETS
-        assert sum(corrupt_pattern("42:corrupt:1", calls=200)) == 1
-
-    def test_injected_log_names_kind_and_site(self):
-        injector = FaultInjector("42:corrupt:1")
-        for _ in range(200):
-            injector.mangle("cache.put", DATA)
-        assert injector.injected == [("corrupt", "cache.put")]
-
-    def test_mangle_truncates_or_flips_one_bit(self):
-        data = DATA
-        partial = FaultInjector("1:partial:99")
-        for _ in range(50):
-            out = partial.mangle("cache.put", data)
-            if out != data:
-                assert out == data[:len(out)]         # pure truncation
-                break
+def damage_entries(directory, seed) -> int:
+    """Truncate, or flip one bit of, each entry in a seeded non-empty
+    subset of the cache entries under ``directory``; returns how many
+    entries were damaged."""
+    rng = random.Random(seed)
+    paths = sorted(pathlib.Path(directory).glob("*.json"))
+    chosen = rng.sample(paths, rng.randint(1, len(paths)))
+    for path in chosen:
+        data = path.read_bytes()
+        index = rng.randrange(len(data))
+        if rng.random() < 0.5:
+            damaged = data[:index]                    # torn write
         else:
-            pytest.fail("partial profile never injected in 50 calls")
-        corrupt = FaultInjector("1:corrupt:99")
-        for _ in range(50):
-            out = corrupt.mangle("cache.put", data)
-            if out != data:
-                assert len(out) == len(data)
-                diff = [i for i in range(len(data)) if out[i] != data[i]]
-                assert len(diff) == 1                 # a single flipped bit
-                assert bin(out[diff[0]] ^ data[diff[0]]).count("1") == 1
-                break
-        else:
-            pytest.fail("corrupt profile never injected in 50 calls")
-
-class TestActiveAndOverride:
-    def test_unset_env_means_inactive(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert active() is None
-
-    def test_env_spec_is_memoized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "9:corrupt")
-        first = active()
-        assert isinstance(first, FaultInjector)
-        assert first.spec == "9:corrupt"
-        assert active() is first                      # same object, no reparse
-        monkeypatch.setenv("REPRO_FAULTS", "9:partial")
-        assert active().spec == "9:partial"           # spec change re-derives
-
-    def test_override_pins_active(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        injector = FaultInjector("1:corrupt")
-        with override(injector):
-            assert active() is injector
-        assert active() is None
+            flipped = bytearray(data)
+            flipped[index] ^= 1 << rng.randrange(8)   # one flipped bit
+            damaged = bytes(flipped)
+        path.write_bytes(damaged)
+    return len(chosen)
 
 
-# -- durable atomic writes + digest-guarded cache -----------------------------
-
-
-class TestFsyncKnob:
-    def test_default_on_and_off_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FSYNC", raising=False)
-        assert current().fsync
-        for off in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_FSYNC", off)
-            assert not current().fsync
-        monkeypatch.setenv("REPRO_FSYNC", "")         # empty = default
-        assert current().fsync
-        monkeypatch.setenv("REPRO_FSYNC", "1")
-        assert current().fsync
-
-    def test_atomic_write_replaces_durably(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FSYNC", "1")        # the fsync path itself
-        path = tmp_path / "value.json"
-        fsio.atomic_write_bytes(path, b"old")
-        fsio.atomic_write_bytes(path, b"new")
-        assert path.read_bytes() == b"new"
-        assert list(tmp_path.glob("*.tmp")) == []     # no orphaned temps
+# -- digest-guarded cache -----------------------------------------------------
 
 
 class TestCacheDigestGuards:
@@ -287,82 +156,68 @@ class TestCacheDigestGuards:
     def test_injected_partial_writes_never_serve_wrong_results(
             self, tmp_path, one_result):
         store = ResultCache(tmp_path)
-        injector = FaultInjector("13:partial:99")
         keys = [self.key(f"chaos-{i}") for i in range(20)]
-        with override(injector):
-            for key in keys:
-                store.put(key, one_result)
-        mangled = sum(1 for kind, _ in injector.injected
-                      if kind == "partial")
-        assert mangled > 0
+        for key in keys:
+            store.put(key, one_result)
+        rng = random.Random(13)
+        torn = rng.sample(keys, 7)
+        for key in torn:
+            path = tmp_path / f"{key}.json"
+            data = path.read_bytes()
+            path.write_bytes(data[:rng.randrange(len(data))])
         misses = sum(1 for key in keys if store.get(key) is None)
-        assert misses == mangled                      # torn <=> miss, exactly
+        assert misses == len(torn)                    # torn <=> miss, exactly
         for key in keys:
             got = store.get(key)
             assert got is None or got == one_result
 
 
-# -- deadletter quarantine ----------------------------------------------------
+# -- failure report ----------------------------------------------------------
 
 
-class TestDeadletterQuarantine:
-    def test_serial_poison_point_is_quarantined(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "dl"))
+POISON = (ExperimentPoint("no-such-benchmark", "baseline", 20, scale=0.01,
+                          warmup=50),
+          ExperimentPoint("no-such-benchmark", "current", 40, scale=0.01,
+                          warmup=50))
+
+
+class TestFailureReport:
+    @pytest.mark.parametrize("backend", ["serial", "local"])
+    def test_poison_points_reported(self, tmp_path, monkeypatch, backend):
+        """Two poison points among healthy siblings: the first error is
+        raised once the grid drains, a note names the second point,
+        every sibling reaches the cache, and the ledger holds one
+        ``kind="error"`` event per failed point.  The two share a
+        workload, so each also fails its trace recording."""
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         store = ResultCache(tmp_path / "cache")
-        good = [ExperimentPoint("li", "baseline", 20, scale=0.01,
-                                warmup=50),
-                ExperimentPoint("li", "current", 20, scale=0.01,
-                                warmup=50)]
-        bad = ExperimentPoint("no-such-benchmark", "baseline", 20,
-                              scale=0.01, warmup=50)
-        with pytest.raises(Exception) as excinfo:
-            run_points([good[0], bad, good[1]], jobs=1, cache=store,
-                       backend="serial")
-        assert any("quarantined" in note for note
-                   in getattr(excinfo.value, "__notes__", ()))
-        assert all(point_key(p) in store for p in good)
-        [entry] = DeadletterStore(tmp_path / "dl").entries()
-        assert entry["point"]["benchmark"] == "no-such-benchmark"
-        assert entry["key"]
-        assert entry["error"]["type"]
-        assert "no-such-benchmark" in entry["error"]["message"]
-
-    def test_unwritable_deadletter_dir_keeps_the_original_error(
-            self, tmp_path, monkeypatch):
-        """Quarantine is best-effort: a deadletter directory that cannot
-        be created (here: under a regular file) leaves the poison
-        point's own error to be raised, without a quarantine note, and
-        its siblings still reach the cache."""
-        (tmp_path / "f").write_text("a file, not a directory")
-        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "f" / "dl"))
-        store = ResultCache(tmp_path / "cache")
-        good = ExperimentPoint("li", "baseline", 20, scale=0.01, warmup=50)
-        bad = ExperimentPoint("no-such-benchmark", "baseline", 20,
-                              scale=0.01, warmup=50)
-        with pytest.raises(Exception, match="no-such-benchmark") as excinfo:
-            run_points([good, bad], jobs=1, cache=store, backend="serial")
-        assert not any("quarantined" in note for note
-                       in getattr(excinfo.value, "__notes__", ()))
-        assert point_key(good) in store
-
-    def test_cli_lists_quarantined_points(self, tmp_path, capsys):
-        from repro.obs import __main__ as obs_cli
-
-        directory = tmp_path / "dl"
-        assert obs_cli.main(["deadletter", str(directory)]) == 0
-        assert "no quarantined points" in capsys.readouterr().out
-        DeadletterStore(directory).add({
-            "point": {"benchmark": "li", "configuration": "baseline",
-                      "pipeline_depth": 20, "speculation": "redirect"},
-            "key": "ab" * 32,
-            "error": {"type": "RuntimeError", "message": "boom"},
-        })
-        assert obs_cli.main(["deadletter", str(directory)]) == 0
-        out = capsys.readouterr().out
-        assert "1 quarantined point(s)" in out
-        assert "li baseline d20" in out
-        assert "RuntimeError: boom" in out
+        good = list(small_plan())
+        with pytest.raises(KeyError, match="no-such-benchmark") as excinfo:
+            run_points([good[0], POISON[0], good[1], POISON[1], *good[2:]],
+                       jobs=2, cache=store, backend=backend)
+        assert all(point_key(point) in store for point in good)
+        labels = ("no-such-benchmark baseline d20 redirect",
+                  "no-such-benchmark current d40 redirect")
+        [note] = [note for note in excinfo.value.__notes__
+                  if note.startswith("also failed: ")]
+        assert note.startswith(f"also failed: {labels[1]}: KeyError: ")
+        [run_dir] = (tmp_path / "obs").iterdir()
+        errors = [event for event in read_events(run_dir / "ledger.jsonl")
+                  if event["kind"] == "error"]
+        assert len(errors) == 2
+        assert {event["name"] for event in errors} \
+            == {f"failed: {label}" for label in labels}
+        assert {event["attrs"]["key"] for event in errors} \
+            == {point_key(point) for point in POISON}
+        for event in errors:
+            assert "no-such-benchmark" in event["attrs"]["message"]
+            assert event["attrs"]["type"] == "KeyError"
+        lines = []
+        assert obs_cli.summary(run_dir, echo=lines.append) == 0
+        for label in labels:
+            assert any(f"* failed: {label}: KeyError: " in line
+                       for line in lines)
 
 
 # -- resume from the result cache --------------------------------------------
@@ -457,90 +312,39 @@ class TestCacheResume:
             == identity_json(build_views(resumed))
 
 
-# -- chaos must not leak into keys or fault-free runs -------------------------
-
-
-class TestFaultsAreKeyNeutral:
-    def test_point_key_ignores_chaos_knobs(self, monkeypatch):
-        point = ExperimentPoint("li", "baseline", 20, scale=0.01,
-                                warmup=50)
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        clean = point_key(point)
-        monkeypatch.setenv("REPRO_FAULTS", "7:mixed")
-        assert point_key(point) == clean
-
-    def test_faults_package_is_outside_the_code_fingerprint(self):
-        from repro.experiments.plan import code_fingerprint
-
-        before = code_fingerprint()
-        # The fingerprint walk must skip src/repro/faults/ entirely —
-        # the injector wraps execute_point, it never runs inside it.
-        faults_dir = pathlib.Path(REPO_ROOT, "src", "repro", "faults")
-        assert faults_dir.is_dir()
-        sources = {path.name for path in faults_dir.glob("*.py")}
-        assert "injector.py" in sources
-        # Fingerprint is cached per content; recomputing with the
-        # package present must equal itself and ignore those files.
-        assert code_fingerprint() == before
-
-
-# -- the chaos property -------------------------------------------------------
+# -- the storage property ----------------------------------------------------
 
 
 class TestChaosProperty:
-    """The chaos acceptance property: under any seeded write-fault
-    schedule, a pooled grid run cold into a fresh cache and then warm
-    from it returns the fault-free serial results both times, with live
-    views byte-identical to the post-hoc build.  Every injected fault is
-    exactly one warm-run cache miss (a mangled entry is never served),
-    and the run's ledger holds one ``kind="fault"`` event per fault."""
+    """The storage property: a pooled grid run cold into a fresh cache,
+    then warm after a seeded subset of its entries was truncated or
+    bit-flipped on disk, returns the serial results both times, with
+    views byte-identical to the post-hoc build.  Every damaged entry is
+    exactly one warm-run cache miss (a damaged entry is never served)."""
 
     @staticmethod
-    def run_once(plan, cache, obs_root):
-        """One pooled run; returns (results, views, faults, ledger
-        fault events) for it."""
-        injector = active()
-        injected_before = len(injector.injected)
-        runs_before = set(obs_root.iterdir()) if obs_root.is_dir() \
-            else set()
+    def run_once(plan, cache):
         sink = ViewAggregator()
         results = run_plan(plan, jobs=2, backend="local", cache=cache,
                            sink=sink)
         sink.mark_done()
-        [run_dir] = set(obs_root.iterdir()) - runs_before
-        ledger_faults = [event for event
-                         in read_events(run_dir / "ledger.jsonl")
-                         if event.get("kind") == "fault"]
-        return (results, sink.snapshot(),
-                injector.injected[injected_before:], ledger_faults)
+        return results, sink.snapshot()
 
     @settings(max_examples=4, deadline=None, derandomize=True)
-    @given(seed=st.integers(min_value=0, max_value=10**6),
-           profile=st.sampled_from(["partial", "corrupt", "mixed"]))
-    @example(seed=7, profile="mixed")   # faults in both the cold and warm run
-    def test_seeded_chaos_never_hangs_or_diverges(self, seed, profile,
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @example(seed=7)
+    def test_seeded_chaos_never_hangs_or_diverges(self, seed,
                                                   serial_results):
         plan = small_plan()
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as env:
-            env.setenv("REPRO_FAULTS", f"{seed}:{profile}")
-            env.setenv("REPRO_OBS", "1")
-            env.setenv("REPRO_OBS_DIR", os.path.join(tmp, "obs"))
-            obs_root = pathlib.Path(tmp, "obs")
-            cache = ResultCache(pathlib.Path(tmp, "cache"))
-
-            cold, cold_views, cold_faults, cold_events = self.run_once(
-                plan, cache, obs_root)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResultCache(tmp)
+            cold, cold_views = self.run_once(plan, cache)
+            damaged = damage_entries(tmp, seed)
             misses_before = cache.misses
-            warm, warm_views, warm_faults, warm_events = self.run_once(
-                plan, cache, obs_root)
+            warm, warm_views = self.run_once(plan, cache)
 
             for results, views in ((cold, cold_views), (warm, warm_views)):
                 assert results == serial_results
                 assert identity_json(views) \
                     == identity_json(build_views(results))
-            assert cache.misses - misses_before == len(cold_faults)
-            for faults, events in ((cold_faults, cold_events),
-                                   (warm_faults, warm_events)):
-                assert [(event["attrs"]["fault"], event["attrs"]["site"])
-                        for event in events] == faults
+            assert cache.misses - misses_before == damaged
