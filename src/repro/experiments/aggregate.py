@@ -13,8 +13,8 @@ over:
 * ``benchmarks`` — per-benchmark rollups (points, mean IPC/accuracy,
   best-IPC cell);
 * ``status``    — the run itself: points done/pending/failed, result
-  sources and the ``trace_source``/``kernel_source`` mix (phase times
-  live in the ledger's ``phase`` spans, not here).
+  sources and the ``kernel_source`` mix (phase times live in the
+  ledger's ``phase`` spans, not here).
 
 :class:`~repro.experiments.figure5.Figure5Data` and
 :class:`~repro.experiments.figure6.Figure6Data` render from the same
@@ -327,15 +327,11 @@ class ViewAggregator:
         return ViewSnapshot(views=views, done=self._done)
 
     def _status_view(self) -> dict:
-        trace_mix: dict[str, int] = {}
         kernel_mix: dict[str, int] = {}
         for cell in sorted(self._cell_meta):
-            meta = self._cell_meta[cell]
-            for mix, field in ((trace_mix, "trace_source"),
-                               (kernel_mix, "kernel_source")):
-                value = meta.get(field)
-                if value:
-                    mix[value] = mix.get(value, 0) + 1
+            value = self._cell_meta[cell].get("kernel_source")
+            if value:
+                kernel_mix[value] = kernel_mix.get(value, 0) + 1
         done = len(self._cells)
         return {
             "done": done,
@@ -345,7 +341,6 @@ class ViewAggregator:
             "failed": len(self._failures),
             "failures": list(self._failures),
             "sources": dict(sorted(self._sources.items())),
-            "trace_sources": dict(sorted(trace_mix.items())),
             "kernel_sources": dict(sorted(kernel_mix.items())),
             "ticks": len(self._ticked),
             "complete": self._done,

@@ -66,21 +66,17 @@ def _relayable_exception(exc: Exception) -> Exception:
         return replacement
 
 
-def point_meta(info: dict, point_trace) -> dict:
+def point_meta(point_trace) -> dict:
     """Per-point delivery metadata for the view aggregator.
 
-    Summarizes how a point actually ran — which functional source fed
-    it (``trace_source``: local / live) and which replay tier executed
-    it (``kernel_source``) — from the ``info`` dict
-    :func:`~repro.experiments.runner.execute_point` populated.
-    Observability only: it rides next to the result payload, never
-    inside it, so cache bytes and the bit-for-bit result invariant are
-    untouched.
+    ``kernel_source`` names the tier that ran the point: ``"kernel"``
+    when :func:`run_batch` fetched it a committed trace to replay,
+    ``"live"`` otherwise (a ``wrongpath`` point).  Observability only:
+    it rides next to the result payload, never inside it, so cache
+    bytes and the bit-for-bit result invariant are untouched.
     """
-    return {
-        "trace_source": "local" if point_trace is not None else "live",
-        "kernel_source": info.get("kernel_source", "live"),
-    }
+    return {"kernel_source": "kernel" if point_trace is not None
+            else "live"}
 
 
 def run_batch(points, *, on_ok, on_error, traces=None) -> None:
@@ -107,18 +103,20 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     if traces is None:
         traces = SharedTraces(points)
     for index, point in enumerate(points):
-        info: dict = {}
         try:
             # Inside the try: a workload whose trace cannot be recorded
             # fails its own points, not the rest of the batch.
             point_trace = traces.get(point)
             started = time.perf_counter()
-            payload = execute_point(point, trace=point_trace,
-                                    info=info).to_dict()
+            # No trace means live (a wrongpath point), which is what
+            # point_meta reports.
+            payload = execute_point(
+                point, trace=False if point_trace is None
+                else point_trace).to_dict()
         except Exception as exc:  # noqa: BLE001 - isolated per point
             on_error(index, exc)
             continue
-        on_ok(index, payload, point_meta(info, point_trace),
+        on_ok(index, payload, point_meta(point_trace),
               time.perf_counter() - started)
 
 
@@ -167,8 +165,6 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
                 "benchmark": points[0].benchmark if points else None,
                 "worker": os.getpid()}):
             run_batch(points, on_ok=ok, on_error=error)
-        if shard is not None:
-            shard.snapshot_event()
         return entries
 
 

@@ -16,9 +16,11 @@ completed points from :mod:`repro.experiments.cache` — identical keyed
 results whether a point was computed serially, in parallel, or loaded
 from the cache.
 
-A point runs one of exactly two ways: a ``redirect`` point with a
-recorded committed trace replays through the compiled kernel
-(:mod:`repro.pipeline.kernel`); every other point runs on the live
+A point runs one of exactly two ways: a ``redirect`` point replays a
+recorded committed trace through the compiled kernel
+(:mod:`repro.pipeline.kernel`) unless its caller passes
+``trace=False``; every ``wrongpath`` point, and a ``redirect`` point
+called with ``trace=False``, runs on the live
 :class:`~repro.pipeline.engine.PipelineEngine`, which is also the
 independent oracle the kernel is tested against.
 """
@@ -34,6 +36,7 @@ from repro.experiments.plan import (
     build_plan,
 )
 from repro.experiments.scheduler import ProgressCallback, run_plan
+from repro.experiments.tracing import record_workload
 from repro.obs.interval import IntervalSampler
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
@@ -60,7 +63,6 @@ _VALUE_MODES = {
 
 def execute_point(point: ExperimentPoint, *,
                   trace: "CommittedTrace | bool | None" = None,
-                  info: dict | None = None,
                   ) -> SimulationResult:
     """Simulate one *resolved* point (no cache, no default resolution).
 
@@ -70,25 +72,25 @@ def execute_point(point: ExperimentPoint, *,
     ``trace`` selects the functional source for ``redirect`` points
     (results are bit-for-bit identical either way):
 
-    * a :class:`~repro.pipeline.trace.CommittedTrace` — replay it
-      through the compiled kernel instead of re-interpreting the program
-      (how the scheduler shares one recording across a batch):
-      ``baseline`` as the gskew stream pass, the ARVI configurations as
-      the fused pass;
-    * ``None`` (default) or ``False`` — run the live engine (``False``
-      is how the oracle checks spell it).
+    * ``None`` (default) — record the point's own committed trace
+      (:func:`~repro.experiments.tracing.record_workload`) and replay it
+      through the compiled kernel;
+    * a :class:`~repro.pipeline.trace.CommittedTrace` — replay that
+      recording instead (how the scheduler shares one recording across
+      a batch): ``baseline`` as the gskew stream pass, the ARVI
+      configurations as the fused pass;
+    * ``False`` — run the live engine (how the oracle checks ask for
+      it).
 
-    ``wrongpath`` points always run the live engine.  ``info``, when
-    given, reports which path ran: ``info["kernel_source"]`` is
-    ``"kernel"`` or ``"live"`` (mirroring the backends'
-    ``trace_source``).
+    ``wrongpath`` points always run the live engine and record nothing.
+    Which tier ran is the point span's ``replay`` or ``live`` phase.
     """
     point.validate()
     if trace is not None and not isinstance(trace, CommittedTrace) \
             and trace is not False:
         raise TypeError(
-            "trace must be a CommittedTrace, False or None (both run "
-            f"the live core); got {trace!r}")
+            "trace must be a CommittedTrace, None (record one) or False "
+            f"(run the live engine); got {trace!r}")
     if point.scale is None or point.warmup is None:
         raise ValueError(
             "execute_point requires a resolved point; call "
@@ -97,15 +99,20 @@ def execute_point(point: ExperimentPoint, *,
             "benchmark": point.benchmark,
             "configuration": point.configuration,
             "depth": point.pipeline_depth,
-            "speculation": point.speculation}):
-        result = _execute_phases(point, trace, info)
+            "speculation": point.speculation,
+            "scale": point.scale, "warmup": point.warmup,
+            "seed": point.seed}):
+        if trace is None and point.speculation == "redirect":
+            trace = record_workload(point.benchmark, point.scale,
+                                    point.seed)
+        result = _execute_phases(point, trace)
     result.configuration = point.configuration
     return result
 
 
 def _execute_phases(point: ExperimentPoint,
                     trace: "CommittedTrace | bool | None",
-                    info: dict | None) -> SimulationResult:
+                    ) -> SimulationResult:
     """The phase-instrumented body of :func:`execute_point`.
 
     Each phase (``lower`` / ``replay`` / ``live``; ``record`` lives in
@@ -124,11 +131,7 @@ def _execute_phases(point: ExperimentPoint,
 
     if point.speculation == "redirect" and isinstance(trace,
                                                        CommittedTrace):
-        if info is not None:
-            info["kernel_source"] = "kernel"
         return _kernel_replay(point, program, trace, config, kind, mode)
-    if info is not None:
-        info["kernel_source"] = "live"
 
     predictor = build_predictor(kind, config, point.arvi_config)
     telemetry = obs.current()
@@ -145,8 +148,6 @@ def _execute_phases(point: ExperimentPoint,
             for sample in sampler.samples:
                 telemetry.emit("interval", kind="interval",
                                attrs=sample.to_attrs())
-                telemetry.observe("engine.ddt_chain_length",
-                                  sample.chain_length)
     return result
 
 

@@ -21,11 +21,11 @@ those of per-point execution, and one failing point inside a batch does
 not discard its siblings' completed results.  ``batch=False`` restores
 one-point-per-task submission.
 
-**Trace sharing** (``REPRO_TRACE``, default on; DESIGN.md §8): within a
-batch — and across a serial sweep — the ``redirect`` points of one
-workload identity share a single recorded committed-instruction trace
-(:mod:`repro.experiments.tracing`).  ``wrongpath`` points keep the
-live core.
+**Trace sharing** (DESIGN.md §8): within a batch — and across a serial
+sweep — the ``redirect`` points of one workload identity share a single
+recorded committed-instruction trace (:mod:`repro.experiments.tracing`)
+and replay it through the compiled kernel.  ``wrongpath`` points keep
+the live core.
 
 Determinism: every point is an independent, fully seeded simulation, and
 every result — computed serially, in a pool worker, replayed from a
@@ -211,15 +211,13 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
         done += 1
         attrs = {"benchmark": point.benchmark,
                  "configuration": point.configuration,
-                 "depth": point.pipeline_depth, "source": source,
-                 "completed": done, "total": len(plan)}
+                 "depth": point.pipeline_depth, "key": keys[point],
+                 "source": source, "completed": done, "total": len(plan)}
         if batch_id is not None:
             attrs["batch_id"] = batch_id
         if duration is not None:
             attrs["duration"] = round(duration, 6)
         obs.emit("progress", kind="point", attrs=attrs)
-        if duration is not None:
-            obs.observe_duration("point.duration", duration, source=source)
         if progress is not None or sink is not None:
             event = ProgressEvent(
                 point=point, key=keys[point], completed=done,
@@ -244,8 +242,6 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
     pending: list[ExperimentPoint] = []
     for point in plan:
         hit = cache.get(keys[point]) if cache is not None else None
-        if cache is not None:
-            obs.inc("cache.hit" if hit is not None else "cache.miss")
         if hit is not None:
             results[point] = hit
             sink_result(point, "cache", hit)

@@ -1,4 +1,4 @@
-"""Unified structured telemetry: spans, metrics and a live run ledger.
+"""Unified structured telemetry: spans, events and a live run ledger.
 
 A zero-dependency flight recorder for the whole execution stack
 (DESIGN.md §11).  When ``REPRO_OBS=1`` the experiment scheduler opens a
@@ -7,21 +7,22 @@ A zero-dependency flight recorder for the whole execution stack
 events to it:
 
 * **spans** — ``run → plan → batch → point → phase`` (record / lower /
-  replay / live) with monotonic durations and the ``trace_source`` /
-  ``kernel_source`` markers as attributes, plus one ``kind="error"``
+  replay / live) with monotonic durations; a point span carries the
+  point's identity and simulation window, and its ``replay`` or
+  ``live`` phase names the tier that ran it;
+* **events** — one ``progress`` event per completed point (its cache
+  key, result source and compute seconds) and one ``kind="error"``
   event per failed point;
-* **metrics** — counters, gauges and histograms
-  (:mod:`repro.obs.metrics`): cache hit/miss, point durations —
-  snapshotted into the ledger and to
-  ``metrics.json`` / ``metrics.prom`` (Prometheus text exposition) at
-  run close;
 * **worker shards** — pool workers write their own streams into the
   run directory (:func:`worker_shard`); the parent merges them into
   one totally ordered ``ledger.jsonl``, written atomically at run close
   (:mod:`repro.obs.ledger`);
 * **interval samples** — ``REPRO_OBS_INTERVAL=N`` attaches a read-only
-  per-N-cycle sampler to the engine (:mod:`repro.obs.interval`): IPC,
-  mispredict rate, ROB occupancy and DDT chain lengths over time.
+  per-N-cycle sampler to the live engine (:mod:`repro.obs.interval`):
+  IPC, mispredict rate, ROB occupancy and DDT chain lengths over time.
+  Only live points are sampled (``wrongpath`` points and
+  ``execute_point(..., trace=False)`` calls); the kernel has no engine
+  loop to sample.
 
 Telemetry *observes*; it never feeds back into a simulation.  Enabling
 ``REPRO_OBS`` and interval sampling leaves every ``SimulationResult``
@@ -36,7 +37,7 @@ nanoseconds when no telemetry run is active, so call sites stay bare::
 
     with obs.span("replay", kind="phase", attrs={"mode": "kernel"}):
         ...
-    obs.inc("cache.hit")
+    obs.emit("progress", kind="point", attrs={"source": "cache"})
 
 ``python -m repro.obs`` tails a live run, summarizes a finished one and
 validates ledgers against the event schema (:mod:`repro.obs.__main__`).
@@ -53,11 +54,6 @@ from typing import Iterator
 
 from repro import settings
 from repro.obs.ledger import EVENT_SCHEMA_VERSION, merge_streams
-from repro.obs.metrics import (
-    DURATION_BOUNDS,
-    MetricsRegistry,
-    render_prometheus,
-)
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -66,10 +62,6 @@ __all__ = [
     "close_run",
     "current",
     "emit",
-    "gauge",
-    "inc",
-    "observe",
-    "observe_duration",
     "span",
     "start_run",
     "worker_context",
@@ -95,7 +87,6 @@ class Telemetry:
         self.run_dir = pathlib.Path(run_dir)
         self.emitter = emitter
         self.pid = os.getpid()
-        self.metrics = MetricsRegistry()
         self._seq = 0
         self._span_n = 0
         self._stack: list[str | None] = [root_span]
@@ -181,18 +172,6 @@ class Telemetry:
         self._write(self._record("event", name, kind, attrs,
                                  span=self._stack[-1]))
 
-    # -- metrics -------------------------------------------------------------
-
-    def inc(self, name: str, value: float = 1, **labels) -> None:
-        self.metrics.inc(name, value, **labels)
-
-    def gauge(self, name: str, value: float, **labels) -> None:
-        self.metrics.set_gauge(name, value, **labels)
-
-    def observe(self, name: str, value: float,
-                bounds: tuple[float, ...] | None = None, **labels) -> None:
-        self.metrics.observe(name, value, bounds=bounds, **labels)
-
     # -- cross-process plumbing ----------------------------------------------
 
     def context(self) -> dict:
@@ -202,32 +181,16 @@ class Telemetry:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def snapshot_metrics(self) -> dict:
-        return self.metrics.to_dict()
-
-    def snapshot_event(self) -> None:
-        """Write a cumulative metrics-snapshot line to this stream.
-
-        Shards call this after each batch/job so a later crash still
-        leaves their counters recoverable; the close-time merge folds
-        only each stream's *last* snapshot (they are cumulative).
-        """
-        self._write(self._record("metrics", "snapshot", "metrics",
-                                 metrics=self.snapshot_metrics()))
-
     def close(self, *, merge: bool = True) -> pathlib.Path | None:
-        """Flush, snapshot metrics, merge shards, write the final ledger.
+        """Close this stream; the root instance also merges the run.
 
-        Shard instances call ``close(merge=False)`` — they just emit
-        their metrics snapshot and close their stream.  The root
-        instance folds every shard's snapshot into the run totals,
-        writes ``metrics.json`` + ``metrics.prom``, and produces the
+        With ``merge=False`` (a shard) it only closes the stream.  The
+        root instance merges its own stream and every shard's into the
         atomically-visible ``ledger.jsonl``.  Returns the ledger path
         (root) or None (shard).
         """
         if self._closed:
             return None
-        self.snapshot_event()
         self._file.close()
         self._closed = True
         if not merge:
@@ -236,28 +199,8 @@ class Telemetry:
         shard_dir = self.run_dir / "shards"
         if shard_dir.is_dir():
             streams.extend(sorted(shard_dir.glob("*.jsonl")))
-        # Fold each shard's *last* metrics snapshot (they are cumulative
-        # per stream) into the run totals.
-        from repro.obs.ledger import read_events
-        for stream in streams[1:]:
-            try:
-                last = None
-                for record in read_events(stream):
-                    if record.get("event") == "metrics":
-                        last = record
-                if last is not None:
-                    self.metrics.merge(last.get("metrics", {}))
-            except OSError:
-                continue
         ledger = self.run_dir / "ledger.jsonl"
         merge_streams(streams, ledger)
-        try:
-            (self.run_dir / "metrics.json").write_text(
-                json.dumps(self.metrics.to_dict(), indent=2) + "\n")
-            (self.run_dir / "metrics.prom").write_text(
-                render_prometheus(self.metrics))
-        except OSError:
-            pass
         return ledger
 
 
@@ -344,7 +287,7 @@ def worker_shard(context: dict | None) -> Telemetry | None:
     ``context`` is a shipped :meth:`Telemetry.context`; the shard file
     lives in the run directory's ``shards/``.  One instance per (run,
     directory, pid) is reused across batches so sequence numbers stay
-    monotone and metrics stay cumulative; the stream lives until process
+    monotone; the stream lives until process
     exit (every line is flushed, so even an ``os._exit`` crash leaves it
     readable).  Returns None when the context is unusable — telemetry
     must never fail a simulation.
@@ -386,27 +329,3 @@ def emit(name: str, kind: str = "event", attrs: dict | None = None) -> None:
     telemetry = current()
     if telemetry is not None:
         telemetry.emit(name, kind, attrs)
-
-
-def inc(name: str, value: float = 1, **labels) -> None:
-    telemetry = current()
-    if telemetry is not None:
-        telemetry.inc(name, value, **labels)
-
-
-def gauge(name: str, value: float, **labels) -> None:
-    telemetry = current()
-    if telemetry is not None:
-        telemetry.gauge(name, value, **labels)
-
-
-def observe(name: str, value: float,
-            bounds: tuple[float, ...] | None = None, **labels) -> None:
-    telemetry = current()
-    if telemetry is not None:
-        telemetry.observe(name, value, bounds=bounds, **labels)
-
-
-def observe_duration(name: str, seconds: float, **labels) -> None:
-    """Histogram a wall-clock duration with duration-shaped buckets."""
-    observe(name, seconds, bounds=DURATION_BOUNDS, **labels)

@@ -1,9 +1,11 @@
 """Run-ledger CLI: ``python -m repro.obs [summary|tail|validate] [path]``.
 
-* ``summary`` (default) — render a finished run: the reconstructed
-  run → plan → batch → point → phase span tree (crashed/unclosed spans
-  flagged), failed points (``kind="error"`` events), per-phase timing
-  breakdown and the metrics snapshot.
+* ``summary`` (default) — render a finished run: the environment's
+  ``REPRO_*`` snapshot, the simulation windows its points ran at, the
+  reconstructed run → plan → batch → point → phase span tree
+  (crashed/unclosed spans flagged), failed points (``kind="error"``
+  events), per-phase timing breakdown and completed points per result
+  source.
 * ``tail`` — follow a *live* run: stream new events from the parent's
   ``events.jsonl`` and every worker shard as they are written, with a
   one-line grid progress / per-worker status header per refresh.
@@ -23,6 +25,7 @@ import json
 import pathlib
 import sys
 import time
+from collections import Counter
 
 from repro import settings
 from repro.obs.ledger import (
@@ -83,6 +86,9 @@ def _load_events(run: pathlib.Path) -> list[dict]:
 _SETTINGS = tuple(spec.name
                   for spec in dataclasses.fields(settings.Settings))
 
+#: A point span's simulation-window attributes.
+_WINDOW = ("scale", "warmup", "seed")
+
 
 def _format_span(node: SpanNode) -> str:
     attrs = node.attrs
@@ -134,8 +140,13 @@ def summary(run: pathlib.Path, echo=print) -> int:
         knobs = {name: node.attrs[name] for name in _SETTINGS
                  if name in node.attrs}
         if knobs:
-            echo("settings: " + " ".join(f"{name}={value}"
-                                         for name, value in knobs.items()))
+            echo("environment (REPRO_* snapshot): " + " ".join(
+                f"{name}={value}" for name, value in knobs.items()))
+    windows = sorted({tuple(node.attrs.get(name) for name in _WINDOW)
+                      for node in tree.find("point")}, key=repr)
+    for window in windows:
+        echo("window: " + " ".join(f"{name}={value}" for name, value
+                                   in zip(_WINDOW, window)))
     echo("")
     for node, depth in tree.walk():
         echo("  " * depth + "- " + _format_span(node))
@@ -156,16 +167,13 @@ def summary(run: pathlib.Path, echo=print) -> int:
         for label, (count, total) in sorted(phases.items()):
             echo(f"  {label:<12} {count:>4} span(s) {total:>9.3f}s total "
                  f"{total / count:>8.4f}s avg")
-    if tree.metrics:
-        snapshot = tree.metrics[-1].get("metrics", {})
-        counters = snapshot.get("counters", [])
-        if counters:
-            echo("")
-            echo("counters:")
-            for entry in counters:
-                labels = entry.get("labels")
-                suffix = f" {labels}" if labels else ""
-                echo(f"  {entry['name']}{suffix} = {entry['value']}")
+    sources = Counter((event.get("attrs") or {}).get("source")
+                      for event in events if event.get("name") == "progress")
+    if sources:
+        echo("")
+        echo("points by source:")
+        for source, count in sorted(sources.items(), key=repr):
+            echo(f"  {source:<12} {count:>4}")
     return 0
 
 

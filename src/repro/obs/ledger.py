@@ -9,9 +9,7 @@ One telemetry *run* produces a directory (DESIGN.md §11):
 * ``ledger.jsonl`` — written **atomically at run close**: every stream
   merged and totally ordered by ``(ts, emitter, seq)``.  A reader either
   sees no ledger (run still live / crashed before close) or a complete
-  one, never a torn merge;
-* ``metrics.json`` / ``metrics.prom`` — the final metrics snapshot as a
-  JSON block and a Prometheus text exposition.
+  one, never a torn merge.
 
 Every line is one JSON object validated by :func:`validate_event`; the
 schema is deliberately flat so lines grep well and any JSONL tool can
@@ -37,14 +35,14 @@ from repro import fsio
 EVENT_SCHEMA_VERSION = 1
 
 #: The closed set of line types.
-EVENT_TYPES = ("span_start", "span_end", "event", "metrics")
+EVENT_TYPES = ("span_start", "span_end", "event")
 
-#: Span/event kinds with reserved meaning to the CLI renderer.  ``kind``
-#: is open-ended — unknown kinds validate fine — but these are the ones
-#: the stack emits and the summary view groups by.
+#: The span/event kinds the stack emits.  ``kind`` is open-ended —
+#: unknown kinds validate fine — so this list documents the stack; a
+#: test over real serial and pool runs keeps it complete.
 KNOWN_KINDS = (
-    "run", "plan", "batch", "point", "phase", "cache", "trace",
-    "interval", "metrics", "error", "view",
+    "run", "plan", "batch", "point", "phase", "span", "interval", "error",
+    "view",
 )
 
 
@@ -82,8 +80,6 @@ def validate_event(record: object) -> list[str]:
         if not isinstance(dur, (int, float)) or isinstance(dur, bool) \
                 or dur < 0:
             errors.append(f"span_end dur is {dur!r}, expected number >= 0")
-    if event == "metrics" and not isinstance(record.get("metrics"), dict):
-        errors.append("metrics event needs a 'metrics' object")
     attrs = record.get("attrs")
     if attrs is not None and not isinstance(attrs, dict):
         errors.append(f"attrs is {type(attrs).__name__}, expected object")
@@ -188,7 +184,6 @@ class SpanTree:
     roots: list[SpanNode]
     nodes: dict[str, SpanNode]
     orphans: list[dict]          # events whose enclosing span never started
-    metrics: list[dict]          # metrics-snapshot events, in order
 
     def walk(self):
         """Depth-first (node, depth) over every root."""
@@ -214,7 +209,6 @@ def build_span_tree(events: list[dict]) -> SpanTree:
     nodes: dict[str, SpanNode] = {}
     roots: list[SpanNode] = []
     orphans: list[dict] = []
-    metrics: list[dict] = []
     pending_parents: dict[str, list[SpanNode]] = {}
 
     for record in events:
@@ -237,8 +231,6 @@ def build_span_tree(events: list[dict]) -> SpanTree:
             node = nodes.get(record.get("span", ""))
             if node is not None:
                 node.end = record
-        elif event == "metrics":
-            metrics.append(record)
         else:
             span = record.get("span")
             node = nodes.get(span) if span else None
@@ -250,5 +242,4 @@ def build_span_tree(events: list[dict]) -> SpanTree:
     # Parked children whose parent never appeared become roots.
     for waiting in pending_parents.values():
         roots.extend(waiting)
-    return SpanTree(roots=roots, nodes=nodes, orphans=orphans,
-                    metrics=metrics)
+    return SpanTree(roots=roots, nodes=nodes, orphans=orphans)

@@ -43,9 +43,9 @@ Anything the lowered form cannot express raises
 architectural state) and non-standard predictor stacks; the experiment
 service never routes those here.  A budget that would step past a
 truncated recording raises :class:`~repro.pipeline.trace.TraceError`
-instead of silently running shorter.  Which path ran is observable via
-the ``kernel_source`` field threaded through
-:func:`~repro.experiments.runner.execute_point`.
+instead of silently running shorter.  Which path ran is observable as
+the point's ``replay`` or ``live`` ledger phase (see
+:func:`~repro.experiments.runner.execute_point`).
 """
 
 from __future__ import annotations

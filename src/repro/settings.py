@@ -110,7 +110,6 @@ class Settings:
                       factory=lambda: os.cpu_count() or 1)
     cache: bool = _knob("REPRO_CACHE", True, _flag)
     cache_dir: pathlib.Path = _store("REPRO_CACHE_DIR", "cache")
-    trace: bool = _knob("REPRO_TRACE", True, _flag)
     # Telemetry.
     obs: bool = _knob("REPRO_OBS", False, _flag)
     obs_interval: int = _knob("REPRO_OBS_INTERVAL", 0, _interval)

@@ -156,10 +156,8 @@ class TestAggregatorSemantics:
         aggregator = ViewAggregator()
         for point, result in serial_results.items():
             aggregator.on_result(point, None, result, source="serial",
-                                 meta={"trace_source": "local",
-                                       "kernel_source": "kernel"})
+                                 meta={"kernel_source": "kernel"})
         status = aggregator.snapshot().views["status"]
-        assert status["trace_sources"] == {"local": len(serial_results)}
         assert status["kernel_sources"] == {"kernel": len(serial_results)}
 
 
@@ -195,8 +193,7 @@ class TestPermutationProperty:
             else:
                 aggregator.on_result(event[1], None, event[2],
                                      source="worker",
-                                     meta={"trace_source": "local",
-                                           "kernel_source": "kernel"})
+                                     meta={"kernel_source": "kernel"})
         aggregator.mark_done()
         return aggregator.snapshot()
 

@@ -15,6 +15,7 @@ import pytest
 from repro.experiments.backends import resolve_backend, run_batch
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import ExperimentPoint, build_plan, point_key
+from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan, run_points
 from repro.experiments.tracing import SharedTraces
 from repro.settings import SettingsError
@@ -93,35 +94,29 @@ class TestRunBatch:
     def group(self):
         return [batch_point(configuration) for configuration in self.GROUP]
 
-    def test_reports_every_point_in_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_reports_every_point_in_order(self):
         log = BatchLog()
         log.run(self.group())
         assert [event[1] for event in log.oks()] == [0, 1, 2]
         for _, _, payload, meta in log.oks():
             assert payload["instructions"] > 0
-            assert meta["trace_source"] == "local"
-            assert meta["kernel_source"] == "kernel"
+            assert meta == {"kernel_source": "kernel"}
 
-    def test_kernel_and_live_batches_deliver_equal_payloads(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_kernel_and_live_batches_deliver_equal_payloads(self):
         kernel = BatchLog()
         kernel.run(self.group())
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        live = BatchLog()
-        live.run(self.group())
         assert ([event[2] for event in kernel.oks()]
-                == [event[2] for event in live.oks()])
-        assert {event[3]["kernel_source"] for event in live.oks()} \
-            == {"live"}
+                == [execute_point(point, trace=False).to_dict()
+                    for point in self.group()])
 
-    def test_points_run_live_without_traces(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
+    def test_points_run_live_without_traces(self):
+        """A wrongpath point gets no trace, so it runs (and is reported)
+        live."""
         log = BatchLog()
-        log.run(self.group())
+        log.run([batch_point(configuration, speculation="wrongpath")
+                 for configuration in self.GROUP])
         assert log.kinds() == ["ok", "ok", "ok"]
-        assert {event[3]["trace_source"] for event in log.oks()} \
+        assert {event[3]["kernel_source"] for event in log.oks()} \
             == {"live"}
 
     def test_failure_is_isolated_per_point(self):
@@ -137,7 +132,6 @@ class TestRunBatch:
         single-point batches of one workload still share a recording."""
         import repro.experiments.tracing as tracing
 
-        monkeypatch.setenv("REPRO_TRACE", "1")
         recorded = []
         real = tracing.record_workload
 

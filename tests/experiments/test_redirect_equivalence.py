@@ -9,10 +9,10 @@ a fresh run exactly.  If a future change legitimately alters simulation
 outcomes, regenerate the goldens in the same PR and say so — this test
 exists to make that an explicit decision rather than an accident.
 
-``run_point`` runs each spec on the live engine; the kernel test replays
-the same specs through the compiled kernel, which ties the kernel to the
-seed engine's numbers rather than only to the live engine of the same
-commit.
+The first test runs each spec on the live engine (``trace=False``); the
+kernel test replays the same specs through the compiled kernel, which
+ties the kernel to the seed engine's numbers rather than only to the
+live engine of the same commit.
 """
 
 import json
@@ -21,6 +21,7 @@ import pathlib
 import pytest
 
 from repro.experiments.plan import ExperimentPoint, point_key
+from repro.experiments import runner
 from repro.experiments.runner import execute_point, run_point, run_suite
 from repro.pipeline.trace import record_trace
 from repro.workloads.registry import get_program
@@ -53,13 +54,22 @@ class TestRedirectEquivalence:
     @pytest.mark.parametrize("spec", sorted(load_golden()))
     def test_redirect_matches_seed_golden(self, spec):
         benchmark, configuration, depth = spec.split("/")
-        result = run_point(
-            ExperimentPoint(benchmark, configuration, int(depth)),
+        point = ExperimentPoint(benchmark, configuration,
+                                int(depth)).resolve(
             scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
+        result = execute_point(point, trace=False)
         bad = mismatches(load_golden()[spec], result.to_dict())
         assert not bad, f"{spec} drifted from seed behaviour: {bad}"
 
-    def test_kernel_replay_matches_seed_golden(self):
+    def test_kernel_replay_matches_seed_golden(self, monkeypatch):
+        replays = []
+        real = runner.kernel_run
+
+        def counting(*args, **kwargs):
+            replays.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "kernel_run", counting)
         golden = load_golden()
         traces = {}
         drifted = {}
@@ -71,14 +81,12 @@ class TestRedirectEquivalence:
             point = ExperimentPoint(benchmark, configuration,
                                     int(depth)).resolve(
                 scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
-            info = {}
-            result = execute_point(point, trace=traces[benchmark],
-                                   info=info)
-            assert info["kernel_source"] == "kernel", spec
+            result = execute_point(point, trace=traces[benchmark])
             bad = mismatches(golden[spec], result.to_dict())
             if bad:
                 drifted[spec] = bad
         assert not drifted, f"kernel drifted from seed behaviour: {drifted}"
+        assert len(replays) == len(golden)      # every spec on the kernel
 
     def test_redirect_runs_report_no_speculation_activity(self):
         result = run_point(ExperimentPoint("m88ksim", "baseline", 20),

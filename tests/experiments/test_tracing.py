@@ -1,22 +1,22 @@
-"""Experiment-service trace layer: sharing policy and equality.
+"""Experiment-service trace layer: the one tier rule and equality.
 
-The satellite property for PR 4: trace-replayed grids equal live-core
-grids ``==`` across workloads x configurations x depths x both
-speculation modes.
+Every ``redirect`` point replays a recording through the compiled
+kernel unless its caller passes ``trace=False``; ``wrongpath`` points
+run live.  Trace-replayed grids equal live-engine grids ``==`` across
+workloads x configurations x depths x both speculation modes.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import runner
+from repro.experiments.aggregate import ViewAggregator
 from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
-from repro.experiments.tracing import SharedTraces, amortized_workloads
+from repro.experiments.tracing import SharedTraces
 from repro.pipeline.trace import record_trace
-from repro.settings import SettingsError, current
 from repro.workloads.registry import get_program
 
 SCALE = 0.02
@@ -30,19 +30,9 @@ def point(benchmark="m88ksim", configuration="baseline", depth=20,
                            speculation=speculation).resolve()
 
 
-class TestKnobs:
-    def test_trace_mode_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert current().trace is True
-        for off in ("0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv("REPRO_TRACE", off)
-            assert current().trace is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert current().trace is True
-        # The on-disk trace store is gone: its mode is a typo now.
-        monkeypatch.setenv("REPRO_TRACE", "disk")
-        with pytest.raises(SettingsError, match="REPRO_TRACE"):
-            current()
+def live_reference(plan) -> dict:
+    """The oracle: every point of ``plan`` on the live engine."""
+    return {p: execute_point(p, trace=False) for p in plan}
 
 
 class TestSharedTraces:
@@ -51,59 +41,46 @@ class TestSharedTraces:
         traces = SharedTraces(points)
         assert all(traces.get(p) is None for p in points)
 
-    def test_single_redirect_point_stays_live_in_memory_mode(self,
-                                                             monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_single_redirect_point_replays_on_the_kernel(
+            self, monkeypatch):
+        """One redirect point of its workload records its own trace and
+        replays it, both inside a plan and through a bare call."""
         single = point()
-        traces = SharedTraces([single])
-        assert traces.get(single) is None  # nothing to amortize against
+        assert SharedTraces([single]).get(single) is not None
 
-    def test_shared_workload_records_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+        sink = ViewAggregator()
+        results = run_plan(plan_from_points([single]), jobs=1,
+                           use_cache=False, sink=sink)
+        assert sink.snapshot().views["status"]["kernel_sources"] \
+            == {"kernel": 1}
+        live = execute_point(single, trace=False)
+        assert results == {single: live}
+
+        replays = []
+        real = runner.kernel_run
+
+        def counting(*args, **kwargs):
+            replays.append(kwargs["warmup_instructions"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "kernel_run", counting)
+        assert execute_point(single) == live
+        assert replays == [WARMUP]
+
+    def test_shared_workload_records_once(self):
         points = [point(configuration=c) for c in ("baseline", "current")]
         traces = SharedTraces(points)
         first = traces.get(points[0])
         second = traces.get(points[1])
         assert first is not None and first is second  # one recording
 
-    def test_off_mode_disables_sharing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        points = [point(configuration=c) for c in ("baseline", "current")]
-        traces = SharedTraces(points)
-        assert traces.get(points[0]) is None
-
-    def test_pool_drops_trace_after_last_consumer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_pool_drops_trace_after_last_consumer(self):
         points = [point(configuration=c) for c in ("baseline", "current")]
         traces = SharedTraces(points)
         traces.get(points[0])
         assert traces._traces  # held for the remaining consumer
         traces.get(points[1])
         assert not traces._traces  # released: bounded memory
-
-
-class TestAmortizationRule:
-    """``amortized_workloads`` is the one owner of the record-or-not
-    rule; :class:`SharedTraces` defers to it."""
-
-    M88 = ("m88ksim", SCALE, 1)
-
-    @pytest.mark.parametrize("mode,points,expected", [
-        ("1", [point()], []),
-        ("1", [point(), point(configuration="current")], [M88]),
-        ("0", [point(), point(configuration="current")], []),
-        ("1", [point(speculation="wrongpath"),
-               point(speculation="wrongpath")], []),
-        ("1", [point(), point(speculation="wrongpath")], []),
-        ("1", [point(seed=1), point(seed=2)], []),
-        ("1", [point(benchmark="li"), point(), point(benchmark="li"),
-               point()], [("li", SCALE, 1), M88]),
-    ], ids=["single-memory", "shared-memory", "off",
-            "wrongpath-only", "wrongpath-does-not-count",
-            "seeds-are-distinct", "first-appearance-order"])
-    def test_rule(self, monkeypatch, mode, points, expected):
-        monkeypatch.setenv("REPRO_TRACE", mode)
-        assert amortized_workloads(points) == expected
 
 
 class TestExecutePointTraceArgument:
@@ -121,7 +98,7 @@ class TestExecutePointTraceArgument:
 
 
 class TestGridEquality:
-    """The PR 4 satellite property: trace-replayed == live-core grids."""
+    """Trace-replayed grids == live-engine grids, serial and pooled."""
 
     @settings(max_examples=5, deadline=None)
     @given(
@@ -144,32 +121,25 @@ class TestGridEquality:
             for configuration in configurations
             for depth in depths
         ])
-        previous = os.environ.get("REPRO_TRACE")
-        try:
-            os.environ["REPRO_TRACE"] = "0"
-            live = run_plan(plan, jobs=1, use_cache=False)
-            os.environ["REPRO_TRACE"] = "1"
-            traced_serial = run_plan(plan, jobs=1, use_cache=False)
-            traced_batched = run_plan(plan, jobs=2, use_cache=False,
-                                      batch=True)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_TRACE", None)
-            else:
-                os.environ["REPRO_TRACE"] = previous
+        live = live_reference(plan)
+        traced_serial = run_plan(plan, jobs=1, use_cache=False)
+        traced_batched = run_plan(plan, jobs=2, use_cache=False,
+                                  batch=True)
         assert traced_serial == live
         assert traced_batched == live
 
-    def test_mixed_speculation_grid_shares_only_redirect(self, monkeypatch):
+    def test_mixed_speculation_grid_shares_only_redirect(self):
         """wrongpath points in a traced grid still run live and still
-        agree with an untraced run."""
+        agree with the live engine."""
         pts = [point(configuration="baseline"),
                point(configuration="current"),
                point(speculation="wrongpath"),
                point(configuration="current", speculation="wrongpath")]
         plan = plan_from_points(pts)
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        traced = run_plan(plan, jobs=1, use_cache=False)
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        live = run_plan(plan, jobs=1, use_cache=False)
-        assert traced == live
+        live = live_reference(plan)
+        for jobs in (1, 2):
+            sink = ViewAggregator()
+            assert run_plan(plan, jobs=jobs, use_cache=False,
+                            sink=sink) == live
+            assert sink.snapshot().views["status"]["kernel_sources"] \
+                == {"kernel": 2, "live": 2}

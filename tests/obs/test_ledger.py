@@ -33,7 +33,6 @@ class TestValidation:
         telemetry = Telemetry("run-t", tmp_path / "run-t")
         with telemetry.span("plan", kind="plan", attrs={"points": 2}):
             telemetry.emit("progress", kind="point", attrs={"completed": 1})
-            telemetry.inc("cache.miss")
         with pytest.raises(RuntimeError):
             with telemetry.span("bad", kind="batch"):
                 raise RuntimeError("boom")
@@ -48,7 +47,6 @@ class TestValidation:
                                      parent=None)) == []
         assert validate_event(_event(event="span_end", span="parent#0",
                                      dur=0.25)) == []
-        assert validate_event(_event(event="metrics", metrics={})) == []
 
     @pytest.mark.parametrize("mutation, fragment", [
         (dict(v=99), "v is 99"),
@@ -124,7 +122,6 @@ class TestSpanTree:
         [batch] = tree.find("batch")
         assert [e["name"] for e in batch.events] == ["progress"]
         assert tree.orphans == []
-        assert len(tree.metrics) == 1     # the close-time snapshot
 
     def test_unclosed_span_marks_a_crash(self, tmp_path):
         """A worker killed mid-batch leaves span_start without span_end;
@@ -169,29 +166,19 @@ class TestTelemetryPlumbing:
         telemetry.emit("after-teardown")   # must not raise
         assert telemetry._closed
 
-    def test_close_merges_shards_and_folds_last_snapshot(
-            self, tmp_path, monkeypatch):
-        """Only a shard's final (cumulative) metrics snapshot is folded —
-        per-batch snapshots must not double count."""
+    def test_close_merges_shards_into_one_ledger(self, tmp_path,
+                                                 monkeypatch):
         monkeypatch.setattr(obs, "_shards", {})
         root = Telemetry("run-t", tmp_path / "run-t")
-        root.inc("cache.miss", 2)
+        root.emit("progress", kind="point")
         shard = obs.worker_shard(root.context())
         assert obs.worker_shard(root.context()) is shard   # one per process
-        shard.inc("points.done")
-        shard.snapshot_event()            # after batch 1 (cumulative: 1)
-        shard.inc("points.done")
-        shard.snapshot_event()            # after batch 2 (cumulative: 2)
+        shard.emit("progress", kind="point")
         shard.close(merge=False)
         ledger = root.close()
 
         assert ledger is not None and ledger.name == "ledger.jsonl"
         emitters = {e["emitter"] for e in read_events(ledger)}
         assert emitters == {"parent", f"worker-{os.getpid()}"}
-        metrics = json.loads(
-            (tmp_path / "run-t" / "metrics.json").read_text())
-        counters = {entry["name"]: entry["value"]
-                    for entry in metrics["counters"]}
-        assert counters == {"cache.miss": 2, "points.done": 2}
-        assert (tmp_path / "run-t" / "metrics.prom").read_text() \
-            .startswith("# TYPE repro_cache_miss counter")
+        assert sorted(path.name for path in (tmp_path / "run-t").iterdir()) \
+            == ["events.jsonl", "ledger.jsonl", "shards"]

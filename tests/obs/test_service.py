@@ -9,14 +9,20 @@
 * ``python -m repro.obs`` summarizes and validates those ledgers.
 """
 
-import json
-
 import pytest
 
-from repro.experiments.plan import build_plan
-from repro.experiments.scheduler import run_plan
+from repro import obs
+from repro.experiments.cache import ResultCache
+from repro.experiments.plan import ExperimentPoint, build_plan, point_key
+from repro.experiments.runner import execute_point
+from repro.experiments.scheduler import run_plan, run_points
 from repro.obs.__main__ import main as obs_main
-from repro.obs.ledger import build_span_tree, read_events, validate_event
+from repro.obs.ledger import (
+    KNOWN_KINDS,
+    build_span_tree,
+    read_events,
+    validate_event,
+)
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -39,8 +45,7 @@ def reference_results():
         mp.undo()
 
 
-def obs_run(tmp_path, monkeypatch, *, backend, jobs=2, interval=None,
-            progress=None):
+def obs_run(tmp_path, monkeypatch, *, backend, jobs=2, progress=None):
     """run_plan with the flight recorder on, into a private obs root.
 
     Returns (results, run_dir) — exactly one run directory exists, so
@@ -48,10 +53,7 @@ def obs_run(tmp_path, monkeypatch, *, backend, jobs=2, interval=None,
     """
     monkeypatch.setenv("REPRO_OBS", "1")
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
-    if interval is None:
-        monkeypatch.delenv("REPRO_OBS_INTERVAL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_OBS_INTERVAL", str(interval))
+    monkeypatch.delenv("REPRO_OBS_INTERVAL", raising=False)
     results = run_plan(small_plan(), jobs=jobs, use_cache=False,
                        backend=backend, progress=progress)
     [run_dir] = [path for path in (tmp_path / "obs").iterdir()
@@ -70,25 +72,31 @@ def load_tree(run_dir):
 class TestSerialLedger:
     def test_run_matches_reference_and_ledger_reconstructs(
             self, tmp_path, monkeypatch, reference_results):
-        # Interval sampling observes the *engine* commit loop; every
-        # redirect point with a trace replays through the compiled
-        # kernel, which has no engine loop to sample.  Turn trace replay
-        # off so every point runs on the live engine and the sampler
-        # runs — the results must still match the kernel-replayed
-        # reference bit for bit (the standing invariant this fixture
-        # exists to check).
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        results, run_dir = obs_run(tmp_path, monkeypatch,
-                                   backend="serial", jobs=1, interval=64)
+        # Interval sampling observes the live engine's commit loop; the
+        # plan's redirect points replay through the compiled kernel,
+        # which has none.  One oracle call (trace=False) inside the same
+        # telemetry run is the live point the sampler observes.
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        monkeypatch.setenv("REPRO_OBS_INTERVAL", "64")
+        live_point = next(iter(small_plan()))
+        telemetry = obs.start_run(label="plan")
+        try:
+            results = run_plan(small_plan(), jobs=1, use_cache=False,
+                               backend="serial")
+            live = execute_point(live_point, trace=False)
+        finally:
+            ledger = obs.close_run(telemetry)
         assert results == reference_results
+        assert live == reference_results[live_point]
 
-        events, tree = load_tree(run_dir)
+        events, tree = load_tree(ledger.parent)
         [run] = tree.find("run")
         assert run.closed and tree.roots == [run]
         [plan] = tree.find("plan")
         assert plan in run.children
         points = tree.find("point")
-        assert len(points) == len(small_plan())
+        assert len(points) == len(small_plan()) + 1
         for point in points:
             assert point.closed
             phases = [child for child in point.children
@@ -96,23 +104,19 @@ class TestSerialLedger:
             assert phases, f"point {point.attrs} has no phase span"
             assert {p.name for p in phases} <= {"record", "lower",
                                                 "replay", "live"}
-        # Every point streamed exactly one progress event into the tree.
+        # Every plan point streamed exactly one progress event.
         progress = [e for node, _ in tree.walk() for e in node.events
                     if e["name"] == "progress"]
-        assert len(progress) == len(points)
+        assert len(progress) == len(small_plan())
 
         # Interval sampling fired (64-cycle period, li runs thousands)
-        # on the live points and landed under their spans.
+        # on the one live point, and only there.
+        [live_phase] = [node for node in tree.find("phase")
+                        if node.name == "live"]
         intervals = [e for node, _ in tree.walk() for e in node.events
                      if e["kind"] == "interval"]
-        assert intervals
+        assert intervals and live_phase.events == intervals
         assert all(e["attrs"]["cycle"] >= 64 for e in intervals)
-
-        metrics = json.loads((run_dir / "metrics.json").read_text())
-        histograms = {entry["name"] for entry in metrics["histograms"]}
-        assert "point.duration" in histograms
-        assert "engine.ddt_chain_length" in histograms
-        assert (run_dir / "metrics.prom").read_text().startswith("# TYPE")
 
     def test_cli_summary_and_validate_accept_the_run(
             self, tmp_path, monkeypatch, reference_results, capsys):
@@ -140,8 +144,9 @@ class TestSerialLedger:
         assert run.attrs["obs"] is True
         assert run.attrs["obs_dir"] == str(tmp_path / "obs")
         assert obs_main(["summary", str(run_dir)]) == 0
-        settings_line = next(line for line in capsys.readouterr().out
-                             .splitlines() if line.startswith("settings:"))
+        settings_line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("environment (REPRO_* snapshot):"))
         assert "jobs=1" in settings_line.split()
 
     def test_cli_validate_flags_corruption(self, tmp_path, monkeypatch,
@@ -190,7 +195,6 @@ class TestOneLoweringSite:
         point that replays it, as that point's ``lower`` phase.  Two
         batches of one workload share one recording on ``serial`` (the
         sweep's pool) but record and lower once each on ``local``."""
-        monkeypatch.setenv("REPRO_TRACE", "1")
         results, run_dir = obs_run(tmp_path, monkeypatch,
                                    backend=backend, jobs=2)
         assert results == reference_results
@@ -210,6 +214,56 @@ class TestOneLoweringSite:
                          for node in descendants(batch))
                      for batch in batches]
         assert per_batch == ([1, 0] if backend == "serial" else [1, 1])
+
+
+POISON = ExperimentPoint("no-such-benchmark", "baseline", 20, scale=0.01,
+                         warmup=50)
+
+
+def poisoned_run(tmp_path, monkeypatch, backend):
+    """The small plan plus one poison point, under REPRO_OBS=1, into a
+    private cache; returns (run_dir, cache directory)."""
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+    store = ResultCache(tmp_path / "cache")
+    with pytest.raises(KeyError, match="no-such-benchmark"):
+        run_points([*small_plan(), POISON], jobs=2, cache=store,
+                   backend=backend)
+    [run_dir] = (tmp_path / "obs").iterdir()
+    return run_dir, tmp_path / "cache"
+
+
+class TestLedgerTraceability:
+    """From the ledger alone: which window a point ran at, which cache
+    entry holds it, and only the kinds the stack documents."""
+
+    def test_summary_names_the_window_and_keys_name_cache_files(
+            self, tmp_path, monkeypatch, capsys):
+        run_dir, cache_dir = poisoned_run(tmp_path, monkeypatch, "serial")
+        events, _ = load_tree(run_dir)
+        progress = {(e["attrs"]["benchmark"], e["attrs"]["configuration"],
+                     e["attrs"]["depth"]): e["attrs"]["key"]
+                    for e in events if e["name"] == "progress"}
+        assert progress == {point.grid_key: point_key(point)
+                            for point in small_plan()}
+        assert set(progress.values()) \
+            == {path.stem for path in cache_dir.glob("*.json")}
+
+        assert obs_main(["summary", str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("window:")] \
+            == ["window: scale=0.01 warmup=50 seed=1"]
+        by_source = lines[lines.index("points by source:") + 1:]
+        assert by_source[0].split() == ["serial", str(len(small_plan()))]
+
+    @pytest.mark.parametrize("backend", ["serial", "local"])
+    def test_every_emitted_kind_is_known(self, tmp_path, monkeypatch,
+                                         backend):
+        run_dir, _ = poisoned_run(tmp_path, monkeypatch, backend)
+        kinds = {event["kind"] for event in read_events(
+            run_dir / "ledger.jsonl")}
+        assert "error" in kinds
+        assert kinds <= set(KNOWN_KINDS)
 
 
 class TestSatellites:

@@ -5,8 +5,9 @@ bit-for-bit equal (``==``) to the live engine — the independent oracle —
 across workloads, predictor kinds, pipeline depths, warmups and replay
 budgets.  Anything the kernel cannot express is a loud
 ``KernelUnsupported`` (or ``TraceError`` for truncated recordings),
-never silent divergence; :func:`~repro.experiments.runner.execute_point`
-reports which path ran via ``kernel_source``.
+never silent divergence; the ledger shows which path
+:func:`~repro.experiments.runner.execute_point` took as the point's
+``replay`` or ``live`` phase span.
 """
 
 import functools
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.arvi import ValueMode
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.runner import execute_point
+from repro.obs.ledger import build_span_tree, read_events
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.kernel import (
@@ -141,8 +144,25 @@ class TestFallback:
             kernel_run(other, trace, machine_for_depth(20))
 
 
+def run_with_tier(root, point, **kwargs):
+    """``execute_point`` under a private telemetry run.
+
+    Returns ``(result, tier)``; ``tier`` is the name of the point
+    span's ``replay`` (kernel) or ``live`` (engine) phase.
+    """
+    telemetry = obs.start_run(label="tier", root=root)
+    try:
+        result = execute_point(point, **kwargs)
+    finally:
+        ledger = obs.close_run(telemetry)
+    [node] = build_span_tree(read_events(ledger)).find("point")
+    [tier] = [child.name for child in node.children
+              if child.name in ("replay", "live")]
+    return result, tier
+
+
 class TestExecutePoint:
-    """The two paths of execute_point and the kernel_source marker."""
+    """The two paths of execute_point, told apart by their phase span."""
 
     def _point(self, **overrides):
         fields = dict(benchmark="m88ksim", configuration="baseline",
@@ -150,30 +170,29 @@ class TestExecutePoint:
         fields.update(overrides)
         return ExperimentPoint(**fields).resolve()
 
-    def test_kernel_and_live_points_agree(self, trace):
+    def test_kernel_and_live_points_agree(self, trace, tmp_path):
         point = self._point()
-        info_kernel, info_live = {}, {}
-        kernel = execute_point(point, trace=trace, info=info_kernel)
-        live = execute_point(point, trace=False, info=info_live)
+        kernel, kernel_tier = run_with_tier(tmp_path / "k", point,
+                                            trace=trace)
+        live, live_tier = run_with_tier(tmp_path / "l", point,
+                                        trace=False)
         assert kernel == live
-        assert info_kernel["kernel_source"] == "kernel"
-        assert info_live["kernel_source"] == "live"
+        assert kernel_tier == "replay" and live_tier == "live"
 
-    def test_live_points_report_live(self, trace):
-        info = {}
-        execute_point(self._point(), trace=False, info=info)
-        assert info["kernel_source"] == "live"
+    def test_live_points_report_live(self, trace, tmp_path):
+        _, tier = run_with_tier(tmp_path, self._point(), trace=False)
+        assert tier == "live"
 
-    def test_arvi_configuration_replays_through_kernel(self, trace):
-        info = {}
-        arvi = execute_point(self._point(configuration="current"),
-                             trace=trace, info=info)
-        assert info["kernel_source"] == "kernel"
+    def test_arvi_configuration_replays_through_kernel(self, trace,
+                                                       tmp_path):
+        arvi, tier = run_with_tier(
+            tmp_path, self._point(configuration="current"), trace=trace)
+        assert tier == "replay"
         assert arvi == execute_point(self._point(configuration="current"),
                                      trace=False)
 
-    def test_wrongpath_points_stay_live(self):
-        info = {}
-        execute_point(self._point(benchmark="li", scale=0.01, warmup=50,
-                                  speculation="wrongpath"), info=info)
-        assert info["kernel_source"] == "live"
+    def test_wrongpath_points_stay_live(self, tmp_path):
+        _, tier = run_with_tier(tmp_path, self._point(
+            benchmark="li", scale=0.01, warmup=50,
+            speculation="wrongpath"))
+        assert tier == "live"

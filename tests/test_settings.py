@@ -91,7 +91,8 @@ def test_parsed_values_keep_their_meaning(clean_env):
                                  "REPRO_JOB", "REPRO_MANIFEST",
                                  "REPRO_MANIFEST_DIR", "REPRO_POINT_TIMEOUT",
                                  "REPRO_DEADLETTER", "REPRO_FAULTS",
-                                 "REPRO_DEADLETTER_DIR", "REPRO_FSYNC"])
+                                 "REPRO_DEADLETTER_DIR", "REPRO_FSYNC",
+                                 "REPRO_TRACE"])
 def test_unknown_variable_is_named(clean_env, env):
     """A retired knob or a typo raises instead of being ignored; an
     empty value is as good as unset."""
