@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+COUNTER_MAX = 3   # 2-bit outcome counter
+PERF_MAX = 7      # 3-bit performance counter
+PERF_INIT = 4
+
 
 @dataclass(slots=True)
 class BVITEntry:
@@ -39,10 +43,6 @@ class BVITStats:
 
 class BVIT:
     """Set-associative branch value information table."""
-
-    COUNTER_MAX = 3   # 2-bit outcome counter
-    PERF_MAX = 7      # 3-bit performance counter
-    PERF_INIT = 4
 
     def __init__(self, sets: int = 2048, ways: int = 4) -> None:
         if sets < 1 or ways < 1:
@@ -85,12 +85,12 @@ class BVIT:
         if entry is not None:
             was_correct = (entry.counter >= 2) == taken
             if taken:
-                if entry.counter < self.COUNTER_MAX:
+                if entry.counter < COUNTER_MAX:
                     entry.counter += 1
             elif entry.counter > 0:
                 entry.counter -= 1
             if was_correct:
-                if entry.perf < self.PERF_MAX:
+                if entry.perf < PERF_MAX:
                     entry.perf += 1
             elif entry.perf > 0:
                 entry.perf -= 1
@@ -103,7 +103,7 @@ class BVIT:
             id_tag=id_tag,
             depth_tag=depth_tag,
             counter=2 if taken else 1,
-            perf=self.PERF_INIT,
+            perf=PERF_INIT,
             last_used=self._tick,
         )
         if len(bucket) >= self.ways:

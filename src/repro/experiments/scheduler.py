@@ -211,8 +211,10 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
         done += 1
         attrs = {"benchmark": point.benchmark,
                  "configuration": point.configuration,
-                 "depth": point.pipeline_depth, "key": keys[point],
-                 "source": source, "completed": done, "total": len(plan)}
+                 "depth": point.pipeline_depth, "scale": point.scale,
+                 "warmup": point.warmup, "seed": point.seed,
+                 "key": keys[point], "source": source,
+                 "completed": done, "total": len(plan)}
         if batch_id is not None:
             attrs["batch_id"] = batch_id
         if duration is not None:

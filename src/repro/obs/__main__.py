@@ -6,9 +6,9 @@
   (crashed/unclosed spans flagged), failed points (``kind="error"``
   events), per-phase timing breakdown and completed points per result
   source.
-* ``tail`` — follow a *live* run: stream new events from the parent's
-  ``events.jsonl`` and every worker shard as they are written, with a
-  one-line grid progress / per-worker status header per refresh.
+* ``tail`` — follow a *live* run: echo one formatted line per new
+  event of the parent's ``events.jsonl`` and of every worker shard, as
+  they are written.
 * ``validate`` — check every line of a ledger (or a whole run
   directory) against the event schema; exit 1 on any violation.
 
@@ -86,7 +86,7 @@ def _load_events(run: pathlib.Path) -> list[dict]:
 _SETTINGS = tuple(spec.name
                   for spec in dataclasses.fields(settings.Settings))
 
-#: A point span's simulation-window attributes.
+#: The simulation-window attributes of point spans and progress events.
 _WINDOW = ("scale", "warmup", "seed")
 
 
@@ -142,8 +142,14 @@ def summary(run: pathlib.Path, echo=print) -> int:
         if knobs:
             echo("environment (REPRO_* snapshot): " + " ".join(
                 f"{name}={value}" for name, value in knobs.items()))
-    windows = sorted({tuple(node.attrs.get(name) for name in _WINDOW)
-                      for node in tree.find("point")}, key=repr)
+    # A computed point has a point span; a cache hit only its progress
+    # event.  Both carry the window.
+    window_attrs = [node.attrs for node in tree.find("point")]
+    window_attrs += [event.get("attrs") or {} for event in events
+                     if event.get("name") == "progress"]
+    windows = sorted({tuple(attrs.get(name) for name in _WINDOW)
+                      for attrs in window_attrs if "scale" in attrs},
+                     key=repr)
     for window in windows:
         echo("window: " + " ".join(f"{name}={value}" for name, value
                                    in zip(_WINDOW, window)))

@@ -164,7 +164,10 @@ class PipelineEngine:
                     if ddt_cross_check
                     else FastDDT(n_pregs, config.rob_entries))
         self.chains = ChainInfoTable()
-        self.shadow_values = ShadowRegisterFile(n_pregs)
+        arvi = predictor.arvi
+        self.shadow_values = (
+            ShadowRegisterFile(n_pregs, arvi.config.value_bits)
+            if arvi is not None else ShadowRegisterFile(n_pregs))
         self.shadow_map = ShadowMapTable(n_pregs)
         for logical in range(self.rename.num_logical):
             preg = self.rename.lookup(logical)

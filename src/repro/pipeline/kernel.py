@@ -7,9 +7,12 @@ through a different machine.  A :class:`LoweredTrace` converts the
 per-instruction lists plus precomputed metadata, **once per workload
 identity**, shared read-only by every redirect timing point of a batch:
 
-* a fused per-instruction *kernel class* (ALU / frontend-other / load /
-  store / mult / div / conditional branch, with an I-cache line-change
-  flag folded in),
+* a per-instruction *kernel class* (ALU / frontend-other / load /
+  store / mult / div / conditional branch), fused per L1I/ITLB geometry
+  with the I-fetch stream: in redirect mode both are private to fetch
+  and accessed in program order, so whether each new fetch line misses
+  either is timing-independent (:class:`_FetchStream`; only the L1I
+  misses reach the shared L2, which runs live),
 * dependence distances from a one-shot DDT-style last-writer pass
   (``dep1``/``dep2`` name the producing *stream index* of each source
   register — exactly what renamed physical-register readiness resolves
@@ -31,8 +34,10 @@ hybrid/none kinds that strips *all* rename/DDT/RSE/shadow maintenance
 (their decisions precompute into shared streams); for the ARVI kinds a
 fused pass (DESIGN.md §13) keeps exactly the state the BVIT lookup keys
 read — the DDT retirement window, pending/shadow register values and
-load-hoist times, which are timing-*dependent* per configuration — and
-reuses precomputed level-1/confidence streams.  Results are
+load-hoist times, which are timing-*dependent* per configuration — as
+plain local ints and lists (the DDT rows and the RSE register sets are
+int bitmasks, the BVIT a list of dicts), and reuses precomputed
+level-1/confidence streams.  Results are
 **bit-for-bit equal** to the live engine (the independent oracle) —
 enforced by the equality suites (``tests/pipeline/test_kernel.py``,
 ``tests/pipeline/test_kernel_arvi.py``) and by the frozen seed goldens
@@ -50,14 +55,12 @@ the point's ``replay`` or ``live`` ledger phase (see
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heappop, heappush
 
 from repro.core.arvi import ARVIConfig, ValueMode
-from repro.core.bvit import BVIT
-from repro.core.ddt import FastDDT
-from repro.core.shadow import ShadowMapTable, ShadowRegisterFile
+from repro.core.bvit import COUNTER_MAX, PERF_INIT, PERF_MAX
 from repro.isa import regs
 from repro.isa.decoded import (
     FU_ALU as K_ALU,
@@ -69,11 +72,12 @@ from repro.isa.decoded import (
     KCLASS_BRANCH as K_BRANCH,
     RAS_PUSH,
 )
+from repro.isa.instructions import NUM_LOGICAL_REGS
 from repro.isa.program import DATA_BASE, STACK_TOP, Program
-from repro.pipeline.caches import MemoryHierarchy
+from repro.pipeline.caches import TLB, MemoryHierarchy, SetAssociativeCache
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
-from repro.pipeline.rename import RenameMap
+from repro.pipeline.rename import RenameError
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import CommittedTrace, TraceError
 from repro.predictors.confidence import ConfidenceEstimator
@@ -88,12 +92,34 @@ __all__ = [
     "kernel_run",
 ]
 
-#: Folded into the per-(line-mask) fused code when the instruction's
-#: fetch starts a new I-cache line (``code & 7`` recovers the kernel
-#: class — FU_* 0-5 plus KCLASS_BRANCH, see DecodedProgram.static_columns).
-_LINE_CHANGE = 8
+#: Fetch-miss flags folded into the per-geometry fused codes (``code &
+#: 7`` recovers the kernel class — FU_* 0-5 plus KCLASS_BRANCH, see
+#: DecodedProgram.static_columns): the instruction's fetch starts a new
+#: I-cache line and misses the ITLB / the L1I there.
+_ITLB_MISS = 8
+_L1I_MISS = 16
+_FETCH_MISS = _ITLB_MISS | _L1I_MISS
 
 _REDIRECT_LATENCY = 1  # keep in sync with pipeline.engine
+
+#: The ARVI pass shifts its DDT rows down to the oldest in-flight token
+#: once the newest token is this far above the rows' base (FastDDT's
+#: renormalization interval).
+_RENORM = 4096
+
+#: A cycle no fetch reaches: when a pending value no mode exposes
+#: becomes available.
+_NEVER = 1 << 62
+
+
+def _bvit_age(entry: list[int]) -> list[int]:
+    """BVIT replacement order of a ``[tag, counter, perf, last_used]``
+    entry: the lowest ``(perf, last_used)`` is evicted."""
+    return entry[2:]
+
+#: The shadow map table keeps the low 3 bits of each logical register id
+#: (core.shadow.ShadowMapTable's default width).
+_SHADOW_ID_MASK = 7
 
 _SUPPORTED_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
                     LevelTwoKind.ARVI)
@@ -204,36 +230,88 @@ class _ARVIPreStreams:
         self.confident = confident
 
 
+class _FetchStream:
+    """The I-fetch stream of one trace under one L1I/ITLB geometry.
+
+    In redirect mode the L1I and the ITLB are private to fetch, and fetch
+    accesses them in program order — once per new I-cache line — so
+    their hit/miss sequence depends on the trace and the geometry alone.
+    One pass through a real :class:`SetAssociativeCache` and :class:`TLB`
+    folds the outcome of every line fetch into the fused ``codes``;
+    the kernel then calls the shared L2 (whose state the D-side also
+    drives) live on exactly the L1I misses, and sets the L1I/ITLB
+    counters from the position lists.
+    """
+
+    __slots__ = ("codes", "line_pos", "l1i_miss_pos", "itlb_miss_pos")
+
+    def __init__(self, lowered: "LoweredTrace",
+                 config: MachineConfig) -> None:
+        l1i = SetAssociativeCache(config.icache)
+        itlb = TLB(config.itlb)
+        line_mask = ~(config.icache.line_bytes - 1)
+        codes = list(lowered.kclass)
+        line_pos: list[int] = []
+        l1i_miss_pos: list[int] = []
+        itlb_miss_pos: list[int] = []
+        last = -1
+        for i, pc in enumerate(lowered.pcs):
+            byte_pc = pc * 4
+            line = byte_pc & line_mask
+            if line == last:
+                continue
+            last = line
+            line_pos.append(i)
+            if itlb.access(byte_pc):
+                codes[i] |= _ITLB_MISS
+                itlb_miss_pos.append(i)
+            if not l1i.access(byte_pc):
+                codes[i] |= _L1I_MISS
+                l1i_miss_pos.append(i)
+        self.codes = codes
+        self.line_pos = line_pos
+        self.l1i_miss_pos = l1i_miss_pos
+        self.itlb_miss_pos = itlb_miss_pos
+
+    def count_into(self, memory: MemoryHierarchy, n_run: int) -> None:
+        """Set ``memory``'s L1I/ITLB counters for the first ``n_run``
+        instructions (the accesses the kernel did not make live)."""
+        lines = bisect_left(self.line_pos, n_run)
+        misses = bisect_left(self.l1i_miss_pos, n_run)
+        memory.l1i.hits = lines - misses
+        memory.l1i.misses = misses
+        misses = bisect_left(self.itlb_miss_pos, n_run)
+        memory.itlb.hits = lines - misses
+        memory.itlb.misses = misses
+
+
 class LoweredTrace:
     """Dense array form of one committed trace, shared across configs."""
 
     __slots__ = (
         "program", "trace", "length",
-        "pcs", "kclass", "byte_pcs", "dep1", "dep2",
+        "pcs", "kclass", "dep1", "dep2",
         "mem_pos", "mem_addr", "store_dep",
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
         "jr_pos", "jr_correct_cum", "_hasres",
-        "_codes", "_streams", "_values", "_arvi_pre",
+        "_fetch", "_streams", "_values", "_arvi_pre",
     )
 
     # -- derived caches ------------------------------------------------------
 
-    def codes_for(self, line_mask: int) -> list[int]:
-        """Fused class+line-change codes for one I-cache line mask."""
-        codes = self._codes.get(line_mask)
-        if codes is not None:
-            return codes
-        codes = list(self.kclass)
-        last = -1
-        byte_pcs = self.byte_pcs
-        for i in range(self.length):
-            line = byte_pcs[i] & line_mask
-            if line != last:
-                last = line
-                codes[i] |= _LINE_CHANGE
-        self._codes[line_mask] = codes
-        return codes
+    def fetch_stream(self, config: MachineConfig) -> _FetchStream:
+        """The I-fetch stream for ``config``'s L1I/ITLB geometry (cached,
+        keyed by every field the hit/miss sequence depends on)."""
+        icache = config.icache
+        itlb = config.itlb
+        key = (icache.line_bytes, icache.num_sets, icache.assoc,
+               itlb.page_bytes, itlb.num_sets, itlb.assoc)
+        stream = self._fetch.get(key)
+        if stream is None:
+            stream = _FetchStream(self, config)
+            self._fetch[key] = stream
+        return stream
 
     def streams_for(self, kind: LevelTwoKind) -> _BranchStreams:
         """Branch decision streams for one level-2 kind (cached)."""
@@ -302,14 +380,13 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered.length = n
     lowered.pcs = pcs_list
     lowered._hasres = hasres_tab
-    lowered._codes = {}
+    lowered._fetch = {}
     lowered._streams = {}
     lowered._values = None
     lowered._arvi_pre = None
 
     kclass = [cls_tab[pc] for pc in pcs_list]
     lowered.kclass = kclass
-    lowered.byte_pcs = [pc * 4 for pc in pcs_list]
     load_prefix = [0] * (n + 1)
     store_prefix = [0] * (n + 1)
     mem_pos: list[int] = []
@@ -441,10 +518,12 @@ def kernel_run(program: Program, trace: CommittedTrace,
     arvi_config), value_mode=..., warmup_instructions=...)
     .run(max_instructions)`` for every supported configuration (``trace``
     must be ``program``'s recorded committed stream); raises
-    :class:`KernelUnsupported` for anything else.  The memory hierarchy
-    runs live, in the engine's exact access order — the shared L2 couples
+    :class:`KernelUnsupported` for anything else.  The L1D, DTLB and L2
+    run live, in the engine's exact access order — the shared L2 couples
     I-side and D-side state, and store-forwarding outcomes depend on
-    per-config timing, so cache latencies cannot be precomputed.
+    per-config timing, so their latencies cannot be precomputed.  The
+    L1I and ITLB outcomes come from the trace's shared fetch stream for
+    the configuration's geometry; only L1I misses access the L2.
 
     ``LevelTwoKind.ARVI`` (``value_mode`` / ``arvi_config`` select the
     paper's evaluation configurations) runs the fused ARVI pass: the
@@ -481,10 +560,11 @@ def kernel_run(program: Program, trace: CommittedTrace,
 
     streams = lowered.streams_for(kind)
     memory = MemoryHierarchy(config)
+    fetch_stream = lowered.fetch_stream(config)
 
     # ---- hot locals (mirrors the engine's fused loop) ---------------------
-    codes = lowered.codes_for(~(config.icache.line_bytes - 1))
-    byte_pcs = lowered.byte_pcs
+    pcs = lowered.pcs
+    codes = fetch_stream.codes
     dep1 = lowered.dep1
     dep2 = lowered.dep2
     mem_pos = lowered.mem_pos
@@ -492,9 +572,11 @@ def kernel_run(program: Program, trace: CommittedTrace,
     store_dep = lowered.store_dep
     branch_bad = streams.bad
     branch_override = streams.override
-    mem_ilat = memory.instruction_latency
+    l2_access = memory.l2.access
     mem_dlat = memory.data_latency
-    icache_hit_latency = config.icache.hit_latency
+    itlb_penalty = config.itlb.miss_penalty
+    l2_hit = config.l2cache.hit_latency
+    l2_miss = l2_hit + config.memory_latency
     frontend_depth = config.frontend_depth
     fetch_width = config.fetch_width
     commit_width = config.commit_width
@@ -537,10 +619,11 @@ def kernel_run(program: Program, trace: CommittedTrace,
                 free_at = commit_arr[mem_pos[mem_i - lsq_capacity]] + 1
                 if free_at > earliest:
                     earliest = free_at
-        if code & _LINE_CHANGE:
-            extra = mem_ilat(byte_pcs[i]) - icache_hit_latency
-            if extra > 0:
-                earliest += extra
+        if code & _FETCH_MISS:
+            if code & _ITLB_MISS:
+                earliest += itlb_penalty
+            if code & _L1I_MISS:
+                earliest += l2_hit if l2_access(pcs[i] * 4) else l2_miss
         if earliest > fetch_cycle:
             fetch_cycle = earliest
             fetch_used = 0
@@ -643,7 +726,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
     # ---- statistics (prefix-sum differences over the shared streams) ----
     result = _timing_result(lowered, config, f"2-level {kind.value}",
                             warmup_instructions, n_run, last_commit,
-                            commit_arr, memory)
+                            commit_arr, memory, fetch_stream)
     branch_lo = bisect_left(lowered.branch_pos,
                             min(warmup_instructions, n_run))
     branch_hi = bisect_left(lowered.branch_pos, n_run)
@@ -666,7 +749,8 @@ def kernel_run(program: Program, trace: CommittedTrace,
 def _timing_result(lowered: LoweredTrace, config: MachineConfig,
                    configuration: str, warmup: int, n_run: int,
                    last_commit: int, commit_arr: list[int],
-                   memory: MemoryHierarchy) -> SimulationResult:
+                   memory: MemoryHierarchy,
+                   fetch_stream: _FetchStream) -> SimulationResult:
     """The statistics both passes share: a pure function of the lowered
     trace and the timing loop's ``(last_commit, commit_arr)``."""
     result = SimulationResult(
@@ -686,6 +770,7 @@ def _timing_result(lowered: LoweredTrace, config: MachineConfig,
     measured_start_cycle = commit_arr[warmup] if warmup < n_run else 0
     result.instructions = max(n_run - warmup, 0)
     result.cycles = max(last_commit - measured_start_cycle, 0)
+    fetch_stream.count_into(memory, n_run)
     result.memory = memory.stats()
 
     pops = bisect_left(lowered.jr_pos, n_run)
@@ -702,72 +787,119 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
 
     Mirrors :meth:`PipelineEngine.run` stage for stage for the ARVI
     configurations.  The timing arithmetic (fetch / issue / commit /
-    redirect) is the stream kernel's; on top of it the pass maintains
-    the real rename / DDT / chain-info / shadow structures and drains a
-    retire queue at each instruction's rename cycle, because the ARVI
-    lookup keys read exactly that state: which chain instructions are
-    still in flight, which leaf registers are pending, their shadow (or
-    exposed) values, and the chain-depth span.  The level-1 prediction
-    and the confidence verdict are timing-independent and come from the
-    shared :class:`_ARVIPreStreams`; the BVIT runs live (fresh table
-    per config, as the engine builds a fresh predictor).
+    redirect) is the stream kernel's; on top of it the pass keeps, as
+    plain local ints and lists, exactly the state the ARVI lookup keys
+    read: which chain instructions are still in flight, which leaf
+    registers are pending, their committed (or exposed) value bits, and
+    the chain-depth span.  The level-1 prediction and the confidence
+    verdict are timing-independent and come from the shared
+    :class:`_ARVIPreStreams`; everything else runs per configuration
+    (DESIGN.md §13):
 
-    Deliberate deviation from ISSUE 9's premise: the *full* ARVI
-    decision stream is **not** timing-independent per latency class —
-    availability and chain membership depend on per-config commit
-    timing — so it cannot be lowered into shared prefix sums the way
-    the gskew streams were.  Equality with the live engine is what the
-    tests assert instead.
+    * **Retirement** — a redirect replay never rolls back, so
+      instruction *i*'s DDT token is *i*, commits happen in stream
+      order, and the in-flight window is ``[lo, i)``: ``lo`` is the
+      first instruction whose commit cycle is past the rename cycle, a
+      bisect over the monotone ``commit_arr``.  Only a branch reads the
+      window, so ``lo`` is brought up to date there (and where the rows
+      renormalize or a rename might find the free list empty).
+    * **Free list** — a FIFO: rename pops its head, and a renaming
+      instruction's commit appends the register it displaced.  Commits
+      come in program order, so appending at rename instead puts every
+      register at the same place in the queue; no per-token retire
+      record is needed.  It could only pop a register not yet freed if
+      the list ran dry, which the in-flight writer count checks first.
+    * **DDT** (paper Section 2, Figure 1) — ``rows[preg]`` is the
+      physical register's dependence row as an int whose bit *b* is
+      token ``base + b``.  Rows are written unmasked and read through
+      the window (``row >> (lo - base)``): a bit below ``lo`` never
+      becomes valid again, so masking at read time equals the
+      hardware's masking at write time.  Once the newest token is
+      ``_RENORM`` above ``base``, the rows — and the chain being
+      built — shift down to ``lo``.
+    * **RSE** — per writer token, one int packs the physical-register
+      bitmask of its sources and, shifted up by ``n_pregs``, the bit of
+      its destination (loads terminate chains and pack 0), in a ring of
+      ROB size.  ORing the packs of the chain's tokens gives ``sources
+      | targets << n_pregs``, and the register set is ``sources &
+      ~targets``.  The set stays keyed by physical register, not by
+      producing token: a committed leaf register has left the token
+      window but still belongs to the set.
+    * **Leaf state** — ``writer[preg]`` is the last instruction that
+      renamed ``preg``, so the register is pending while ``writer >=
+      lo``.  ``vbits[preg]`` holds the value bits the BVIT index XORs
+      in — the shadow register file's committed value or the exposed
+      pending value, one array for both because a register's value is
+      fixed from rename to commit.  A pending value counts as available
+      from fetch cycle ``avail_at[preg]``: the load's hoisted arrival
+      under *load back*, at once under *perfect*, never otherwise.
+    * **BVIT** (paper Section 4.1) — ``sets`` list buckets of ``[tag,
+      counter, perf, last_used]`` entries, ``tag = id_tag << depth_bits
+      | depth_tag``.  Lookup and update of one branch are adjacent in
+      redirect mode, so the update trains the entry the lookup found;
+      the tick advances by two per branch, as the table's does, and a
+      full set evicts its ``min`` by ``(perf, last_used)`` (never a
+      tie: every update stamps a fresh tick).
+
+    The DDT never fills: the ROB stall keeps at most ``rob_entries - 1``
+    instructions in flight when one renames, so the engine's ``DDTError``
+    is unreachable.  The free list can run dry only if that bound broke;
+    the pass then raises :class:`RenameError` like the engine's rename
+    map, at the same instruction.
     """
     _cls, src1_tab, src2_tab, wr_tab, _ras, _hr = \
         program.decoded().static_columns()
     pre = lowered.arvi_prestreams()
     acfg = arvi_config or ARVIConfig()
     memory = MemoryHierarchy(config)
+    fetch_stream = lowered.fetch_stream(config)
     n_pregs = config.num_phys_regs
 
-    # Real structures, aliased like the engine's fused loop.
-    rename = RenameMap(n_pregs)
-    rename_map = rename._map
-    rename_free = rename._free
-    rename_owner = rename._owner
-    free_popleft = rename_free.popleft
-    free_append = rename_free.append
-    ddt = FastDDT(n_pregs, config.rob_entries)
-    ddt_allocate = ddt.allocate
-    ddt_commit = ddt.commit_oldest
-    chains_info: dict[int, tuple[int | None, tuple[int, ...], bool]] = {}
-    chains_pop = chains_info.pop
-    bvit = BVIT(acfg.sets, acfg.ways)
-    bvit_lookup = bvit.lookup
-    bvit_update = bvit.update
-    shadow_values = ShadowRegisterFile(n_pregs)
-    shadow_map = ShadowMapTable(n_pregs)
-    shadow_vals = shadow_values._values
-    shadow_ids = shadow_map._ids
-    value_mask = shadow_values._mask
-    shadow_id_mask = shadow_map._mask
+    # ---- configuration constants ------------------------------------------
+    index_mask = (1 << acfg.index_bits) - 1
+    value_index_mask = ((1 << acfg.value_bits) - 1) & index_mask
+    id_tag_mask = (1 << acfg.id_tag_bits) - 1 if acfg.use_id_tag else 0
+    id_mask = _SHADOW_ID_MASK & id_tag_mask
+    depth_bits = acfg.depth_bits
+    depth_limit = (1 << depth_bits) - 1
+    use_depth_tag = acfg.use_depth_tag
+    allocate_soft = not acfg.allocate_only_hard
+    bvit_sets = acfg.sets
+    bvit_ways = acfg.ways
+    load_back = value_mode is ValueMode.LOAD_BACK
+    pending_avail = 0 if value_mode is ValueMode.PERFECT else _NEVER
+    free_slots = n_pregs - NUM_LOGICAL_REGS
 
-    registers = [0] * 32
+    # ---- rename map, free list and per-preg state -------------------------
+    rename_map = list(range(NUM_LOGICAL_REGS))
+    free_list = deque(range(NUM_LOGICAL_REGS, n_pregs))
+    free_popleft = free_list.popleft
+    free_append = free_list.append
+    registers = [0] * NUM_LOGICAL_REGS
     registers[regs.sp] = STACK_TOP
     registers[regs.gp] = DATA_BASE
-    preg_value = [0] * n_pregs
-    for logical in range(rename.num_logical):
-        preg = rename_map[logical]
-        shadow_ids[preg] = logical & shadow_id_mask
-        shadow_vals[preg] = registers[logical] & value_mask
-        preg_value[preg] = registers[logical]
-    preg_pending = [False] * n_pregs
-    preg_is_load = [False] * n_pregs
-    preg_hoist = [0] * n_pregs
-    retire: deque[tuple] = deque()
-    retire_append = retire.append
-    retire_popleft = retire.popleft
+    vbits = [0] * n_pregs
+    ids = [0] * n_pregs
+    for logical, value in enumerate(registers):
+        vbits[logical] = value & value_index_mask
+        ids[logical] = logical & id_mask
+    writer = [-1] * n_pregs
+    avail_at = [0] * n_pregs
+    rows = [0] * n_pregs
+    src_bit = [1 << preg for preg in range(n_pregs)]
+    dest_bit = [1 << (n_pregs + preg) for preg in range(n_pregs)]
+    src_half = (1 << n_pregs) - 1
+    # In-flight tokens span less than the ROB, so a ring indexed by the
+    # token's low bits holds every chain token's pack.
+    ring_mask = (1 << (config.rob_entries - 1).bit_length()) - 1
+    rse = [0] * (ring_mask + 1)
+    base = lo = 0
+    bvit = [[] for _ in range(bvit_sets)]
+    bvit_tick = bvit_hits = 0
 
     # ---- hot locals (the stream kernel's, plus the ARVI state) ------------
     pcs = lowered.pcs
-    codes = lowered.codes_for(~(config.icache.line_bytes - 1))
-    byte_pcs = lowered.byte_pcs
+    codes = fetch_stream.codes
     dep1 = lowered.dep1
     dep2 = lowered.dep2
     mem_pos = lowered.mem_pos
@@ -777,9 +909,11 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     branch_taken = lowered.branch_taken
     l1_stream = pre.l1_pred
     conf_stream = pre.confident
-    mem_ilat = memory.instruction_latency
+    l2_access = memory.l2.access
     mem_dlat = memory.data_latency
-    icache_hit_latency = config.icache.hit_latency
+    itlb_penalty = config.itlb.miss_penalty
+    l2_hit = config.l2cache.hit_latency
+    l2_miss = l2_hit + config.memory_latency
     frontend_depth = config.frontend_depth
     rename_offset = config.rename_offset
     fetch_width = config.fetch_width
@@ -791,14 +925,7 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     div_latency = config.div_latency
     override_redirect = config.predictor_latencies.level2_arvi + 1
     muldiv_scalar = config.int_muldiv == 1
-    index_mask = (1 << acfg.index_bits) - 1
-    id_tag_mask = (1 << acfg.id_tag_bits) - 1
-    depth_limit = (1 << acfg.depth_bits) - 1
-    use_id_tag = acfg.use_id_tag
-    use_depth_tag = acfg.use_depth_tag
-    allocate_soft = not acfg.allocate_only_hard
-    is_perfect = value_mode is ValueMode.PERFECT
-    is_load_back = value_mode is ValueMode.LOAD_BACK
+    renorm = _RENORM
 
     complete_arr = [0] * n_run
     commit_arr = [0] * n_run
@@ -832,10 +959,11 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                 free_at = commit_arr[mem_pos[mem_i - lsq_capacity]] + 1
                 if free_at > earliest:
                     earliest = free_at
-        if code & _LINE_CHANGE:
-            extra = mem_ilat(byte_pcs[i]) - icache_hit_latency
-            if extra > 0:
-                earliest += extra
+        if code & _FETCH_MISS:
+            if code & _ITLB_MISS:
+                earliest += itlb_penalty
+            if code & _L1I_MISS:
+                earliest += l2_hit if l2_access(pcs[i] * 4) else l2_miss
         if earliest > fetch_cycle:
             fetch_cycle = earliest
             fetch_used = 0
@@ -845,104 +973,93 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         fetch_used += 1
         fetch = fetch_cycle
 
-        # ---- rename (early, one cycle after fetch) ------------------------
-        rename_cycle = fetch + rename_offset
-        if retire and retire[0][3] <= rename_cycle:
-            while retire and retire[0][3] <= rename_cycle:
-                token, dest, value, _c, displaced = retire_popleft()
-                ddt_commit()
-                chains_pop(token, None)
-                if dest is not None:
-                    shadow_vals[dest] = value & value_mask
-                    preg_pending[dest] = False
-                if displaced is not None:
-                    free_append(displaced)
-
+        # ---- rename (early, one cycle after fetch) -----------------------
         pc = pcs[i]
         s1 = src1_tab[pc]
         if s1 >= 0:
+            preg = rename_map[s1]
+            chain = rows[preg]
+            srcs = src_bit[preg]
             s2 = src2_tab[pc]
             if s2 >= 0:
-                src_pregs = (rename_map[s1], rename_map[s2])
-            else:
-                src_pregs = (rename_map[s1],)
+                preg = rename_map[s2]
+                chain |= rows[preg]
+                srcs |= src_bit[preg]
         else:
-            src_pregs = ()
+            chain = srcs = 0
 
         # ---- ARVI decision (reads the DDT *before* the branch inserts) ----
         is_branch = k == K_BRANCH
         if is_branch:
+            lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
             taken = branch_taken[branch_i]
             l1_pred = l1_stream[branch_i]
             confident = conf_stream[branch_i]
-            ddt_rows = ddt.rows  # rebound by renormalization; no hoisting
-            cmask = 0
-            for preg in src_pregs:
-                cmask |= ddt_rows[preg]
-            cmask &= ddt.valid
-            base = ddt._base
-            if cmask:
-                oldest = base + (cmask & -cmask).bit_length() - 1
-            else:
-                oldest = None
-            # RSE extraction (ChainInfoTable.extract, inlined over the
-            # chain bitmask: loads terminate chains and mark nothing).
-            rse_sources = set(src_pregs)
-            rse_targets = None
-            m = cmask
-            while m:
-                low = m & -m
-                m ^= low
-                dest, srcs, is_ld = chains_info[
-                    base + low.bit_length() - 1]
-                if not is_ld:
-                    rse_sources.update(srcs)
-                    if dest is not None:
-                        if rse_targets is None:
-                            rse_targets = {dest}
-                        else:
-                            rse_targets.add(dest)
-            regset = (rse_sources if rse_targets is None
-                      else rse_sources - rse_targets)
-            # Key formation (ARVIPredictor.keys, inlined: XOR fold, id
-            # sum and any() are commutative, so no sorted() pass).
+            # The chain's in-flight tokens; bit b is token lo + b.
+            shift = lo - base
+            window = chain >> shift
+            packed = srcs
+            depth_tag = 0
+            if window:
+                if use_depth_tag:
+                    span = i - lo - (window & -window).bit_length() + 1
+                    depth_tag = span if span < depth_limit else depth_limit
+                oldest = lo - 1
+                while window:
+                    low = window & -window
+                    window ^= low
+                    packed |= rse[(oldest + low.bit_length()) & ring_mask]
+            regset = packed & src_half & ~(packed >> n_pregs)
+            # Key formation (XOR fold, id sum and any() are order-free).
             index = pc & index_mask
             id_sum = 0
             is_load_branch = False
-            for preg in regset:
-                if not preg_pending[preg]:
-                    index ^= shadow_vals[preg] & index_mask
-                elif is_perfect or (is_load_back and preg_is_load[preg]
-                                    and preg_hoist[preg] <= fetch):
-                    index ^= preg_value[preg] & value_mask & index_mask
+            while regset:
+                low = regset & -regset
+                regset ^= low
+                preg = low.bit_length() - 1
+                if writer[preg] < lo or avail_at[preg] <= fetch:
+                    index ^= vbits[preg]
                 else:
                     is_load_branch = True
-                id_sum += shadow_ids[preg] & id_tag_mask
-            id_tag = id_sum & id_tag_mask if use_id_tag else 0
-            if use_depth_tag and oldest is not None:
-                span = ddt._next_token - oldest
-                depth_tag = span if span < depth_limit else depth_limit
+                id_sum += ids[preg]
+            tag = (id_sum & id_tag_mask) << depth_bits | depth_tag
+            bucket = bvit[index % bvit_sets]
+            for entry in bucket:
+                if entry[0] == tag:
+                    bvit_hits += 1
+                    use_arvi = not confident
+                    final = entry[1] >= 2 if use_arvi else l1_pred
+                    break
             else:
-                depth_tag = 0
-            arvi_taken = bvit_lookup(index, id_tag, depth_tag)
-            use_arvi = arvi_taken is not None and not confident
-            final = arvi_taken if use_arvi else l1_pred
+                entry = None
+                use_arvi = False
+                final = l1_pred
 
-        # ---- destination rename + DDT insert ------------------------------
+        # ---- destination rename + DDT / RSE insert ------------------------
         rd = wr_tab[pc]
         if rd >= 0:
-            if not rename_free:
-                rename.rename_dest(rd)  # raises RenameError (engine parity)
-            dest_preg = free_popleft()
-            displaced = rename_map[rd]
-            rename_map[rd] = dest_preg
-            rename_owner[dest_preg] = rd
-            shadow_ids[dest_preg] = rd & shadow_id_mask
-        else:
-            dest_preg = None
-            displaced = None
-        token = ddt_allocate(dest_preg, src_pregs)
-        chains_info[token] = (dest_preg, src_pregs, k == K_LOAD)
+            if i - lo >= free_slots:
+                lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
+                if i - lo >= free_slots and sum(
+                        1 for t in range(lo, i)
+                        if wr_tab[pcs[t]] >= 0) >= free_slots:
+                    raise RenameError("free list underflow")
+            if i - base >= renorm:
+                lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
+                shift = lo - base
+                rows = [row >> shift for row in rows]
+                chain >>= shift
+                base = lo
+            dest = free_popleft()
+            free_append(rename_map[rd])
+            rename_map[rd] = dest
+            ids[dest] = rd & id_mask
+            rows[dest] = chain | 1 << (i - base)
+            writer[dest] = i
+            vbits[dest] = values[i] & value_index_mask
+            avail_at[dest] = pending_avail
+            rse[i & ring_mask] = 0 if k == K_LOAD else srcs | dest_bit[dest]
 
         # ---- issue / execute ---------------------------------------------
         operands = 0
@@ -957,7 +1074,6 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         ready = fetch + frontend_depth
         if operands > ready:
             ready = operands
-        hoist_val = 0
         if k == K_ALU or k == K_BRANCH:
             server_free = heappop(alu_free)
             issue = ready if ready >= server_free else server_free
@@ -978,15 +1094,16 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                             else data_ready) + 1
             else:
                 complete = access + mem_dlat(mem_addr[mem_i])
-            # Hoisted availability (engine _hoist_available): operand
-            # readiness, gated by the forwarding store's data, plus the
-            # load's actual latency.  Read only under "load back".
-            hoist_start = operands
-            if source >= 0:
-                data_ready = complete_arr[source]
-                if data_ready > hoist_start:
-                    hoist_start = data_ready
-            hoist_val = hoist_start + (complete - issue)
+            if load_back and rd >= 0:
+                # Hoisted availability (engine _hoist_available): operand
+                # readiness, gated by the forwarding store's data, plus
+                # the load's actual latency.
+                hoist_start = operands
+                if source >= 0:
+                    data_ready = complete_arr[source]
+                    if data_ready > hoist_start:
+                        hoist_start = data_ready
+                avail_at[dest] = hoist_start + (complete - issue)
             mem_i += 1
         elif k == K_STORE:
             server_free = heappop(alu_free)
@@ -1033,20 +1150,7 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         commit_arr[i] = last_commit
         complete_arr[i] = complete
 
-        # ---- writeback bookkeeping ----------------------------------------
-        if dest_preg is not None:
-            value = values[i]
-            preg_value[dest_preg] = value
-            preg_pending[dest_preg] = True
-            is_ld = k == K_LOAD
-            preg_is_load[dest_preg] = is_ld
-            if is_ld:
-                preg_hoist[dest_preg] = hoist_val
-        else:
-            value = 0
-        retire_append((token, dest_preg, value, last_commit, displaced))
-
-        # ---- control flow resolution + training ---------------------------
+        # ---- control flow resolution + BVIT training ----------------------
         if is_branch:
             final_correct = final == taken
             override = use_arvi and final != l1_pred
@@ -1058,8 +1162,25 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                 barrier = fetch + override_redirect
                 if barrier > fetch_barrier:
                     fetch_barrier = barrier
-            bvit_update(index, id_tag, depth_tag, taken,
-                        allocate=not confident or allocate_soft)
+            bvit_tick += 2  # one lookup and one update per branch
+            if entry is not None:
+                counter = entry[1]
+                if (counter >= 2) == taken:
+                    if entry[2] < PERF_MAX:
+                        entry[2] += 1
+                elif entry[2] > 0:
+                    entry[2] -= 1
+                if taken:
+                    if counter < COUNTER_MAX:
+                        entry[1] = counter + 1
+                elif counter > 0:
+                    entry[1] = counter - 1
+                entry[3] = bvit_tick
+            elif not confident or allocate_soft:
+                if len(bucket) >= bvit_ways:
+                    bucket.remove(min(bucket, key=_bvit_age))
+                bucket.append([tag, 2 if taken else 1, PERF_INIT,
+                               bvit_tick])
             if i >= warmup:
                 cond_branches += 1
                 l1_correct = l1_pred == taken
@@ -1087,7 +1208,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
 
     # ---- statistics -------------------------------------------------------
     result = _timing_result(lowered, config, f"arvi {value_mode.value}",
-                            warmup, n_run, last_commit, commit_arr, memory)
+                            warmup, n_run, last_commit, commit_arr, memory,
+                            fetch_stream)
     result.cond_branches = cond_branches
     result.final_correct = final_correct_n
     result.l1_correct = l1_correct_n
@@ -1097,6 +1219,6 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     result.l2_used = l2_used_n
     result.calculated = BranchClassStats(branches=calc_b, correct=calc_c)
     result.load = BranchClassStats(branches=load_b, correct=load_c)
-    result.arvi_lookups = bvit.stats.lookups
-    result.arvi_bvit_hits = bvit.stats.hits
+    result.arvi_lookups = branch_i
+    result.arvi_bvit_hits = bvit_hits
     return result

@@ -256,6 +256,29 @@ class TestLedgerTraceability:
         by_source = lines[lines.index("points by source:") + 1:]
         assert by_source[0].split() == ["serial", str(len(small_plan()))]
 
+    def test_warm_run_summary_names_the_window(self, tmp_path, monkeypatch,
+                                               capsys):
+        """A cache hit has no point span; its progress event carries the
+        window, so a fully warm run still names it."""
+        monkeypatch.setenv("REPRO_OBS", "1")
+        plan = build_plan(configurations=("baseline",), depths=(20, 40),
+                          benchmarks=("li",), scale=0.01, warmup=50)
+        store = ResultCache(tmp_path / "cache")
+        run_dirs = []
+        for attempt in ("cold", "warm"):
+            monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / attempt))
+            run_points(plan, jobs=1, cache=store, backend="serial")
+            [run_dir] = (tmp_path / attempt).iterdir()
+            run_dirs.append(run_dir)
+        events, tree = load_tree(run_dirs[1])
+        assert not tree.find("point")
+        progress = [e["attrs"] for e in events if e["name"] == "progress"]
+        assert [attrs["source"] for attrs in progress] == ["cache"] * 2
+        assert obs_main(["summary", str(run_dirs[1])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("window:")] \
+            == ["window: scale=0.01 warmup=50 seed=1"]
+
     @pytest.mark.parametrize("backend", ["serial", "local"])
     def test_every_emitted_kind_is_known(self, tmp_path, monkeypatch,
                                          backend):

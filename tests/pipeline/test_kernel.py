@@ -21,7 +21,7 @@ from repro.core.arvi import ValueMode
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.runner import execute_point
 from repro.obs.ledger import build_span_tree, read_events
-from repro.pipeline.config import machine_for_depth
+from repro.pipeline.config import CacheConfig, TLBConfig, machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.kernel import (
     KernelUnsupported,
@@ -83,6 +83,58 @@ class TestEquality:
         for depth in (20, 40, 60):
             kernel_run(program, trace, machine_for_depth(depth))
         assert ensure_lowered(program, trace) is lowered
+
+
+#: I-side geometries small enough that the stand-ins' code (136-476
+#: bytes) keeps missing in the L1I and the ITLB after the cold misses;
+#: the paper's 64 KB L1I misses only cold.
+SMALL_ISIDE = (
+    {"icache": CacheConfig("L1I", 128, 1, 32, 2),
+     "itlb": TLBConfig("ITLB", 2, 1, page_bytes=64)},
+    {"icache": CacheConfig("L1I", 256, 2, 16, 2),
+     "itlb": TLBConfig("ITLB", 4, 2, page_bytes=128)},
+)
+
+
+def live_result(program, config, kind, warmup=500):
+    """The live engine on an explicit machine configuration."""
+    engine = PipelineEngine(program, config,
+                            build_predictor(kind, config),
+                            value_mode=ValueMode.CURRENT,
+                            warmup_instructions=warmup)
+    return engine.run()
+
+
+class TestFetchStream:
+    """The lowered I-fetch stream: each geometry's L1I/ITLB hit/miss
+    sequence is precomputed once per trace, and only the L1I misses
+    access the shared L2 live."""
+
+    @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID,
+                                      LevelTwoKind.NONE,
+                                      LevelTwoKind.ARVI])
+    @pytest.mark.parametrize("iside", [0, 1])
+    def test_small_iside_equals_live(self, program, trace, kind, iside):
+        config = machine_for_depth(20, **SMALL_ISIDE[iside])
+        live = live_result(program, config, kind)
+        assert kernel_run(program, trace, config, kind,
+                          warmup_instructions=500) == live
+        # Not vacuous: misses past the cold ones, each an L2 access.
+        assert live.memory.l1i_misses > 100
+        assert live.memory.itlb_misses > 1
+        assert live.memory.l2_hits > live.memory.l1i_misses // 2
+
+    @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID,
+                                      LevelTwoKind.ARVI])
+    def test_geometries_in_turn_on_one_trace(self, program, kind):
+        """One trace replayed under alternating geometries must never
+        hand a replay the stream cached for another geometry."""
+        trace = record_trace(program)
+        for iside in (SMALL_ISIDE[0], SMALL_ISIDE[1], {}, SMALL_ISIDE[0]):
+            config = machine_for_depth(20, **iside)
+            assert kernel_run(program, trace, config, kind,
+                              warmup_instructions=500) \
+                == live_result(program, config, kind)
 
 
 @functools.lru_cache(maxsize=1)

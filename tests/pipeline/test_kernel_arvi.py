@@ -81,6 +81,68 @@ class TestARVIEquality:
                                     LevelTwoKind.ARVI,
                                     warmup_instructions=500)
 
+    @pytest.mark.parametrize("rob_entries", [24, 100])
+    def test_small_and_odd_rob_sizes(self, program, trace, rob_entries):
+        """The ROB size bounds the token window, the RSE ring and the
+        free list: a small ROB stalls often, and a size that is not a
+        power of two leaves ring slots the window never reaches."""
+        config = machine_for_depth(60, rob_entries=rob_entries)
+        predictor = build_predictor(LevelTwoKind.ARVI, config)
+        live = PipelineEngine(program, config, predictor,
+                              value_mode=ValueMode.LOAD_BACK,
+                              warmup_instructions=500).run()
+        assert kernel_run(program, trace, config, LevelTwoKind.ARVI,
+                          warmup_instructions=500,
+                          value_mode=ValueMode.LOAD_BACK) == live
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_value_bits_reach_both_tiers(self, program, trace, mode):
+        """``ARVIConfig.value_bits`` is the shadow register file's width
+        in the engine and the value mask in the kernel."""
+        narrow = ARVIConfig(value_bits=4)
+        kernel = kernel_run(program, trace, machine_for_depth(20),
+                            LevelTwoKind.ARVI, warmup_instructions=500,
+                            value_mode=mode, arvi_config=narrow)
+        assert kernel == arvi_engine(program, mode=mode,
+                                     arvi_config=narrow)
+        # Not vacuous: 4 value bits hash differently from the default 11.
+        assert kernel != kernel_run(program, trace, machine_for_depth(20),
+                                    LevelTwoKind.ARVI,
+                                    warmup_instructions=500,
+                                    value_mode=mode)
+
+
+class TestHardwareDDTAgreement:
+    """The kernel keeps its DDT as plain ints.  The engine can mirror
+    every DDT operation into the hardware-faithful circular
+    :class:`~repro.core.ddt.DDT` (``ddt_cross_check=True``); here its
+    chains are also compared register by register every 64
+    instructions, so kernel == cross-checked engine ties the kernel's
+    ARVI keys to the paper's Figure 1 structure."""
+
+    @pytest.mark.parametrize("workload", ["m88ksim", "compress"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kernel_equals_cross_checked_engine(self, workload, mode):
+        program = get_program(workload, scale=0.02, seed=1)
+        trace = record_trace(program)
+        config = machine_for_depth(20)
+        engine = PipelineEngine(
+            program, config, build_predictor(LevelTwoKind.ARVI, config),
+            value_mode=mode, warmup_instructions=100,
+            ddt_cross_check=True)
+        checks = []
+
+        def verify(record, _dyn):
+            if record.seq % 64 == 0:
+                engine.ddt.verify_chains()
+                checks.append(record.seq)
+
+        engine.observers.append(verify)
+        live = engine.run()
+        assert checks and engine.ddt.operations > 0
+        assert kernel_run(program, trace, config, LevelTwoKind.ARVI,
+                          warmup_instructions=100, value_mode=mode) == live
+
 
 @functools.lru_cache(maxsize=1)
 def _small():
