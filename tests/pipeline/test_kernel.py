@@ -126,6 +126,34 @@ class TestFetchStream:
 
     @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID,
                                       LevelTwoKind.ARVI])
+    @pytest.mark.parametrize("workload", BENCHMARKS)
+    def test_every_workload_on_a_small_iside(self, workload, kind):
+        """Each stand-in's code size and layout gives its own L1I/ITLB
+        miss pattern on the direct-mapped geometry."""
+        program = get_program(workload, scale=0.01, seed=1)
+        trace = record_trace(program)
+        config = machine_for_depth(20, **SMALL_ISIDE[0])
+        live = live_result(program, config, kind, warmup=100)
+        assert kernel_run(program, trace, config, kind,
+                          warmup_instructions=100) == live
+        # Not vacuous: more misses than the code has lines, so conflict
+        # misses, not only cold ones.
+        line_bytes = config.icache.line_bytes
+        lines = {pc * 4 // line_bytes
+                 for pc in ensure_lowered(program, trace).pcs}
+        assert live.memory.l1i_misses > len(lines)
+
+    @pytest.mark.parametrize("depth", [40, 60])
+    def test_small_iside_at_deeper_pipelines(self, program, trace, depth):
+        """The L1I miss latency and the shared L2 grow with depth; the
+        live L2 accesses on L1I misses must land at the same cycles."""
+        config = machine_for_depth(depth, **SMALL_ISIDE[1])
+        live = live_result(program, config, LevelTwoKind.ARVI)
+        assert kernel_run(program, trace, config, LevelTwoKind.ARVI,
+                          warmup_instructions=500) == live
+
+    @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID,
+                                      LevelTwoKind.ARVI])
     def test_geometries_in_turn_on_one_trace(self, program, kind):
         """One trace replayed under alternating geometries must never
         hand a replay the stream cached for another geometry."""

@@ -81,7 +81,38 @@ class TestARVIEquality:
                                     LevelTwoKind.ARVI,
                                     warmup_instructions=500)
 
-    @pytest.mark.parametrize("rob_entries", [24, 100])
+    @pytest.mark.parametrize("sets,ways", [(1, 1), (1, 4), (4, 2),
+                                           (16, 1), (16, 8)])
+    def test_tiny_bvit_geometries(self, program, trace, sets, ways):
+        """A BVIT of a few entries evicts on most allocations, so the
+        inlined replacement (lowest ``(perf, last_used)`` in the set)
+        and the index wrap carry the result."""
+        custom = ARVIConfig(sets=sets, ways=ways)
+        kernel = kernel_run(program, trace, machine_for_depth(20),
+                            LevelTwoKind.ARVI, warmup_instructions=500,
+                            arvi_config=custom)
+        assert kernel == arvi_engine(program, arvi_config=custom)
+
+    @pytest.mark.parametrize("overrides", [
+        {"use_id_tag": False},
+        {"use_depth_tag": False},
+        {"allocate_only_hard": False},
+        {"index_bits": 4, "id_tag_bits": 3, "depth_bits": 2},
+    ], ids=["no-id-tag", "no-depth-tag", "allocate-all", "narrow-keys"])
+    def test_key_ablations(self, program, trace, overrides):
+        """The DESIGN.md §5 ablation switches and narrow key fields
+        change how the kernel forms BVIT keys exactly as they change
+        the engine's."""
+        custom = ARVIConfig(**overrides)
+        kernel = kernel_run(program, trace, machine_for_depth(40),
+                            LevelTwoKind.ARVI, warmup_instructions=500,
+                            value_mode=ValueMode.LOAD_BACK,
+                            arvi_config=custom)
+        assert kernel == arvi_engine(program, depth=40,
+                                     mode=ValueMode.LOAD_BACK,
+                                     arvi_config=custom)
+
+    @pytest.mark.parametrize("rob_entries", [16, 24, 33, 100, 256])
     def test_small_and_odd_rob_sizes(self, program, trace, rob_entries):
         """The ROB size bounds the token window, the RSE ring and the
         free list: a small ROB stalls often, and a size that is not a
@@ -110,6 +141,19 @@ class TestARVIEquality:
                                     LevelTwoKind.ARVI,
                                     warmup_instructions=500,
                                     value_mode=mode)
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value_bits", [1, 16, 32])
+    def test_value_widths_equal_live(self, program, trace, value_bits,
+                                     mode):
+        """Widths from one bit to wider than the BVIT index: the value
+        mask is cut to the index field in both tiers."""
+        width = ARVIConfig(value_bits=value_bits)
+        kernel = kernel_run(program, trace, machine_for_depth(20),
+                            LevelTwoKind.ARVI, warmup_instructions=500,
+                            value_mode=mode, arvi_config=width)
+        assert kernel == arvi_engine(program, mode=mode, arvi_config=width)
 
 
 class TestHardwareDDTAgreement:
