@@ -2,11 +2,11 @@
 """Speculation-mode depth sweep: redirect vs. materialized wrong path.
 
 Runs the m88ksim hybrid and ARVI(current) configurations at 20/40/60
-stages through the experiment service in *both* speculation modes and
-prints the wrong-path/pollution comparison table — how much speculative
-work a mispredicted branch wastes, and what it does to the caches, as the
-pipeline deepens (cf. Mittal's survey, arXiv:1804.00261, on wrong-path
-effects being first-order).
+stages in *both* speculation modes, as one plan, and prints the
+``speculation`` view's table — how much speculative work a mispredicted
+branch wastes, and what it does to the caches, as the pipeline deepens
+(cf. Mittal's survey, arXiv:1804.00261, on wrong-path effects being
+first-order).
 
 Each mode has its own cache keys, so warm re-runs replay instantly; set
 ``REPRO_CACHE=0`` to force recomputation.  ``REPRO_SCALE`` / ``REPRO_JOBS``
@@ -16,7 +16,8 @@ small scale).
 Run:  python examples/speculation_sweep.py
 """
 
-from repro.experiments import render_speculation_comparison, run_suite
+from repro.experiments import build_plan, plan_from_points, run_plan
+from repro.experiments.aggregate import build_views
 from repro.pipeline.config import PIPELINE_DEPTHS
 from repro.speculation import SPECULATION_MODES
 
@@ -25,21 +26,17 @@ CONFIGURATIONS = ("baseline", "current")
 
 
 def main() -> None:
-    results = []
-    for mode in SPECULATION_MODES:
-        print(f"-- speculation={mode}")
-        grid = run_suite(
-            configurations=CONFIGURATIONS, depths=PIPELINE_DEPTHS,
-            benchmarks=BENCHMARKS, speculation=mode,
-            progress=lambda e: print(
-                f"  [{e.completed}/{e.total}] {e.point.benchmark}/"
-                f"{e.point.configuration}/{e.point.pipeline_depth} "
-                f"({e.source}, {e.elapsed:.1f}s)"))
-        results.extend(grid.values())
+    plan = plan_from_points(
+        point for mode in SPECULATION_MODES
+        for point in build_plan(CONFIGURATIONS, PIPELINE_DEPTHS, BENCHMARKS,
+                                speculation=mode))
+    results = run_plan(plan, progress=lambda e: print(
+        f"  [{e.completed}/{e.total}] {e.point.benchmark}/"
+        f"{e.point.configuration}/{e.point.pipeline_depth}/"
+        f"{e.point.speculation} ({e.source}, {e.elapsed:.1f}s)"))
     print()
-    print(render_speculation_comparison(
-        results,
-        title="Wrong-path work and cache pollution across pipeline depths"))
+    print(build_views(results, views=("speculation",))
+          .views["speculation"]["rendered"])
     print("\nExpected shape: deeper pipelines resolve branches later, so")
     print("each misprediction drags more wrong-path instructions through")
     print("the frontend and leaves more speculative fills in the caches.")

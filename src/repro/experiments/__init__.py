@@ -9,12 +9,15 @@ Layered as an experiment service (see DESIGN.md §6 and §9):
 * :mod:`repro.experiments.cache`     — persistent JSON result store;
 * :mod:`repro.experiments.aggregate` — the view model every figure and
   table renders from;
+* :mod:`repro.experiments.claims`    — the paper's claims, as predicates
+  over the figure views;
 * :mod:`repro.experiments.runner`    — the plan->schedule->cache facade.
+
+``python -m repro.experiments reproduce`` regenerates every artifact
+(:mod:`repro.experiments.__main__`).
 """
 
 from repro.experiments.cache import ResultCache, default_cache
-from repro.experiments.figure5 import Figure5Data, run_figure5
-from repro.experiments.figure6 import Figure6Data, run_figure6
 from repro.experiments.plan import (
     ExperimentPlan,
     build_plan,
@@ -24,8 +27,6 @@ from repro.experiments.plan import (
 from repro.experiments.report import (
     arithmetic_mean,
     format_table,
-    geometric_mean,
-    render_speculation_comparison,
 )
 from repro.experiments.runner import (
     CONFIGURATIONS,
@@ -53,8 +54,6 @@ __all__ = [
     "CONFIGURATIONS",
     "ExperimentPlan",
     "ExperimentPoint",
-    "Figure5Data",
-    "Figure6Data",
     "ProgressEvent",
     "ResultCache",
     "arithmetic_mean",
@@ -62,18 +61,14 @@ __all__ = [
     "default_cache",
     "execute_point",
     "format_table",
-    "geometric_mean",
     "plan_from_points",
     "point_key",
     "render_all",
-    "render_speculation_comparison",
     "render_speculation_modes",
     "render_table1",
     "render_table2",
     "render_table3",
     "render_table4",
-    "run_figure5",
-    "run_figure6",
     "run_plan",
     "run_point",
     "run_points",

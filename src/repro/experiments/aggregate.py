@@ -8,17 +8,19 @@ over:
   calculated-vs-load accuracy split (paper Figure 5);
 * ``figure6``   — accuracy + baseline-normalized IPC per depth, with
   the suite-average headline (paper Figure 6);
-* ``speculation`` — the wrong-path/pollution comparison table
-  (:func:`~repro.experiments.report.render_speculation_comparison`);
-* ``benchmarks`` — per-benchmark rollups (points, mean IPC/accuracy,
-  best-IPC cell);
+* ``speculation`` — the wrong-path/pollution comparison table, one row
+  per point of either speculation mode;
 * ``status``    — the run itself: points done/pending/failed, result
   sources and the ``kernel_source`` mix (phase times live in the
   ledger's ``phase`` spans, not here).
 
-:class:`~repro.experiments.figure5.Figure5Data` and
-:class:`~repro.experiments.figure6.Figure6Data` render from the same
-views, so each normalization and mean is computed in one place.
+:func:`~repro.experiments.report.render_figure5`,
+:func:`~repro.experiments.report.render_figure6` and the paper's claims
+(:mod:`repro.experiments.claims`) read the same views, so each
+normalization and mean is computed in one place.  A figure cell is
+(benchmark, configuration, depth): two results for one cell — say the
+``redirect`` and ``wrongpath`` runs of one point — raise ``ValueError``
+naming it rather than one silently replacing the other.
 
 **The view-identity invariant.**  The data views are *pure functions of
 the final result set*: per-point scalars are stored in cells keyed by
@@ -64,7 +66,7 @@ __all__ = [
 
 #: Views covered by the bit-for-bit view-identity invariant: pure
 #: functions of the delivered result set.
-IDENTITY_VIEWS = ("figure5", "figure6", "speculation", "benchmarks")
+IDENTITY_VIEWS = ("figure5", "figure6", "speculation")
 
 #: Every view a sink builds; ``status`` is live-run metadata (sources,
 #: timing rollups, failure counts) and deliberately outside the
@@ -122,6 +124,15 @@ def _sorted_cells(cells: Mapping[str, tuple[ExperimentPoint,
     return sorted(cells.items())
 
 
+def _second_result(view: str, point: ExperimentPoint) -> ValueError:
+    """The error for a figure cell that already holds a result."""
+    return ValueError(
+        f"{view} view: two results for cell {point.benchmark}/"
+        f"{point.configuration}/depth {point.pipeline_depth} (this one is "
+        f"{point.speculation}, seed {point.seed}); build the view from "
+        f"one speculation mode and one window")
+
+
 def _figure5_view(cells) -> dict:
     """Figure 5 curves from the ``current``-configuration cells.
 
@@ -136,8 +147,11 @@ def _figure5_view(cells) -> dict:
         if point.configuration != "current":
             continue
         bench = point.benchmark
-        load_rates.setdefault(bench, {})[str(point.pipeline_depth)] = \
-            result.load_branch_rate
+        rates = load_rates.setdefault(bench, {})
+        depth = str(point.pipeline_depth)
+        if depth in rates:
+            raise _second_result("figure5", point)
+        rates[depth] = result.load_branch_rate
         if bench not in best_depth \
                 or point.pipeline_depth < best_depth[bench]:
             best_depth[bench] = point.pipeline_depth
@@ -159,6 +173,8 @@ def _figure6_view(cells) -> dict:
     for _, (point, result) in _sorted_cells(cells):
         bench_cells = depths.setdefault(
             str(point.pipeline_depth), {}).setdefault(point.benchmark, {})
+        if point.configuration in bench_cells:
+            raise _second_result("figure6", point)
         bench_cells[point.configuration] = {
             "accuracy": result.prediction_accuracy,
             "ipc": result.ipc,
@@ -194,45 +210,10 @@ def _speculation_view(cells) -> dict:
     }
 
 
-def _benchmarks_view(cells) -> dict:
-    """Per-benchmark rollups across every configuration and depth."""
-    summary: dict[str, dict] = {}
-    for _, (point, result) in _sorted_cells(cells):
-        entry = summary.setdefault(point.benchmark, {
-            "points": 0, "_ipc_sum": 0.0, "_acc_sum": 0.0,
-            "configurations": set(), "depths": set(),
-            "best_ipc": None,
-        })
-        entry["points"] += 1
-        entry["_ipc_sum"] += result.ipc
-        entry["_acc_sum"] += result.prediction_accuracy
-        entry["configurations"].add(point.configuration)
-        entry["depths"].add(point.pipeline_depth)
-        best = entry["best_ipc"]
-        if best is None or result.ipc > best["ipc"]:
-            entry["best_ipc"] = {
-                "configuration": point.configuration,
-                "depth": point.pipeline_depth,
-                "ipc": result.ipc,
-            }
-    return {
-        bench: {
-            "points": entry["points"],
-            "mean_ipc": entry["_ipc_sum"] / entry["points"],
-            "mean_accuracy": entry["_acc_sum"] / entry["points"],
-            "configurations": sorted(entry["configurations"]),
-            "depths": sorted(entry["depths"]),
-            "best_ipc": entry["best_ipc"],
-        }
-        for bench, entry in sorted(summary.items())
-    }
-
-
 _BUILDERS: dict[str, Callable] = {
     "figure5": _figure5_view,
     "figure6": _figure6_view,
     "speculation": _speculation_view,
-    "benchmarks": _benchmarks_view,
 }
 
 

@@ -1,7 +1,7 @@
 """Persistent result cache for experiment points.
 
 Completed :class:`~repro.pipeline.stats.SimulationResult`\\ s are stored as
-JSON files under ``benchmarks/results/cache/`` (one file per point, named
+JSON files under ``results/cache/`` (one file per point, named
 by the plan content hash from :func:`repro.experiments.plan.point_key`).
 Because the key covers every outcome-affecting knob, a hit can be replayed
 verbatim: the deserialized result compares equal to a fresh run.

@@ -1,8 +1,24 @@
-"""Plain-text rendering of paper-style tables and figure series."""
+"""Plain-text rendering of paper-style tables and figure series.
+
+:func:`render_figure5` and :func:`render_figure6` render the
+``figure5`` / ``figure6`` view bodies (:mod:`repro.experiments.
+aggregate`).  They show only the depths, benchmarks and configurations
+present, so a slice of the grid renders too; a missing cell shows ``-``.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from repro.experiments.plan import CONFIGURATIONS
+
+#: Figure 6's column label for each configuration.
+FIGURE6_LABELS = {
+    "baseline": "2-level gskew",
+    "current": "arvi current",
+    "load back": "arvi load back",
+    "perfect": "arvi perfect",
+}
 
 
 def format_table(headers: Sequence[str],
@@ -60,30 +76,57 @@ def speculation_row(result) -> list[object]:
     ]
 
 
-def render_speculation_comparison(results: Iterable,
-                                  *, title: str | None = None) -> str:
-    """Render a grid of results (any mix of speculation modes) as a table.
-
-    Rows are sorted (benchmark, config, depth, speculation) so the
-    redirect/wrongpath pair for each point sits together; pass the merged
-    values of two ``run_suite`` calls to compare modes without custom
-    scripts.
-    """
-    rows = sorted((speculation_row(result) for result in results),
-                  key=lambda row: (row[0], row[1], row[2], row[3]))
-    return format_table(
-        list(SPECULATION_HEADERS), rows,
-        title=title or "Speculation modes: wrong-path and pollution counters")
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def _cell(value) -> object:
+    return "-" if value is None else value
+
+
+def render_figure5(view: dict) -> str:
+    """Figure 5 from a ``figure5`` view body.
+
+    (a) is the load-branch fraction per benchmark and depth; (b) the
+    accuracy of load vs calculated branches, which the view takes at the
+    shallowest depth each benchmark ran.
+    """
+    rates = view["load_rates"]
+    depths = sorted({int(depth) for row in rates.values() for depth in row})
+    fig_a = format_table(
+        ["benchmark"] + [f"{depth}-cycle" for depth in depths],
+        [[bench] + [_cell(row.get(str(depth))) for depth in depths]
+         for bench, row in sorted(rates.items())],
+        title="Figure 5(a): fraction of load branches")
+    shallowest = f" ({depths[0]}-stage)" if depths else ""
+    fig_b = format_table(
+        ["benchmark", "load branch", "calc branch"],
+        [[bench, split["load"], split["calculated"]]
+         for bench, split in sorted(view["accuracy"].items())],
+        title=f"Figure 5(b): prediction accuracy by class{shallowest}")
+    return f"{fig_a}\n\n{fig_b}"
+
+
+def render_figure6(view: dict, depth: int) -> str:
+    """One depth of Figure 6 from a ``figure6`` view body: accuracy and
+    baseline-normalized IPC per benchmark, with the suite average."""
+    cells = view["depths"].get(str(depth), {})
+    configs = [config for config in CONFIGURATIONS
+               if any(config in row for row in cells.values())]
+    headers = ["benchmark"] + [FIGURE6_LABELS[config] for config in configs]
+
+    def rows(field: str) -> list[list[object]]:
+        return [[bench] + [_cell(row.get(config, {}).get(field))
+                           for config in configs]
+                for bench, row in sorted(cells.items())]
+
+    means = view["mean_normalized_ipc"].get(str(depth), {})
+    acc = format_table(
+        headers, rows("accuracy"),
+        title=f"Figure 6: prediction accuracy, {depth}-stage",
+        float_format="{:.4f}")
+    ipc = format_table(
+        headers, rows("normalized_ipc")
+        + [["average"] + [_cell(means.get(config)) for config in configs]],
+        title=f"Figure 6: normalized IPC, {depth}-stage")
+    return f"{acc}\n\n{ipc}"

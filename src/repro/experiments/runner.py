@@ -202,7 +202,7 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     Facade over plan -> schedule -> cache -> collect.  ``jobs=None``
     honours ``REPRO_JOBS`` (default CPU count, ``1`` = serial);
     ``cache``/``use_cache`` control result replay (default store under
-    ``benchmarks/results/cache/``, disable globally with ``REPRO_CACHE=0``).
+    ``results/cache/``, disable globally with ``REPRO_CACHE=0``).
     ``speculation`` selects the engine's wrong-path model for every point
     of the grid ("redirect" | "wrongpath"); run the suite once per mode to
     sweep it — each mode has its own cache keys, so replays never mix.

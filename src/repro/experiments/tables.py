@@ -85,9 +85,8 @@ def render_table4() -> str:
 def render_all(config: MachineConfig | None = None) -> dict[str, str]:
     """Every configuration-derived artifact, keyed by result name.
 
-    Unlike the figures these need no simulation, so the experiment
-    service runs them inline; the keys match the files the benchmark
-    harness writes under ``benchmarks/results/``.
+    Unlike the figures these need no simulation; ``python -m
+    repro.experiments reproduce`` writes each to ``<key>.txt``.
     """
     return {
         "table1_arvi_access": render_table1(),

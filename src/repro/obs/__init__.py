@@ -3,7 +3,7 @@
 A zero-dependency flight recorder for the whole execution stack
 (DESIGN.md §11).  When ``REPRO_OBS=1`` the experiment scheduler opens a
 *telemetry run* — a directory under ``REPRO_OBS_DIR`` (default
-``benchmarks/results/obs/``) — and every layer appends structured JSONL
+``results/obs/``) — and every layer appends structured JSONL
 events to it:
 
 * **spans** — ``run → plan → batch → point → phase`` (record / lower /

@@ -36,7 +36,3 @@ class BandwidthLimiter:
             self._used = 0
         self._used += 1
         return self._cycle
-
-    @property
-    def current_cycle(self) -> int:
-        return self._cycle

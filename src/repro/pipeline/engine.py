@@ -164,11 +164,11 @@ class PipelineEngine:
                     if ddt_cross_check
                     else FastDDT(n_pregs, config.rob_entries))
         self.chains = ChainInfoTable()
-        arvi = predictor.arvi
-        self.shadow_values = (
-            ShadowRegisterFile(n_pregs, arvi.config.value_bits)
-            if arvi is not None else ShadowRegisterFile(n_pregs))
-        self.shadow_map = ShadowMapTable(n_pregs)
+        acfg = (predictor.arvi.config if predictor.arvi is not None
+                else ARVIConfig())
+        self.shadow_values = ShadowRegisterFile(n_pregs, acfg.value_bits)
+        # The shadow map keeps as many low id bits as the id tag sums.
+        self.shadow_map = ShadowMapTable(n_pregs, acfg.id_tag_bits)
         for logical in range(self.rename.num_logical):
             preg = self.rename.lookup(logical)
             self.shadow_map.record(preg, logical)

@@ -36,10 +36,6 @@ class FunctionalUnitPool:
         self.busy_cycles += occupancy
         return start
 
-    def next_free(self) -> int:
-        """Earliest cycle at which any server is available."""
-        return self._free_at[0]
-
 
 class FunctionalUnits:
     """The paper's Table 2 execution resources."""

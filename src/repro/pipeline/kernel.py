@@ -117,9 +117,6 @@ def _bvit_age(entry: list[int]) -> list[int]:
     entry: the lowest ``(perf, last_used)`` is evicted."""
     return entry[2:]
 
-#: The shadow map table keeps the low 3 bits of each logical register id
-#: (core.shadow.ShadowMapTable's default width).
-_SHADOW_ID_MASK = 7
 
 _SUPPORTED_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
                     LevelTwoKind.ARVI)
@@ -858,8 +855,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     # ---- configuration constants ------------------------------------------
     index_mask = (1 << acfg.index_bits) - 1
     value_index_mask = ((1 << acfg.value_bits) - 1) & index_mask
-    id_tag_mask = (1 << acfg.id_tag_bits) - 1 if acfg.use_id_tag else 0
-    id_mask = _SHADOW_ID_MASK & id_tag_mask
+    # The shadow map keeps the id tag's width of each logical id.
+    id_mask = (1 << acfg.id_tag_bits) - 1 if acfg.use_id_tag else 0
     depth_bits = acfg.depth_bits
     depth_limit = (1 << depth_bits) - 1
     use_depth_tag = acfg.use_depth_tag
@@ -1023,7 +1020,7 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                 else:
                     is_load_branch = True
                 id_sum += ids[preg]
-            tag = (id_sum & id_tag_mask) << depth_bits | depth_tag
+            tag = (id_sum & id_mask) << depth_bits | depth_tag
             bucket = bvit[index % bvit_sets]
             for entry in bucket:
                 if entry[0] == tag:

@@ -44,10 +44,10 @@ class SettingsError(ValueError):
     grammar rejects."""
 
 
-def _results_dir(name: str) -> pathlib.Path:
-    """Default store ``benchmarks/results/<name>`` (checkout or cwd)."""
+def results_dir(name: str) -> pathlib.Path:
+    """Default output directory ``results/<name>`` (checkout or cwd)."""
     root = _CHECKOUT if _CHECKOUT is not None else pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / name
+    return root / "results" / name
 
 
 def _flag(raw: str) -> bool:
@@ -95,7 +95,7 @@ def _knob(env: str, default=None, parse=str, *, factory=None):
 
 
 def _store(env: str, name: str):
-    return _knob(env, parse=pathlib.Path, factory=lambda: _results_dir(name))
+    return _knob(env, parse=pathlib.Path, factory=lambda: results_dir(name))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -61,8 +61,3 @@ def skewed_bytes(rng: random.Random, count: int,
                 phrases.pop(0)
             out.extend(phrase)
     return out[:count]
-
-
-def pack_words(values: list[int]) -> list[int]:
-    """Mask arbitrary ints into 32-bit words for the data segment."""
-    return [value & 0xFFFFFFFF for value in values]

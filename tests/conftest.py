@@ -18,7 +18,7 @@ def isolated_result_cache(tmp_path_factory):
     The unit suite must always *compute* results — replaying from the
     repo-level persistent cache could mask simulation changes whose
     author forgot to bump ``PLAN_SCHEMA_VERSION``, and test runs should
-    not mutate ``benchmarks/results/cache/`` as a side effect.
+    not mutate ``results/cache/`` as a side effect.
     """
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(
@@ -36,8 +36,7 @@ def isolated_obs_dir(tmp_path_factory):
 
     Telemetry is off by default, but CI runs one tier-1 leg with
     ``REPRO_OBS=1`` (the suite must pass identically with the flight
-    recorder on), and no test run may write into
-    ``benchmarks/results/obs/``.
+    recorder on), and no test run may write into ``results/obs/``.
     """
     previous = os.environ.get("REPRO_OBS_DIR")
     os.environ["REPRO_OBS_DIR"] = str(tmp_path_factory.mktemp("obs"))

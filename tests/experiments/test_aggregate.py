@@ -22,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -92,6 +93,29 @@ class TestViewSelection:
     def test_identity_excludes_status(self):
         assert "status" not in IDENTITY_VIEWS
         assert set(ALL_VIEWS) == set(IDENTITY_VIEWS) | {"status"}
+
+
+class TestOneResultPerFigureCell:
+    """A figure cell is (benchmark, configuration, depth): the second
+    speculation mode of one point must not silently replace the first."""
+
+    @pytest.mark.parametrize("view,cell", [
+        ("figure5", "li/current/depth 20"),     # figure 5 is ARVI current
+        ("figure6", "li/baseline/depth 20"),
+    ])
+    def test_mixed_speculation_modes_raise_naming_the_cell(
+            self, serial_results, view, cell):
+        mixed = {**serial_results, **{
+            replace(point, speculation="wrongpath"): result
+            for point, result in serial_results.items()}}
+        with pytest.raises(ValueError,
+                           match=f"{view} view: two results for cell "
+                                 f"{cell} "):
+            build_views(mixed, views=(view,))
+        # The speculation view is keyed by mode too and takes both.
+        rows = build_views(mixed, views=("speculation",)).views[
+            "speculation"]["rows"]
+        assert len(rows) == 2 * len(serial_results)
 
 
 # -- aggregator semantics -----------------------------------------------------

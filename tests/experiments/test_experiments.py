@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.aggregate import build_views
+from repro.experiments.plan import build_plan
 from repro.experiments.report import (
     arithmetic_mean,
     format_table,
-    geometric_mean,
+    render_figure5,
+    render_figure6,
 )
 from repro.experiments.runner import (
     CONFIGURATIONS,
@@ -15,15 +16,26 @@ from repro.experiments.runner import (
     run_point,
     run_suite,
 )
+from repro.experiments.scheduler import run_plan
 from repro.experiments.tables import (
+    render_all,
+    render_speculation_modes,
     render_table1,
     render_table2,
     render_table3,
     render_table4,
     storage_summary,
 )
+from repro.workloads.registry import BENCHMARKS
 
 SMALL = dict(scale=0.05, warmup=500)
+
+
+def views(configurations, depths, benchmarks) -> dict:
+    """The figure views of a small grid."""
+    results = run_plan(build_plan(configurations, depths, benchmarks,
+                                  **SMALL), jobs=1, use_cache=False)
+    return build_views(results, views=("figure5", "figure6")).views
 
 
 class TestRunner:
@@ -53,43 +65,41 @@ class TestRunner:
 
 class TestFigure5:
     def test_structure(self):
-        data = run_figure5(depths=(20,), benchmarks=("li", "vortex"),
-                           **SMALL)
-        assert ("li", 20) in data.load_rates
-        assert 0 <= data.load_rates[("li", 20)] <= 1
-        assert 0 <= data.calc_accuracy["li"] <= 1
+        view = views(("current",), (20,), ("li", "vortex"))["figure5"]
+        assert 0 <= view["load_rates"]["li"]["20"] <= 1
+        assert 0 <= view["accuracy"]["li"]["calculated"] <= 1
         # Figure 5(b) is the shallowest machine run, whatever order the
         # depths are given in.
-        deep_first = run_figure5(depths=(40, 20),
-                                 benchmarks=("li", "vortex"), **SMALL)
-        assert deep_first.calc_accuracy == data.calc_accuracy
-        assert deep_first.load_accuracy == data.load_accuracy
+        deep_first = views(("current",), (40, 20),
+                           ("li", "vortex"))["figure5"]
+        assert deep_first["accuracy"] == view["accuracy"]
 
     def test_render_contains_benchmarks(self):
-        data = run_figure5(depths=(20,), benchmarks=("li", "vortex"),
-                           **SMALL)
-        # Rendering requires all benchmarks; restrict to the two we ran.
-        rows = [[bench, data.load_accuracy[bench],
-                 data.calc_accuracy[bench]]
-                for bench in ("li", "vortex")]
-        text = format_table(["benchmark", "load", "calc"], rows)
-        assert "li" in text and "vortex" in text
+        """A slice renders: only the benchmarks and depths it ran."""
+        text = render_figure5(
+            views(("current",), (20,), ("li", "vortex"))["figure5"])
+        assert "li" in text and "vortex" in text and "gcc" not in text
+        assert "20-cycle" in text and "40-cycle" not in text
+        assert "(20-stage)" in text
 
 
 class TestFigure6:
     def test_structure_and_normalization(self):
-        data = run_figure6(20, benchmarks=("li",), **SMALL)
-        assert data.normalized_ipc("li", "baseline") == pytest.approx(1.0)
+        view = views(CONFIGURATIONS, (20,), ("li",))["figure6"]
+        cells = view["depths"]["20"]["li"]
+        assert cells["baseline"]["normalized_ipc"] == pytest.approx(1.0)
         for configuration in CONFIGURATIONS:
-            assert data.accuracy("li", configuration) > 0.3
-        assert data.mean_normalized_ipc("current") > 0.3
+            assert cells[configuration]["accuracy"] > 0.3
+        assert view["mean_normalized_ipc"]["20"]["current"] > 0.3
 
     def test_render(self):
-        data = run_figure6(20, benchmarks=("li",), **SMALL)
-        text = data.render()
+        text = render_figure6(
+            views(("baseline", "current"), (20,), ("li",))["figure6"], 20)
         assert "prediction accuracy" in text
         assert "normalized IPC" in text
         assert "average" in text
+        # Only the configurations that ran get a column.
+        assert "arvi current" in text and "arvi perfect" not in text
 
 
 class TestTables:
@@ -100,20 +110,35 @@ class TestTables:
     def test_table2_has_machine_parameters(self):
         text = render_table2()
         assert "ROB entries" in text and "256" in text
+        assert "4 ALUs" in text
 
     def test_table3_lists_benchmarks(self):
         text = render_table3()
-        for name in ("gcc", "compress", "m88ksim", "vortex"):
+        for name in BENCHMARKS:
             assert name in text
 
     def test_table4_latencies(self):
-        text = render_table4()
-        assert "Level-2 ARVI" in text and "18" in text
+        """Paper Table 4: ARVI 6/12/18 cycles, the hybrid 2/4/6."""
+        rows = {line[:14].strip(): line.split()[-3:]
+                for line in render_table4().splitlines()}
+        assert rows["Level-2 ARVI"] == ["6", "12", "18"]
+        assert rows["Level-2 hybrid"] == ["2", "4", "6"]
 
     def test_storage_summary_includes_paper_sizing(self):
         text = storage_summary()
         assert "5760 bits" in text
         assert "792 bits" in text
+
+    def test_render_all_regenerates_every_artifact(self):
+        """One entry per renderer; ``reproduce`` writes each as a file."""
+        assert render_all() == {
+            "table1_arvi_access": render_table1(),
+            "table2_machine": render_table2(),
+            "table3_benchmarks": render_table3(),
+            "table4_latencies": render_table4(),
+            "section2_sizing": storage_summary(),
+            "speculation_modes": render_speculation_modes(),
+        }
 
 
 class TestReportHelpers:
@@ -125,6 +150,4 @@ class TestReportHelpers:
 
     def test_means(self):
         assert arithmetic_mean([1.0, 3.0]) == 2.0
-        assert geometric_mean([1.0, 4.0]) == 2.0
         assert arithmetic_mean([]) == 0.0
-        assert geometric_mean([]) == 0.0

@@ -138,7 +138,8 @@ class TestGridEquality:
         plan = plan_from_points(pts)
         live = live_reference(plan)
         for jobs in (1, 2):
-            sink = ViewAggregator()
+            # Only the status view: a figure cell takes one mode.
+            sink = ViewAggregator(views=("status",))
             assert run_plan(plan, jobs=jobs, use_cache=False,
                             sink=sink) == live
             assert sink.snapshot().views["status"]["kernel_sources"] \

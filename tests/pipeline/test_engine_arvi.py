@@ -9,6 +9,7 @@ value configuration never leaks oracle (uncommitted) values.
 import pytest
 
 from repro.core import ValueMode
+from repro.core.arvi import ARVIConfig
 from repro.isa import AsmBuilder, nez
 from repro.isa.regs import s0, s1, s2, s3, t0, t1, t2, zero
 from repro.pipeline.config import machine_for_depth
@@ -148,6 +149,18 @@ class TestDepthKeys:
             for _, req in requests if req.oldest_chain_token is not None
         ]
         assert depths and max(depths) >= 5
+
+
+class TestShadowMapWidth:
+    def test_shadow_map_keeps_the_id_tag_width(self, counted_loop_program):
+        """The id tag sums ``id_tag_bits`` low bits of each logical id,
+        so the shadow map keeps that many (it kept 3 at any width)."""
+        machine = machine_for_depth(20)
+        for bits in (2, 5):
+            predictor = build_predictor(LevelTwoKind.ARVI, machine,
+                                        ARVIConfig(id_tag_bits=bits))
+            engine = PipelineEngine(counted_loop_program, machine, predictor)
+            assert engine.shadow_map.id_bits == bits
 
 
 class TestRenameIntegration:

@@ -28,14 +28,20 @@ SCALE = 0.05
 MODES = (ValueMode.CURRENT, ValueMode.LOAD_BACK, ValueMode.PERFECT)
 
 
+@functools.lru_cache(maxsize=None)
+def _recorded(workload):
+    program = get_program(workload, scale=SCALE, seed=1)
+    return program, record_trace(program)
+
+
 @pytest.fixture(scope="module")
 def program():
-    return get_program("m88ksim", scale=SCALE, seed=1)
+    return _recorded("m88ksim")[0]
 
 
 @pytest.fixture(scope="module")
-def trace(program):
-    return record_trace(program)
+def trace():
+    return _recorded("m88ksim")[1]
 
 
 def arvi_engine(program, *, depth=20, warmup=500, mode=ValueMode.CURRENT,
@@ -93,16 +99,21 @@ class TestARVIEquality:
                             arvi_config=custom)
         assert kernel == arvi_engine(program, arvi_config=custom)
 
-    @pytest.mark.parametrize("overrides", [
-        {"use_id_tag": False},
-        {"use_depth_tag": False},
-        {"allocate_only_hard": False},
-        {"index_bits": 4, "id_tag_bits": 3, "depth_bits": 2},
-    ], ids=["no-id-tag", "no-depth-tag", "allocate-all", "narrow-keys"])
-    def test_key_ablations(self, program, trace, overrides):
-        """The DESIGN.md §5 ablation switches and narrow key fields
-        change how the kernel forms BVIT keys exactly as they change
-        the engine's."""
+    @pytest.mark.parametrize("workload,overrides", [
+        ("m88ksim", {"use_id_tag": False}),
+        ("m88ksim", {"use_depth_tag": False}),
+        ("m88ksim", {"allocate_only_hard": False}),
+        ("m88ksim", {"index_bits": 4, "id_tag_bits": 3, "depth_bits": 2}),
+        # m88ksim predicts the same with 3- and 5-bit ids; go does not.
+        ("go", {"id_tag_bits": 5}),
+    ], ids=["no-id-tag", "no-depth-tag", "allocate-all", "narrow-keys",
+            "wide-id-tag"])
+    def test_key_ablations(self, workload, overrides):
+        """The DESIGN.md §5 ablation switches and narrow or wide key
+        fields change how the kernel forms BVIT keys exactly as they
+        change the engine's.  A 5-bit id tag sums 5-bit logical ids: the
+        shadow map keeps the tag's width in both tiers."""
+        program, trace = _recorded(workload)
         custom = ARVIConfig(**overrides)
         kernel = kernel_run(program, trace, machine_for_depth(40),
                             LevelTwoKind.ARVI, warmup_instructions=500,
@@ -111,6 +122,11 @@ class TestARVIEquality:
         assert kernel == arvi_engine(program, depth=40,
                                      mode=ValueMode.LOAD_BACK,
                                      arvi_config=custom)
+        # Not vacuous: every switch changes the default result.
+        assert kernel != kernel_run(program, trace, machine_for_depth(40),
+                                    LevelTwoKind.ARVI,
+                                    warmup_instructions=500,
+                                    value_mode=ValueMode.LOAD_BACK)
 
     @pytest.mark.parametrize("rob_entries", [16, 24, 33, 100, 256])
     def test_small_and_odd_rob_sizes(self, program, trace, rob_entries):
