@@ -10,8 +10,8 @@ first-order).
 
 Each mode has its own cache keys, so warm re-runs replay instantly; set
 ``REPRO_CACHE=0`` to force recomputation.  ``REPRO_SCALE`` / ``REPRO_JOBS``
-are honoured as everywhere else (the CI smoke job runs this script at a
-small scale).
+are honoured as everywhere else (CI's ``reproduce`` job runs this script
+at scale 0.3).
 
 Run:  python examples/speculation_sweep.py
 """

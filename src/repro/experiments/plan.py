@@ -139,21 +139,6 @@ class ExperimentPoint:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentPoint":
-        """Inverse of :meth:`to_dict`; round-trips to an equal point."""
-        arvi = payload["arvi"]
-        return cls(
-            benchmark=payload["benchmark"],
-            configuration=payload["configuration"],
-            pipeline_depth=int(payload["pipeline_depth"]),
-            scale=payload["scale"],
-            warmup=payload["warmup"],
-            seed=int(payload["seed"]),
-            arvi_config=None if arvi is None else ARVIConfig(**arvi),
-            speculation=payload["speculation"],
-        )
-
     def validate(self) -> None:
         if self.configuration not in CONFIGURATIONS:
             raise ValueError(

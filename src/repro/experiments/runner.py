@@ -77,8 +77,7 @@ def execute_point(point: ExperimentPoint, *,
       through the compiled kernel;
     * a :class:`~repro.pipeline.trace.CommittedTrace` — replay that
       recording instead (how the scheduler shares one recording across
-      a batch): ``baseline`` as the gskew stream pass, the ARVI
-      configurations as the fused pass;
+      a batch), every configuration through the kernel's one pass;
     * ``False`` — run the live engine (how the oracle checks ask for
       it).
 
@@ -155,11 +154,11 @@ def _kernel_replay(point: ExperimentPoint, program, trace, config,
                    kind: LevelTwoKind, mode: ValueMode) -> SimulationResult:
     """Replay one redirect point through the compiled kernel.
 
-    ``baseline`` (``LevelTwoKind.HYBRID``) runs the gskew stream pass,
-    the paper's ARVI configurations the fused ARVI pass.  A trace not yet
-    lowered pays the one-time lowering as its own ``lower`` phase.  This
-    is the only place a trace is lowered, so the first kernel point of a
-    serial sweep or of a pool batch pays it.
+    ``baseline`` (``LevelTwoKind.HYBRID``) and the paper's ARVI
+    configurations run the same pass.  A trace not yet lowered pays the
+    one-time lowering as its own ``lower`` phase.  This is the only
+    place a trace is lowered, so the first kernel point of a serial
+    sweep or of a pool batch pays it.
     """
     if not is_lowered(trace, program):
         with obs.span("lower", kind="phase", attrs={"phase": "lower"}):

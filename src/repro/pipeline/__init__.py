@@ -1,6 +1,5 @@
 """Out-of-order pipeline substrate: config, caches, rename, timing engine."""
 
-from repro.pipeline.bandwidth import BandwidthLimiter
 from repro.pipeline.caches import MemoryHierarchy, SetAssociativeCache, TLB
 from repro.pipeline.config import (
     CacheConfig,
@@ -17,10 +16,8 @@ from repro.pipeline.engine import (
     build_predictor,
     simulate,
 )
-from repro.pipeline.func_units import FunctionalUnitPool, FunctionalUnits
 from repro.pipeline.functional import DynInst, ExecutionError, FunctionalCore
 from repro.pipeline.rename import RenameError, RenameMap
-from repro.pipeline.rob import RetirementWindow
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import (
     CommittedTrace,
@@ -30,22 +27,18 @@ from repro.pipeline.trace import (
 )
 
 __all__ = [
-    "BandwidthLimiter",
     "BranchClassStats",
     "CacheConfig",
     "CommittedTrace",
     "DynInst",
     "ExecutionError",
     "FunctionalCore",
-    "FunctionalUnitPool",
-    "FunctionalUnits",
     "MachineConfig",
     "MemoryHierarchy",
     "PipelineEngine",
     "PredictorLatencies",
     "RenameError",
     "RenameMap",
-    "RetirementWindow",
     "SetAssociativeCache",
     "SimulationResult",
     "TLB",

@@ -107,6 +107,14 @@ class MachineConfig:
     wrongpath_fetch_limit: int = 256
 
     def __post_init__(self) -> None:
+        # Both timing tiers size their bandwidth cursors, occupancy
+        # windows and unit pools from these without checking them.
+        for name in ("fetch_width", "commit_width", "rob_entries",
+                     "lsq_entries", "int_alus", "int_muldiv", "fp_alus",
+                     "fp_muldiv", "dcache_ports"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.speculation not in SPECULATION_MODES:
             raise ValueError(
                 f"speculation must be one of {SPECULATION_MODES}, "

@@ -67,17 +67,14 @@ from repro.isa.decoded import (
 )
 from repro.isa.instructions import Op
 from repro.isa.program import Program
-from repro.pipeline.bandwidth import BandwidthLimiter
 from repro.pipeline.caches import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.func_units import FunctionalUnits
 from repro.pipeline.functional import (
     DEFAULT_MAX_INSTRUCTIONS,
     DynInst,
     FunctionalCore,
 )
 from repro.pipeline.rename import RenameMap
-from repro.pipeline.rob import RetirementWindow
 from repro.pipeline.stats import SimulationResult
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import level1_gskew, level2_gskew
@@ -149,11 +146,6 @@ class PipelineEngine:
                          if config.speculation == "wrongpath" else None)
         self.core = FunctionalCore(program)
         self.memory = MemoryHierarchy(config)
-        self.units = FunctionalUnits(config)
-        self.fetch_bw = BandwidthLimiter(config.fetch_width)
-        self.commit_bw = BandwidthLimiter(config.commit_width)
-        self.rob = RetirementWindow("ROB", config.rob_entries)
-        self.lsq = RetirementWindow("LSQ", config.lsq_entries)
         self.rename = RenameMap(config.num_phys_regs)
         self.ras = ReturnAddressStack()
 
@@ -184,8 +176,10 @@ class PipelineEngine:
         self._preg_hoist_avail = [0] * n_pregs
 
         self._retire_queue: deque[tuple] = deque()
+        # The fetch state a branch resolution or a wrong-path episode
+        # reads and writes; run() keeps the rest of its timing state in
+        # locals.
         self._fetch_barrier = 0
-        self._last_commit = 0
         self._last_fetch_line = -1
         # Pending stores for forwarding: word addr -> (data ready, commit).
         self._pending_stores: dict[int, tuple[int, int]] = {}
@@ -207,7 +201,6 @@ class PipelineEngine:
             warmup_instructions=warmup_instructions,
             speculation=config.speculation,
         )
-        self._measured_start_cycle = 0
         self._line_mask = ~(config.icache.line_bytes - 1)
 
     def _config_name(self) -> str:
@@ -221,15 +214,15 @@ class PipelineEngine:
             ) -> SimulationResult:
         """Simulate until HALT or the instruction budget; returns stats.
 
-        The per-instruction pipeline stages (the former ``_process`` /
-        ``_execute`` pair) are fused into one loop body working on local
-        aliases of every hot structure — attribute traffic and per-stage
-        call overhead dominate the pure-Python cycle model, so the fetch
-        and commit bandwidth cursors, the ROB/LSQ occupancy windows and
-        the single-cycle functional-unit pools are inlined here and their
-        objects resynchronized when the loop exits.  The arithmetic is
-        unchanged stage for stage; results are bit-for-bit identical to
-        the unfused engine (frozen redirect goldens + equality tests).
+        Runs once per engine.  The per-instruction pipeline stages are
+        one loop body working on local aliases of every hot structure —
+        attribute traffic and per-stage call overhead dominate the
+        pure-Python cycle model.  The timing state lives in locals, as
+        in the replay kernel: the fetch and commit bandwidth cursors
+        (``*_cycle``/``*_used``), the ROB/LSQ occupancy windows (deques
+        of the occupants' commit cycles) and the functional-unit pools
+        (min-heaps of each server's next free cycle).  Results are
+        bit-for-bit identical to the frozen redirect goldens.
         """
         stream = self.core.run(max_instructions)
 
@@ -277,282 +270,247 @@ class PipelineEngine:
         heappop = heapq.heappop
         sync_spec = self.recovery is not None
 
-        rob = self.rob
-        lsq = self.lsq
-        rob_commits = rob._commits
-        rob_capacity = rob.capacity
+        config = self.config
+        rob_capacity = config.rob_entries
+        rob_commits: deque[int] = deque()
         rob_popleft = rob_commits.popleft
         rob_append = rob_commits.append
-        lsq_commits = lsq._commits
-        lsq_capacity = lsq.capacity
+        lsq_capacity = config.lsq_entries
+        lsq_commits: deque[int] = deque()
         lsq_popleft = lsq_commits.popleft
         lsq_append = lsq_commits.append
-        rob_allocs = rob_stalls = lsq_allocs = lsq_stalls = 0
-
-        fetch_bw = self.fetch_bw
-        commit_bw = self.commit_bw
-        fetch_width = fetch_bw.width
-        fetch_cycle = fetch_bw._cycle
-        fetch_used = fetch_bw._used
-        commit_width = commit_bw.width
-        commit_cycle = commit_bw._cycle
-        commit_used = commit_bw._used
-
-        alu_pool = self.units.int_alu
-        alu_free = alu_pool._free_at
-        alu_ops = 0
-        dcache_pool = self.units.dcache_port
-        dcache_free = dcache_pool._free_at
-        dcache_ops = 0
-        muldiv_issue = self.units.int_muldiv.issue
+        fetch_width = config.fetch_width
+        commit_width = config.commit_width
+        fetch_cycle = fetch_used = commit_cycle = commit_used = 0
+        alu_free = [0] * config.int_alus     # zeros are already a valid heap
+        dcache_free = [0] * config.dcache_ports
+        muldiv_free = [0] * config.int_muldiv
 
         fetch_barrier = self._fetch_barrier
         last_fetch_line = self._last_fetch_line
-        last_commit = self._last_commit
+        last_commit = measured_start_cycle = 0
 
-        try:
-            for dyn in stream:
-                seq = dyn.seq
-                measured = seq >= warmup
-                d: DecodedInst = decoded[dyn.pc]
-                is_load = d.is_load
-                is_store = d.is_store
-                is_cond_branch = d.is_cond_branch
+        for dyn in stream:
+            seq = dyn.seq
+            measured = seq >= warmup
+            d: DecodedInst = decoded[dyn.pc]
+            is_load = d.is_load
+            is_store = d.is_store
+            is_cond_branch = d.is_cond_branch
 
-                # ---- fetch ---------------------------------------------------
-                earliest = fetch_barrier
-                if len(rob_commits) >= rob_capacity:
-                    free_at = rob_commits[0] + 1
-                    if free_at > earliest:
-                        rob_stalls += 1
-                        earliest = free_at
-                is_mem = is_load or is_store
-                if is_mem and len(lsq_commits) >= lsq_capacity:
-                    free_at = lsq_commits[0] + 1
-                    if free_at > earliest:
-                        lsq_stalls += 1
-                        earliest = free_at
-                byte_pc = d.byte_pc
-                line = byte_pc & line_mask
-                if line != last_fetch_line:
-                    last_fetch_line = line
-                    extra = mem_ilat(byte_pc) - icache_hit_latency
-                    if extra > 0:
-                        earliest += extra
-                if earliest > fetch_cycle:
-                    fetch_cycle = earliest
-                    fetch_used = 0
-                if fetch_used >= fetch_width:
-                    fetch_cycle += 1
-                    fetch_used = 0
-                fetch_used += 1
-                fetch = fetch_cycle
+            # ---- fetch ---------------------------------------------------
+            earliest = fetch_barrier
+            if len(rob_commits) >= rob_capacity:
+                free_at = rob_commits[0] + 1
+                if free_at > earliest:
+                    earliest = free_at
+            is_mem = is_load or is_store
+            if is_mem and len(lsq_commits) >= lsq_capacity:
+                free_at = lsq_commits[0] + 1
+                if free_at > earliest:
+                    earliest = free_at
+            byte_pc = d.byte_pc
+            line = byte_pc & line_mask
+            if line != last_fetch_line:
+                last_fetch_line = line
+                extra = mem_ilat(byte_pc) - icache_hit_latency
+                if extra > 0:
+                    earliest += extra
+            if earliest > fetch_cycle:
+                fetch_cycle = earliest
+                fetch_used = 0
+            if fetch_used >= fetch_width:
+                fetch_cycle += 1
+                fetch_used = 0
+            fetch_used += 1
+            fetch = fetch_cycle
 
-                # ---- rename (early, one cycle after fetch) -------------------
-                rename_cycle = fetch + rename_offset
-                if retire_queue and retire_queue[0][3] <= rename_cycle:
-                    retire_until(rename_cycle)
+            # ---- rename (early, one cycle after fetch) -------------------
+            rename_cycle = fetch + rename_offset
+            if retire_queue and retire_queue[0][3] <= rename_cycle:
+                retire_until(rename_cycle)
 
-                sources = d.sources
-                n_sources = len(sources)
-                if n_sources == 2:
-                    src_pregs = (rename_map[sources[0]],
-                                 rename_map[sources[1]])
-                elif n_sources == 1:
-                    src_pregs = (rename_map[sources[0]],)
-                elif n_sources == 0:
-                    src_pregs = ()
-                else:  # pragma: no cover - no opcode has >2 sources
-                    src_pregs = rename.lookup_many(sources)
+            sources = d.sources
+            n_sources = len(sources)
+            if n_sources == 2:
+                src_pregs = (rename_map[sources[0]],
+                             rename_map[sources[1]])
+            elif n_sources == 1:
+                src_pregs = (rename_map[sources[0]],)
+            elif n_sources == 0:
+                src_pregs = ()
+            else:  # pragma: no cover - no opcode has >2 sources
+                src_pregs = rename.lookup_many(sources)
 
-                # Branch prediction reads the DDT *before* the branch is
-                # inserted.
-                decision = None
-                if is_cond_branch:
-                    decision = predict_branch(dyn, src_pregs, fetch)
+            # Branch prediction reads the DDT *before* the branch is
+            # inserted.
+            decision = None
+            if is_cond_branch:
+                decision = predict_branch(dyn, src_pregs, fetch)
 
-                dest_preg = None
-                displaced = None
-                if d.needs_dest:
-                    if not rename_free:
-                        rename.rename_dest(d.rd)  # raises RenameError
-                    rd = d.rd
-                    dest_preg = rename_free.popleft()
-                    displaced = rename_map[rd]
-                    rename_map[rd] = dest_preg
-                    rename_owner[dest_preg] = rd
-                    shadow_record(dest_preg, rd)
+            dest_preg = None
+            displaced = None
+            if d.needs_dest:
+                if not rename_free:
+                    rename.rename_dest(d.rd)  # raises RenameError
+                rd = d.rd
+                dest_preg = rename_free.popleft()
+                displaced = rename_map[rd]
+                rename_map[rd] = dest_preg
+                rename_owner[dest_preg] = rd
+                shadow_record(dest_preg, rd)
 
-                token = ddt_allocate(dest_preg, src_pregs)
-                chains_info[token] = (dest_preg, src_pregs, is_load)
+            token = ddt_allocate(dest_preg, src_pregs)
+            chains_info[token] = (dest_preg, src_pregs, is_load)
 
-                # ---- issue / execute -----------------------------------------
-                ready = dispatch = fetch + frontend_depth
-                for preg in src_pregs:
-                    when = preg_ready[preg]
-                    if when > ready:
-                        ready = when
-                fu = d.fu_class
-                if fu == FU_ALU:
-                    # Register/immediate ALU ops and conditional branches.
-                    server_free = heappop(alu_free)
-                    issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
-                    alu_ops += 1
-                    complete = issue + alu_latency
-                elif fu == FU_LOAD:
-                    # Address generation on an ALU, then the D-cache access.
-                    server_free = heappop(alu_free)
-                    issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
-                    alu_ops += 1
-                    agen1 = issue + 1
-                    server_free = heappop(dcache_free)
-                    access = agen1 if agen1 >= server_free else server_free
-                    heappush(dcache_free, access + 1)
-                    dcache_ops += 1
-                    addr = dyn.addr
-                    word = addr & ~3 if addr is not None else 0
-                    pending = pending_stores.get(word)
-                    if pending is not None and pending[1] > access:
-                        # Forward from the in-flight store once its data
-                        # is ready.
-                        data_ready = pending[0]
-                        complete = (access if access >= data_ready
-                                    else data_ready) + 1
-                    else:
-                        complete = access + mem_dlat(addr or 0)
-                elif fu == FU_STORE:
-                    # Address + data staged into the LSQ; memory written
-                    # at commit.
-                    server_free = heappop(alu_free)
-                    issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
-                    alu_ops += 1
-                    complete = issue + 1
-                elif fu == FU_MULT:
-                    issue = muldiv_issue(ready)
-                    complete = issue + mult_latency
-                elif fu == FU_DIV:
-                    issue = muldiv_issue(ready, div_latency)
-                    complete = issue + div_latency
+            # ---- issue / execute -----------------------------------------
+            ready = dispatch = fetch + frontend_depth
+            for preg in src_pregs:
+                when = preg_ready[preg]
+                if when > ready:
+                    ready = when
+            fu = d.fu_class
+            if fu == FU_ALU:
+                # Register/immediate ALU ops and conditional branches.
+                server_free = heappop(alu_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(alu_free, issue + 1)
+                complete = issue + alu_latency
+            elif fu == FU_LOAD:
+                # Address generation on an ALU, then the D-cache access.
+                server_free = heappop(alu_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(alu_free, issue + 1)
+                agen1 = issue + 1
+                server_free = heappop(dcache_free)
+                access = agen1 if agen1 >= server_free else server_free
+                heappush(dcache_free, access + 1)
+                addr = dyn.addr
+                word = addr & ~3 if addr is not None else 0
+                pending = pending_stores.get(word)
+                if pending is not None and pending[1] > access:
+                    # Forward from the in-flight store once its data
+                    # is ready.
+                    data_ready = pending[0]
+                    complete = (access if access >= data_ready
+                                else data_ready) + 1
                 else:
-                    # Jumps, NOP, HALT: resolved in the frontend/ALU in
-                    # one cycle.
-                    server_free = heappop(alu_free)
-                    issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
-                    alu_ops += 1
-                    complete = issue + 1
+                    complete = access + mem_dlat(addr or 0)
+            elif fu == FU_STORE:
+                # Address + data staged into the LSQ; memory written
+                # at commit.
+                server_free = heappop(alu_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(alu_free, issue + 1)
+                complete = issue + 1
+            elif fu == FU_MULT:
+                server_free = heappop(muldiv_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(muldiv_free, issue + 1)
+                complete = issue + mult_latency
+            elif fu == FU_DIV:
+                # Unpipelined: the divider stays busy for its latency.
+                server_free = heappop(muldiv_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(muldiv_free, issue + div_latency)
+                complete = issue + div_latency
+            else:
+                # Jumps, NOP, HALT: resolved in the frontend/ALU in
+                # one cycle.
+                server_free = heappop(alu_free)
+                issue = ready if ready >= server_free else server_free
+                heappush(alu_free, issue + 1)
+                complete = issue + 1
 
-                # ---- commit --------------------------------------------------
-                commit_req = complete + 1
-                if commit_req < last_commit:
-                    commit_req = last_commit
-                if commit_req > commit_cycle:
-                    commit_cycle = commit_req
-                    commit_used = 0
-                if commit_used >= commit_width:
-                    commit_cycle += 1
-                    commit_used = 0
-                commit_used += 1
-                commit = commit_cycle
-                last_commit = commit
-                if len(rob_commits) >= rob_capacity:
-                    rob_popleft()
-                rob_append(commit)
-                rob_allocs += 1
-                if is_mem:
-                    if len(lsq_commits) >= lsq_capacity:
-                        lsq_popleft()
-                    lsq_append(commit)
-                    lsq_allocs += 1
+            # ---- commit --------------------------------------------------
+            commit_req = complete + 1
+            if commit_req < last_commit:
+                commit_req = last_commit
+            if commit_req > commit_cycle:
+                commit_cycle = commit_req
+                commit_used = 0
+            if commit_used >= commit_width:
+                commit_cycle += 1
+                commit_used = 0
+            commit_used += 1
+            commit = commit_cycle
+            last_commit = commit
+            if len(rob_commits) >= rob_capacity:
+                rob_popleft()
+            rob_append(commit)
+            if is_mem:
+                if len(lsq_commits) >= lsq_capacity:
+                    lsq_popleft()
+                lsq_append(commit)
 
-                # ---- writeback bookkeeping -----------------------------------
-                res = dyn.result
-                value = res if res is not None else 0
-                if dest_preg is not None:
-                    preg_ready[dest_preg] = complete
-                    preg_value[dest_preg] = value
-                    preg_pending[dest_preg] = True
-                    preg_is_load[dest_preg] = is_load
-                    if is_load:
-                        preg_hoist[dest_preg] = hoist_available(
-                            dyn, src_pregs, complete, issue)
-                if is_store and dyn.addr is not None:
-                    pending_stores[dyn.addr & ~3] = (complete, commit)
+            # ---- writeback bookkeeping -----------------------------------
+            res = dyn.result
+            value = res if res is not None else 0
+            if dest_preg is not None:
+                preg_ready[dest_preg] = complete
+                preg_value[dest_preg] = value
+                preg_pending[dest_preg] = True
+                preg_is_load[dest_preg] = is_load
+                if is_load:
+                    preg_hoist[dest_preg] = hoist_available(
+                        dyn, src_pregs, complete, issue)
+            if is_store and dyn.addr is not None:
+                pending_stores[dyn.addr & ~3] = (complete, commit)
 
-                retire_append((token, dest_preg, value, commit, displaced))
+            retire_append((token, dest_preg, value, commit, displaced))
 
-                # ---- control flow resolution ---------------------------------
-                mispredicted = False
-                if is_cond_branch:
-                    if sync_spec:
-                        # A mispredict may run a wrong-path episode whose
-                        # squash restores engine state: publish the fetch
-                        # line, then re-read it (and the rename map the
-                        # restore rebuilds) afterwards.
-                        self._last_fetch_line = last_fetch_line
-                    mispredicted = resolve_branch(
-                        dyn, decision, fetch, complete, measured, token)
-                    fetch_barrier = self._fetch_barrier
-                    if sync_spec:
-                        last_fetch_line = self._last_fetch_line
-                        rename_map = rename._map
-                elif dyn.op == _OP_JAL:
-                    ras_push(dyn.pc + 1)
-                elif dyn.op == _OP_JR:
-                    ras_pop(dyn.next_pc)
-                # J/JAL targets are decoded in the frontend; JR is modelled
-                # via a perfect RAS (its real accuracy is in the stats).
+            # ---- control flow resolution ---------------------------------
+            mispredicted = False
+            if is_cond_branch:
+                if sync_spec:
+                    # A mispredict may run a wrong-path episode whose
+                    # squash restores engine state: publish the fetch
+                    # line, then re-read it (and the rename map the
+                    # restore rebuilds) afterwards.
+                    self._last_fetch_line = last_fetch_line
+                mispredicted = resolve_branch(
+                    dyn, decision, fetch, complete, measured, token)
+                fetch_barrier = self._fetch_barrier
+                if sync_spec:
+                    last_fetch_line = self._last_fetch_line
+                    rename_map = rename._map
+            elif dyn.op == _OP_JAL:
+                ras_push(dyn.pc + 1)
+            elif dyn.op == _OP_JR:
+                ras_pop(dyn.next_pc)
+            # J/JAL targets are decoded in the frontend; JR is modelled
+            # via a perfect RAS (its real accuracy is in the stats).
 
-                # ---- statistics ----------------------------------------------
-                if seq == warmup:
-                    self._measured_start_cycle = commit
-                if measured:
-                    if is_load:
-                        result.loads += 1
-                    elif is_store:
-                        result.stores += 1
+            # ---- statistics ----------------------------------------------
+            if seq == warmup:
+                measured_start_cycle = commit
+            if measured:
+                if is_load:
+                    result.loads += 1
+                elif is_store:
+                    result.stores += 1
 
-                if sample_record is not None and commit >= next_sample:
-                    next_sample = sample_record(
-                        commit, seq, len(rob_commits), ddt_obj, src_pregs,
-                        result.cond_branches, result.final_correct)
+            if sample_record is not None and commit >= next_sample:
+                next_sample = sample_record(
+                    commit, seq, len(rob_commits), ddt_obj, src_pregs,
+                    result.cond_branches, result.final_correct)
 
-                if observers:
-                    record = TimingRecord(
-                        seq=seq, pc=dyn.pc, op=dyn.op, fetch=fetch,
-                        dispatch=dispatch, issue=issue, complete=complete,
-                        commit=commit,
-                        chain_length=self.ddt.chain_length(*src_pregs),
-                        is_load=is_load, is_branch=is_cond_branch,
-                        mispredicted=mispredicted)
-                    for observer in observers:
-                        observer(record, dyn)
-        finally:
-            # ---- resynchronize the inlined structures ------------------------
-            self._fetch_barrier = fetch_barrier
-            self._last_fetch_line = last_fetch_line
-            self._last_commit = last_commit
-            fetch_bw._cycle = fetch_cycle
-            fetch_bw._used = fetch_used
-            commit_bw._cycle = commit_cycle
-            commit_bw._used = commit_used
-            rob.allocations += rob_allocs
-            rob.full_stalls += rob_stalls
-            lsq.allocations += lsq_allocs
-            lsq.full_stalls += lsq_stalls
-            alu_pool.operations += alu_ops
-            alu_pool.busy_cycles += alu_ops
-            dcache_pool.operations += dcache_ops
-            dcache_pool.busy_cycles += dcache_ops
+            if observers:
+                record = TimingRecord(
+                    seq=seq, pc=dyn.pc, op=dyn.op, fetch=fetch,
+                    dispatch=dispatch, issue=issue, complete=complete,
+                    commit=commit,
+                    chain_length=self.ddt.chain_length(*src_pregs),
+                    is_load=is_load, is_branch=is_cond_branch,
+                    mispredicted=mispredicted)
+                for observer in observers:
+                    observer(record, dyn)
 
         result.total_instructions = self.core.instruction_count
-        result.total_cycles = self._last_commit
+        result.total_cycles = last_commit
         measured_count = self.core.instruction_count - self.warmup_instructions
         result.instructions = max(measured_count, 0)
-        result.cycles = max(self._last_commit - self._measured_start_cycle, 0)
+        result.cycles = max(last_commit - measured_start_cycle, 0)
         result.memory = self.memory.stats()
         result.ras_accuracy = self.ras.accuracy
         if self.recovery is not None:

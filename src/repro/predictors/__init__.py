@@ -3,7 +3,6 @@
 from repro.predictors.base import (
     BranchPredictor,
     GlobalHistory,
-    PredictorStats,
     SaturatingCounterTable,
 )
 from repro.predictors.bimodal import BimodalPredictor
@@ -19,7 +18,6 @@ from repro.predictors.twolevel import (
     LevelTwoKind,
     TwoLevelDecision,
     TwoLevelPredictor,
-    TwoLevelStats,
 )
 
 __all__ = [
@@ -35,13 +33,11 @@ __all__ = [
     "LevelTwoKind",
     "LocalHistoryPredictor",
     "PerfectPredictor",
-    "PredictorStats",
     "ReturnAddressStack",
     "SaturatingCounterTable",
     "TwoBcGskew",
     "TwoLevelDecision",
     "TwoLevelPredictor",
-    "TwoLevelStats",
     "level1_gskew",
     "level2_gskew",
 ]

@@ -3,26 +3,6 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-
-
-@dataclass
-class PredictorStats:
-    predictions: int = 0
-    correct: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
-
-    @property
-    def mispredictions(self) -> int:
-        return self.predictions - self.correct
-
-    def record(self, was_correct: bool) -> None:
-        self.predictions += 1
-        if was_correct:
-            self.correct += 1
 
 
 class BranchPredictor(ABC):
@@ -40,9 +20,6 @@ class BranchPredictor(ABC):
     :meth:`restore_history` when the branch resolves.
     """
 
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
-
     @abstractmethod
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at ``pc``."""
@@ -50,9 +27,6 @@ class BranchPredictor(ABC):
     @abstractmethod
     def update(self, pc: int, taken: bool) -> None:
         """Train with the resolved outcome."""
-
-    def record_outcome(self, predicted: bool, taken: bool) -> None:
-        self.stats.record(predicted == taken)
 
     # -- speculative history (wrong-path modelling) ---------------------------
 

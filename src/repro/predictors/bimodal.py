@@ -9,7 +9,6 @@ class BimodalPredictor(BranchPredictor):
     """Classic Smith predictor; also the BIM bank inside 2Bc-gskew."""
 
     def __init__(self, entries: int = 4096, counter_bits: int = 2) -> None:
-        super().__init__()
         self.table = SaturatingCounterTable(entries, counter_bits)
 
     def predict(self, pc: int) -> bool:

@@ -22,7 +22,6 @@ class BiModePredictor(BranchPredictor):
     def __init__(self, direction_entries: int = 4096,
                  choice_entries: int = 4096,
                  history_bits: int | None = None) -> None:
-        super().__init__()
         index_bits = direction_entries.bit_length() - 1
         if 1 << index_bits != direction_entries:
             raise ValueError("direction_entries must be a power of two")

@@ -12,7 +12,6 @@ from repro.predictors.base import (
 class GsharePredictor(BranchPredictor):
     def __init__(self, entries: int = 4096,
                  history_bits: int | None = None) -> None:
-        super().__init__()
         index_bits = entries.bit_length() - 1
         if 1 << index_bits != entries:
             raise ValueError("entries must be a power of two")

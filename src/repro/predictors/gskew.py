@@ -40,7 +40,6 @@ class TwoBcGskew(BranchPredictor):
     def __init__(self, bank_entries: int = 4096,
                  g0_history: int | None = None,
                  g1_history: int | None = None) -> None:
-        super().__init__()
         index_bits = bank_entries.bit_length() - 1
         if 1 << index_bits != bank_entries:
             raise ValueError("bank_entries must be a power of two")

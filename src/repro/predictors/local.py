@@ -15,7 +15,6 @@ class LocalHistoryPredictor(BranchPredictor):
     def __init__(self, history_entries: int = 1024,
                  history_bits: int = 10,
                  pattern_entries: int | None = None) -> None:
-        super().__init__()
         if history_bits < 1:
             raise ValueError("history_bits must be positive")
         self.history_entries = history_entries

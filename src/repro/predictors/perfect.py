@@ -9,7 +9,6 @@ class PerfectPredictor(BranchPredictor):
     """The engine feeds the actual outcome through ``set_outcome``."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._next_outcome = False
 
     def set_outcome(self, taken: bool) -> None:

@@ -29,7 +29,6 @@ class BackwardTaken(BranchPredictor):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self._backward: dict[int, bool] = {}
 
     def set_target(self, pc: int, target: int) -> None:

@@ -43,24 +43,6 @@ class TwoLevelDecision:
     arvi: ARVIPrediction | None
 
 
-@dataclass
-class TwoLevelStats:
-    branches: int = 0
-    l1_correct: int = 0
-    final_correct: int = 0
-    overrides: int = 0
-    overrides_helpful: int = 0   # override turned a wrong L1 into a right final
-    overrides_harmful: int = 0   # override broke a correct L1 prediction
-
-    @property
-    def l1_accuracy(self) -> float:
-        return self.l1_correct / self.branches if self.branches else 0.0
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.final_correct / self.branches if self.branches else 0.0
-
-
 class TwoLevelPredictor:
     """Composite of level-1 gskew + (hybrid | ARVI | nothing) level 2."""
 
@@ -75,7 +57,6 @@ class TwoLevelPredictor:
         self.arvi = arvi
         self.confidence = confidence
         self.latency = latency
-        self.stats = TwoLevelStats()
         if kind is LevelTwoKind.HYBRID and level2_hybrid is None:
             raise ValueError("hybrid level 2 requires a level2_hybrid predictor")
         if kind is LevelTwoKind.ARVI and (arvi is None or confidence is None):
@@ -145,28 +126,11 @@ class TwoLevelPredictor:
     # -- training ----------------------------------------------------------------
 
     def train(self, pc: int, decision: TwoLevelDecision, taken: bool) -> None:
-        """Commit-order training of every component, plus bookkeeping."""
-        stats = self.stats
-        stats.branches += 1
-        l1_correct = decision.l1_pred == taken
-        final_correct = decision.final_pred == taken
-        if l1_correct:
-            stats.l1_correct += 1
-        if final_correct:
-            stats.final_correct += 1
-        if decision.override:
-            stats.overrides += 1
-            if final_correct and not l1_correct:
-                stats.overrides_helpful += 1
-            elif l1_correct and not final_correct:
-                stats.overrides_harmful += 1
-
+        """Commit-order training of every component."""
         self.level1.update(pc, taken)
-        self.level1.record_outcome(decision.l1_pred, taken)
         if self.kind is LevelTwoKind.HYBRID:
             self.level2_hybrid.update(pc, taken)
-            self.level2_hybrid.record_outcome(decision.l2_pred, taken)
         elif self.kind is LevelTwoKind.ARVI:
-            self.confidence.update(pc, l1_correct, taken)
+            self.confidence.update(pc, decision.l1_pred == taken, taken)
             self.arvi.update(decision.arvi, taken,
                              hard_branch=not decision.confident)

@@ -46,6 +46,13 @@ class TestMachineForDepth:
         assert config.rob_entries == 64
         assert config.pipeline_depth == 20
 
+    @pytest.mark.parametrize("field", [
+        "fetch_width", "commit_width", "rob_entries", "lsq_entries",
+        "int_alus", "int_muldiv", "fp_alus", "fp_muldiv", "dcache_ports"])
+    def test_widths_and_capacities_validated(self, field):
+        with pytest.raises(ValueError, match=field):
+            machine_for_depth(20, **{field: 0})
+
 
 class TestTable2Values:
     def test_paper_parameters(self):

@@ -47,12 +47,12 @@ def trace(program):
 
 
 def engine_result(program, *, kind=LevelTwoKind.HYBRID, depth=20,
-                  warmup=500, budget=None):
+                  warmup=500, budget=None, value_mode=ValueMode.CURRENT):
     """The live engine: the oracle every kernel replay must equal."""
     config = machine_for_depth(depth)
     predictor = build_predictor(kind, config)
     engine = PipelineEngine(program, config, predictor,
-                            value_mode=ValueMode.CURRENT,
+                            value_mode=value_mode,
                             warmup_instructions=warmup)
     return engine.run() if budget is None else engine.run(budget)
 
@@ -62,10 +62,17 @@ class TestEquality:
                                       LevelTwoKind.NONE])
     @pytest.mark.parametrize("depth", [20, 60])
     @pytest.mark.parametrize("warmup", [0, 500])
-    def test_kernel_equals_live(self, program, trace, kind, depth, warmup):
-        live = engine_result(program, kind=kind, depth=depth, warmup=warmup)
+    @pytest.mark.parametrize("value_mode", list(ValueMode),
+                             ids=lambda mode: mode.name.lower())
+    def test_kernel_equals_live(self, program, trace, kind, depth, warmup,
+                                value_mode):
+        """The one pass receives ``value_mode`` for every kind; like the
+        engine, it must mean nothing outside ARVI."""
+        live = engine_result(program, kind=kind, depth=depth, warmup=warmup,
+                             value_mode=value_mode)
         kernel = kernel_run(program, trace, machine_for_depth(depth), kind,
-                            warmup_instructions=warmup)
+                            warmup_instructions=warmup,
+                            value_mode=value_mode)
         assert kernel == live
 
     @pytest.mark.parametrize("workload", BENCHMARKS)

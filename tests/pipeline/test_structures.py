@@ -1,119 +1,10 @@
-"""Tests for bandwidth limiter, retirement windows, FUs and rename."""
+"""Tests for the rename map."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.bandwidth import BandwidthLimiter
-from repro.pipeline.func_units import FunctionalUnitPool, FunctionalUnits
-from repro.pipeline.config import machine_for_depth
 from repro.pipeline.rename import RenameError, RenameMap
-from repro.pipeline.rob import RetirementWindow
-
-
-class TestBandwidthLimiter:
-    def test_width_slots_per_cycle(self):
-        limiter = BandwidthLimiter(4)
-        assert [limiter.schedule(0) for _ in range(4)] == [0, 0, 0, 0]
-        assert limiter.schedule(0) == 1
-
-    def test_advance_resets_count(self):
-        limiter = BandwidthLimiter(2)
-        limiter.schedule(0)
-        limiter.schedule(0)
-        assert limiter.schedule(5) == 5
-        assert limiter.schedule(5) == 5
-        assert limiter.schedule(5) == 6
-
-    def test_requests_behind_cursor_served_at_cursor(self):
-        limiter = BandwidthLimiter(2)
-        limiter.schedule(10)
-        assert limiter.schedule(3) == 10
-
-    def test_width_validated(self):
-        with pytest.raises(ValueError):
-            BandwidthLimiter(0)
-
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=100),
-           st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_and_bandwidth_property(self, requests, width):
-        requests = sorted(requests)
-        limiter = BandwidthLimiter(width)
-        grants = [limiter.schedule(req) for req in requests]
-        assert grants == sorted(grants)
-        for req, grant in zip(requests, grants):
-            assert grant >= req
-        # No cycle is granted more than `width` slots.
-        from collections import Counter
-        for cycle, count in Counter(grants).items():
-            assert count <= width
-
-
-class TestRetirementWindow:
-    def test_no_stall_below_capacity(self):
-        window = RetirementWindow("ROB", 4)
-        for commit in (10, 11, 12):
-            assert window.earliest_allocation(5) == 5
-            window.allocate(commit)
-
-    def test_stall_when_full(self):
-        window = RetirementWindow("ROB", 2)
-        window.allocate(10)
-        window.allocate(11)
-        # Full: next allocation must wait for the oldest commit (10) + 1.
-        assert window.earliest_allocation(5) == 11
-        window.allocate(20)
-        assert window.occupancy == 2
-        assert window.full_stalls == 1
-
-    def test_no_stall_if_requested_after_free(self):
-        window = RetirementWindow("ROB", 1)
-        window.allocate(10)
-        assert window.earliest_allocation(50) == 50
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            RetirementWindow("x", 0)
-
-
-class TestFunctionalUnitPool:
-    def test_parallel_servers(self):
-        pool = FunctionalUnitPool("alu", 2)
-        assert pool.issue(0) == 0
-        assert pool.issue(0) == 0
-        assert pool.issue(0) == 1  # both busy at cycle 0
-
-    def test_pipelined_unit_accepts_next_cycle(self):
-        pool = FunctionalUnitPool("alu", 1)
-        assert pool.issue(0, occupancy=1) == 0
-        assert pool.issue(0, occupancy=1) == 1
-
-    def test_unpipelined_unit_blocks(self):
-        pool = FunctionalUnitPool("div", 1)
-        assert pool.issue(0, occupancy=20) == 0
-        assert pool.issue(1, occupancy=20) == 20
-
-    def test_later_request_no_conflict(self):
-        pool = FunctionalUnitPool("alu", 1)
-        pool.issue(0)
-        assert pool.issue(10) == 10
-
-    def test_busy_accounting(self):
-        pool = FunctionalUnitPool("alu", 1)
-        pool.issue(0, occupancy=3)
-        assert pool.operations == 1
-        assert pool.busy_cycles == 3
-
-    def test_count_validated(self):
-        with pytest.raises(ValueError):
-            FunctionalUnitPool("x", 0)
-
-    def test_machine_pools(self):
-        units = FunctionalUnits(machine_for_depth(20))
-        assert units.int_alu.count == 4
-        assert units.int_muldiv.count == 1
-        assert units.dcache_port.count == 2
 
 
 class TestRenameMap:

@@ -1,12 +1,9 @@
 """Tests for bimodal, gshare, static and perfect predictors."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.predictors.base import (
     GlobalHistory,
-    PredictorStats,
     SaturatingCounterTable,
 )
 from repro.predictors.bimodal import BimodalPredictor
@@ -159,23 +156,3 @@ class TestPerfect:
         assert predictor.predict(0) is True
         predictor.set_outcome(False)
         assert predictor.predict(0) is False
-
-
-class TestPredictorStats:
-    def test_accuracy(self):
-        stats = PredictorStats()
-        stats.record(True)
-        stats.record(False)
-        stats.record(True)
-        assert stats.predictions == 3
-        assert stats.correct == 2
-        assert stats.mispredictions == 1
-        assert stats.accuracy == pytest.approx(2 / 3)
-
-    @given(st.lists(st.booleans(), max_size=50))
-    @settings(max_examples=30, deadline=None)
-    def test_counts_consistent(self, outcomes):
-        stats = PredictorStats()
-        for outcome in outcomes:
-            stats.record(outcome)
-        assert stats.correct + stats.mispredictions == stats.predictions

@@ -115,24 +115,6 @@ class TestArviKind:
         assert decision.final_pred is True  # L1
 
 
-class TestStatsBookkeeping:
-    def test_override_accounting(self):
-        composite = TwoLevelPredictor(
-            AlwaysTaken(), LevelTwoKind.HYBRID,
-            level2_hybrid=AlwaysNotTaken())
-        decision = composite.decide(5)
-        composite.train(5, decision, taken=False)   # helpful override
-        decision = composite.decide(5)
-        composite.train(5, decision, taken=True)    # harmful override
-        stats = composite.stats
-        assert stats.overrides == 2
-        assert stats.overrides_helpful == 1
-        assert stats.overrides_harmful == 1
-        assert stats.branches == 2
-        assert stats.final_accuracy == 0.5
-        assert stats.l1_accuracy == 0.5
-
-
 class TestReturnAddressStack:
     def test_push_pop_matching(self):
         ras = ReturnAddressStack(4)
