@@ -12,8 +12,8 @@ The package provides:
   (paper Table 2 machine) the evaluation runs on;
 * :mod:`repro.predictors` — bimodal/gshare/2Bc-gskew baselines, the
   confidence estimator and the two-level overriding composite;
-* :mod:`repro.speculation` — materialized wrong-path execution with
-  checkpoint/rollback recovery (``MachineConfig.speculation``);
+* :mod:`repro.speculation` — wrong-path instruction synthesis, which the
+  engine checkpoints and rolls back (``MachineConfig.speculation``);
 * :mod:`repro.workloads` — synthetic SPEC95-int stand-ins (Table 3);
 * :mod:`repro.applications` — Section 3 uses of dependence tracking;
 * :mod:`repro.experiments` — harness regenerating every table and figure.

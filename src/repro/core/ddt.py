@@ -22,7 +22,11 @@ Two implementations share the same observable semantics:
 
 Both identify in-flight instructions by a monotonically increasing integer
 *token* assigned at allocation, so their chains can be compared directly
-(``hypothesis`` equivalence tests do exactly that).
+(``hypothesis`` equivalence tests do exactly that).  :class:`CrossCheckedDDT`
+does it on the live engine: under ``PipelineEngine(...,
+ddt_cross_check=True)`` it mirrors every engine-issued ``allocate`` /
+``commit_oldest`` / ``rollback_to`` into both and raises
+:class:`DDTCrossCheckError` on the first divergence.
 """
 
 from __future__ import annotations
@@ -360,3 +364,92 @@ class FastDDT(_DDTBase):
             return None
         low = mask & -mask
         return self._base + low.bit_length() - 1
+
+
+class DDTCrossCheckError(AssertionError):
+    """The fast and hardware-faithful DDTs disagreed on an operation."""
+
+
+class CrossCheckedDDT:
+    """A :class:`FastDDT` mirrored into the hardware-faithful :class:`DDT`.
+
+    Exposes the engine-facing interface of :class:`FastDDT`; every
+    mutation is applied to both implementations and the observable
+    results compared.  After every rollback the complete per-register
+    ``chain_tokens`` state is verified (the §2.3 property, now enforced
+    on the live engine script rather than synthetic ones).
+    """
+
+    def __init__(self, num_regs: int, num_entries: int) -> None:
+        self.fast = FastDDT(num_regs, num_entries)
+        self.reference = DDT(num_regs, num_entries)
+        self.num_regs = num_regs
+        self.num_entries = num_entries
+        self.operations = 0
+        self.rollback_checks = 0
+
+    # -- mutations (mirrored + checked) -------------------------------------
+
+    def allocate(self, dest, srcs) -> int:
+        srcs = tuple(srcs)
+        token = self.fast.allocate(dest, srcs)
+        ref_token = self.reference.allocate(dest, srcs)
+        if token != ref_token:
+            raise DDTCrossCheckError(
+                f"allocate token mismatch: fast={token} ref={ref_token}")
+        self.operations += 1
+        return token
+
+    def commit_oldest(self) -> int:
+        token = self.fast.commit_oldest()
+        ref_token = self.reference.commit_oldest()
+        if token != ref_token:
+            raise DDTCrossCheckError(
+                f"commit token mismatch: fast={token} ref={ref_token}")
+        self.operations += 1
+        return token
+
+    def rollback_to(self, token: int) -> list[int]:
+        squashed = self.fast.rollback_to(token)
+        ref_squashed = self.reference.rollback_to(token)
+        if squashed != ref_squashed:
+            raise DDTCrossCheckError(
+                f"rollback squash mismatch at token {token}: "
+                f"fast={squashed} ref={ref_squashed}")
+        self.verify_chains()
+        self.operations += 1
+        self.rollback_checks += 1
+        return squashed
+
+    def verify_chains(self) -> None:
+        """Full per-register chain comparison between both DDTs."""
+        for reg in range(self.num_regs):
+            fast_chain = self.fast.chain_tokens(reg)
+            ref_chain = self.reference.chain_tokens(reg)
+            if fast_chain != ref_chain:
+                raise DDTCrossCheckError(
+                    f"chain mismatch for register {reg}: "
+                    f"fast={sorted(fast_chain)} ref={sorted(ref_chain)}")
+        if self.fast.in_flight != self.reference.in_flight:
+            raise DDTCrossCheckError(
+                f"occupancy mismatch: fast={self.fast.in_flight} "
+                f"ref={self.reference.in_flight}")
+
+    # -- read-only queries (served by the fast implementation) ---------------
+
+    @property
+    def in_flight(self) -> int:
+        return self.fast.in_flight
+
+    @property
+    def next_token(self) -> int:
+        return self.fast.next_token
+
+    def chain_tokens(self, *regs: int) -> set[int]:
+        return self.fast.chain_tokens(*regs)
+
+    def chain_length(self, *regs: int) -> int:
+        return self.fast.chain_length(*regs)
+
+    def oldest_chain_token(self, *regs: int):
+        return self.fast.oldest_chain_token(*regs)

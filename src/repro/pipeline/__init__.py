@@ -1,4 +1,4 @@
-"""Out-of-order pipeline substrate: config, caches, rename, timing engine."""
+"""Out-of-order pipeline substrate: config, caches, timing engine."""
 
 from repro.pipeline.caches import MemoryHierarchy, SetAssociativeCache, TLB
 from repro.pipeline.config import (
@@ -12,12 +12,12 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.engine import (
     PipelineEngine,
+    RenameError,
     TimingRecord,
     build_predictor,
     simulate,
 )
 from repro.pipeline.functional import DynInst, ExecutionError, FunctionalCore
-from repro.pipeline.rename import RenameError, RenameMap
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import (
     CommittedTrace,
@@ -38,7 +38,6 @@ __all__ = [
     "PipelineEngine",
     "PredictorLatencies",
     "RenameError",
-    "RenameMap",
     "SetAssociativeCache",
     "SimulationResult",
     "TLB",

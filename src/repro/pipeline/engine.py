@@ -26,13 +26,13 @@ DESIGN.md §2.2-§2.3):
 * ``redirect`` (default) — wrong-path instructions are not materialized;
   their cost is carried by the redirect accounting alone, and results are
   bit-for-bit identical to the seed engine.
-* ``wrongpath`` — on a misprediction the engine checkpoints the rename
-  map, shadow structures, predictor histories and DDT head
-  (``repro.speculation.checkpoint``), synthesizes the wrong-path
-  instruction stream against copy-on-write state views
-  (``repro.speculation.wrongpath``), renames it into the DDT and lets it
-  pollute the memory hierarchy, then squashes it through the DDT's
-  ROB-style ``rollback_to`` when the branch resolves.  Wrong-path
+* ``wrongpath`` — on a misprediction the engine checkpoints its rename
+  map, shadow structures and predictor histories in locals, synthesizes
+  the wrong-path instruction stream against a copied register file and
+  copy-on-write memory (``repro.speculation.wrongpath``), renames it
+  into the DDT and lets it pollute the memory hierarchy, then squashes
+  it through the DDT's ROB-style ``rollback_to`` when the branch
+  resolves and restores the checkpoint in place.  Wrong-path
   instructions do not contend for functional units or fetch/commit
   bandwidth (their timing cost stays with the redirect accounting); their
   modelled effects are cache/TLB pollution, DDT/rename occupancy and
@@ -53,7 +53,7 @@ from repro.core.arvi import (
     RegisterView,
     ValueMode,
 )
-from repro.core.ddt import FastDDT
+from repro.core.ddt import CrossCheckedDDT, FastDDT
 from repro.core.rse import ChainInfoTable
 from repro.core.shadow import ShadowMapTable, ShadowRegisterFile
 from repro.isa import regs
@@ -65,7 +65,7 @@ from repro.isa.decoded import (
     FU_STORE,
     DecodedInst,
 )
-from repro.isa.instructions import Op
+from repro.isa.instructions import NUM_LOGICAL_REGS, Op
 from repro.isa.program import Program
 from repro.pipeline.caches import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
@@ -74,14 +74,12 @@ from repro.pipeline.functional import (
     DynInst,
     FunctionalCore,
 )
-from repro.pipeline.rename import RenameMap
 from repro.pipeline.stats import SimulationResult
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import level1_gskew, level2_gskew
 from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.twolevel import LevelTwoKind, TwoLevelPredictor
-from repro.speculation.checkpoint import CrossCheckedDDT, RecoveryManager
 from repro.speculation.wrongpath import WrongPathCore
 
 _REDIRECT_LATENCY = 1  # cycles to restart fetch after a resolved mispredict
@@ -109,6 +107,10 @@ class TimingRecord:
 
 
 Observer = Callable[[TimingRecord, DynInst], None]
+
+
+class RenameError(RuntimeError):
+    """Raised when a destination finds the rename free list empty."""
 
 
 # Retire-queue entries are plain tuples on the per-instruction path:
@@ -140,16 +142,19 @@ class PipelineEngine:
         # Sampling only *reads* engine state; results are bit-for-bit
         # identical with or without it (identity suite in tests/obs/).
         self.sampler = sampler
-        # Recovery machinery exists only in wrongpath mode, so the
-        # redirect path stays byte-identical to the seed engine.
-        self.recovery = (RecoveryManager()
-                         if config.speculation == "wrongpath" else None)
+        # Wrong-path episodes run only in wrongpath mode, so the redirect
+        # path stays byte-identical to the seed engine.
+        self._wrongpath = config.speculation == "wrongpath"
         self.core = FunctionalCore(program)
         self.memory = MemoryHierarchy(config)
-        self.rename = RenameMap(config.num_phys_regs)
         self.ras = ReturnAddressStack()
 
         n_pregs = config.num_phys_regs
+        # Early rename (R10000/21264 style): logical r starts in physical
+        # r; a renamed destination takes the free list's head, and the
+        # register it displaced is appended back when it commits.
+        self.rename_map = list(range(NUM_LOGICAL_REGS))
+        self.free_list: deque[int] = deque(range(NUM_LOGICAL_REGS, n_pregs))
         # Cross-check mode mirrors every DDT operation into the
         # hardware-faithful DDT (tests of the in-engine rollback).
         self.ddt = (CrossCheckedDDT(n_pregs, config.rob_entries)
@@ -161,24 +166,21 @@ class PipelineEngine:
         self.shadow_values = ShadowRegisterFile(n_pregs, acfg.value_bits)
         # The shadow map keeps as many low id bits as the id tag sums.
         self.shadow_map = ShadowMapTable(n_pregs, acfg.id_tag_bits)
-        for logical in range(self.rename.num_logical):
-            preg = self.rename.lookup(logical)
-            self.shadow_map.record(preg, logical)
-            self.shadow_values.write(preg, self.core.registers[logical])
-
         self._preg_ready = [0] * n_pregs
         self._preg_value = [0] * n_pregs
-        for logical in range(self.rename.num_logical):
-            self._preg_value[self.rename.lookup(logical)] = (
-                self.core.registers[logical])
+        for logical, preg in enumerate(self.rename_map):
+            value = self.core.registers[logical]
+            self.shadow_map.record(preg, logical)
+            self.shadow_values.write(preg, value)
+            self._preg_value[preg] = value
         self._preg_pending = [False] * n_pregs
         self._preg_is_load = [False] * n_pregs
         self._preg_hoist_avail = [0] * n_pregs
 
         self._retire_queue: deque[tuple] = deque()
-        # The fetch state a branch resolution or a wrong-path episode
-        # reads and writes; run() keeps the rest of its timing state in
-        # locals.
+        # The fetch state a branch resolution writes (the barrier) and a
+        # wrong-path episode starts from (the line); run() keeps the rest
+        # of its timing state in locals.
         self._fetch_barrier = 0
         self._last_fetch_line = -1
         # Pending stores for forwarding: word addr -> (data ready, commit).
@@ -239,10 +241,8 @@ class PipelineEngine:
         memory = self.memory
         mem_ilat = memory.instruction_latency
         mem_dlat = memory.data_latency
-        rename = self.rename
-        rename_map = rename._map
-        rename_free = rename._free
-        rename_owner = rename._owner
+        rename_map = self.rename_map
+        free_list = self.free_list
         ddt_allocate = self.ddt.allocate
         chains_info = self.chains._info
         shadow_record = self.shadow_map.record
@@ -268,7 +268,7 @@ class PipelineEngine:
         ddt_obj = self.ddt
         heappush = heapq.heappush
         heappop = heapq.heappop
-        sync_spec = self.recovery is not None
+        wrongpath = self._wrongpath
 
         config = self.config
         rob_capacity = config.rob_entries
@@ -340,7 +340,7 @@ class PipelineEngine:
             elif n_sources == 0:
                 src_pregs = ()
             else:  # pragma: no cover - no opcode has >2 sources
-                src_pregs = rename.lookup_many(sources)
+                src_pregs = tuple(rename_map[lr] for lr in sources)
 
             # Branch prediction reads the DDT *before* the branch is
             # inserted.
@@ -351,13 +351,12 @@ class PipelineEngine:
             dest_preg = None
             displaced = None
             if d.needs_dest:
-                if not rename_free:
-                    rename.rename_dest(d.rd)  # raises RenameError
+                if not free_list:
+                    raise RenameError("free list underflow")
                 rd = d.rd
-                dest_preg = rename_free.popleft()
+                dest_preg = free_list.popleft()
                 displaced = rename_map[rd]
                 rename_map[rd] = dest_preg
-                rename_owner[dest_preg] = rd
                 shadow_record(dest_preg, rd)
 
             token = ddt_allocate(dest_preg, src_pregs)
@@ -462,18 +461,13 @@ class PipelineEngine:
             # ---- control flow resolution ---------------------------------
             mispredicted = False
             if is_cond_branch:
-                if sync_spec:
-                    # A mispredict may run a wrong-path episode whose
-                    # squash restores engine state: publish the fetch
-                    # line, then re-read it (and the rename map the
-                    # restore rebuilds) afterwards.
+                if wrongpath:
+                    # A wrong-path episode starts fetching from this line
+                    # (and restores every structure it touches in place).
                     self._last_fetch_line = last_fetch_line
                 mispredicted = resolve_branch(
                     dyn, decision, fetch, complete, measured, token)
                 fetch_barrier = self._fetch_barrier
-                if sync_spec:
-                    last_fetch_line = self._last_fetch_line
-                    rename_map = rename._map
             elif dyn.op == _OP_JAL:
                 ras_push(dyn.pc + 1)
             elif dyn.op == _OP_JR:
@@ -513,12 +507,6 @@ class PipelineEngine:
         result.cycles = max(last_commit - measured_start_cycle, 0)
         result.memory = self.memory.stats()
         result.ras_accuracy = self.ras.accuracy
-        if self.recovery is not None:
-            # The recovery manager is the source of truth for squash
-            # accounting (wrong_path_* counters stay per-episode in
-            # _run_wrong_path).
-            result.rollbacks = self.recovery.rollbacks
-            result.squashed_tokens = self.recovery.squashed_tokens
         arvi = self.predictor.arvi
         if arvi is not None:
             result.arvi_lookups = arvi.bvit.stats.lookups
@@ -609,7 +597,7 @@ class PipelineEngine:
             # Full misprediction: fetch restarts after the branch executes.
             self._fetch_barrier = max(
                 self._fetch_barrier, complete + _REDIRECT_LATENCY)
-            if self.recovery is not None:
+            if self._wrongpath:
                 # Materialize the wrong path fetched in the branch shadow,
                 # then squash it (wrongpath mode; runs during warmup too —
                 # pollution is a state effect, like cache training).
@@ -667,8 +655,14 @@ class PipelineEngine:
         bandwidth x resolve delay (capped by ``wrongpath_fetch_limit`` and
         by DDT/rename capacity).  Wrong-path instructions rename into the
         DDT, touch the I-side for every new fetch line and the D-side for
-        every load; at the end the recovery manager rolls everything back
-        to the checkpoint via ``rollback_to``.
+        every load.  At the end the DDT rolls back to the branch
+        (``rollback_to``, the paper's head-pointer walk-back) and every
+        structure the episode wrote is restored from the checkpoint taken
+        here: the rename map, the shadow map and values (the values are
+        written only at retire, which an episode never reaches, but the
+        paper's recovery hardware covers them) and the predictor
+        histories.  The episode's physical registers return to the tail
+        of the free list in allocation order.
         """
         config = self.config
         resolve_delay = complete + _REDIRECT_LATENCY - fetch
@@ -676,7 +670,15 @@ class PipelineEngine:
                      config.wrongpath_fetch_limit)
         if budget <= 0:
             return
-        checkpoint = self.recovery.capture(self, branch_token)
+        rename_map = self.rename_map
+        free_list = self.free_list
+        shadow_map = self.shadow_map
+        shadow_values = self.shadow_values
+        predictor = self.predictor
+        saved_map = rename_map[:]
+        saved_shadow_map = shadow_map.snapshot()
+        saved_shadow_values = shadow_values.snapshot()
+        saved_history = predictor.history_state()
         # The wrong path starts at the *predicted* target: the taken
         # target when the machine guessed taken, else the fall-through.
         wrong_target = dyn.inst.target if decision.final_pred else dyn.pc + 1
@@ -685,9 +687,12 @@ class PipelineEngine:
                              self._wrong_path_predict)
         result = self.result
         memory = self.memory
-        rename = self.rename
         ddt = self.ddt
+        chains = self.chains
         decoded = self._decoded
+        line_mask = self._line_mask
+        last_line = self._last_fetch_line
+        taken_pregs: list[int] = []
         fetched = 0
         while fetched < budget and ddt.in_flight < config.rob_entries:
             wp = core.step()
@@ -695,23 +700,27 @@ class PipelineEngine:
                 break
             wd: DecodedInst = decoded[wp.pc]
             needs_dest = wd.needs_dest
-            if needs_dest and rename.free_count == 0:
+            if needs_dest and not free_list:
                 break  # frontend stalls on the free list until the squash
             fetched += 1
             # I-side pollution: every new fetch line is a real access.
-            line = wd.byte_pc & self._line_mask
-            if line != self._last_fetch_line:
-                self._last_fetch_line = line
+            line = wd.byte_pc & line_mask
+            if line != last_line:
+                last_line = line
                 memory.instruction_latency(wd.byte_pc, wrong_path=True)
-            src_pregs = rename.lookup_many(wd.sources)
+            sources = wd.sources
+            if len(sources) == 2:
+                src_pregs = (rename_map[sources[0]], rename_map[sources[1]])
+            else:
+                src_pregs = tuple([rename_map[lr] for lr in sources])
             dest_preg = None
             if needs_dest:
-                dest_preg, _displaced = rename.rename_dest(wd.rd)
-                checkpoint.wrong_path_pregs.append(dest_preg)
-                self.shadow_map.record(dest_preg, wd.rd)
+                dest_preg = free_list.popleft()
+                taken_pregs.append(dest_preg)
+                rename_map[wd.rd] = dest_preg
+                shadow_map.record(dest_preg, wd.rd)
             token = ddt.allocate(dest_preg, src_pregs)
-            self.chains.insert(token, dest_preg, src_pregs,
-                               is_load=wd.is_load)
+            chains.insert(token, dest_preg, src_pregs, is_load=wd.is_load)
             if wp.is_load and wp.addr is not None:
                 # D-side pollution: the speculative load really fills.
                 memory.data_latency(wp.addr, wrong_path=True)
@@ -722,7 +731,17 @@ class PipelineEngine:
             elif wp.is_cond_branch:
                 result.wrong_path_branches += 1
         result.wrong_path_instructions += fetched
-        self.recovery.restore(self, checkpoint)
+
+        squashed = ddt.rollback_to(branch_token)
+        for token in squashed:
+            chains.discard(token)
+        rename_map[:] = saved_map
+        free_list.extend(taken_pregs)
+        shadow_map.restore(saved_shadow_map)
+        shadow_values.restore(saved_shadow_values)
+        predictor.restore_history(saved_history)
+        result.rollbacks += 1
+        result.squashed_tokens += len(squashed)
 
     # -- DDT retirement -----------------------------------------------------------------
 
@@ -733,7 +752,7 @@ class PipelineEngine:
         discard = self.chains.discard
         shadow_write = self.shadow_values.write
         preg_pending = self._preg_pending
-        release = self.rename.release
+        release = self.free_list.append
         popleft = queue.popleft
         while queue and queue[0][_RETIRE_COMMIT] <= cycle:
             token, dest, value, _commit, displaced = popleft()

@@ -76,9 +76,8 @@ from repro.isa.instructions import NUM_LOGICAL_REGS
 from repro.isa.program import DATA_BASE, STACK_TOP, Program
 from repro.pipeline.caches import TLB, MemoryHierarchy, SetAssociativeCache
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.engine import _REDIRECT_LATENCY
+from repro.pipeline.engine import _REDIRECT_LATENCY, RenameError
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
-from repro.pipeline.rename import RenameError
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import CommittedTrace, TraceError
 from repro.predictors.confidence import ConfidenceEstimator
@@ -230,8 +229,8 @@ class LoweredTrace:
         "mem_pos", "mem_addr", "store_dep",
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
-        "jr_pos", "jr_correct_cum", "_hasres",
-        "_fetch", "_streams", "_values",
+        "jr_pos", "jr_correct_cum", "branch_streams", "_hasres",
+        "_fetch", "_values",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -248,15 +247,6 @@ class LoweredTrace:
             stream = _FetchStream(self, config)
             self._fetch[key] = stream
         return stream
-
-    def branch_streams(self) -> _BranchStreams:
-        """The per-branch decision inputs every configuration shares
-        (built on first use, cached)."""
-        streams = self._streams
-        if streams is None:
-            streams = _BranchStreams(self.branch_pcs, self.branch_taken)
-            self._streams = streams
-        return streams
 
     def values(self) -> list[int]:
         """Dense committed result values, one entry per instruction.
@@ -304,7 +294,6 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered.pcs = pcs_list
     lowered._hasres = hasres_tab
     lowered._fetch = {}
-    lowered._streams = None
     lowered._values = None
 
     kclass = [cls_tab[pc] for pc in pcs_list]
@@ -399,6 +388,7 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
             jr_correct_cum.append(jr_correct_cum[-1] + correct)
     lowered.jr_pos = jr_pos
     lowered.jr_correct_cum = jr_correct_cum
+    lowered.branch_streams = _BranchStreams(branch_pcs, lowered.branch_taken)
     return lowered
 
 
@@ -506,7 +496,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
     instructions in flight when one renames, so the engine's ``DDTError``
     is unreachable.  The free list can run dry only if that bound broke;
     the pass then raises :class:`RenameError` like the engine's rename
-    map, at the same instruction.
+    stage, at the same instruction.
     """
     if config.speculation != "redirect":
         raise KernelUnsupported(
@@ -529,7 +519,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
     warmup = warmup_instructions
     memory = MemoryHierarchy(config)
     fetch_stream = lowered.fetch_stream(config)
-    streams = lowered.branch_streams()
+    streams = lowered.branch_streams
 
     # ---- level-2 decision inputs ------------------------------------------
     arvi = kind is LevelTwoKind.ARVI

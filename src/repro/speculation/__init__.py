@@ -6,29 +6,18 @@ The engine supports two speculation models, selected by
 * ``"redirect"`` (default) — the seed's accounting model: a misprediction
   restarts fetch after the branch resolves; wrong-path instructions are
   never materialized and no state needs repair.
-* ``"wrongpath"`` — this package: a mispredicted branch checkpoints the
-  frontend (:mod:`repro.speculation.checkpoint`), fetches and renames a
-  synthesized wrong-path instruction stream
-  (:mod:`repro.speculation.wrongpath`) that pollutes the caches and the
-  DDT, then squashes it through ``rollback_to`` when the branch resolves.
+* ``"wrongpath"`` — a mispredicted branch checkpoints the engine's
+  frontend state, fetches and renames a wrong-path instruction stream
+  synthesized by this package (:mod:`repro.speculation.wrongpath`) that
+  pollutes the caches and the DDT, then squashes it through
+  ``rollback_to`` and restores the checkpoint when the branch resolves
+  (``PipelineEngine._run_wrong_path``).
 """
 
 from repro.pipeline.config import SPECULATION_MODES
-from repro.speculation.checkpoint import (
-    CrossCheckedDDT,
-    DDTCrossCheckError,
-    EngineCheckpoint,
-    RecoveryManager,
-)
-from repro.speculation.wrongpath import CowMemory, CowRegisters, WrongPathCore
+from repro.speculation.wrongpath import WrongPathCore
 
 __all__ = [
     "SPECULATION_MODES",
-    "CowMemory",
-    "CowRegisters",
-    "CrossCheckedDDT",
-    "DDTCrossCheckError",
-    "EngineCheckpoint",
-    "RecoveryManager",
     "WrongPathCore",
 ]

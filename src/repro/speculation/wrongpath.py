@@ -6,10 +6,11 @@ the ROB/DDT, touch the caches and are then squashed.  The timing engine is
 oracle-driven and only ever sees correct-path instructions, so this module
 *synthesizes* the wrong-path stream: :class:`WrongPathCore` runs the
 functional interpreter (:func:`repro.pipeline.functional.execute_instruction`)
-down the wrong target against copy-on-write register and memory views.
-Architectural state is never mutated — the views absorb every write, and
-the whole episode is discarded when the engine's recovery manager restores
-its checkpoint (``repro.speculation.checkpoint``).
+down the wrong target against a copy of the register file and a
+copy-on-write view of memory.  Architectural state is never mutated — the
+copies absorb every write, and the whole episode is discarded when the
+engine restores its checkpoint
+(:meth:`~repro.pipeline.engine.PipelineEngine._run_wrong_path`).
 
 Wrong-path control flow follows *predictions*, not data: at a conditional
 branch the machine has no outcome yet, so the fetcher asks the engine's
@@ -32,44 +33,36 @@ from repro.pipeline.functional import (
 from repro.isa.program import Program
 
 
-class CowRegisters:
-    """Copy-on-write view of the 32-entry architectural register file."""
+class WrongPathCore:
+    """Speculative fetch source: interprets down the wrong path.
 
-    __slots__ = ("_base", "_overlay")
-
-    def __init__(self, base) -> None:
-        self._base = base
-        self._overlay: dict[int, int] = {}
-
-    def __getitem__(self, index: int) -> int:
-        overlay = self._overlay
-        return overlay[index] if index in overlay else self._base[index]
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self._overlay[index] = value
-
-    @property
-    def dirty_count(self) -> int:
-        """Registers written down the wrong path (diagnostics/tests)."""
-        return len(self._overlay)
-
-
-class CowMemory:
-    """Byte-granular copy-on-write view over the architectural memory.
-
-    Wrong-path stores land in the overlay (so younger wrong-path loads see
-    them — store forwarding continues down the wrong path); the backing
-    bytearray is never written.  Bounds and alignment checks match
-    :class:`~repro.pipeline.functional.FunctionalCore` exactly, so a
-    garbage wrong-path address raises the same :class:`ExecutionError`.
+    Implements the same state interface :func:`execute_instruction`
+    expects (``registers``, memory accessors, ``halted``).  The register
+    file is a private copy of the architectural one; memory is
+    copy-on-write: wrong-path stores land in a byte overlay (so younger
+    wrong-path loads see them — store forwarding continues down the wrong
+    path) and the backing bytearray is never written.  Bounds and
+    alignment checks match :class:`~repro.pipeline.functional.FunctionalCore`
+    exactly, so a garbage wrong-path address raises the same
+    :class:`ExecutionError`.  ``step()`` returns one wrong-path
+    :class:`DynInst` at a time, or ``None`` once the wrong path cannot be
+    fetched further.
     """
 
-    __slots__ = ("_base", "_overlay", "pc")
-
-    def __init__(self, base) -> None:
-        self._base = base
+    def __init__(self, program: Program, registers, memory, start_pc: int,
+                 predict: Callable[[int], bool]) -> None:
+        self.program = program
+        self.registers = list(registers)
+        self._base = memory
         self._overlay: dict[int, int] = {}
-        self.pc = 0  # fetch pc of the access, for fault messages
+        self.pc = start_pc
+        self.predict = predict
+        self.halted = False
+        self.fetched = 0
+        self.faulted = False
+        self._decoded = program.decoded().insts
+
+    # -- memory interface for execute_instruction ---------------------------
 
     def _check_addr(self, addr: int, size: int, *, aligned: int) -> None:
         if addr < 0 or addr + size > len(self._base):
@@ -108,49 +101,6 @@ class CowMemory:
         self._check_addr(addr, 1, aligned=1)
         self._overlay[addr] = value & 0xFF
 
-    @property
-    def dirty_bytes(self) -> int:
-        """Bytes written down the wrong path (diagnostics/tests)."""
-        return len(self._overlay)
-
-
-class WrongPathCore:
-    """Speculative fetch source: interprets down the wrong path via views.
-
-    Implements the same state interface :func:`execute_instruction`
-    expects (``registers``, memory accessors, ``halted``), backed by
-    copy-on-write views of the architectural core.  ``step()`` returns one
-    wrong-path :class:`DynInst` at a time, or ``None`` once the wrong path
-    cannot be fetched further.
-    """
-
-    def __init__(self, program: Program, registers, memory, start_pc: int,
-                 predict: Callable[[int], bool]) -> None:
-        self.program = program
-        self.registers = CowRegisters(registers)
-        self._memory = CowMemory(memory)
-        self.pc = start_pc
-        self.predict = predict
-        self.halted = False
-        self.fetched = 0
-        self.faulted = False
-        self._decoded = program.decoded().insts
-
-    # Memory interface for execute_instruction (delegates to the COW view,
-    # keeping the faulting pc current for error messages).
-
-    def load_word(self, addr: int) -> int:
-        return self._memory.load_word(addr)
-
-    def store_word(self, addr: int, value: int) -> None:
-        self._memory.store_word(addr, value)
-
-    def load_byte(self, addr: int, *, signed: bool) -> int:
-        return self._memory.load_byte(addr, signed=signed)
-
-    def store_byte(self, addr: int, value: int) -> None:
-        self._memory.store_byte(addr, value)
-
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> DynInst | None:
@@ -168,7 +118,6 @@ class WrongPathCore:
             # A speculative HALT stalls fetch; it never retires.
             return None
         dyn = DynInst(self.fetched, pc, d.inst)
-        self._memory.pc = pc
         if d.is_cond_branch:
             # No outcome exists yet: record the data-determined direction
             # for observability, but *fetch* follows the prediction.

@@ -13,8 +13,9 @@ from repro.core.arvi import ARVIConfig
 from repro.isa import AsmBuilder, nez
 from repro.isa.regs import s0, s1, s2, s3, t0, t1, t2, zero
 from repro.pipeline.config import machine_for_depth
-from repro.pipeline.engine import PipelineEngine, build_predictor
+from repro.pipeline.engine import PipelineEngine, RenameError, build_predictor
 from repro.predictors.twolevel import LevelTwoKind
+from tests.pipeline.test_speculation import preg_partition
 
 
 def capture_requests(program, *, value_mode=ValueMode.CURRENT,
@@ -176,6 +177,14 @@ class TestRenameIntegration:
         engine = PipelineEngine(b.build(), machine, predictor)
         engine.run()  # would raise RenameError on free-list underflow
 
+    def test_free_list_underflow_raises(self, counted_loop_program):
+        machine = machine_for_depth(20)
+        predictor = build_predictor(LevelTwoKind.HYBRID, machine)
+        engine = PipelineEngine(counted_loop_program, machine, predictor)
+        engine.free_list.clear()
+        with pytest.raises(RenameError, match="underflow"):
+            engine.run()
+
     def test_free_list_never_underflows_on_workload(self):
         from repro.workloads import get_program
         program = get_program("li", scale=0.05)
@@ -183,4 +192,4 @@ class TestRenameIntegration:
         predictor = build_predictor(LevelTwoKind.ARVI, machine)
         engine = PipelineEngine(program, machine, predictor)
         engine.run()
-        assert engine.rename.free_count >= 0
+        assert preg_partition(engine) == list(range(machine.num_phys_regs))

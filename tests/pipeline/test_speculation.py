@@ -106,6 +106,61 @@ class TestWrongPathMode:
             machine_for_depth(20, speculation="sideways")
 
 
+def preg_partition(engine):
+    """The engine's physical registers, each listed once per place it is
+    held: mapped, free, or displaced by an in-flight instruction (freed
+    when that instruction commits)."""
+    displaced = [entry[4] for entry in engine._retire_queue
+                 if entry[4] is not None]
+    return sorted(engine.rename_map + list(engine.free_list) + displaced)
+
+
+class TestWrongPathRecovery:
+    """Around every episode the engine restores what the wrong path wrote."""
+
+    @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID, LevelTwoKind.ARVI])
+    def test_every_episode_restores_its_checkpoint(self, kind):
+        config = machine_for_depth(20, speculation="wrongpath")
+        engine = PipelineEngine(lcg_program(), config,
+                                build_predictor(kind, config))
+        every_preg = list(range(config.num_phys_regs))
+        run_episode = engine._run_wrong_path
+        taken_counts = []
+
+        def state():
+            return (engine.rename_map[:], engine.shadow_map.snapshot(),
+                    engine.shadow_values.snapshot(),
+                    engine.predictor.history_state(), engine.ddt.in_flight,
+                    engine._last_fetch_line)
+
+        def checked_episode(*args):
+            result = engine.result
+            before = state()
+            free_before = list(engine.free_list)
+            fetched_before = result.wrong_path_instructions
+            squashed_before = result.squashed_tokens
+            assert preg_partition(engine) == every_preg
+            run_episode(*args)
+            assert state() == before
+            # The episode took its registers from the head of the free
+            # list and gave them back to its tail in allocation order.
+            free_after = list(engine.free_list)
+            taken = ((len(free_before) - free_after.index(free_before[0]))
+                     % len(free_before) if free_before else 0)
+            assert free_after == free_before[taken:] + free_before[:taken]
+            fetched = result.wrong_path_instructions - fetched_before
+            assert taken <= fetched
+            assert result.squashed_tokens - squashed_before == fetched
+            assert preg_partition(engine) == every_preg
+            taken_counts.append(taken)
+
+        engine._run_wrong_path = checked_episode
+        result = engine.run()
+        assert len(taken_counts) >= result.rollbacks > 0
+        assert max(taken_counts) >= 2  # the restore order was exercised
+        assert result.squashed_tokens == result.wrong_path_instructions
+
+
 class TestInEngineRollbackCrossCheck:
     """Satellite: the in-engine DDT script, cross-checked bit-for-bit."""
 

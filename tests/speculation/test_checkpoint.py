@@ -1,16 +1,9 @@
-"""Checkpoint/recovery manager and the DDT cross-check harness."""
+"""The DDT cross-check harness (the engine's checkpoint restore is tested
+in tests/pipeline/test_speculation.py)."""
 
 import pytest
 
-from repro.pipeline.config import machine_for_depth
-from repro.pipeline.engine import PipelineEngine, build_predictor
-from repro.predictors.twolevel import LevelTwoKind
-from repro.speculation.checkpoint import (
-    CrossCheckedDDT,
-    DDTCrossCheckError,
-    RecoveryManager,
-)
-from tests.conftest import build_memory_loop
+from repro.core.ddt import CrossCheckedDDT, DDTCrossCheckError
 
 FIGURE1_PROGRAM = [
     (1, (2,)),
@@ -60,62 +53,3 @@ class TestCrossCheckedDDT:
         ddt.reference.rollback_to(tokens[3])  # reference secretly ahead
         with pytest.raises(DDTCrossCheckError):
             ddt.rollback_to(tokens[2])
-
-
-def build_engine(speculation="wrongpath"):
-    config = machine_for_depth(20, speculation=speculation)
-    predictor = build_predictor(LevelTwoKind.HYBRID, config)
-    return PipelineEngine(build_memory_loop(8), config, predictor)
-
-
-class TestRecoveryManager:
-    def test_capture_restore_round_trip(self):
-        engine = build_engine()
-        manager = RecoveryManager()
-        branch_token = engine.ddt.next_token - 1
-
-        checkpoint = manager.capture(engine, branch_token)
-        before_map = engine.rename.snapshot()
-        before_free = engine.rename.free_count
-        before_shadow = engine.shadow_map.snapshot()
-        before_history = engine.predictor.history_state()
-        before_in_flight = engine.ddt.in_flight
-
-        # Fake a wrong-path episode: rename, shadow-record and insert
-        # three speculative instructions, corrupting predictor history.
-        wp_tokens = []
-        for logical in (8, 9, 10):
-            preg, _displaced = engine.rename.rename_dest(logical)
-            checkpoint.wrong_path_pregs.append(preg)
-            engine.shadow_map.record(preg, logical)
-            token = engine.ddt.allocate(preg, (preg,))
-            engine.chains.insert(token, preg, (preg,), is_load=False)
-            wp_tokens.append(token)
-        engine.predictor.speculate(0x40, True)
-        assert engine.ddt.in_flight == before_in_flight + 3
-        assert engine.predictor.history_state() != before_history
-
-        squashed = manager.restore(engine, checkpoint)
-        assert squashed == sorted(wp_tokens, reverse=True)
-        assert engine.ddt.in_flight == before_in_flight
-        assert engine.rename.snapshot() == before_map
-        assert engine.rename.free_count == before_free
-        assert engine.shadow_map.snapshot() == before_shadow
-        assert engine.predictor.history_state() == before_history
-        for token in wp_tokens:
-            with pytest.raises(KeyError):
-                engine.chains.info(token)
-        assert manager.rollbacks == 1
-        assert manager.squashed_tokens == 3
-
-    def test_restore_with_no_episode_is_a_clean_noop(self):
-        engine = build_engine()
-        manager = RecoveryManager()
-        checkpoint = manager.capture(engine, engine.ddt.next_token - 1)
-        before_map = engine.rename.snapshot()
-        assert manager.restore(engine, checkpoint) == []
-        assert engine.rename.snapshot() == before_map
-
-    def test_redirect_engine_has_no_recovery_manager(self):
-        assert build_engine("redirect").recovery is None
-        assert build_engine("wrongpath").recovery is not None

@@ -1,33 +1,27 @@
-"""Wrong-path synthesis: COW views and the speculative fetch source."""
+"""Wrong-path synthesis: copy-on-write memory and the speculative fetch
+source."""
 
 import pytest
 
 from repro.isa import AsmBuilder, nez
 from repro.isa.regs import s0, t0, t1, t2, zero
 from repro.pipeline.functional import ExecutionError, FunctionalCore
-from repro.speculation.wrongpath import CowMemory, CowRegisters, WrongPathCore
+from repro.speculation.wrongpath import WrongPathCore
 
 
-class TestCowRegisters:
-    def test_reads_through_to_base(self):
-        base = list(range(32))
-        view = CowRegisters(base)
-        assert view[7] == 7
-
-    def test_writes_stay_in_overlay(self):
-        base = list(range(32))
-        view = CowRegisters(base)
-        view[7] = 99
-        assert view[7] == 99
-        assert base[7] == 7
-        assert view.dirty_count == 1
+def memory_view(base):
+    """A wrong-path core over ``base`` memory (its program is one HALT)."""
+    b = AsmBuilder("wp-memory")
+    b.label("main")
+    b.halt()
+    return WrongPathCore(b.build(), [0] * 32, base, 0, lambda pc: False)
 
 
 class TestCowMemory:
     def test_word_read_through_and_overlay(self):
         base = bytearray(64)
         base[8:12] = (0x11223344).to_bytes(4, "little")
-        view = CowMemory(base)
+        view = memory_view(base)
         assert view.load_word(8) == 0x11223344
         view.store_word(8, 0xDEADBEEF)
         assert view.load_word(8) == 0xDEADBEEF
@@ -36,21 +30,21 @@ class TestCowMemory:
     def test_byte_overlay_mixes_into_word_read(self):
         base = bytearray(64)
         base[4:8] = (0xAABBCCDD).to_bytes(4, "little")
-        view = CowMemory(base)
+        view = memory_view(base)
         view.store_byte(5, 0x00)
         assert view.load_word(4) == 0xAABB00DD
         assert view.load_byte(5, signed=False) == 0
-        assert view.dirty_bytes == 1
+        assert base[4:8] == (0xAABBCCDD).to_bytes(4, "little")
 
     def test_signed_byte_semantics_match_core(self):
         base = bytearray(8)
         base[3] = 0x80
-        view = CowMemory(base)
+        view = memory_view(base)
         assert view.load_byte(3, signed=True) == -128
         assert view.load_byte(3, signed=False) == 0x80
 
     def test_bounds_and_alignment_fault(self):
-        view = CowMemory(bytearray(16))
+        view = memory_view(bytearray(16))
         with pytest.raises(ExecutionError):
             view.load_word(16)
         with pytest.raises(ExecutionError):
