@@ -7,6 +7,8 @@ value configuration never leaks oracle (uncommitted) values.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ValueMode
 from repro.core.arvi import ARVIConfig
@@ -164,7 +166,65 @@ class TestShadowMapWidth:
             assert engine.shadow_map.id_bits == bits
 
 
+def rename_engine(program, **overrides):
+    machine = machine_for_depth(20, **overrides)
+    predictor = build_predictor(LevelTwoKind.HYBRID, machine)
+    return PipelineEngine(program, machine, predictor)
+
+
+def straight_line(dests):
+    """One ``addi rd, rd, 1`` per destination, then HALT."""
+    b = AsmBuilder()
+    b.label("main")
+    for rd in dests:
+        b.addi(rd, rd, 1)
+    b.halt()
+    return b.build()
+
+
 class TestRenameIntegration:
+    def test_identity_initial_mapping(self, counted_loop_program):
+        engine = rename_engine(counted_loop_program)
+        assert engine.rename_map == list(range(32))
+        assert list(engine.free_list) == list(
+            range(32, engine.config.num_phys_regs))
+
+    def test_destination_takes_the_free_list_head(self):
+        engine = rename_engine(straight_line([t0]))
+        head = engine.free_list[0]
+        engine.run()
+        expected = list(range(32))
+        expected[t0] = head
+        assert engine.rename_map == expected
+        # t0's old register is free again, or waits for the commit.
+        assert preg_partition(engine) == list(
+            range(engine.config.num_phys_regs))
+
+    def test_displaced_registers_recycle_in_commit_order(self):
+        """The free list is FIFO and a displaced register joins its tail
+        at commit, so rewriting one register cycles through the initial
+        free list followed by that register's own first physical one."""
+        writes = 600  # more than twice the free list
+        engine = rename_engine(straight_line([t0] * writes))
+        cycle = list(engine.free_list) + [t0]
+        engine.run()
+        assert engine.rename_map[t0] == cycle[(writes - 1) % len(cycle)]
+
+    @given(st.lists(st.integers(0, 31), max_size=64))
+    @settings(max_examples=30, deadline=None)
+    def test_live_registers_always_distinct(self, dests):
+        """No two logical registers ever map to the same physical one,
+        even when an 8-entry ROB keeps the free list short."""
+        engine = rename_engine(straight_line(dests), rob_entries=8)
+
+        def check(_record, _dyn):
+            assert len(set(engine.rename_map)) == 32
+
+        engine.observers.append(check)
+        engine.run()
+        assert preg_partition(engine) == list(
+            range(engine.config.num_phys_regs))
+
     def test_no_rename_for_r0_destinations(self):
         """Writes to $zero must not consume physical registers."""
         b = AsmBuilder()

@@ -11,6 +11,7 @@ never silent divergence; the ledger shows which path
 """
 
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,21 @@ class TestEquality:
         for depth in (20, 40, 60):
             kernel_run(program, trace, machine_for_depth(depth))
         assert ensure_lowered(program, trace) is lowered
+
+    def test_branch_streams_are_built_during_lowering(self, program):
+        """Lowering computes the gskew streams once: level 1's verdicts
+        are the live engine's level-1 hits, and level 2's are the
+        hybrid's final hits (it overrides exactly on disagreement)."""
+        lowered = ensure_lowered(program, record_trace(program))
+        streams = lowered.branch_streams
+        taken = lowered.branch_taken
+        assert len(streams.l1_pred) == len(streams.l2_pred) == len(taken)
+        live = engine_result(program, warmup=0)
+        assert live.cond_branches == len(taken)
+        assert live.l1_correct == sum(
+            map(operator.eq, streams.l1_pred, taken))
+        assert live.final_correct == sum(
+            map(operator.eq, streams.l2_pred, taken))
 
 
 #: I-side geometries small enough that the stand-ins' code (136-476

@@ -8,12 +8,18 @@ squash — the §2.3 cross-check, promoted from synthetic unit-test scripts
 to the real pipeline.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.ddt import CrossCheckedDDT, FastDDT
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.runner import run_point
 from repro.pipeline.config import machine_for_depth
+from repro.isa import AsmBuilder
+from repro.isa.regs import s0, s1, t0, t1, t2, zero
 from repro.pipeline.engine import PipelineEngine, build_predictor, simulate
+from repro.pipeline.functional import FunctionalCore
 from repro.predictors.twolevel import LevelTwoKind
 from tests.conftest import build_memory_loop
 from tests.pipeline.test_engine import TestBranchTiming
@@ -160,6 +166,119 @@ class TestWrongPathRecovery:
         assert max(taken_counts) >= 2  # the restore order was exercised
         assert result.squashed_tokens == result.wrong_path_instructions
 
+    def test_workload_run_keeps_every_preg(self):
+        """A whole wrongpath run on a workload leaks no register and
+        holds none twice."""
+        from repro.workloads import get_program
+        config = machine_for_depth(20, speculation="wrongpath")
+        engine = PipelineEngine(get_program("li", scale=SCALE), config,
+                                build_predictor(LevelTwoKind.ARVI, config))
+        result = engine.run()
+        assert result.rollbacks > 0
+        assert preg_partition(engine) == list(range(config.num_phys_regs))
+
+
+def episode_engine():
+    """A fresh wrongpath engine on a program whose branch (pc 1) falls
+    through to three instructions, the first writing no register, and
+    whose taken target is HALT."""
+    b = AsmBuilder("wp-episode")
+    b.label("main")
+    b.addi(t0, zero, 1)
+    b.bne(t0, zero, "skip")
+    b.add(zero, s0, s1)
+    b.addi(t1, zero, 2)
+    b.addi(t2, zero, 3)
+    b.label("skip")
+    b.halt()
+    config = machine_for_depth(20, speculation="wrongpath")
+    return PipelineEngine(b.build(), config,
+                          build_predictor(LevelTwoKind.HYBRID, config))
+
+
+def run_episode(engine, *, predicted_taken):
+    """One wrong-path episode for the branch at pc 1, run directly on the
+    engine before anything is in flight, down the predicted direction."""
+    core = FunctionalCore(engine.program)
+    core.step()
+    branch = core.step()
+    engine._run_wrong_path(branch, SimpleNamespace(final_pred=predicted_taken),
+                           0, 10, engine.ddt.next_token - 1)
+
+
+class TestWrongPathEpisode:
+    """Single episodes, driven directly (the restore the whole-run test
+    above checks around every episode of a real run)."""
+
+    def test_episode_squashes_its_ddt_and_chain_entries(self):
+        engine = episode_engine()
+        free_before = list(engine.free_list)
+        run_episode(engine, predicted_taken=False)
+        result = engine.result
+        assert result.wrong_path_instructions == 3
+        assert (result.rollbacks, result.squashed_tokens) == (1, 3)
+        assert engine.ddt.in_flight == 0
+        assert len(engine.chains) == 0
+        assert engine.rename_map == list(range(32))
+        # Two registers were renamed; they return to the tail in order.
+        assert list(engine.free_list) == free_before[2:] + free_before[:2]
+
+    def test_episode_that_fetches_nothing_is_a_clean_noop(self):
+        engine = episode_engine()
+        free_before = list(engine.free_list)
+        history_before = engine.predictor.history_state()
+        run_episode(engine, predicted_taken=True)  # straight into HALT
+        result = engine.result
+        assert result.wrong_path_instructions == 0
+        assert (result.rollbacks, result.squashed_tokens) == (1, 0)
+        assert engine.rename_map == list(range(32))
+        assert list(engine.free_list) == free_before
+        assert engine.predictor.history_state() == history_before
+
+    def test_empty_free_list_stalls_wrong_path_fetch(self):
+        """Fetch stops at the first wrong-path destination the free list
+        cannot rename, and nothing is handed back to the list."""
+        engine = episode_engine()
+        engine.free_list.clear()
+        run_episode(engine, predicted_taken=False)
+        assert engine.result.wrong_path_instructions == 1  # `add zero`
+        assert engine.result.squashed_tokens == 1
+        assert not engine.free_list
+        assert engine.rename_map == list(range(32))
+
+    def test_fetch_limit_caps_every_episode(self):
+        limit = 2
+        config = machine_for_depth(20, speculation="wrongpath",
+                                   wrongpath_fetch_limit=limit)
+        engine = PipelineEngine(lcg_program(), config,
+                                build_predictor(LevelTwoKind.HYBRID, config))
+        run_episode_ = engine._run_wrong_path
+        fetched = []
+
+        def counted_episode(*args):
+            before = engine.result.wrong_path_instructions
+            run_episode_(*args)
+            fetched.append(engine.result.wrong_path_instructions - before)
+
+        engine._run_wrong_path = counted_episode
+        engine.run()
+        assert fetched and max(fetched) == limit
+
+    def test_redirect_mode_never_runs_an_episode(self):
+        engines = {}
+        for mode in ("redirect", "wrongpath"):
+            config = machine_for_depth(20, speculation=mode)
+            engine = PipelineEngine(
+                lcg_program(), config,
+                build_predictor(LevelTwoKind.HYBRID, config))
+            episodes = []
+            engine._run_wrong_path = lambda *args, log=episodes: log.append(
+                args)
+            engine.run()
+            engines[mode] = episodes
+        assert engines["redirect"] == []
+        assert engines["wrongpath"]
+
 
 class TestInEngineRollbackCrossCheck:
     """Satellite: the in-engine DDT script, cross-checked bit-for-bit."""
@@ -182,6 +301,15 @@ class TestInEngineRollbackCrossCheck:
         assert engine.ddt.rollback_checks == result.rollbacks
         assert engine.ddt.operations > result.total_instructions
         engine.ddt.verify_chains()
+
+    def test_cross_check_flag_selects_the_checked_ddt(self):
+        config = machine_for_depth(20, speculation="wrongpath")
+        for checked, ddt_type in ((True, CrossCheckedDDT), (False, FastDDT)):
+            engine = PipelineEngine(
+                lcg_program(), config,
+                build_predictor(LevelTwoKind.HYBRID, config),
+                ddt_cross_check=checked)
+            assert type(engine.ddt) is ddt_type
 
     def test_cross_check_matches_unchecked_run(self):
         program = lcg_program()

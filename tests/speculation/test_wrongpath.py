@@ -75,6 +75,29 @@ class TestWrongPathCore:
         assert wp.step() is None  # HALT stops speculative fetch
         assert wp.fetched == 2
 
+    def test_registers_start_as_a_copy_of_the_architectural_file(self):
+        b = AsmBuilder("wp-regs")
+        b.label("main")
+        b.halt()
+        base = list(range(32))
+        wp = WrongPathCore(b.build(), base, bytearray(16), 0,
+                           lambda pc: False)
+        assert wp.registers == base
+        assert wp.registers is not base
+
+    def test_register_writes_stay_in_the_copy(self):
+        b = AsmBuilder("wp-write")
+        b.label("main")
+        b.addi(t0, zero, 99)
+        b.addi(t1, t0, 1)         # reads the wrong-path t0
+        b.halt()
+        wp, core = wrong_path_core(b, start_pc=0)
+        wp.step()
+        second = wp.step()
+        assert second.result == 100
+        assert wp.registers[t0] == 99
+        assert core.registers[t0] == 0
+
     def test_architectural_state_never_mutates(self):
         b = AsmBuilder("wp-store")
         b.data_space("buf", 4)
