@@ -21,28 +21,27 @@ from repro.workloads.registry import get_program
 
 def run_with_branch_profile(kind, value_mode=ValueMode.CURRENT,
                             scale=0.6, warmup=8000):
-    """Run m88ksim collecting per-PC final-prediction accuracy."""
+    """Run m88ksim collecting per-PC final-prediction accuracy.
+
+    The profile maps a conditional branch's PC to ``[executions,
+    correct]`` over the measured window, read from the engine's
+    per-instruction timing records.
+    """
     program = get_program("m88ksim", scale=scale)
     config = machine_for_depth(20)
-    predictor = build_predictor(kind, config)
-    engine = PipelineEngine(program, config, predictor,
-                            value_mode=value_mode,
-                            warmup_instructions=warmup)
-
     profile = defaultdict(lambda: [0, 0])
-    original = engine._resolve_branch
 
-    def spy(dyn, decision, fetch, complete, measured):
-        outcome = original(dyn, decision, fetch, complete, measured)
-        if measured:
-            entry = profile[dyn.pc]
+    def observe(record, _dyn):
+        if record.is_branch and record.seq >= warmup:
+            entry = profile[record.pc]
             entry[0] += 1
-            entry[1] += decision.final_pred == dyn.taken
-        return outcome
+            entry[1] += not record.mispredicted
 
-    engine._resolve_branch = spy
-    result = engine.run()
-    return program, result, profile
+    engine = PipelineEngine(program, config, build_predictor(kind, config),
+                            value_mode=value_mode,
+                            warmup_instructions=warmup,
+                            observers=[observe])
+    return program, engine.run(), profile
 
 
 def main() -> None:

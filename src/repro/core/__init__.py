@@ -5,11 +5,10 @@ from repro.core.arvi import (
     ARVIPrediction,
     ARVIPredictor,
     ARVIRequest,
-    ARVIStats,
     RegisterView,
     ValueMode,
 )
-from repro.core.bvit import BVIT, BVITEntry, BVITStats
+from repro.core.bvit import BVIT, BVITEntry
 from repro.core.ddt import DDT, DDTError, FastDDT
 from repro.core.hashing import bvit_index, depth_key, register_set_tag
 from repro.core.rse import ChainInfoTable, RSEArray
@@ -20,10 +19,8 @@ __all__ = [
     "ARVIPrediction",
     "ARVIPredictor",
     "ARVIRequest",
-    "ARVIStats",
     "BVIT",
     "BVITEntry",
-    "BVITStats",
     "ChainInfoTable",
     "DDT",
     "DDTError",

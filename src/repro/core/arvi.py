@@ -21,7 +21,7 @@ branch** whose input state precisely determines the outcome.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.bvit import BVIT
 from repro.core.hashing import (
@@ -91,25 +91,12 @@ class ARVIPrediction:
     depth_tag: int
 
 
-@dataclass
-class ARVIStats:
-    predictions: int = 0
-    hits: int = 0
-    load_branches: int = 0
-    calculated_branches: int = 0
-    empty_sets: int = 0
-
-
 class ARVIPredictor:
     """BVIT-backed value predictor over RSE register sets."""
 
     def __init__(self, config: ARVIConfig | None = None) -> None:
         self.config = config or ARVIConfig()
-        if self.config.sets != 1 << self.config.index_bits:
-            # Allow it, but the index will be folded by modulo.
-            pass
         self.bvit = BVIT(self.config.sets, self.config.ways)
-        self.stats = ARVIStats()
 
     # -- key formation --------------------------------------------------------
 
@@ -138,16 +125,6 @@ class ARVIPredictor:
         index, id_tag, depth_tag = self.keys(request)
         taken = self.bvit.lookup(index, id_tag, depth_tag)
         is_load_branch = any(not view.available for view in request.regset)
-        stats = self.stats
-        stats.predictions += 1
-        if taken is not None:
-            stats.hits += 1
-        if is_load_branch:
-            stats.load_branches += 1
-        else:
-            stats.calculated_branches += 1
-        if not request.regset:
-            stats.empty_sets += 1
         return ARVIPrediction(
             taken=taken,
             hit=taken is not None,

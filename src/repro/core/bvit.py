@@ -13,7 +13,7 @@ branch PC.  Each entry holds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 COUNTER_MAX = 3   # 2-bit outcome counter
 PERF_MAX = 7      # 3-bit performance counter
@@ -29,18 +29,6 @@ class BVITEntry:
     last_used: int = 0  # recency, breaks perf ties
 
 
-@dataclass
-class BVITStats:
-    lookups: int = 0
-    hits: int = 0
-    allocations: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class BVIT:
     """Set-associative branch value information table."""
 
@@ -51,7 +39,6 @@ class BVIT:
         self.ways = ways
         self._table: list[list[BVITEntry]] = [[] for _ in range(sets)]
         self._tick = 0
-        self.stats = BVITStats()
 
     def _find(self, index: int, id_tag: int,
               depth_tag: int) -> BVITEntry | None:
@@ -64,11 +51,9 @@ class BVIT:
                depth_tag: int) -> bool | None:
         """Tag-checked prediction: True/False on hit, None on miss."""
         self._tick += 1
-        self.stats.lookups += 1
         entry = self._find(index, id_tag, depth_tag)
         if entry is None:
             return None
-        self.stats.hits += 1
         entry.last_used = self._tick
         return entry.counter >= 2
 
@@ -109,9 +94,7 @@ class BVIT:
         if len(bucket) >= self.ways:
             victim = min(bucket, key=lambda e: (e.perf, e.last_used))
             bucket.remove(victim)
-            self.stats.evictions += 1
         bucket.append(new)
-        self.stats.allocations += 1
 
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._table)

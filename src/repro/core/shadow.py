@@ -31,15 +31,6 @@ class ShadowRegisterFile:
     def read(self, preg: int) -> int:
         return self._values[preg]
 
-    def snapshot(self) -> list[int]:
-        """Checkpoint of every entry (branch-recovery support)."""
-        return list(self._values)
-
-    def restore(self, snapshot: list[int]) -> None:
-        if len(snapshot) != self.num_phys_regs:
-            raise ValueError("shadow register file snapshot size mismatch")
-        self._values = list(snapshot)
-
     @property
     def storage_bits(self) -> int:
         """Paper sizing: 72 pregs x 11 bits = 792 bits on a 21264."""

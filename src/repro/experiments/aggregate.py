@@ -10,9 +10,9 @@ over:
   the suite-average headline (paper Figure 6);
 * ``speculation`` — the wrong-path/pollution comparison table, one row
   per point of either speculation mode;
-* ``status``    — the run itself: points done/pending/failed, result
-  sources and the ``kernel_source`` mix (phase times live in the
-  ledger's ``phase`` spans, not here).
+* ``status``    — the run itself: points done/pending/failed and
+  result sources (phase times, and with them which tier ran each
+  point, live in the ledger's ``phase`` spans, not here).
 
 :func:`~repro.experiments.report.render_figure5`,
 :func:`~repro.experiments.report.render_figure6` and the paper's claims
@@ -69,8 +69,7 @@ __all__ = [
 IDENTITY_VIEWS = ("figure5", "figure6", "speculation")
 
 #: Every view a sink builds; ``status`` is live-run metadata (sources,
-#: timing rollups, failure counts) and deliberately outside the
-#: identity set.
+#: tick and failure counts) and deliberately outside the identity set.
 ALL_VIEWS = IDENTITY_VIEWS + ("status",)
 
 
@@ -240,7 +239,6 @@ class ViewAggregator:
                              f"subset of {list(ALL_VIEWS)}")
         self._views = selected
         self._cells: dict[str, tuple[ExperimentPoint, SimulationResult]] = {}
-        self._cell_meta: dict[str, dict] = {}
         self._sources: dict[str, int] = {}
         self._failures: list[dict] = []
         self._total: "int | None" = None
@@ -262,16 +260,14 @@ class ViewAggregator:
         self._snapshot = None
 
     def on_result(self, point: ExperimentPoint, key: "str | None",
-                  result: SimulationResult, *, source: str = "unknown",
-                  meta: "dict | None" = None) -> None:
+                  result: SimulationResult, *,
+                  source: str = "unknown") -> None:
         """A point's result landed (first delivery wins)."""
         cell = _cell_id(point)
         if cell in self._cells:
             self.duplicates += 1
             return
         self._cells[cell] = (point, result)
-        if meta:
-            self._cell_meta[cell] = meta
         self._sources[source] = self._sources.get(source, 0) + 1
         self._snapshot = None
 
@@ -308,11 +304,6 @@ class ViewAggregator:
         return ViewSnapshot(views=views, done=self._done)
 
     def _status_view(self) -> dict:
-        kernel_mix: dict[str, int] = {}
-        for cell in sorted(self._cell_meta):
-            value = self._cell_meta[cell].get("kernel_source")
-            if value:
-                kernel_mix[value] = kernel_mix.get(value, 0) + 1
         done = len(self._cells)
         return {
             "done": done,
@@ -322,7 +313,6 @@ class ViewAggregator:
             "failed": len(self._failures),
             "failures": list(self._failures),
             "sources": dict(sorted(self._sources.items())),
-            "kernel_sources": dict(sorted(kernel_mix.items())),
             "ticks": len(self._ticked),
             "complete": self._done,
         }

@@ -66,19 +66,6 @@ def _relayable_exception(exc: Exception) -> Exception:
         return replacement
 
 
-def point_meta(point_trace) -> dict:
-    """Per-point delivery metadata for the view aggregator.
-
-    ``kernel_source`` names the tier that ran the point: ``"kernel"``
-    when :func:`run_batch` fetched it a committed trace to replay,
-    ``"live"`` otherwise (a ``wrongpath`` point).  Observability only:
-    it rides next to the result payload, never inside it, so cache
-    bytes and the bit-for-bit result invariant are untouched.
-    """
-    return {"kernel_source": "kernel" if point_trace is not None
-            else "live"}
-
-
 def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     """Simulate a same-workload batch of points, one after another.
 
@@ -89,9 +76,8 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     it, inside :func:`~repro.experiments.runner.execute_point` — and
     reports exactly one of
 
-    * ``on_ok(index, payload, meta, duration)`` — the result's
-      ``to_dict()`` payload, its :func:`point_meta` and its compute
-      seconds;
+    * ``on_ok(index, payload, duration)`` — the result's ``to_dict()``
+      payload and its compute seconds;
     * ``on_error(index, exc)`` — called inside the ``except`` block, so
       the caller can still format the live traceback.
 
@@ -108,16 +94,11 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
             # fails its own points, not the rest of the batch.
             point_trace = traces.get(point)
             started = time.perf_counter()
-            # No trace means live (a wrongpath point), which is what
-            # point_meta reports.
-            payload = execute_point(
-                point, trace=False if point_trace is None
-                else point_trace).to_dict()
+            payload = execute_point(point, trace=point_trace).to_dict()
         except Exception as exc:  # noqa: BLE001 - isolated per point
             on_error(index, exc)
             continue
-        on_ok(index, payload, point_meta(point_trace),
-              time.perf_counter() - started)
+        on_ok(index, payload, time.perf_counter() - started)
 
 
 def _compute_batch(points: tuple[ExperimentPoint, ...],
@@ -129,11 +110,9 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
     pre-decoded table) per process, so it is built once for the whole
     batch, and :func:`run_batch` shares one recorded trace across its
     ``redirect`` points.  Failures are isolated per point — the batch
-    returns ``("ok", payload, meta)`` / ``("error", exception)`` entries
+    returns ``("ok", payload)`` / ``("error", exception)`` entries
     positionally so sibling results still reach the parent (and its
-    cache).  ``meta`` is per-point delivery metadata for the view
-    aggregator — observability only, never part of the result payload
-    or its cache bytes.
+    cache).
 
     ``ticker`` (a manager queue) receives ``(batch_id, index,
     duration_seconds)`` after each completed point so the parent can
@@ -146,9 +125,9 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
     """
     entries: list[tuple] = []
 
-    def ok(index, payload, meta, duration) -> None:
+    def ok(index, payload, duration) -> None:
         nonlocal ticker
-        entries.append(("ok", payload, meta))
+        entries.append(("ok", payload))
         if ticker is not None:
             try:
                 ticker.put((batch_id, index, duration))
@@ -261,8 +240,8 @@ def run_serial(batches: Batches, report) -> None:
         [point for group in batches.values() for point in group])
     for batch_id, group in batches.items():
 
-        def ok(index, payload, meta, duration, batch_id=batch_id):
-            report.deliver(batch_id, index, payload, meta)
+        def ok(index, payload, duration, batch_id=batch_id):
+            report.deliver(batch_id, index, payload)
             report.tick(batch_id, index, duration)
 
         with obs.span(batch_id, kind="batch", attrs={
@@ -323,8 +302,7 @@ def run_pool(batches: Batches, report, *, jobs: int) -> None:
                         continue
                     for index, entry in enumerate(entries):
                         if entry[0] == "ok":
-                            report.deliver(batch_id, index, entry[1],
-                                           entry[2])
+                            report.deliver(batch_id, index, entry[1])
                         else:
                             report.fail(batch_id, index, entry[1])
             # A worker's final ticks can land just after its future

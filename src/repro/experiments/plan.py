@@ -123,6 +123,18 @@ class ExperimentPoint:
         """The (benchmark, configuration, depth) key ``run_suite`` returns."""
         return (self.benchmark, self.configuration, self.pipeline_depth)
 
+    @property
+    def replays(self) -> bool:
+        """The tier rule: does this point replay a recorded trace?
+
+        Every ``redirect`` point replays its workload's committed trace
+        through the compiled kernel, unless its caller passes
+        ``trace=False`` to :func:`~repro.experiments.runner.
+        execute_point`; a ``wrongpath`` point runs on the live engine,
+        whose wrong-path synthesis reads live architectural state.
+        """
+        return self.speculation == "redirect"
+
     def to_dict(self) -> dict:
         """Lossless JSON-safe form (view cell ids, ``error`` events)."""
         arvi = self.arvi_config

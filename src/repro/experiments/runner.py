@@ -16,11 +16,11 @@ completed points from :mod:`repro.experiments.cache` — identical keyed
 results whether a point was computed serially, in parallel, or loaded
 from the cache.
 
-A point runs one of exactly two ways: a ``redirect`` point replays a
-recorded committed trace through the compiled kernel
-(:mod:`repro.pipeline.kernel`) unless its caller passes
-``trace=False``; every ``wrongpath`` point, and a ``redirect`` point
-called with ``trace=False``, runs on the live
+A point runs one of exactly two ways, by one rule
+(:attr:`~repro.experiments.plan.ExperimentPoint.replays`): a
+``redirect`` point replays a recorded committed trace through the
+compiled kernel (:mod:`repro.pipeline.kernel`) unless its caller passes
+``trace=False``; every other point runs on the live
 :class:`~repro.pipeline.engine.PipelineEngine`, which is also the
 independent oracle the kernel is tested against.
 """
@@ -69,8 +69,9 @@ def execute_point(point: ExperimentPoint, *,
     This is the single compute kernel every execution path funnels
     through — the serial loop and the pool workers both call it.
 
-    ``trace`` selects the functional source for ``redirect`` points
-    (results are bit-for-bit identical either way):
+    ``trace`` selects the functional source for a point that
+    :attr:`~repro.experiments.plan.ExperimentPoint.replays` (results
+    are bit-for-bit identical either way):
 
     * ``None`` (default) — record the point's own committed trace
       (:func:`~repro.experiments.tracing.record_workload`) and replay it
@@ -81,8 +82,9 @@ def execute_point(point: ExperimentPoint, *,
     * ``False`` — run the live engine (how the oracle checks ask for
       it).
 
-    ``wrongpath`` points always run the live engine and record nothing.
-    Which tier ran is the point span's ``replay`` or ``live`` phase.
+    Any other point runs the live engine and records nothing.  Which
+    tier ran is recorded once: the point span's ``replay`` or ``live``
+    phase.
     """
     point.validate()
     if trace is not None and not isinstance(trace, CommittedTrace) \
@@ -101,7 +103,7 @@ def execute_point(point: ExperimentPoint, *,
             "speculation": point.speculation,
             "scale": point.scale, "warmup": point.warmup,
             "seed": point.seed}):
-        if trace is None and point.speculation == "redirect":
+        if trace is None and point.replays:
             trace = record_workload(point.benchmark, point.scale,
                                     point.seed)
         result = _execute_phases(point, trace)
@@ -128,8 +130,7 @@ def _execute_phases(point: ExperimentPoint,
     else:
         kind, mode = LevelTwoKind.ARVI, _VALUE_MODES[point.configuration]
 
-    if point.speculation == "redirect" and isinstance(trace,
-                                                       CommittedTrace):
+    if point.replays and isinstance(trace, CommittedTrace):
         return _kernel_replay(point, program, trace, config, kind, mode)
 
     predictor = build_predictor(kind, config, point.arvi_config)

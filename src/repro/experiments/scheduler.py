@@ -108,9 +108,8 @@ class _PlanReport:
 
     Translates their callbacks into cache writes, progress events and
     collected failures: ``tick`` (a point finished; once per point, with
-    its compute seconds), ``deliver`` (its result payload and
-    :func:`~repro.experiments.backends.point_meta` arrived; once per
-    point) and ``fail`` (a per-point or, ``index=None``, whole-batch
+    its compute seconds), ``deliver`` (its result payload arrived; once
+    per point) and ``fail`` (a per-point or, ``index=None``, whole-batch
     failure; the first one is raised after the grid drains).
     ``wants_ticks`` tells the pool whether anyone listens to ticks.
     """
@@ -121,7 +120,7 @@ class _PlanReport:
         self._batches = batches
         self._source = source
         self._emit = emit            # (point, source, batch_id, batch_size)
-        self._deliver = deliver      # (point, payload, meta) -> None
+        self._deliver = deliver      # (point, payload) -> None
         self.wants_ticks = wants_ticks
         self.failure: Exception | None = None
         self.failures: list[tuple[ExperimentPoint | None, Exception]] = []
@@ -131,9 +130,8 @@ class _PlanReport:
         self._emit(group[index], self._source, batch_id, len(group),
                    duration=duration)
 
-    def deliver(self, batch_id: str, index: int, payload: dict,
-                meta: dict | None = None) -> None:
-        self._deliver(self._batches[batch_id][index], payload, meta)
+    def deliver(self, batch_id: str, index: int, payload: dict) -> None:
+        self._deliver(self._batches[batch_id][index], payload)
 
     def fail(self, batch_id: str, index: int | None,
              error: Exception) -> None:
@@ -233,11 +231,9 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
                 sink.on_progress(event)
 
     def sink_result(point: ExperimentPoint, source: str,
-                    result: SimulationResult,
-                    meta: dict | None = None) -> None:
+                    result: SimulationResult) -> None:
         if sink is not None:
-            sink.on_result(point, keys[point], result,
-                           source=source, meta=meta)
+            sink.on_result(point, keys[point], result, source=source)
 
     if sink is not None:
         sink.on_plan(plan, keys)
@@ -257,10 +253,9 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
     if pending:
         source = "serial" if name == "serial" else "worker"
 
-        def deliver(point: ExperimentPoint, payload: dict,
-                    meta: dict | None = None) -> None:
+        def deliver(point: ExperimentPoint, payload: dict) -> None:
             results[point] = _finish(point, payload, keys, cache)
-            sink_result(point, source, results[point], meta)
+            sink_result(point, source, results[point])
 
         batches = (_make_batches(pending, jobs) if batch
                    else [(point,) for point in pending])

@@ -2,13 +2,9 @@
 
 The mechanics of recording and replaying a committed instruction stream
 live in :mod:`repro.pipeline.trace`; this module decides *which*
-recording a point of the experiment service replays.  The rule is one
-line: every ``redirect`` point replays a recording of its workload
-through the compiled kernel (:mod:`repro.pipeline.kernel`); only a
-caller passing ``trace=False`` to
-:func:`~repro.experiments.runner.execute_point` runs one on the live
-engine.  Wrong-path points always keep the live core — wrong-path
-synthesis reads live architectural state.
+recording a point of the experiment service replays.  Whether a point
+replays at all is :attr:`~repro.experiments.plan.ExperimentPoint.replays`
+(every ``redirect`` point; ``wrongpath`` points keep the live core).
 
 * :func:`record_workload` — one functional run of a workload identity
   (benchmark, scale, seed);
@@ -50,19 +46,20 @@ class SharedTraces:
     """Per-batch (or per-serial-sweep) committed-trace pool.
 
     ``get`` returns the trace an :func:`~repro.experiments.runner.
-    execute_point` call should replay — None only for a ``wrongpath``
-    point, which runs live.  A trace is recorded at most once per
-    workload identity and dropped from the pool as soon as its last
-    consumer has fetched it, bounding memory across long serial sweeps.
+    execute_point` call should replay — None for a point that does not
+    :attr:`~repro.experiments.plan.ExperimentPoint.replays`.  A trace
+    is recorded at most once per workload identity and dropped from the
+    pool as soon as its last consumer has fetched it, bounding memory
+    across long serial sweeps.
     """
 
     def __init__(self, points) -> None:
         self._remaining = Counter(_workload_key(point) for point in points
-                                  if point.speculation == "redirect")
+                                  if point.replays)
         self._traces: dict[tuple, CommittedTrace] = {}
 
     def get(self, point: ExperimentPoint) -> CommittedTrace | None:
-        if point.speculation != "redirect":
+        if not point.replays:
             return None
         key = _workload_key(point)
         remaining = self._remaining[key]

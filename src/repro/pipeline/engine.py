@@ -27,7 +27,7 @@ DESIGN.md §2.2-§2.3):
   their cost is carried by the redirect accounting alone, and results are
   bit-for-bit identical to the seed engine.
 * ``wrongpath`` — on a misprediction the engine checkpoints its rename
-  map, shadow structures and predictor histories in locals, synthesizes
+  map, shadow map and predictor histories in locals, synthesizes
   the wrong-path instruction stream against a copied register file and
   copy-on-write memory (``repro.speculation.wrongpath``), renames it
   into the DDT and lets it pollute the memory hierarchy, then squashes
@@ -77,7 +77,6 @@ from repro.pipeline.functional import (
 from repro.pipeline.stats import SimulationResult
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import level1_gskew, level2_gskew
-from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.twolevel import LevelTwoKind, TwoLevelPredictor
 from repro.speculation.wrongpath import WrongPathCore
@@ -507,10 +506,6 @@ class PipelineEngine:
         result.cycles = max(last_commit - measured_start_cycle, 0)
         result.memory = self.memory.stats()
         result.ras_accuracy = self.ras.accuracy
-        arvi = self.predictor.arvi
-        if arvi is not None:
-            result.arvi_lookups = arvi.bvit.stats.lookups
-            result.arvi_bvit_hits = arvi.bvit.stats.hits
         return result
 
     def _hoist_available(self, dyn: DynInst, src_pregs: tuple[int, ...],
@@ -539,9 +534,6 @@ class PipelineEngine:
 
     def _predict_branch(self, dyn: DynInst, src_pregs: tuple[int, ...],
                         fetch: int):
-        level1 = self.predictor.level1
-        if isinstance(level1, PerfectPredictor):
-            level1.set_outcome(bool(dyn.taken))
         request = None
         if self.predictor.kind is LevelTwoKind.ARVI:
             request = self._build_arvi_request(dyn, src_pregs, fetch)
@@ -611,8 +603,14 @@ class PipelineEngine:
 
         self.predictor.train(dyn.pc, decision, taken)
 
+        result = self.result
+        if decision.arvi is not None:
+            # Every ARVI branch is one BVIT lookup, warmup included (as
+            # kernel_run counts them).
+            result.arvi_lookups += 1
+            if decision.arvi.hit:
+                result.arvi_bvit_hits += 1
         if measured:
-            result = self.result
             result.cond_branches += 1
             if final_correct:
                 result.final_correct += 1
@@ -658,11 +656,11 @@ class PipelineEngine:
         every load.  At the end the DDT rolls back to the branch
         (``rollback_to``, the paper's head-pointer walk-back) and every
         structure the episode wrote is restored from the checkpoint taken
-        here: the rename map, the shadow map and values (the values are
-        written only at retire, which an episode never reaches, but the
-        paper's recovery hardware covers them) and the predictor
-        histories.  The episode's physical registers return to the tail
-        of the free list in allocation order.
+        here: the rename map, the shadow map and the predictor histories.
+        The shadow values need no checkpoint: they are written only at
+        retire, which an episode never reaches.  The episode's physical
+        registers return to the tail of the free list in allocation
+        order.
         """
         config = self.config
         resolve_delay = complete + _REDIRECT_LATENCY - fetch
@@ -673,11 +671,9 @@ class PipelineEngine:
         rename_map = self.rename_map
         free_list = self.free_list
         shadow_map = self.shadow_map
-        shadow_values = self.shadow_values
         predictor = self.predictor
         saved_map = rename_map[:]
         saved_shadow_map = shadow_map.snapshot()
-        saved_shadow_values = shadow_values.snapshot()
         saved_history = predictor.history_state()
         # The wrong path starts at the *predicted* target: the taken
         # target when the machine guessed taken, else the fall-through.
@@ -738,7 +734,6 @@ class PipelineEngine:
         rename_map[:] = saved_map
         free_list.extend(taken_pregs)
         shadow_map.restore(saved_shadow_map)
-        shadow_values.restore(saved_shadow_values)
         predictor.restore_history(saved_history)
         result.rollbacks += 1
         result.squashed_tokens += len(squashed)

@@ -606,14 +606,12 @@ def kernel_run(program: Program, trace: CommittedTrace,
     alu_latency = config.alu_latency
     mult_latency = config.mult_latency
     div_latency = config.div_latency
-    muldiv_scalar = config.int_muldiv == 1
 
     complete_arr = [0] * n_run
     commit_arr = [0] * n_run
     alu_free = [0] * config.int_alus     # zeros are already a valid heap
     dcache_free = [0] * config.dcache_ports
-    muldiv_free = 0
-    muldiv_heap = [0] * config.int_muldiv
+    muldiv_free = [0] * config.int_muldiv
     fetch_barrier = 0
     fetch_cycle = fetch_used = 0
     commit_cycle = commit_used = 0
@@ -802,22 +800,14 @@ def kernel_run(program: Program, trace: CommittedTrace,
             heappush(alu_free, issue + 1)
             complete = issue + 1
         elif k == K_MULT:
-            if muldiv_scalar:
-                issue = ready if ready >= muldiv_free else muldiv_free
-                muldiv_free = issue + 1
-            else:
-                server_free = heappop(muldiv_heap)
-                issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + 1)
+            server_free = heappop(muldiv_free)
+            issue = ready if ready >= server_free else server_free
+            heappush(muldiv_free, issue + 1)
             complete = issue + mult_latency
         else:  # K_DIV (unpipelined)
-            if muldiv_scalar:
-                issue = ready if ready >= muldiv_free else muldiv_free
-                muldiv_free = issue + div_latency
-            else:
-                server_free = heappop(muldiv_heap)
-                issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + div_latency)
+            server_free = heappop(muldiv_free)
+            issue = ready if ready >= server_free else server_free
+            heappush(muldiv_free, issue + div_latency)
             complete = issue + div_latency
 
         # ---- commit -------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.local import LocalHistoryPredictor
 from repro.predictors.gskew import TwoBcGskew, level1_gskew, level2_gskew
-from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.statics import AlwaysNotTaken, AlwaysTaken, BackwardTaken
 from repro.predictors.twolevel import (
@@ -32,7 +31,6 @@ __all__ = [
     "GsharePredictor",
     "LevelTwoKind",
     "LocalHistoryPredictor",
-    "PerfectPredictor",
     "ReturnAddressStack",
     "SaturatingCounterTable",
     "TwoBcGskew",

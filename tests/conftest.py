@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.isa import AsmBuilder, nez
-from repro.isa.regs import s0, t0, t1, t2, zero
+from repro.isa.regs import s0, s1, t0, t1, t2, zero
+from repro.obs.ledger import read_events
 from repro.pipeline.config import machine_for_depth
 
 
@@ -47,6 +50,25 @@ def isolated_obs_dir(tmp_path_factory):
         os.environ["REPRO_OBS_DIR"] = previous
 
 
+def count_tiers(root, run) -> tuple:
+    """Call ``run()`` under a private telemetry run; count its tiers.
+
+    Returns ``(run's return value, {tier: points})`` where a tier is the
+    name of a point's ``replay`` (kernel) or ``live`` (engine) phase
+    span — the ledger is the one record of which tier ran a point.
+    """
+    telemetry = obs.start_run(label="tiers", root=root)
+    try:
+        value = run()
+    finally:
+        ledger = obs.close_run(telemetry)
+    tiers = Counter(record["name"] for record in read_events(ledger)
+                    if record["event"] == "span_start"
+                    and record["kind"] == "phase"
+                    and record["name"] in ("replay", "live"))
+    return value, dict(tiers)
+
+
 @pytest.fixture
 def tiny_machine():
     """The 20-stage paper machine."""
@@ -84,6 +106,24 @@ def build_memory_loop(words: int = 16) -> "Program":
         b.add(t1, t1, s0)
         b.lw(t1, t1, 0)
         b.add(t2, t2, t1)
+    b.halt()
+    return b.build()
+
+
+def unpredictable_branch_program(iterations: int = 300) -> "Program":
+    """Branch on the low bit of an LCG — effectively random."""
+    b = AsmBuilder("lcg-branch")
+    b.label("main")
+    b.li(s0, 12345)
+    b.li(s1, 0)
+    with b.for_range(t0, 0, iterations):
+        b.li(t1, 1103515245)
+        b.mult(s0, s0, t1)
+        b.addi(s0, s0, 12345)
+        b.srli(t2, s0, 16)
+        b.andi(t2, t2, 1)
+        with b.if_(nez(t2)):
+            b.addi(s1, s1, 1)
     b.halt()
     return b.build()
 

@@ -176,13 +176,16 @@ class TestAggregatorSemantics:
             == "RuntimeError: batch lost"
         assert status["failures"][0]["point"] is None
 
-    def test_status_meta_rollups(self, serial_results):
+    def test_status_fields_and_sources(self, serial_results):
+        """The status view counts results per source; which tier ran a
+        point is the ledger's phase span, not a status field."""
         aggregator = ViewAggregator()
         for point, result in serial_results.items():
-            aggregator.on_result(point, None, result, source="serial",
-                                 meta={"kernel_source": "kernel"})
+            aggregator.on_result(point, None, result, source="serial")
         status = aggregator.snapshot().views["status"]
-        assert status["kernel_sources"] == {"kernel": len(serial_results)}
+        assert sorted(status) == ["complete", "done", "failed", "failures",
+                                  "pending", "sources", "ticks", "total"]
+        assert status["sources"] == {"serial": len(serial_results)}
 
 
 # -- order independence -------------------------------------------------------
@@ -216,8 +219,7 @@ class TestPermutationProperty:
                     phase="point", key=event[1]))
             else:
                 aggregator.on_result(event[1], None, event[2],
-                                     source="worker",
-                                     meta={"kernel_source": "kernel"})
+                                     source="worker")
         aggregator.mark_done()
         return aggregator.snapshot()
 

@@ -19,6 +19,7 @@ from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan, run_points
 from repro.experiments.tracing import SharedTraces
 from repro.settings import SettingsError
+from tests.conftest import count_tiers
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -68,9 +69,9 @@ class BatchLog:
     def __init__(self) -> None:
         self.events: list[tuple] = []
 
-    def ok(self, index, payload, meta, duration) -> None:
+    def ok(self, index, payload, duration) -> None:
         assert duration >= 0.0
-        self.events.append(("ok", index, payload, meta))
+        self.events.append(("ok", index, payload))
 
     def error(self, index, exc) -> None:
         self.events.append(("error", index, exc))
@@ -87,20 +88,20 @@ class BatchLog:
 
 class TestRunBatch:
     """The one batch loop both backends share: per point trace fetch,
-    execute, meta."""
+    execute, report; the ledger's phase spans name each point's tier."""
 
     GROUP = ("baseline", "current", "perfect")
 
     def group(self):
         return [batch_point(configuration) for configuration in self.GROUP]
 
-    def test_reports_every_point_in_order(self):
+    def test_reports_every_point_in_order(self, tmp_path):
         log = BatchLog()
-        log.run(self.group())
+        _, tiers = count_tiers(tmp_path, lambda: log.run(self.group()))
         assert [event[1] for event in log.oks()] == [0, 1, 2]
-        for _, _, payload, meta in log.oks():
+        for _, _, payload in log.oks():
             assert payload["instructions"] > 0
-            assert meta == {"kernel_source": "kernel"}
+        assert tiers == {"replay": 3}
 
     def test_kernel_and_live_batches_deliver_equal_payloads(self):
         kernel = BatchLog()
@@ -109,15 +110,14 @@ class TestRunBatch:
                 == [execute_point(point, trace=False).to_dict()
                     for point in self.group()])
 
-    def test_points_run_live_without_traces(self):
-        """A wrongpath point gets no trace, so it runs (and is reported)
-        live."""
+    def test_points_run_live_without_traces(self, tmp_path):
+        """A wrongpath point gets no trace, so it runs live."""
         log = BatchLog()
-        log.run([batch_point(configuration, speculation="wrongpath")
-                 for configuration in self.GROUP])
+        _, tiers = count_tiers(tmp_path, lambda: log.run(
+            [batch_point(configuration, speculation="wrongpath")
+             for configuration in self.GROUP]))
         assert log.kinds() == ["ok", "ok", "ok"]
-        assert {event[3]["kernel_source"] for event in log.oks()} \
-            == {"live"}
+        assert tiers == {"live": 3}
 
     def test_failure_is_isolated_per_point(self):
         points = self.group()
@@ -127,7 +127,7 @@ class TestRunBatch:
         assert [(event[0], event[1]) for event in log.events] == [
             ("ok", 0), ("error", 1), ("ok", 2), ("ok", 3)]
 
-    def test_caller_pool_spans_batches(self, monkeypatch):
+    def test_caller_pool_spans_batches(self, monkeypatch, tmp_path):
         """The serial backend hands one pool to every batch: two
         single-point batches of one workload still share a recording."""
         import repro.experiments.tracing as tracing
@@ -142,10 +142,12 @@ class TestRunBatch:
         monkeypatch.setattr(tracing, "record_workload", counting)
         first, second = batch_point("baseline"), batch_point("current")
         traces = SharedTraces([first, second])
-        for group in ([first], [second]):
+        for index, group in enumerate(([first], [second])):
             log = BatchLog()
-            log.run(group, traces=traces)
-            assert log.oks()[0][3]["kernel_source"] == "kernel"
+            _, tiers = count_tiers(tmp_path / str(index),
+                                   lambda: log.run(group, traces=traces))
+            assert log.kinds() == ["ok"]
+            assert tiers == {"replay": 1}
         assert recorded == [("li", 0.01, 1)]
 
 

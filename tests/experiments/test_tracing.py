@@ -1,8 +1,9 @@
 """Experiment-service trace layer: the one tier rule and equality.
 
-Every ``redirect`` point replays a recording through the compiled
-kernel unless its caller passes ``trace=False``; ``wrongpath`` points
-run live.  Trace-replayed grids equal live-engine grids ``==`` across
+Every point that ``ExperimentPoint.replays`` (every ``redirect`` point)
+replays a recording through the compiled kernel unless its caller
+passes ``trace=False``; ``wrongpath`` points run live.  The ledger's
+``replay``/``live`` phase spans record which tier ran.  Trace-replayed grids equal live-engine grids ``==`` across
 workloads x configurations x depths x both speculation modes.
 """
 
@@ -11,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import runner
-from repro.experiments.aggregate import ViewAggregator
 from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
 from repro.experiments.tracing import SharedTraces
 from repro.pipeline.trace import record_trace
 from repro.workloads.registry import get_program
+from tests.conftest import count_tiers
 
 SCALE = 0.02
 WARMUP = 200
@@ -39,20 +40,20 @@ class TestSharedTraces:
     def test_wrongpath_points_stay_live(self):
         points = [point(speculation="wrongpath") for _ in range(3)]
         traces = SharedTraces(points)
+        assert not any(p.replays for p in points)
         assert all(traces.get(p) is None for p in points)
 
     def test_single_redirect_point_replays_on_the_kernel(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         """One redirect point of its workload records its own trace and
         replays it, both inside a plan and through a bare call."""
         single = point()
+        assert single.replays
         assert SharedTraces([single]).get(single) is not None
 
-        sink = ViewAggregator()
-        results = run_plan(plan_from_points([single]), jobs=1,
-                           use_cache=False, sink=sink)
-        assert sink.snapshot().views["status"]["kernel_sources"] \
-            == {"kernel": 1}
+        results, tiers = count_tiers(tmp_path, lambda: run_plan(
+            plan_from_points([single]), jobs=1, use_cache=False))
+        assert tiers == {"replay": 1}
         live = execute_point(single, trace=False)
         assert results == {single: live}
 
@@ -128,7 +129,7 @@ class TestGridEquality:
         assert traced_serial == live
         assert traced_batched == live
 
-    def test_mixed_speculation_grid_shares_only_redirect(self):
+    def test_mixed_speculation_grid_shares_only_redirect(self, tmp_path):
         """wrongpath points in a traced grid still run live and still
         agree with the live engine."""
         pts = [point(configuration="baseline"),
@@ -138,9 +139,8 @@ class TestGridEquality:
         plan = plan_from_points(pts)
         live = live_reference(plan)
         for jobs in (1, 2):
-            # Only the status view: a figure cell takes one mode.
-            sink = ViewAggregator(views=("status",))
-            assert run_plan(plan, jobs=jobs, use_cache=False,
-                            sink=sink) == live
-            assert sink.snapshot().views["status"]["kernel_sources"] \
-                == {"kernel": 2, "live": 2}
+            results, tiers = count_tiers(
+                tmp_path / str(jobs),
+                lambda: run_plan(plan, jobs=jobs, use_cache=False))
+            assert results == live
+            assert tiers == {"replay": 2, "live": 2}

@@ -14,7 +14,11 @@ from repro.isa.regs import a0, s0, s1, t0, t1, t2, t3, v0, zero
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor, simulate
 from repro.predictors.twolevel import LevelTwoKind
-from tests.conftest import build_counted_loop, build_memory_loop
+from tests.conftest import (
+    build_counted_loop,
+    build_memory_loop,
+    unpredictable_branch_program,
+)
 
 
 def independent_ops_program(count=400):
@@ -73,26 +77,8 @@ class TestBasicExecution:
 
 
 class TestBranchTiming:
-    @staticmethod
-    def unpredictable_branch_program(iterations=300):
-        """Branch on the low bit of an LCG — effectively random."""
-        b = AsmBuilder("lcg-branch")
-        b.label("main")
-        b.li(s0, 12345)
-        b.li(s1, 0)
-        with b.for_range(t0, 0, iterations):
-            b.li(t1, 1103515245)
-            b.mult(s0, s0, t1)
-            b.addi(s0, s0, 12345)
-            b.srli(t2, s0, 16)
-            b.andi(t2, t2, 1)
-            with b.if_(nez(t2)):
-                b.addi(s1, s1, 1)
-        b.halt()
-        return b.build()
-
     def test_mispredictions_cost_more_on_deeper_pipelines(self):
-        program = self.unpredictable_branch_program()
+        program = unpredictable_branch_program()
         cycles = {}
         for depth in (20, 60):
             config = machine_for_depth(depth)
@@ -108,7 +94,7 @@ class TestBranchTiming:
         assert result.prediction_accuracy > 0.95
 
     def test_override_accounting(self, tiny_machine):
-        program = self.unpredictable_branch_program()
+        program = unpredictable_branch_program()
         result = simulate(program, tiny_machine, LevelTwoKind.HYBRID)
         assert result.overrides >= 0
         assert (result.overrides_helpful + result.overrides_harmful
@@ -171,6 +157,21 @@ class TestArviIntegration:
         arvi = simulate(program, tiny_machine, LevelTwoKind.ARVI,
                         warmup_instructions=2000)
         assert arvi.prediction_accuracy >= hybrid.prediction_accuracy
+
+    def test_bvit_lookups_count_every_branch_warmup_included(
+            self, tiny_machine):
+        program = self.value_determined_branch_program()
+        branches = []
+        engine = PipelineEngine(
+            program, tiny_machine,
+            build_predictor(LevelTwoKind.ARVI, tiny_machine),
+            warmup_instructions=2000,
+            observers=[lambda rec, dyn: branches.append(rec.is_branch)])
+        result = engine.run()
+        assert result.arvi_lookups == sum(branches) > result.cond_branches
+        assert 0 < result.arvi_bvit_hits <= result.arvi_lookups
+        hybrid = simulate(program, tiny_machine, LevelTwoKind.HYBRID)
+        assert hybrid.arvi_lookups == hybrid.arvi_bvit_hits == 0
 
     def test_arvi_config_override(self, tiny_machine):
         result = simulate(

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.arvi import ValueMode
+from repro.isa import AsmBuilder
+from repro.isa.regs import s0, s1, t0, t1, t2, t3
 from repro.experiments.plan import ExperimentPoint
 from repro.experiments.runner import execute_point
 from repro.obs.ledger import build_span_tree, read_events
@@ -75,6 +77,33 @@ class TestEquality:
                             warmup_instructions=warmup,
                             value_mode=value_mode)
         assert kernel == live
+
+    def test_muldiv_contention_equals_live(self):
+        """Back-to-back independent multiplies and divides queue for the
+        mult/div units (the workloads barely use them: go's 57
+        multiplies never wait); the kernel's heap of units must serve
+        them as the engine's does, for one unit and for two."""
+        b = AsmBuilder("muldiv")
+        b.label("main")
+        b.li(s0, 7)
+        b.li(s1, 3)
+        with b.for_range(t0, 0, 40):
+            b.mult(t1, s0, s1)
+            b.div(t2, s0, s1)
+            b.mult(t3, s1, s0)
+            b.rem(t1, s1, s0)
+        b.halt()
+        program = b.build()
+        trace = record_trace(program)
+        cycles = []
+        for units in (1, 2):
+            config = machine_for_depth(20, int_muldiv=units)
+            live = live_result(program, config, LevelTwoKind.HYBRID,
+                               warmup=0)
+            assert kernel_run(program, trace, config,
+                              warmup_instructions=0) == live
+            cycles.append(live.cycles)
+        assert cycles[0] > cycles[1]  # not vacuous: the units contend
 
     @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_other_workloads(self, workload):

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro.core.arvi import ARVIConfig, ValueMode
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
-from repro.pipeline.kernel import kernel_run
+from repro.isa.decoded import FU_DIV as K_DIV, FU_MULT as K_MULT
+from repro.pipeline.kernel import ensure_lowered, kernel_run
 from repro.pipeline.trace import record_trace
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import BENCHMARKS, get_program
@@ -128,12 +129,21 @@ class TestARVIEquality:
                                     warmup_instructions=500,
                                     value_mode=ValueMode.LOAD_BACK)
 
-    @pytest.mark.parametrize("rob_entries", [16, 24, 33, 100, 256])
-    def test_small_and_odd_rob_sizes(self, program, trace, rob_entries):
+    @pytest.mark.parametrize("workload,sizes", [
+        *(("m88ksim", {"rob_entries": rob}) for rob in (16, 24, 33, 100, 256)),
+        ("go", {"int_muldiv": 2}),
+    ], ids=["rob16", "rob24", "rob33", "rob100", "rob256", "go-muldiv2"])
+    def test_machine_sizes(self, workload, sizes):
         """The ROB size bounds the token window, the RSE ring and the
         free list: a small ROB stalls often, and a size that is not a
-        power of two leaves ring slots the window never reaches."""
-        config = machine_for_depth(60, rob_entries=rob_entries)
+        power of two leaves ring slots the window never reaches.  go is
+        the workload with multiplies and divides, which a second
+        mult/div unit serves from the same heap as the engine's."""
+        program, trace = _recorded(workload)
+        if "int_muldiv" in sizes:
+            kinds = ensure_lowered(program, trace).kclass
+            assert K_MULT in kinds or K_DIV in kinds
+        config = machine_for_depth(60, **sizes)
         predictor = build_predictor(LevelTwoKind.ARVI, config)
         live = PipelineEngine(program, config, predictor,
                               value_mode=ValueMode.LOAD_BACK,

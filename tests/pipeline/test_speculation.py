@@ -21,8 +21,7 @@ from repro.isa.regs import s0, s1, t0, t1, t2, zero
 from repro.pipeline.engine import PipelineEngine, build_predictor, simulate
 from repro.pipeline.functional import FunctionalCore
 from repro.predictors.twolevel import LevelTwoKind
-from tests.conftest import build_memory_loop
-from tests.pipeline.test_engine import TestBranchTiming
+from tests.conftest import build_memory_loop, unpredictable_branch_program
 
 SCALE = 0.05
 WARMUP = 500
@@ -30,7 +29,7 @@ WARMUP = 500
 
 def lcg_program(iterations=200):
     """Effectively random branches: guarantees mispredictions."""
-    return TestBranchTiming.unpredictable_branch_program(iterations)
+    return unpredictable_branch_program(iterations)
 
 
 class TestWrongPathMode:
@@ -135,7 +134,8 @@ class TestWrongPathRecovery:
 
         def state():
             return (engine.rename_map[:], engine.shadow_map.snapshot(),
-                    engine.shadow_values.snapshot(),
+                    [engine.shadow_values.read(preg)
+                     for preg in every_preg],
                     engine.predictor.history_state(), engine.ddt.in_flight,
                     engine._last_fetch_line)
 

@@ -1,4 +1,4 @@
-"""Tests for bimodal, gshare, static and perfect predictors."""
+"""Tests for bimodal, gshare and static predictors."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.predictors.base import (
 )
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
-from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.statics import AlwaysNotTaken, AlwaysTaken, BackwardTaken
 
 
@@ -147,12 +146,3 @@ class TestStatics:
         assert predictor.predict(10) is True
         assert predictor.predict(20) is False
         assert predictor.predict(99) is False    # unseen
-
-
-class TestPerfect:
-    def test_follows_oracle(self):
-        predictor = PerfectPredictor()
-        predictor.set_outcome(True)
-        assert predictor.predict(0) is True
-        predictor.set_outcome(False)
-        assert predictor.predict(0) is False
