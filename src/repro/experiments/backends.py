@@ -33,7 +33,6 @@ import os
 import pathlib
 import queue as queue_module
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Mapping
 
 from repro import obs
@@ -253,6 +252,9 @@ def run_serial(batches: Batches, report) -> None:
 
 def run_pool(batches: Batches, report, *, jobs: int) -> None:
     """``ProcessPoolExecutor`` sharding on the local host."""
+    # Imported here: serial runs never start a pool.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     workers = min(jobs, len(batches))
     context = _pool_context()
     needs_path = context.get_start_method() != "fork"

@@ -25,7 +25,10 @@ identity**, shared read-only by every redirect timing point of a batch:
   accuracy stream, and the per-branch decision inputs that read nothing
   but the (pc, taken) branch sequence: the level-1 gskew prediction, the
   confidence verdict and the hybrid's level-2 gskew prediction
-  (:class:`_BranchStreams`).
+  (:class:`_BranchStreams`),
+* per ROB size, built on the first ARVI replay: every branch's DDT chain
+  and RSE register set as a function of the one timing-dependent cut
+  ``lo``, the oldest token still in flight (:class:`_ARVIChains`).
 
 :func:`kernel_run` then evaluates one timing configuration of any
 level-2 kind as one pass over the lowered form: the same
@@ -34,12 +37,11 @@ fetch/issue/commit/redirect arithmetic as
 minus everything that cannot affect a redirect-mode result.  Per branch
 the pass needs a final prediction and whether level 2 was used.  The
 hybrid reads its level-2 stream and the single-level machine its
-level-1 stream; ARVI decides live (DESIGN.md §13), from exactly the
-state its BVIT lookup keys read — the DDT retirement window, pending and
-shadow register values and load-hoist times, which are
-timing-*dependent* per configuration — kept as plain local ints and
-lists (the DDT rows and the RSE register sets are int bitmasks, the
-BVIT list buckets).  Results are **bit-for-bit equal** to the live
+level-1 stream; ARVI decides live (DESIGN.md §13): per configuration it
+keeps only ``lo``, the hoisted arrival of each load under *load back*
+and the BVIT, and reads the chain, depth span and register set of a
+branch from its lowered tables at that ``lo``.  Results are
+**bit-for-bit equal** to the live
 engine (the independent oracle) — enforced by the equality suites
 (``tests/pipeline/test_kernel.py``, ``tests/pipeline/test_kernel_arvi.py``)
 and by the frozen seed goldens
@@ -55,8 +57,8 @@ shorter.  Which path ran is observable as the point's ``replay`` or
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
 from heapq import heappop, heappush
 
 from repro.core.arvi import ARVIConfig, ValueMode
@@ -79,7 +81,7 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.engine import _REDIRECT_LATENCY, RenameError
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
 from repro.pipeline.stats import BranchClassStats, SimulationResult
-from repro.pipeline.trace import CommittedTrace, TraceError
+from repro.pipeline.trace import _U32, CommittedTrace, TraceError
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import level1_gskew, level2_gskew
 from repro.predictors.twolevel import LevelTwoKind
@@ -100,14 +102,13 @@ _ITLB_MISS = 8
 _L1I_MISS = 16
 _FETCH_MISS = _ITLB_MISS | _L1I_MISS
 
-#: The ARVI state shifts its DDT rows down to the oldest in-flight token
-#: once the newest token is this far above the rows' base (FastDDT's
-#: renormalization interval).
+#: The chain lowering shifts its DDT rows down once this many tokens lie
+#: below every window still to come (FastDDT's renormalization interval).
 _RENORM = 4096
 
-#: A cycle no fetch reaches: when a pending value no mode exposes
-#: becomes available.
-_NEVER = 1 << 62
+#: Leaf key of an absent source (other keys are a writer's stream index
+#: or ``-1 - reg`` for the initial value of ``reg``).
+_NO_LEAF = -1 - NUM_LOGICAL_REGS
 
 
 def _bvit_age(entry: list[int]) -> list[int]:
@@ -133,8 +134,9 @@ class _BranchStreams:
     prediction (``l1_pred``), the confidence verdict (``confident``, read
     by ARVI) and the level-2 gskew prediction (``l2_pred``, the hybrid's
     final prediction: it overrides level 1 exactly when they disagree).
-    ARVI's own level-2 side reads live DDT and timing state, so
-    :func:`kernel_run` computes it per configuration.
+    ARVI's own level-2 side reads the timing-dependent cut of each
+    chain and the BVIT, so :func:`kernel_run` computes it per
+    configuration.
     """
 
     __slots__ = ("l1_pred", "confident", "l2_pred")
@@ -220,6 +222,159 @@ class _FetchStream:
         memory.itlb.misses = misses
 
 
+class _ARVIChains:
+    """Every conditional branch's DDT chain and RSE register set, lowered
+    once per trace and ROB size (DESIGN.md §13).
+
+    Branch *j* at stream position *i* reads the DDT before it inserts.
+    Its chain is the dependence closure of its source registers over the
+    in-flight window ``[lo, i)``, and only ``lo`` depends on the timing.
+    Commits are in order, so a committed token's ancestors are committed
+    too: the chain is ``C(i)`` cut at ``lo``, where ``C(i)`` is the same
+    closure over the window ``(i - rob_entries, i)`` that the ROB stall
+    keeps around ``[lo, i)``.  Flat offset/slice tables hold, per branch,
+    distances back from the branch, ``d = i - x`` (2 bytes for any ROB up
+    to 65,536 entries), so a configuration reads them with ``D = i - lo``:
+
+    * ``dist[tok_off[j]:tok_off[j + 1]]`` — the tokens of ``C(i)``, newest
+      first (distances ascending): the oldest chain token at or above
+      ``lo`` is the last distance ``<= D``, one ``bisect``, and that
+      distance is the depth span;
+    * ``leaf_*[leaf_off[j]:leaf_off[j + 1]]`` — the register-set leaves,
+      one per distinct value the set can hold, keyed by ``leaf_writer``:
+      the writer's stream index, or ``-1 - reg`` for the initial value
+      of ``reg``.  Each has its logical id ``leaf_id``, its raw committed
+      value ``value[leaf_writer]`` (initial values sit at the negative
+      indices), and a range of ``lo`` in which it belongs to the set.
+      The range ends once ``lo`` passes the last non-load chain token
+      that sources the leaf (``D < leaf_near``).  It starts at once for a
+      load or an initial register, and for any other writer when the
+      writer commits (``lo > writer``): until then the writer is a chain
+      token whose target cancels it.  So a leaf whose writer is at or
+      above ``lo`` is either a pending load or out of the set.  The
+      leaves come in ``leaf_near`` order, so those past their last
+      reader are cut off by one ``bisect``.
+
+    Leaves are keyed by writer, not by physical register, and no two
+    leaves of one branch share a register: a register is freed only when
+    the writer that displaces it commits, and that writer is younger than
+    a chain token that reads the leaf, so it is still in flight.
+    """
+
+    __slots__ = ("tok_off", "dist", "leaf_off", "leaf_near", "leaf_writer",
+                 "leaf_id", "value")
+
+    def __init__(self, lowered: "LoweredTrace", rob_entries: int) -> None:
+        _cls, src1_tab, src2_tab, wr_tab, _ras, hasres_tab = \
+            lowered.program.decoded().static_columns()
+        pcs = lowered.pcs
+        kclass = lowered.kclass
+        dep1 = lowered.dep1
+        dep2 = lowered.dep2
+        results = lowered.trace.results
+        n = lowered.length
+        # Per leaf key (a writer's stream index, or ``-1 - reg`` for the
+        # initial value of ``reg``): the committed value (0 if the opcode
+        # produces none) and logical id.  Per instruction: the keys of
+        # the sources it marks in the RSE (loads mark none: ``_NO_LEAF``).
+        values = array(_U32, bytes(4 * (n + NUM_LOGICAL_REGS)))
+        ids = array("B", bytes(n + NUM_LOGICAL_REGS))
+        for reg in range(NUM_LOGICAL_REGS):
+            ids[-1 - reg] = reg
+        values[-1 - regs.sp] = STACK_TOP
+        values[-1 - regs.gp] = DATA_BASE
+        key1 = array("i", [_NO_LEAF]) * n
+        key2 = array("i", [_NO_LEAF]) * n
+        ri = 0
+        try:
+            for i, pc in enumerate(pcs):
+                if hasres_tab[pc]:
+                    values[i] = results[ri]
+                    ri += 1
+                if wr_tab[pc] >= 0:
+                    ids[i] = wr_tab[pc]
+                if kclass[i] == K_LOAD:
+                    continue
+                src = src1_tab[pc]
+                if src >= 0:
+                    key1[i] = dep1[i] if dep1[i] >= 0 else -1 - src
+                    src = src2_tab[pc]
+                    if src >= 0:
+                        key2[i] = dep2[i] if dep2[i] >= 0 else -1 - src
+        except IndexError:
+            ri = -1
+        if ri != len(results):
+            raise TraceError(
+                f"trace of {lowered.trace.program_name!r} is internally "
+                "inconsistent (column lengths do not match the stream)")
+
+        code = "H" if rob_entries <= 1 << 16 else "i"
+        reach = rob_entries - 1       # a window is (i - rob_entries, i)
+        tok_off = array("i", [0])
+        dist = array(code)
+        leaf_off = array("i", [0])
+        leaf_near = array(code)
+        leaf_writer = array("i")
+        leaf_id = array("B")
+        dist_append = dist.append
+        # rows[reg]: the DDT row of reg's current value as an int whose
+        # bit b is token base + b, written unmasked (no window reads a
+        # bit below its own start) and shifted down once ``_RENORM``
+        # tokens lie below every window still to come.
+        rows = [0] * NUM_LOGICAL_REGS
+        base = 0
+        renorm_at = reach + _RENORM
+        for i, pc in enumerate(pcs):
+            k = kclass[i]
+            rd = wr_tab[pc]
+            if rd < 0 and k != K_BRANCH:
+                continue
+            src = src1_tab[pc]
+            if src >= 0:
+                chain = rows[src]
+                src = src2_tab[pc]
+                if src >= 0:
+                    chain |= rows[src]
+            else:
+                chain = 0
+            if k == K_BRANCH:
+                first = i - reach if i > reach else 0
+                top = i - first
+                window = chain >> (first - base)
+                # Newest token first, so each leaf's first reader is its
+                # last (``near``) and the dict keeps ``near`` order.
+                near_of = {key1[i]: 0}
+                near_of.setdefault(key2[i], 0)
+                setdefault = near_of.setdefault
+                while window:
+                    b = window.bit_length() - 1
+                    window ^= 1 << b
+                    d = top - b
+                    dist_append(d)
+                    setdefault(key1[i - d], d)
+                    setdefault(key2[i - d], d)
+                tok_off.append(len(dist))
+                near_of.pop(_NO_LEAF, None)
+                leaf_near.extend(near_of.values())
+                leaf_writer.extend(near_of)
+                leaf_id.extend(map(ids.__getitem__, near_of))
+                leaf_off.append(len(leaf_near))
+            if rd >= 0:
+                if i - base >= renorm_at:
+                    shift = i - reach - base
+                    rows = [row >> shift for row in rows]
+                    chain >>= shift
+                    base += shift
+                rows[rd] = chain | 1 << (i - base)
+        self.tok_off = tok_off
+        self.dist = dist
+        self.leaf_off = leaf_off
+        self.leaf_near = leaf_near
+        self.leaf_writer = leaf_writer
+        self.leaf_id = leaf_id
+        self.value = values
+
+
 class LoweredTrace:
     """Dense array form of one committed trace, shared across configs."""
 
@@ -229,8 +384,8 @@ class LoweredTrace:
         "mem_pos", "mem_addr", "store_dep",
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
-        "jr_pos", "jr_correct_cum", "branch_streams", "_hasres",
-        "_fetch", "_values",
+        "jr_pos", "jr_correct_cum", "branch_streams",
+        "_fetch", "_chains",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -248,40 +403,20 @@ class LoweredTrace:
             self._fetch[key] = stream
         return stream
 
-    def values(self) -> list[int]:
-        """Dense committed result values, one entry per instruction.
-
-        ``values()[i]`` is the committed result of instruction *i* (the
-        engine's ``dyn.result``) or 0 when the opcode produces none —
-        the densification of the trace's sparse ``results`` column via
-        the static ``has_result`` table.  Built lazily (only the ARVI
-        pass reads values) and cached for every config of a batch.
-        """
-        vals = self._values
-        if vals is not None:
-            return vals
-        results = self.trace.results
-        hasres_tab = self._hasres
-        vals = [0] * self.length
-        ri = 0
-        try:
-            for i, pc in enumerate(self.pcs):
-                if hasres_tab[pc]:
-                    vals[i] = results[ri]
-                    ri += 1
-        except IndexError:
-            ri = -1
-        if ri != len(results):
-            raise TraceError(
-                f"trace of {self.trace.program_name!r} is internally "
-                "inconsistent (column lengths do not match the stream)")
-        self._values = vals
-        return vals
+    def arvi_chains(self, rob_entries: int) -> _ARVIChains:
+        """Every branch's chain and register-set tables for a ROB of
+        ``rob_entries`` (cached: only the window size keys them; the
+        ``ARVIConfig`` widths are masked in when the tables are read)."""
+        chains = self._chains.get(rob_entries)
+        if chains is None:
+            chains = _ARVIChains(self, rob_entries)
+            self._chains[rob_entries] = chains
+        return chains
 
 
 def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     trace.validate_for(program)
-    cls_tab, src1_tab, src2_tab, wr_tab, ras_tab, hasres_tab = \
+    cls_tab, src1_tab, src2_tab, wr_tab, ras_tab, _hasres = \
         program.decoded().static_columns()
     n = trace.length
     branches = trace.branch_count
@@ -292,9 +427,8 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered.trace = trace
     lowered.length = n
     lowered.pcs = pcs_list
-    lowered._hasres = hasres_tab
     lowered._fetch = {}
-    lowered._values = None
+    lowered._chains = {}
 
     kclass = [cls_tab[pc] for pc in pcs_list]
     lowered.kclass = kclass
@@ -442,48 +576,29 @@ def kernel_run(program: Program, trace: CommittedTrace,
     every kind.  ``HYBRID`` reads its level-2 gskew stream and ``NONE``
     its level-1 stream.  ``LevelTwoKind.ARVI`` (``value_mode`` /
     ``arvi_config`` select the paper's evaluation configurations) reads
-    the shared level-1/confidence streams and decides live, from state
-    kept as plain local ints and lists (DESIGN.md §13); ``value_mode``
-    and ``arvi_config`` mean nothing to the other kinds, as in the
-    engine:
+    the shared level-1/confidence streams and the trace's lowered chain
+    tables for ``config.rob_entries`` (:class:`_ARVIChains`), and decides
+    per configuration (DESIGN.md §13); ``value_mode`` and
+    ``arvi_config`` mean nothing to the other kinds, as in the engine:
 
     * **Retirement** — a redirect replay never rolls back, so
       instruction *i*'s DDT token is *i*, commits happen in stream
       order, and the in-flight window is ``[lo, i)``: ``lo`` is the
       first instruction whose commit cycle is past the rename cycle, a
-      bisect over the monotone ``commit_arr``.  Only a branch reads the
-      window, so ``lo`` is brought up to date there (and where the rows
-      renormalize or a rename might find the free list empty).
-    * **Free list** — a FIFO: rename pops its head, and a renaming
-      instruction's commit appends the register it displaced.  Commits
-      come in program order, so appending at rename instead puts every
-      register at the same place in the queue; no per-token retire
-      record is needed.  It could only pop a register not yet freed if
-      the list ran dry, which the in-flight writer count checks first.
-    * **DDT** (paper Section 2, Figure 1) — ``rows[preg]`` is the
-      physical register's dependence row as an int whose bit *b* is
-      token ``base + b``.  Rows are written unmasked and read through
-      the window (``row >> (lo - base)``): a bit below ``lo`` never
-      becomes valid again, so masking at read time equals the
-      hardware's masking at write time.  Once the newest token is
-      ``_RENORM`` above ``base``, the rows — and the chain being
-      built — shift down to ``lo``.
-    * **RSE** — per writer token, one int packs the physical-register
-      bitmask of its sources and, shifted up by ``n_pregs``, the bit of
-      its destination (loads terminate chains and pack 0), in a ring of
-      ROB size.  ORing the packs of the chain's tokens gives ``sources
-      | targets << n_pregs``, and the register set is ``sources &
-      ~targets``.  The set stays keyed by physical register, not by
-      producing token: a committed leaf register has left the token
-      window but still belongs to the set.
-    * **Leaf state** — ``writer[preg]`` is the last instruction that
-      renamed ``preg``, so the register is pending while ``writer >=
-      lo``.  ``vbits[preg]`` holds the value bits the BVIT index XORs
-      in — the shadow register file's committed value or the exposed
-      pending value, one array for both because a register's value is
-      fixed from rename to commit.  A pending value counts as available
-      from fetch cycle ``avail_at[preg]``: the load's hoisted arrival
-      under *load back*, at once under *perfect*, never otherwise.
+      bisect over the monotone ``commit_arr``.  It is brought up to date
+      where it is read: at a branch, and where a rename might find the
+      free list empty.
+    * **Chain and register set** (paper Sections 2 and 4.2) — the
+      table's chain of the branch cut at ``lo`` gives the depth span, and
+      its leaves in range at ``lo`` the register set.  ``ARVIConfig``'s
+      ``value_bits``, ``id_tag_bits`` and ``depth_bits`` are applied
+      here, when the tables are read, so only the ROB size keys them.
+    * **Leaf state** — a leaf whose writer is at or above ``lo`` is a
+      pending load.  Its value counts as available at once under
+      *perfect*, never under *current*, and under *load back* from
+      fetch cycle ``avail_at[writer]``, the load's hoisted arrival,
+      written when the load executes.  Any other leaf is committed, and
+      its value is the shadow register file's.
     * **BVIT** (paper Section 4.1) — ``bvit`` list buckets of ``[tag,
       counter, perf, last_used]`` entries, ``tag = id_tag << depth_bits
       | depth_tag``.  Lookup and update of one branch are adjacent in
@@ -494,9 +609,11 @@ def kernel_run(program: Program, trace: CommittedTrace,
 
     The DDT never fills: the ROB stall keeps at most ``rob_entries - 1``
     instructions in flight when one renames, so the engine's ``DDTError``
-    is unreachable.  The free list can run dry only if that bound broke;
-    the pass then raises :class:`RenameError` like the engine's rename
-    stage, at the same instruction.
+    is unreachable.  For the same reason the free list can run dry only
+    if it has fewer than ``rob_entries`` slots (``MachineConfig`` gives
+    it exactly that many); on such a machine a writer that finds
+    ``free_slots`` writers in flight raises :class:`RenameError` like the
+    engine's rename stage, at the same instruction.
     """
     if config.speculation != "redirect":
         raise KernelUnsupported(
@@ -533,13 +650,13 @@ def kernel_run(program: Program, trace: CommittedTrace,
     load_back = arvi and value_mode is ValueMode.LOAD_BACK
     # Per-branch ARVI outputs; the stream kinds never set them.
     use_arvi = is_load_branch = False
+    # The ROB stall keeps fewer than rob_entries instructions in flight,
+    # so only a free list with fewer slots than that can run dry.
+    check_free = False
 
     if arvi:
         # ---- ARVI configuration constants -----------------------------
-        _cls, src1_tab, src2_tab, wr_tab, _ras, _hr = \
-            program.decoded().static_columns()
         acfg = arvi_config or ARVIConfig()
-        n_pregs = config.num_phys_regs
         index_mask = (1 << acfg.index_bits) - 1
         value_index_mask = ((1 << acfg.value_bits) - 1) & index_mask
         # The shadow map keeps the id tag's width of each logical id.
@@ -550,37 +667,26 @@ def kernel_run(program: Program, trace: CommittedTrace,
         allocate_soft = not acfg.allocate_only_hard
         bvit_sets = acfg.sets
         bvit_ways = acfg.ways
-        pending_avail = 0 if value_mode is ValueMode.PERFECT else _NEVER
-        free_slots = n_pregs - NUM_LOGICAL_REGS
-        rename_offset = config.rename_offset
-        renorm = _RENORM
-        values = lowered.values()
+        perfect = value_mode is ValueMode.PERFECT
         conf_stream = streams.confident
+        wr_tab = program.decoded().static_columns()[3]
+        free_slots = config.num_phys_regs - NUM_LOGICAL_REGS
+        check_free = free_slots < config.rob_entries
+        rename_offset = config.rename_offset
 
-        # ---- rename map, free list and per-preg state -----------------
-        rename_map = list(range(NUM_LOGICAL_REGS))
-        free_list = deque(range(NUM_LOGICAL_REGS, n_pregs))
-        free_popleft = free_list.popleft
-        free_append = free_list.append
-        registers = [0] * NUM_LOGICAL_REGS
-        registers[regs.sp] = STACK_TOP
-        registers[regs.gp] = DATA_BASE
-        vbits = [0] * n_pregs
-        ids = [0] * n_pregs
-        for logical, value in enumerate(registers):
-            vbits[logical] = value & value_index_mask
-            ids[logical] = logical & id_mask
-        writer = [-1] * n_pregs
-        avail_at = [0] * n_pregs
-        rows = [0] * n_pregs
-        src_bit = [1 << preg for preg in range(n_pregs)]
-        dest_bit = [1 << (n_pregs + preg) for preg in range(n_pregs)]
-        src_half = (1 << n_pregs) - 1
-        # In-flight tokens span less than the ROB, so a ring indexed by
-        # the token's low bits holds every chain token's pack.
-        ring_mask = (1 << (config.rob_entries - 1).bit_length()) - 1
-        rse = [0] * (ring_mask + 1)
-        base = lo = 0
+        # ---- lowered chains; per configuration only lo, avail_at, BVIT
+        chains = lowered.arvi_chains(config.rob_entries)
+        tok_off = chains.tok_off
+        dist = chains.dist
+        leaf_off = chains.leaf_off
+        leaf_near = chains.leaf_near
+        leaf_writer = chains.leaf_writer
+        leaf_id = chains.leaf_id
+        value = chains.value
+        kclass = lowered.kclass
+        # A pending load's hoisted arrival under *load back*, by writer.
+        avail_at = [0] * n_run if load_back else None
+        lo = 0
         bvit = [[] for _ in range(bvit_sets)]
         bvit_tick = bvit_hits = 0
 
@@ -651,99 +757,14 @@ def kernel_run(program: Program, trace: CommittedTrace,
         fetch_used += 1
         fetch = fetch_cycle
 
-        if arvi:
-            # ---- rename (early, one cycle after fetch) -------------------
-            pc = pcs[i]
-            s1 = src1_tab[pc]
-            if s1 >= 0:
-                preg = rename_map[s1]
-                chain = rows[preg]
-                srcs = src_bit[preg]
-                s2 = src2_tab[pc]
-                if s2 >= 0:
-                    preg = rename_map[s2]
-                    chain |= rows[preg]
-                    srcs |= src_bit[preg]
-            else:
-                chain = srcs = 0
-
-            # ---- ARVI decision (reads the DDT *before* the branch
-            # inserts) ------------------------------------------------------
-            if k == K_BRANCH:
-                lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
-                l1_pred = l1_stream[branch_i]
-                confident = conf_stream[branch_i]
-                # The chain's in-flight tokens; bit b is token lo + b.
-                shift = lo - base
-                window = chain >> shift
-                packed = srcs
-                depth_tag = 0
-                if window:
-                    if use_depth_tag:
-                        span = i - lo - (window & -window).bit_length() + 1
-                        depth_tag = (span if span < depth_limit
-                                     else depth_limit)
-                    oldest = lo - 1
-                    while window:
-                        low = window & -window
-                        window ^= low
-                        packed |= rse[(oldest + low.bit_length())
-                                      & ring_mask]
-                regset = packed & src_half & ~(packed >> n_pregs)
-                # Key formation (XOR fold, id sum and any() are
-                # order-free).
-                index = pc & index_mask
-                id_sum = 0
-                is_load_branch = False
-                while regset:
-                    low = regset & -regset
-                    regset ^= low
-                    preg = low.bit_length() - 1
-                    if writer[preg] < lo or avail_at[preg] <= fetch:
-                        index ^= vbits[preg]
-                    else:
-                        is_load_branch = True
-                    id_sum += ids[preg]
-                tag = (id_sum & id_mask) << depth_bits | depth_tag
-                bucket = bvit[index % bvit_sets]
-                for entry in bucket:
-                    if entry[0] == tag:
-                        bvit_hits += 1
-                        use_arvi = not confident
-                        final = entry[1] >= 2 if use_arvi else l1_pred
-                        break
-                else:
-                    entry = None
-                    use_arvi = False
-                    final = l1_pred
-
-            # ---- destination rename + DDT / RSE insert --------------------
-            rd = wr_tab[pc]
-            if rd >= 0:
-                if i - lo >= free_slots:
-                    lo = bisect_right(commit_arr, fetch + rename_offset,
-                                      lo, i)
-                    if i - lo >= free_slots and sum(
-                            1 for t in range(lo, i)
-                            if wr_tab[pcs[t]] >= 0) >= free_slots:
-                        raise RenameError("free list underflow")
-                if i - base >= renorm:
-                    lo = bisect_right(commit_arr, fetch + rename_offset,
-                                      lo, i)
-                    shift = lo - base
-                    rows = [row >> shift for row in rows]
-                    chain >>= shift
-                    base = lo
-                dest = free_popleft()
-                free_append(rename_map[rd])
-                rename_map[rd] = dest
-                ids[dest] = rd & id_mask
-                rows[dest] = chain | 1 << (i - base)
-                writer[dest] = i
-                vbits[dest] = values[i] & value_index_mask
-                avail_at[dest] = pending_avail
-                rse[i & ring_mask] = (0 if k == K_LOAD
-                                      else srcs | dest_bit[dest])
+        if check_free and i - lo >= free_slots and wr_tab[pcs[i]] >= 0:
+            # ---- rename (one cycle after fetch): the free list can only
+            # run dry with free_slots writers in flight -----------------
+            lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
+            if i - lo >= free_slots and sum(
+                    1 for t in range(lo, i)
+                    if wr_tab[pcs[t]] >= 0) >= free_slots:
+                raise RenameError("free list underflow")
 
         # ---- issue / execute ---------------------------------------------
         ready = fetch + frontend_depth
@@ -777,16 +798,17 @@ def kernel_run(program: Program, trace: CommittedTrace,
                             else data_ready) + 1
             else:
                 complete = access + mem_dlat(mem_addr[mem_i])
-            if load_back and rd >= 0:
+            if load_back:
                 # Hoisted availability (engine _hoist_available): operand
                 # readiness, gated by the forwarding store's data, plus
-                # the load's actual latency.
+                # the load's actual latency.  Only a writing load's entry
+                # is ever read.
                 dep = dep1[i]
                 hoist_start = complete_arr[dep] if dep >= 0 else 0
                 for dep in (dep2[i], source):
                     if dep >= 0 and complete_arr[dep] > hoist_start:
                         hoist_start = complete_arr[dep]
-                avail_at[dest] = hoist_start + (complete - issue)
+                avail_at[i] = hoist_start + (complete - issue)
             mem_i += 1
         elif k == K_STORE:
             server_free = heappop(alu_free)
@@ -825,31 +847,77 @@ def kernel_run(program: Program, trace: CommittedTrace,
         commit_arr[i] = last_commit
         complete_arr[i] = complete
 
-        # ---- control flow resolution (+ BVIT training) --------------------
+        # ---- control flow resolution (+ ARVI decision and training) ----
         if k == K_BRANCH:
             taken = branch_taken[branch_i]
+            l1_pred = l1_stream[branch_i]
             if arvi:
-                bvit_tick += 2  # one lookup and one update per branch
-                if entry is not None:
-                    counter = entry[1]
-                    if (counter >= 2) == taken:
-                        if entry[2] < PERF_MAX:
-                            entry[2] += 1
-                    elif entry[2] > 0:
-                        entry[2] -= 1
-                    if taken:
-                        if counter < COUNTER_MAX:
-                            entry[1] = counter + 1
-                    elif counter > 0:
-                        entry[1] = counter - 1
-                    entry[3] = bvit_tick
-                elif not confident or allocate_soft:
-                    if len(bucket) >= bvit_ways:
-                        bucket.remove(min(bucket, key=_bvit_age))
-                    bucket.append([tag, 2 if taken else 1, PERF_INIT,
-                                   bvit_tick])
+                # The DDT as the branch renamed: its lowered chain cut at
+                # lo, the oldest token still in flight.
+                lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
+                confident = conf_stream[branch_i]
+                back = i - lo
+                depth_tag = 0
+                if use_depth_tag:
+                    start = tok_off[branch_i]
+                    oldest = bisect_right(dist, back, start,
+                                          tok_off[branch_i + 1]) - 1
+                    if oldest >= start:
+                        span = dist[oldest]
+                        depth_tag = (span if span < depth_limit
+                                     else depth_limit)
+                # Key formation over the register set (the XOR fold, id
+                # sum and any() are order-free): the leaves whose last
+                # reader is in flight, less the in-flight non-loads.
+                index = pcs[i] & index_mask
+                id_sum = 0
+                is_load_branch = False
+                start = leaf_off[branch_i]
+                for x in range(start, bisect_right(
+                        leaf_near, back, start, leaf_off[branch_i + 1])):
+                    writer = leaf_writer[x]
+                    if writer < lo:
+                        index ^= value[writer] & value_index_mask
+                    elif kclass[writer] != K_LOAD:
+                        continue
+                    elif perfect or (load_back
+                                     and avail_at[writer] <= fetch):
+                        index ^= value[writer] & value_index_mask
+                    else:
+                        is_load_branch = True
+                    id_sum += leaf_id[x]
+                tag = (id_sum & id_mask) << depth_bits | depth_tag
+                # BVIT lookup and update (paper Section 4.1) are adjacent
+                # in redirect mode: the update trains the entry found.
+                bvit_tick += 2
+                bucket = bvit[index % bvit_sets]
+                for entry in bucket:
+                    if entry[0] == tag:
+                        bvit_hits += 1
+                        use_arvi = not confident
+                        counter = entry[1]
+                        final = counter >= 2 if use_arvi else l1_pred
+                        if (counter >= 2) == taken:
+                            if entry[2] < PERF_MAX:
+                                entry[2] += 1
+                        elif entry[2] > 0:
+                            entry[2] -= 1
+                        if taken:
+                            if counter < COUNTER_MAX:
+                                entry[1] = counter + 1
+                        elif counter > 0:
+                            entry[1] = counter - 1
+                        entry[3] = bvit_tick
+                        break
+                else:
+                    use_arvi = False
+                    final = l1_pred
+                    if not confident or allocate_soft:
+                        if len(bucket) >= bvit_ways:
+                            bucket.remove(min(bucket, key=_bvit_age))
+                        bucket.append([tag, 2 if taken else 1, PERF_INIT,
+                                       bvit_tick])
             else:
-                l1_pred = l1_stream[branch_i]
                 final = final_stream[branch_i]
             final_correct = final == taken
             override = final != l1_pred

@@ -5,18 +5,29 @@ headline predictor: ``kernel_run(..., LevelTwoKind.ARVI)`` is
 bit-for-bit equal (``==``) to the live engine across all three ARVI
 latency classes (Table 4: 6/12/18-cycle BVIT at depths 20/40/60), the
 three paper value modes (current / load back / perfect), warmups,
-replay budgets and custom ARVI geometries.  The fused pass precomputes only the shared
-level-1/confidence streams; the DDT/RSE/BVIT machinery replays live
-per configuration — these tests are what keep that split honest.
+replay budgets and custom ARVI geometries.  The fused pass shares the
+level-1/confidence streams and, per ROB size, each branch's lowered DDT
+chain and RSE register set across configurations; per configuration it
+keeps only the in-flight cut ``lo``, load-hoist times and the BVIT —
+these tests are what keep that split honest, and
+``TestLoweredChainsMatchHardware`` checks the lowered tables against the
+paper's hardware DDT and RSE directly.
 """
 
 import functools
+from bisect import bisect_right
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arvi import ARVIConfig, ValueMode
+from repro.core.ddt import DDT
+from repro.core.rse import RSEArray
+from repro.isa import regs
+from repro.isa.instructions import NUM_LOGICAL_REGS
+from repro.isa.program import DATA_BASE, STACK_TOP
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.isa.decoded import FU_DIV as K_DIV, FU_MULT as K_MULT
@@ -30,8 +41,8 @@ MODES = (ValueMode.CURRENT, ValueMode.LOAD_BACK, ValueMode.PERFECT)
 
 
 @functools.lru_cache(maxsize=None)
-def _recorded(workload):
-    program = get_program(workload, scale=SCALE, seed=1)
+def _recorded(workload, scale=SCALE):
+    program = get_program(workload, scale=scale, seed=1)
     return program, record_trace(program)
 
 
@@ -70,11 +81,43 @@ class TestARVIEquality:
 
     @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_other_workloads(self, workload):
-        program = get_program(workload, scale=0.02, seed=1)
-        trace = record_trace(program)
+        program, trace = _recorded(workload, 0.02)
         kernel = kernel_run(program, trace, machine_for_depth(20),
                             LevelTwoKind.ARVI, warmup_instructions=100)
         assert kernel == arvi_engine(program, warmup=100)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("workload", BENCHMARKS)
+    def test_every_workload_and_mode_at_depth_60(self, workload, mode):
+        """The deepest pipeline has the widest in-flight windows, so
+        branches cut their lowered chains furthest back."""
+        program, trace = _recorded(workload, 0.02)
+        kernel = kernel_run(program, trace, machine_for_depth(60),
+                            LevelTwoKind.ARVI, warmup_instructions=100,
+                            value_mode=mode)
+        assert kernel == arvi_engine(program, depth=60, warmup=100,
+                                     mode=mode)
+
+    def test_one_lowering_serves_interleaved_configs(self, program, trace):
+        """One ``LoweredTrace`` replays two ROB sizes and two key widths
+        in turn.  The chain tables are cached by ROB size alone, and the
+        ``ARVIConfig`` widths are masked in when the tables are read."""
+        lowered = ensure_lowered(program, trace)
+        narrow = ARVIConfig(value_bits=4, id_tag_bits=5)
+        for rob, arvi_config in [(256, None), (33, narrow), (256, narrow),
+                                 (33, None)]:
+            config = machine_for_depth(40, rob_entries=rob)
+            predictor = build_predictor(LevelTwoKind.ARVI, config,
+                                        arvi_config)
+            live = PipelineEngine(program, config, predictor,
+                                  value_mode=ValueMode.LOAD_BACK,
+                                  warmup_instructions=500).run()
+            assert kernel_run(program, trace, config, LevelTwoKind.ARVI,
+                              warmup_instructions=500,
+                              value_mode=ValueMode.LOAD_BACK,
+                              arvi_config=arvi_config) == live
+        assert lowered.arvi_chains(256) is lowered.arvi_chains(256)
+        assert lowered.arvi_chains(33) is not lowered.arvi_chains(256)
 
     def test_custom_arvi_geometry(self, program, trace):
         custom = ARVIConfig(sets=64, ways=2)
@@ -182,13 +225,119 @@ class TestARVIEquality:
         assert kernel == arvi_engine(program, mode=mode, arvi_config=width)
 
 
+class TestLoweredChainsMatchHardware:
+    """The premise of the lowered chain tables, checked against the
+    paper's own structures: the hardware :class:`~repro.core.ddt.DDT`
+    (Figure 1) and :class:`~repro.core.rse.RSEArray` (Figure 3), driven
+    over a recorded trace in program order with a FIFO free list.  The
+    oldest token commits before a new one would make ``rob_entries + 1``
+    in flight, so at a branch *i* the DDT holds exactly the table's
+    window ``(i - rob_entries, i)``.
+    Cutting the DDT's chain at any ``lo`` in ``(i - rob_entries, i]`` must
+    give the table's depth span, and the RSE extract over the chain
+    tokens at or above ``lo`` the table's leaves: the same writers, each
+    pending exactly when its writer is at or above ``lo``, with the same
+    logical id and value."""
+
+    @pytest.mark.parametrize("rob", [256, 33])
+    @pytest.mark.parametrize("workload,budget", [
+        ("li", None), ("m88ksim", None), ("perl", None), ("vortex", None),
+        ("gcc", 3000),
+    ])
+    def test_tables_equal_ddt_and_rse(self, workload, budget, rob):
+        program = get_program(workload, scale=0.02, seed=1)
+        trace = (record_trace(program) if budget is None
+                 else record_trace(program, budget))
+        chains = ensure_lowered(program, trace).arvi_chains(rob)
+        n_pregs = NUM_LOGICAL_REGS + rob
+        ddt = DDT(n_pregs, rob)
+        rse = RSEArray(n_pregs, rob)
+        rename_map = list(range(NUM_LOGICAL_REGS))
+        free_list = deque(range(NUM_LOGICAL_REGS, n_pregs))
+        frees_at_commit: deque = deque()
+        # Per physical register: the leaf key of its value (writer index,
+        # or -1 - reg for an initial register), logical id and value.
+        key_of = [-1 - reg for reg in range(NUM_LOGICAL_REGS)] + [None] * rob
+        logical_of = list(range(NUM_LOGICAL_REGS)) + [None] * rob
+        value_of = [0] * n_pregs
+        value_of[regs.sp] = STACK_TOP
+        value_of[regs.gp] = DATA_BASE
+        results = iter(trace.results)
+        decoded = program.decoded()
+        branch = checked = 0
+        for i, pc in enumerate(trace.pcs):
+            if ddt.in_flight == rob:
+                ddt.commit_oldest()
+                freed = frees_at_commit.popleft()
+                if freed is not None:
+                    free_list.append(freed)
+            d = decoded[pc]
+            src_pregs = tuple(rename_map[reg] for reg in d.sources)
+            if d.is_cond_branch:
+                chain = ddt.chain_tokens(*src_pregs)
+                first = max(i - rob + 1, 0)
+                tokens = sorted(t for t in chain if t >= first)
+                cuts = {first, i}
+                for t in tokens:
+                    cuts.update((t, t + 1))
+                start, end = chains.tok_off[branch], chains.tok_off[branch + 1]
+                dist = chains.dist[start:end]
+                assert sorted(i - back for back in dist) == tokens
+                leaves = range(chains.leaf_off[branch],
+                               chains.leaf_off[branch + 1])
+                assert len({chains.leaf_writer[x] for x in leaves}) \
+                    == len(leaves)
+                for lo in sorted(cuts):
+                    back = i - lo
+                    above = [t for t in tokens if t >= lo]
+                    oldest = bisect_right(dist, back) - 1
+                    span = dist[oldest] if oldest >= 0 else None
+                    assert span == (i - above[0] if above else None)
+                    enable = 0
+                    for t in above:
+                        enable |= 1 << t % rob   # the DDT column of t
+                    expected = {
+                        key_of[preg]: (key_of[preg] >= lo, logical_of[preg],
+                                       value_of[preg])
+                        for preg in rse.extract(enable, src_pregs)}
+                    # A leaf is in the set while its last reader is at
+                    # or above lo and, unless a load wrote it, once its
+                    # writer has committed.
+                    table = {
+                        writer: (writer >= lo, chains.leaf_id[x],
+                                 chains.value[writer])
+                        for x in leaves
+                        if chains.leaf_near[x] <= back
+                        for writer in [chains.leaf_writer[x]]
+                        if writer < lo
+                        or decoded[trace.pcs[writer]].is_load}
+                    assert table == expected, (i, lo)
+                    checked += 1
+                branch += 1
+            value = next(results) if d.has_result else 0
+            dest = None
+            if d.needs_dest:
+                dest = free_list.popleft()
+                frees_at_commit.append(rename_map[d.rd])
+                rename_map[d.rd] = dest
+                key_of[dest] = i
+                logical_of[dest] = d.rd
+                value_of[dest] = value
+            else:
+                frees_at_commit.append(None)
+            rse.insert(ddt.head, dest, src_pregs, is_load=d.is_load)
+            assert ddt.allocate(dest, src_pregs) == i
+        assert branch == len(chains.tok_off) - 1 and checked > branch
+
+
 class TestHardwareDDTAgreement:
-    """The kernel keeps its DDT as plain ints.  The engine can mirror
+    """The engine keeps its DDT as plain ints (``FastDDT``) and can mirror
     every DDT operation into the hardware-faithful circular
     :class:`~repro.core.ddt.DDT` (``ddt_cross_check=True``); here its
     chains are also compared register by register every 64
     instructions, so kernel == cross-checked engine ties the kernel's
-    ARVI keys to the paper's Figure 1 structure."""
+    ARVI keys, read from its lowered chain tables, to the paper's
+    Figure 1 structure through the live engine as well."""
 
     @pytest.mark.parametrize("workload", ["m88ksim", "compress"])
     @pytest.mark.parametrize("mode", MODES)
