@@ -6,8 +6,8 @@ for it (result cache, progress events, failure collection); it then
 hands the batches to one of two plain functions, picked by name:
 
 * :func:`run_serial` (``"serial"``) — in-process loop, shares recorded
-  traces across the sweep exactly like a worker batch; the
-  deterministic reference the pool is diffed against.
+  traces and wrong-path episode stores across the sweep exactly like a
+  worker batch; the deterministic reference the pool is diffed against.
 * :func:`run_pool` (``"local"``) — ``ProcessPoolExecutor`` sharding on
   the local host; per-point progress ticks travel through a manager
   queue.
@@ -69,7 +69,8 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
     """Simulate a same-workload batch of points, one after another.
 
     The single batch loop both backends run: per point it fetches the
-    committed trace from the ``traces`` pool (by default a fresh
+    committed trace or the wrong-path episode store from the ``traces``
+    pool (by default a fresh
     :class:`~repro.experiments.tracing.SharedTraces` over ``points``),
     runs the point — the first kernel point of a trace also lowers
     it, inside :func:`~repro.experiments.runner.execute_point` — and
@@ -92,8 +93,10 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
             # Inside the try: a workload whose trace cannot be recorded
             # fails its own points, not the rest of the batch.
             point_trace = traces.get(point)
+            episodes = traces.episodes(point)
             started = time.perf_counter()
-            payload = execute_point(point, trace=point_trace).to_dict()
+            payload = execute_point(point, trace=point_trace,
+                                    episodes=episodes).to_dict()
         except Exception as exc:  # noqa: BLE001 - isolated per point
             on_error(index, exc)
             continue
@@ -228,10 +231,10 @@ def resolve_backend(backend: str | None, *, jobs: int,
 def run_serial(batches: Batches, report) -> None:
     """Deterministic in-process execution, one point at a time.
 
-    Recorded traces are shared across the whole sweep (not just within
-    a batch); per-point failures are isolated just like in a worker
-    batch, so one bad point never discards its siblings' completed (and
-    cached) results.
+    Recorded traces and wrong-path episode stores are shared across the
+    whole sweep (not just within a batch); per-point failures are
+    isolated just like in a worker batch, so one bad point never
+    discards its siblings' completed (and cached) results.
     """
     from repro.experiments.tracing import SharedTraces
 

@@ -44,6 +44,7 @@ from repro.pipeline.kernel import ensure_lowered, is_lowered, kernel_run
 from repro.pipeline.stats import SimulationResult
 from repro.pipeline.trace import CommittedTrace
 from repro.predictors.twolevel import LevelTwoKind
+from repro.speculation.wrongpath import EpisodeStore
 from repro.workloads.registry import BENCHMARKS, get_program
 
 __all__ = [
@@ -63,6 +64,7 @@ _VALUE_MODES = {
 
 def execute_point(point: ExperimentPoint, *,
                   trace: "CommittedTrace | bool | None" = None,
+                  episodes: EpisodeStore | None = None,
                   ) -> SimulationResult:
     """Simulate one *resolved* point (no cache, no default resolution).
 
@@ -85,6 +87,11 @@ def execute_point(point: ExperimentPoint, *,
     Any other point runs the live engine and records nothing.  Which
     tier ran is recorded once: the point span's ``replay`` or ``live``
     phase.
+
+    ``episodes`` is the wrong-path episode store a ``wrongpath`` point
+    fills and reads (how the scheduler shares one store across a
+    workload's points); ``None`` gives the engine its own.  Results are
+    bit-for-bit identical either way.
     """
     point.validate()
     if trace is not None and not isinstance(trace, CommittedTrace) \
@@ -106,13 +113,14 @@ def execute_point(point: ExperimentPoint, *,
         if trace is None and point.replays:
             trace = record_workload(point.benchmark, point.scale,
                                     point.seed)
-        result = _execute_phases(point, trace)
+        result = _execute_phases(point, trace, episodes)
     result.configuration = point.configuration
     return result
 
 
 def _execute_phases(point: ExperimentPoint,
                     trace: "CommittedTrace | bool | None",
+                    episodes: EpisodeStore | None,
                     ) -> SimulationResult:
     """The phase-instrumented body of :func:`execute_point`.
 
@@ -142,7 +150,7 @@ def _execute_phases(point: ExperimentPoint,
                                                "mode": "live"}):
         engine = PipelineEngine(program, config, predictor, value_mode=mode,
                                 warmup_instructions=point.warmup,
-                                sampler=sampler)
+                                sampler=sampler, episodes=episodes)
         result = engine.run()
         if sampler is not None and telemetry is not None:
             for sample in sampler.samples:

@@ -27,12 +27,17 @@ DESIGN.md §2.2-§2.3):
   their cost is carried by the redirect accounting alone, and results are
   bit-for-bit identical to the seed engine.
 * ``wrongpath`` — on a misprediction the engine checkpoints its rename
-  map, shadow map and predictor histories in locals, synthesizes
-  the wrong-path instruction stream against a copied register file and
-  copy-on-write memory (``repro.speculation.wrongpath``), renames it
-  into the DDT and lets it pollute the memory hierarchy, then squashes
-  it through the DDT's ROB-style ``rollback_to`` when the branch
-  resolves and restores the checkpoint in place.  Wrong-path
+  map and shadow map in locals, takes the wrong-path instruction stream
+  from its episode store, renames it into the DDT and lets it pollute
+  the memory hierarchy, then squashes it through the DDT's ROB-style
+  ``rollback_to`` when the branch resolves and restores the checkpoint
+  in place.  The store (``repro.speculation.wrongpath.EpisodeStore``,
+  private unless the caller passes ``episodes=``) holds each branch's
+  stream once per workload: the first engine to mispredict the branch
+  synthesizes it against a copied register file and copy-on-write
+  memory, checkpointing and restoring the predictor histories its
+  wrong-path branches shift, and every engine reads the prefix it
+  needs (the prefix property, DESIGN.md §2.2).  Wrong-path
   instructions do not contend for functional units or fetch/commit
   bandwidth (their timing cost stays with the redirect accounting); their
   modelled effects are cache/TLB pollution, DDT/rename occupancy and
@@ -79,7 +84,7 @@ from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import level1_gskew, level2_gskew
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.twolevel import LevelTwoKind, TwoLevelPredictor
-from repro.speculation.wrongpath import WrongPathCore
+from repro.speculation.wrongpath import EpisodeStore, WrongPathCore
 
 _REDIRECT_LATENCY = 1  # cycles to restart fetch after a resolved mispredict
 
@@ -126,7 +131,8 @@ class PipelineEngine:
                  warmup_instructions: int = 0,
                  observers: list[Observer] | None = None,
                  ddt_cross_check: bool = False,
-                 sampler=None) -> None:
+                 sampler=None,
+                 episodes: EpisodeStore | None = None) -> None:
         self.program = program
         self.config = config
         self.predictor = predictor
@@ -144,6 +150,11 @@ class PipelineEngine:
         # Wrong-path episodes run only in wrongpath mode, so the redirect
         # path stays byte-identical to the seed engine.
         self._wrongpath = config.speculation == "wrongpath"
+        # A workload's points may share one store (the experiment
+        # harness does); by default every engine has its own.
+        self.episodes = episodes if episodes is not None else EpisodeStore()
+        if self._wrongpath:
+            self.episodes.bind(program, config.icache.line_bytes)
         self.core = FunctionalCore(program)
         self.memory = MemoryHierarchy(config)
         self.ras = ReturnAddressStack()
@@ -651,16 +662,18 @@ class PipelineEngine:
         The machine fetched down the predicted direction from the branch's
         fetch cycle until resolution, so the episode budget is fetch
         bandwidth x resolve delay (capped by ``wrongpath_fetch_limit`` and
-        by DDT/rename capacity).  Wrong-path instructions rename into the
-        DDT, touch the I-side for every new fetch line and the D-side for
-        every load.  At the end the DDT rolls back to the branch
+        by DDT/rename capacity).  The instructions come from the episode
+        store (:class:`~repro.speculation.wrongpath.EpisodeStore`); the
+        first engine of a workload to mispredict this branch synthesizes
+        them (:meth:`_synthesize`).  Wrong-path instructions rename into
+        the DDT, touch the I-side for every new fetch line and the D-side
+        for every load.  At the end the DDT rolls back to the branch
         (``rollback_to``, the paper's head-pointer walk-back) and every
         structure the episode wrote is restored from the checkpoint taken
-        here: the rename map, the shadow map and the predictor histories.
-        The shadow values need no checkpoint: they are written only at
-        retire, which an episode never reaches.  The episode's physical
-        registers return to the tail of the free list in allocation
-        order.
+        here: the rename map and the shadow map.  The shadow values need
+        no checkpoint: they are written only at retire, which an episode
+        never reaches.  The episode's physical registers return to the
+        tail of the free list in allocation order.
         """
         config = self.config
         resolve_delay = complete + _REDIRECT_LATENCY - fetch
@@ -671,62 +684,66 @@ class PipelineEngine:
         rename_map = self.rename_map
         free_list = self.free_list
         shadow_map = self.shadow_map
-        predictor = self.predictor
         saved_map = rename_map[:]
         saved_shadow_map = shadow_map.snapshot()
-        saved_history = predictor.history_state()
-        # The wrong path starts at the *predicted* target: the taken
-        # target when the machine guessed taken, else the fall-through.
-        wrong_target = dyn.inst.target if decision.final_pred else dyn.pc + 1
-        core = WrongPathCore(self.program, self.core.registers,
-                             self.core.memory, wrong_target,
-                             self._wrong_path_predict)
         result = self.result
-        memory = self.memory
         ddt = self.ddt
         chains = self.chains
         decoded = self._decoded
-        line_mask = self._line_mask
-        last_line = self._last_fetch_line
         taken_pregs: list[int] = []
-        fetched = 0
-        while fetched < budget and ddt.in_flight < config.rob_entries:
-            wp = core.step()
-            if wp is None:
-                break
-            wd: DecodedInst = decoded[wp.pc]
-            needs_dest = wd.needs_dest
-            if needs_dest and not free_list:
-                break  # frontend stalls on the free list until the squash
-            fetched += 1
-            # I-side pollution: every new fetch line is a real access.
-            line = wd.byte_pc & line_mask
-            if line != last_line:
-                last_line = line
-                memory.instruction_latency(wd.byte_pc, wrong_path=True)
-            sources = wd.sources
-            if len(sources) == 2:
-                src_pregs = (rename_map[sources[0]], rename_map[sources[1]])
-            else:
-                src_pregs = tuple([rename_map[lr] for lr in sources])
-            dest_preg = None
-            if needs_dest:
-                dest_preg = free_list.popleft()
-                taken_pregs.append(dest_preg)
-                rename_map[wd.rd] = dest_preg
-                shadow_map.record(dest_preg, wd.rd)
-            token = ddt.allocate(dest_preg, src_pregs)
-            chains.insert(token, dest_preg, src_pregs, is_load=wd.is_load)
-            if wp.is_load and wp.addr is not None:
-                # D-side pollution: the speculative load really fills.
-                memory.data_latency(wp.addr, wrong_path=True)
-                result.wrong_path_loads += 1
-            elif wp.is_store:
-                # Stores wait in the LSQ and never reach memory.
-                result.wrong_path_stores += 1
-            elif wp.is_cond_branch:
-                result.wrong_path_branches += 1
+        fetched = stores = branches = 0
+        room = config.rob_entries - ddt.in_flight
+        need = budget if budget < room else room
+        if need > 0:
+            episodes = self.episodes
+            episode = episodes.get(dyn.seq, need)
+            if episode is None:
+                # The wrong path starts at the *predicted* target: the
+                # taken target when the machine guessed taken, else the
+                # fall-through.
+                episode = self._synthesize(
+                    dyn.seq,
+                    dyn.inst.target if decision.final_pred else dyn.pc + 1)
+            ddt_allocate = ddt.allocate
+            chains_info = chains._info
+            shadow_record = shadow_map.record
+            for pc in episodes.prefix(episode, need):
+                wd: DecodedInst = decoded[pc]
+                needs_dest = wd.needs_dest
+                if needs_dest and not free_list:
+                    break  # frontend stalls on the free list until the squash
+                fetched += 1
+                sources = wd.sources
+                n_sources = len(sources)
+                if n_sources == 2:
+                    src_pregs = (rename_map[sources[0]],
+                                 rename_map[sources[1]])
+                elif n_sources == 1:
+                    src_pregs = (rename_map[sources[0]],)
+                else:
+                    src_pregs = ()
+                dest_preg = None
+                if needs_dest:
+                    rd = wd.rd
+                    dest_preg = free_list.popleft()
+                    taken_pregs.append(dest_preg)
+                    rename_map[rd] = dest_preg
+                    shadow_record(dest_preg, rd)
+                token = ddt_allocate(dest_preg, src_pregs)
+                chains_info[token] = (dest_preg, src_pregs, wd.is_load)
+                if wd.is_store:
+                    # Stores wait in the LSQ and never reach memory.
+                    stores += 1
+                elif wd.is_cond_branch:
+                    branches += 1
+            if fetched:
+                # I- and D-side pollution: every new fetch line and every
+                # speculative load is a real access.
+                result.wrong_path_loads += episodes.pollute(
+                    episode, fetched, self.memory)
         result.wrong_path_instructions += fetched
+        result.wrong_path_stores += stores
+        result.wrong_path_branches += branches
 
         squashed = ddt.rollback_to(branch_token)
         for token in squashed:
@@ -734,9 +751,27 @@ class PipelineEngine:
         rename_map[:] = saved_map
         free_list.extend(taken_pregs)
         shadow_map.restore(saved_shadow_map)
-        predictor.restore_history(saved_history)
         result.rollbacks += 1
         result.squashed_tokens += len(squashed)
+
+    def _synthesize(self, seq: int, wrong_target: int) -> tuple:
+        """Fill the store with branch ``seq``'s episode, down to the limit.
+
+        The interpreter runs against the architectural registers and
+        memory at the branch, steered by the level-1 predictor, whose
+        speculative histories are checkpointed here and restored after
+        the fill.
+        """
+        predictor = self.predictor
+        saved_history = predictor.history_state()
+        core = WrongPathCore(self.program, self.core.registers,
+                             self.core.memory, wrong_target,
+                             self._wrong_path_predict)
+        episode = self.episodes.fill(
+            seq, core, self.config.wrongpath_fetch_limit,
+            self._last_fetch_line, self._line_mask)
+        predictor.restore_history(saved_history)
+        return episode
 
     # -- DDT retirement -----------------------------------------------------------------
 

@@ -11,13 +11,16 @@ The engine supports two speculation models, selected by
   synthesized by this package (:mod:`repro.speculation.wrongpath`) that
   pollutes the caches and the DDT, then squashes it through
   ``rollback_to`` and restores the checkpoint when the branch resolves
-  (``PipelineEngine._run_wrong_path``).
+  (``PipelineEngine._run_wrong_path``).  Each episode is synthesized once
+  per workload and kept in an :class:`~repro.speculation.wrongpath.
+  EpisodeStore` that every configuration of the workload reads.
 """
 
 from repro.pipeline.config import SPECULATION_MODES
-from repro.speculation.wrongpath import WrongPathCore
+from repro.speculation.wrongpath import EpisodeStore, WrongPathCore
 
 __all__ = [
+    "EpisodeStore",
     "SPECULATION_MODES",
     "WrongPathCore",
 ]

@@ -151,6 +151,51 @@ class TestRunBatch:
         assert recorded == [("li", 0.01, 1)]
 
 
+class TestSharedEpisodes:
+    """Wrongpath points share their workload's episode store: one for the
+    serial sweep, one per pool batch.  Either way every point equals the
+    point run on its own store."""
+
+    PLAN = dict(configurations=("baseline", "current"), depths=(20, 60),
+                benchmarks=("m88ksim",), scale=0.01, warmup=50,
+                speculation="wrongpath")
+
+    def test_pool_batches_equal_the_serial_sweep(self):
+        from repro.experiments.backends import _make_batches
+
+        plan = build_plan(**self.PLAN)
+        # Two batches of one workload: two stores on the pool, one in
+        # the serial sweep.
+        assert len(_make_batches(list(plan), 2)) == 2
+        serial = run_plan(plan, jobs=1, use_cache=False, backend="serial")
+        pooled = run_plan(plan, jobs=2, use_cache=False, backend="local")
+        assert pooled == serial == {point: execute_point(point)
+                                    for point in plan}
+        assert all(result.wrong_path_instructions > 0
+                   for result in serial.values())
+
+    def test_batch_shares_one_store_and_the_pool_drops_it(self,
+                                                         monkeypatch):
+        from repro.experiments import runner
+
+        handed = []
+        real = runner.execute_point
+
+        def recording(point, **kwargs):
+            handed.append(kwargs["episodes"])
+            return real(point, **kwargs)
+
+        monkeypatch.setattr(runner, "execute_point", recording)
+        points = list(build_plan(**self.PLAN))
+        traces = SharedTraces(points)
+        log = BatchLog()
+        log.run(points, traces=traces)
+        assert log.kinds() == ["ok"] * len(points)
+        assert handed[0] is not None and len(handed[0]) > 0
+        assert all(store is handed[0] for store in handed)
+        assert not traces._episodes and not traces._traces
+
+
 class TestSerialFailureIsolation:
     def test_bad_point_does_not_discard_serial_siblings(self, tmp_path):
         """The serial backend isolates per-point failures exactly like a

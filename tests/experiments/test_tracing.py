@@ -43,6 +43,18 @@ class TestSharedTraces:
         assert not any(p.replays for p in points)
         assert all(traces.get(p) is None for p in points)
 
+    def test_wrongpath_points_share_one_episode_store(self):
+        points = [point(configuration=c, speculation="wrongpath")
+                  for c in ("baseline", "current")]
+        redirect = point()
+        traces = SharedTraces(points + [redirect])
+        first = traces.episodes(points[0])
+        assert traces._episodes  # held for the remaining consumer
+        assert traces.episodes(points[1]) is first
+        assert not traces._episodes  # released after the last one
+        assert traces.episodes(redirect) is None
+        assert traces.get(redirect) is not None  # counted apart
+
     def test_single_redirect_point_replays_on_the_kernel(
             self, monkeypatch, tmp_path):
         """One redirect point of its workload records its own trace and

@@ -28,8 +28,8 @@ from repro.core.rse import RSEArray
 from repro.isa import regs
 from repro.isa.instructions import NUM_LOGICAL_REGS
 from repro.isa.program import DATA_BASE, STACK_TOP
-from repro.pipeline.config import machine_for_depth
-from repro.pipeline.engine import PipelineEngine, build_predictor
+from repro.pipeline.config import MachineConfig, machine_for_depth
+from repro.pipeline.engine import PipelineEngine, RenameError, build_predictor
 from repro.isa.decoded import FU_DIV as K_DIV, FU_MULT as K_MULT
 from repro.pipeline.kernel import ensure_lowered, kernel_run
 from repro.pipeline.trace import record_trace
@@ -328,6 +328,43 @@ class TestLoweredChainsMatchHardware:
             rse.insert(ddt.head, dest, src_pregs, is_load=d.is_load)
             assert ddt.allocate(dest, src_pregs) == i
         assert branch == len(chains.tok_off) - 1 and checked > branch
+
+
+class TestFreeListGate:
+    """``MachineConfig`` gives the free list one slot per ROB entry, so
+    neither tier can run it dry and the kernel's free-list check is
+    gated off.  With fewer physical registers the gate opens: then both
+    tiers raise :class:`RenameError`, or neither does and they agree."""
+
+    @pytest.mark.parametrize("workload,rob,short,underflows", [
+        ("m88ksim", 32, 16, True),
+        ("li", 32, 31, True),
+        ("go", 64, 31, True),
+        ("m88ksim", 64, 4, False),
+        ("li", 64, 16, False),
+        ("go", 64, 16, False),
+    ])
+    def test_tiers_agree_on_a_short_free_list(self, monkeypatch, workload,
+                                              rob, short, underflows):
+        monkeypatch.setattr(MachineConfig, "num_phys_regs", property(
+            lambda config: NUM_LOGICAL_REGS + config.rob_entries - short))
+        program, trace = _recorded(workload)
+        config = machine_for_depth(20, rob_entries=rob)
+        outcomes = []
+        for run in (
+                lambda: PipelineEngine(
+                    program, config,
+                    build_predictor(LevelTwoKind.ARVI, config),
+                    warmup_instructions=500).run(),
+                lambda: kernel_run(program, trace, config, LevelTwoKind.ARVI,
+                                   warmup_instructions=500)):
+            try:
+                outcomes.append(run())
+            except RenameError:
+                outcomes.append(RenameError)
+        live, kernel = outcomes
+        assert (live is RenameError) is underflows
+        assert kernel == live
 
 
 class TestHardwareDDTAgreement:
