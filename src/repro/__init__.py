@@ -6,8 +6,8 @@ The package provides:
 * :mod:`repro.core` — the paper's contribution: the Data Dependence Table
   (DDT), Register Set Extractor (RSE), shadow value/map structures, the
   BVIT and the ARVI value-based branch predictor;
-* :mod:`repro.isa` — a PISA-flavoured RISC ISA with an assembler and a
-  structured program builder;
+* :mod:`repro.isa` — a PISA-flavoured RISC ISA and a structured program
+  builder;
 * :mod:`repro.pipeline` — the out-of-order superscalar timing model
   (paper Table 2 machine) the evaluation runs on;
 * :mod:`repro.predictors` — bimodal/gshare/2Bc-gskew baselines, the
@@ -38,7 +38,7 @@ from repro.core import (
     RegisterView,
     ValueMode,
 )
-from repro.isa import AsmBuilder, Program, assemble
+from repro.isa import AsmBuilder, Program
 from repro.pipeline import (
     MachineConfig,
     PipelineEngine,
@@ -67,7 +67,6 @@ __all__ = [
     "SimulationResult",
     "TwoLevelPredictor",
     "ValueMode",
-    "assemble",
     "build_predictor",
     "machine_for_depth",
     "simulate",

@@ -1,13 +1,11 @@
-"""RISC instruction set, assembler and structured program builder."""
+"""RISC instruction set and structured program builder."""
 
-from repro.isa.assembler import AssemblyError, assemble
 from repro.isa.builder import AsmBuilder, Cond, eq, eqz, ge, gt, le, lt, ne, nez
 from repro.isa.instructions import (
     Instruction,
     Op,
     branch_taken,
     disassemble,
-    parse_reg,
     to_s32,
     to_u32,
 )
@@ -15,14 +13,12 @@ from repro.isa.program import DATA_BASE, STACK_TOP, Program
 
 __all__ = [
     "AsmBuilder",
-    "AssemblyError",
     "Cond",
     "DATA_BASE",
     "Instruction",
     "Op",
     "Program",
     "STACK_TOP",
-    "assemble",
     "branch_taken",
     "disassemble",
     "eq",
@@ -33,7 +29,6 @@ __all__ = [
     "lt",
     "ne",
     "nez",
-    "parse_reg",
     "to_s32",
     "to_u32",
 ]

@@ -134,22 +134,6 @@ REG_ALIASES = {
 REG_NAMES = {num: name for name, num in REG_ALIASES.items()}
 
 
-def parse_reg(token: str) -> int:
-    """Parse a register token like ``$t0``, ``t0``, ``$5`` or ``r5``."""
-    tok = token.strip().lstrip("$")
-    if tok in REG_ALIASES:
-        return REG_ALIASES[tok]
-    if tok.startswith("r") and tok[1:].isdigit():
-        num = int(tok[1:])
-    elif tok.isdigit():
-        num = int(tok)
-    else:
-        raise ValueError(f"unknown register {token!r}")
-    if not 0 <= num < NUM_LOGICAL_REGS:
-        raise ValueError(f"register number out of range: {token!r}")
-    return num
-
-
 @dataclass(slots=True)
 class Instruction:
     """One static instruction.

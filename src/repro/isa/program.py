@@ -3,7 +3,7 @@
 Memory layout (byte addresses):
 
 * text: instructions are indexed by PC (one per word, byte address pc*4);
-* data: words placed by the builder/assembler starting at ``DATA_BASE``;
+* data: words placed by the builder starting at ``DATA_BASE``;
 * stack: ``$sp`` is initialized to ``STACK_TOP`` and grows down.
 """
 

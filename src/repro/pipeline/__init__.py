@@ -12,19 +12,13 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.engine import (
     PipelineEngine,
-    RenameError,
     TimingRecord,
     build_predictor,
     simulate,
 )
 from repro.pipeline.functional import DynInst, ExecutionError, FunctionalCore
 from repro.pipeline.stats import BranchClassStats, SimulationResult
-from repro.pipeline.trace import (
-    CommittedTrace,
-    TraceError,
-    TraceRecorder,
-    record_trace,
-)
+from repro.pipeline.trace import CommittedTrace, TraceError, TraceRecorder
 
 __all__ = [
     "BranchClassStats",
@@ -37,7 +31,6 @@ __all__ = [
     "MemoryHierarchy",
     "PipelineEngine",
     "PredictorLatencies",
-    "RenameError",
     "SetAssociativeCache",
     "SimulationResult",
     "TLB",
@@ -47,7 +40,6 @@ __all__ = [
     "TraceRecorder",
     "build_predictor",
     "machine_for_depth",
-    "record_trace",
     "simulate",
     "table2_rows",
     "table4_rows",

@@ -121,7 +121,17 @@ class MachineConfig:
 
     @property
     def num_phys_regs(self) -> int:
-        """Early rename maps every ROB entry, so logical + ROB registers."""
+        """Logical + ROB registers: the rename free list never runs dry.
+
+        Early rename maps every ROB entry.  Outside the free list are the
+        32 mapped registers plus one displaced register per destination
+        writer in flight, so the list holds ``rob_entries - writers``.
+        The ROB stall keeps fewer than ``rob_entries`` instructions in
+        flight when one renames, and a wrong-path episode renames at most
+        ``rob_entries - in_flight`` instructions, so neither the engine,
+        its episodes nor the kernel checks the free list: an empty
+        ``deque.popleft()`` would still fail loudly.
+        """
         return NUM_LOGICAL_REGS + self.rob_entries
 
     @property

@@ -61,7 +61,6 @@ from repro.core.arvi import (
 from repro.core.ddt import CrossCheckedDDT, FastDDT
 from repro.core.rse import ChainInfoTable
 from repro.core.shadow import ShadowMapTable, ShadowRegisterFile
-from repro.isa import regs
 from repro.isa.decoded import (
     FU_ALU,
     FU_DIV,
@@ -111,10 +110,6 @@ class TimingRecord:
 
 
 Observer = Callable[[TimingRecord, DynInst], None]
-
-
-class RenameError(RuntimeError):
-    """Raised when a destination finds the rename free list empty."""
 
 
 # Retire-queue entries are plain tuples on the per-instruction path:
@@ -361,8 +356,6 @@ class PipelineEngine:
             dest_preg = None
             displaced = None
             if d.needs_dest:
-                if not free_list:
-                    raise RenameError("free list underflow")
                 rd = d.rd
                 dest_preg = free_list.popleft()
                 displaced = rename_map[rd]
@@ -662,10 +655,12 @@ class PipelineEngine:
         The machine fetched down the predicted direction from the branch's
         fetch cycle until resolution, so the episode budget is fetch
         bandwidth x resolve delay (capped by ``wrongpath_fetch_limit`` and
-        by DDT/rename capacity).  The instructions come from the episode
-        store (:class:`~repro.speculation.wrongpath.EpisodeStore`); the
-        first engine of a workload to mispredict this branch synthesizes
-        them (:meth:`_synthesize`).  Wrong-path instructions rename into
+        by the DDT's free entries, within which the free list cannot run
+        dry: :attr:`~repro.pipeline.config.MachineConfig.num_phys_regs`).
+        The instructions come from the episode store
+        (:class:`~repro.speculation.wrongpath.EpisodeStore`); the first
+        engine of a workload to mispredict this branch synthesizes them
+        (:meth:`_synthesize`).  Wrong-path instructions rename into
         the DDT, touch the I-side for every new fetch line and the D-side
         for every load.  At the end the DDT rolls back to the branch
         (``rollback_to``, the paper's head-pointer walk-back) and every
@@ -709,9 +704,6 @@ class PipelineEngine:
             shadow_record = shadow_map.record
             for pc in episodes.prefix(episode, need):
                 wd: DecodedInst = decoded[pc]
-                needs_dest = wd.needs_dest
-                if needs_dest and not free_list:
-                    break  # frontend stalls on the free list until the squash
                 fetched += 1
                 sources = wd.sources
                 n_sources = len(sources)
@@ -723,7 +715,7 @@ class PipelineEngine:
                 else:
                     src_pregs = ()
                 dest_preg = None
-                if needs_dest:
+                if wd.needs_dest:
                     rd = wd.rd
                     dest_preg = free_list.popleft()
                     taken_pregs.append(dest_preg)

@@ -11,10 +11,10 @@ indexed by the raw opcode int — one indexed call per instruction instead
 of the seed's ``if/elif`` opcode chain.  Every handler is re-entrant over
 an abstract *state* (register file + memory accessors + ``halted`` flag):
 :class:`FunctionalCore` is the architectural state; the speculation
-subsystem (``repro.speculation.wrongpath``) drives the same handlers over
-copy-on-write views to synthesize wrong-path instruction streams without
-mutating architectural state (DESIGN.md §2.2).  :func:`execute_instruction`
-remains the single-call entry point over the table.
+subsystem's :class:`~repro.speculation.wrongpath.WrongPathCore` dispatches
+through the same table over a register copy and a copy-on-write memory
+view to synthesize wrong-path instruction streams without mutating
+architectural state (DESIGN.md §2.2).
 
 Arithmetic is bit-for-bit identical to the seed implementation: the
 ``to_u32`` / ``to_s32`` wrappers are inlined as ``& 0xFFFFFFFF`` and
@@ -322,22 +322,6 @@ _DISPATCH = [_ex_unimplemented] * (max(int(op) for op in Op) + 1)
 for _op, _handler in _HANDLERS.items():
     _DISPATCH[int(_op)] = _handler
 del _HANDLERS
-
-
-def execute_instruction(state, dyn: DynInst) -> DynInst:
-    """Execute ``dyn.inst`` against ``state``, filling in ``dyn``'s effects.
-
-    ``state`` is any object exposing the architectural interface:
-    ``registers`` (32-entry indexable), ``load_word`` / ``load_byte`` /
-    ``store_word`` / ``store_byte``, and a writable ``halted`` flag.
-    :class:`FunctionalCore` is the real architectural state; the wrong-path
-    fetcher passes copy-on-write views so speculative execution leaves the
-    architectural state untouched.  Register writes and memory stores go
-    through ``state``; ``dyn.next_pc`` carries the control-flow outcome
-    back to the caller (which owns the pc).
-    """
-    dyn.next_pc = dyn.pc + 1
-    return _DISPATCH[dyn.op](state, dyn)
 
 
 class FunctionalCore:

@@ -78,7 +78,7 @@ from repro.isa.instructions import NUM_LOGICAL_REGS
 from repro.isa.program import DATA_BASE, STACK_TOP, Program
 from repro.pipeline.caches import TLB, MemoryHierarchy, SetAssociativeCache
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.engine import _REDIRECT_LATENCY, RenameError
+from repro.pipeline.engine import _REDIRECT_LATENCY
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import _U32, CommittedTrace, TraceError
@@ -586,8 +586,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
       order, and the in-flight window is ``[lo, i)``: ``lo`` is the
       first instruction whose commit cycle is past the rename cycle, a
       bisect over the monotone ``commit_arr``.  It is brought up to date
-      where it is read: at a branch, and where a rename might find the
-      free list empty.
+      where it is read: at a branch.
     * **Chain and register set** (paper Sections 2 and 4.2) — the
       table's chain of the branch cut at ``lo`` gives the depth span, and
       its leaves in range at ``lo`` the register set.  ``ARVIConfig``'s
@@ -609,11 +608,8 @@ def kernel_run(program: Program, trace: CommittedTrace,
 
     The DDT never fills: the ROB stall keeps at most ``rob_entries - 1``
     instructions in flight when one renames, so the engine's ``DDTError``
-    is unreachable.  For the same reason the free list can run dry only
-    if it has fewer than ``rob_entries`` slots (``MachineConfig`` gives
-    it exactly that many); on such a machine a writer that finds
-    ``free_slots`` writers in flight raises :class:`RenameError` like the
-    engine's rename stage, at the same instruction.
+    is unreachable.  Nor does the free list run dry
+    (:attr:`~repro.pipeline.config.MachineConfig.num_phys_regs`).
     """
     if config.speculation != "redirect":
         raise KernelUnsupported(
@@ -650,9 +646,6 @@ def kernel_run(program: Program, trace: CommittedTrace,
     load_back = arvi and value_mode is ValueMode.LOAD_BACK
     # Per-branch ARVI outputs; the stream kinds never set them.
     use_arvi = is_load_branch = False
-    # The ROB stall keeps fewer than rob_entries instructions in flight,
-    # so only a free list with fewer slots than that can run dry.
-    check_free = False
 
     if arvi:
         # ---- ARVI configuration constants -----------------------------
@@ -669,9 +662,6 @@ def kernel_run(program: Program, trace: CommittedTrace,
         bvit_ways = acfg.ways
         perfect = value_mode is ValueMode.PERFECT
         conf_stream = streams.confident
-        wr_tab = program.decoded().static_columns()[3]
-        free_slots = config.num_phys_regs - NUM_LOGICAL_REGS
-        check_free = free_slots < config.rob_entries
         rename_offset = config.rename_offset
 
         # ---- lowered chains; per configuration only lo, avail_at, BVIT
@@ -756,15 +746,6 @@ def kernel_run(program: Program, trace: CommittedTrace,
             fetch_used = 0
         fetch_used += 1
         fetch = fetch_cycle
-
-        if check_free and i - lo >= free_slots and wr_tab[pcs[i]] >= 0:
-            # ---- rename (one cycle after fetch): the free list can only
-            # run dry with free_slots writers in flight -----------------
-            lo = bisect_right(commit_arr, fetch + rename_offset, lo, i)
-            if i - lo >= free_slots and sum(
-                    1 for t in range(lo, i)
-                    if wr_tab[pcs[t]] >= 0) >= free_slots:
-                raise RenameError("free list underflow")
 
         # ---- issue / execute ---------------------------------------------
         ready = fetch + frontend_depth

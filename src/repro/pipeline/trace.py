@@ -156,10 +156,3 @@ class TraceRecorder:
             store_values=store_values, final_next_pc=final_next_pc,
             halted=core.halted, max_instructions=max_instructions,
         )
-
-
-def record_trace(program: Program,
-                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 ) -> CommittedTrace:
-    """One-call convenience: record ``program``'s committed stream."""
-    return TraceRecorder(program).record(max_instructions)

@@ -12,7 +12,6 @@ from repro.predictors.gshare import GsharePredictor
 from repro.predictors.local import LocalHistoryPredictor
 from repro.predictors.gskew import TwoBcGskew, level1_gskew, level2_gskew
 from repro.predictors.ras import ReturnAddressStack
-from repro.predictors.statics import AlwaysNotTaken, AlwaysTaken, BackwardTaken
 from repro.predictors.twolevel import (
     LevelTwoKind,
     TwoLevelDecision,
@@ -20,9 +19,6 @@ from repro.predictors.twolevel import (
 )
 
 __all__ = [
-    "AlwaysNotTaken",
-    "AlwaysTaken",
-    "BackwardTaken",
     "BiModePredictor",
     "BimodalPredictor",
     "BranchPredictor",

@@ -4,13 +4,13 @@ On a mispredicted branch a real machine keeps fetching down the predicted
 (wrong) path until the branch resolves; those instructions rename, occupy
 the ROB/DDT, touch the caches and are then squashed.  The timing engine is
 oracle-driven and only ever sees correct-path instructions, so this module
-*synthesizes* the wrong-path stream: :class:`WrongPathCore` runs the
-functional interpreter (:func:`repro.pipeline.functional.execute_instruction`)
-down the wrong target against a copy of the register file and a
-copy-on-write view of memory.  Architectural state is never mutated — the
-copies absorb every write and are dropped once the episode is stored;
-the engine squashes what it renamed when it restores its checkpoint
-(:meth:`~repro.pipeline.engine.PipelineEngine._run_wrong_path`).
+*synthesizes* the wrong-path stream: :class:`WrongPathCore` steps down
+the wrong target through the functional core's opcode handlers
+(``repro.pipeline.functional._DISPATCH``) against a copy of the register
+file and a copy-on-write view of memory.  Architectural state is never
+mutated — the copies absorb every write and are dropped once the episode
+is stored; the engine squashes what it renamed when it restores its
+checkpoint (:meth:`~repro.pipeline.engine.PipelineEngine._run_wrong_path`).
 
 Wrong-path control flow follows *predictions*, not data: at a conditional
 branch the machine has no outcome yet, so the fetcher asks the engine's
@@ -50,8 +50,9 @@ from repro.isa.program import Program
 class WrongPathCore:
     """Speculative fetch source: interprets down the wrong path.
 
-    Implements the same state interface :func:`execute_instruction`
-    expects (``registers``, memory accessors, ``halted``).  The register
+    :meth:`step` dispatches through the functional core's ``_DISPATCH``
+    table, so this class implements the state interface its handlers
+    expect (``registers``, memory accessors, ``halted``).  The register
     file is a private copy of the architectural one; memory is
     copy-on-write: wrong-path stores land in a byte overlay (so younger
     wrong-path loads see them — store forwarding continues down the wrong
@@ -76,7 +77,7 @@ class WrongPathCore:
         self.faulted = False
         self._decoded = program.decoded().insts
 
-    # -- memory interface for execute_instruction ---------------------------
+    # -- memory interface for the _DISPATCH handlers ------------------------
 
     def _check_addr(self, addr: int, size: int, *, aligned: int) -> None:
         if addr < 0 or addr + size > len(self._base):

@@ -23,7 +23,7 @@ import pytest
 from repro.experiments.plan import ExperimentPoint, point_key
 from repro.experiments import runner
 from repro.experiments.runner import execute_point, run_point, run_suite
-from repro.pipeline.trace import record_trace
+from repro.pipeline.trace import TraceRecorder
 from repro.workloads.registry import get_program
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_redirect.json")
@@ -76,8 +76,8 @@ class TestRedirectEquivalence:
         for spec in sorted(golden):
             benchmark, configuration, depth = spec.split("/")
             if benchmark not in traces:  # one shared recording per workload
-                traces[benchmark] = record_trace(get_program(
-                    benchmark, scale=GOLDEN_SCALE, seed=1))
+                traces[benchmark] = TraceRecorder(get_program(
+                    benchmark, scale=GOLDEN_SCALE, seed=1)).record()
             point = ExperimentPoint(benchmark, configuration,
                                     int(depth)).resolve(
                 scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)

@@ -16,7 +16,7 @@ from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
 from repro.experiments.tracing import SharedTraces
-from repro.pipeline.trace import record_trace
+from repro.pipeline.trace import TraceRecorder
 from repro.workloads.registry import get_program
 from tests.conftest import count_tiers
 
@@ -105,7 +105,7 @@ class TestExecutePointTraceArgument:
 
     def test_explicit_trace_and_force_live_agree(self):
         program = get_program("m88ksim", scale=SCALE, seed=1)
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         assert (execute_point(point(), trace=trace)
                 == execute_point(point(), trace=False))
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import repro.isa.builder as bld
 from repro.isa import AsmBuilder, eq, eqz, ge, gt, le, lt, ne, nez
+from repro.isa.instructions import Op
 from repro.isa.program import DATA_BASE
 from repro.isa.regs import a0, ra, s0, t0, t1, t2, v0, zero
 from repro.pipeline.functional import FunctionalCore
@@ -312,6 +313,23 @@ class TestDataAndLabels:
         with pytest.raises(ValueError, match="nowhere"):
             b.build()
 
+    def test_two_labels_at_one_pc(self):
+        b = AsmBuilder()
+        b.label("a")
+        b.label("b")
+        b.add(t0, t0, t0)
+        b.halt()
+        program = b.build(entry="a")
+        assert program.labels["a"] == program.labels["b"] == 0
+
+    def test_out_of_range_register_rejected_at_build(self):
+        b = AsmBuilder()
+        b.label("main")
+        b.add(t0, t1, 32)
+        b.halt()
+        with pytest.raises(ValueError, match="two sources"):
+            b.build()
+
     def test_entry_defaults_to_main(self):
         b = AsmBuilder()
         b.nop()
@@ -354,3 +372,21 @@ class TestPseudoInstructions:
         core = run(b)
         assert core.registers[t0] == 3
         assert core.registers[t1] == 4
+
+
+class TestEmittedCode:
+    def test_emitted_ops_and_resolved_targets(self):
+        b = AsmBuilder()
+        b.label("main")
+        b.add(t0, t1, t2)
+        b.addi(t0, t0, 5)
+        b.lw(t1, t0, 0)
+        b.sw(t1, t0, 4)
+        b.beq(t0, t1, "main")
+        b.halt()
+        program = b.build()
+        ops = [inst.op for inst in program.instructions]
+        assert ops == [Op.ADD, Op.ADDI, Op.LW, Op.SW, Op.BEQ, Op.HALT]
+        assert program.instructions[4].target == 0
+        assert program.instructions[3].rs2 == t1
+        assert program.instructions[3].imm == 4

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import AsmBuilder, assemble
-from repro.isa.instructions import Op, to_s32, to_u32
+from repro.isa import AsmBuilder
+from repro.isa.instructions import (
+    COND_BRANCH_OPS,
+    Instruction,
+    Op,
+    branch_taken,
+    to_s32,
+    to_u32,
+)
 from repro.isa.program import STACK_TOP
 from repro.isa.regs import a0, gp, ra, s0, sp, t0, t1, t2, v0, zero
 from repro.pipeline.functional import DynInst, ExecutionError, FunctionalCore
@@ -101,7 +108,10 @@ class TestRegisterZero:
         assert core.registers[t1] == 0
 
     def test_initial_pointers(self):
-        core = FunctionalCore(assemble("main: halt"))
+        b = AsmBuilder()
+        b.label("main")
+        b.halt()
+        core = FunctionalCore(b.build())
         assert core.registers[sp] == STACK_TOP
         assert core.registers[gp] != 0
 
@@ -134,6 +144,13 @@ class TestMemorySemantics:
             b.lbu(t2, t0, 0)
         assert execute(setup).registers[t2] == 0x80
 
+    def test_byte_load_of_data_word_is_little_endian(self):
+        def setup(b):
+            b.data_word("word", 0x01020304)
+            b.la(t0, "word")
+            b.lbu(t1, t0, 1)
+        assert execute(setup).registers[t1] == 0x03
+
     def test_unaligned_word_access_faults(self):
         b = AsmBuilder()
         b.data_space("buf", 2)
@@ -157,89 +174,138 @@ class TestMemorySemantics:
 
 class TestControlFlow:
     def test_jal_links_return_address(self):
-        program = assemble("""
-        main: jal f
-              halt
-        f:    jr $ra
-        """)
-        core = FunctionalCore(program)
-        stream = list(core.run())
+        b = AsmBuilder()
+        b.label("main")
+        b.jal("f")
+        b.halt()
+        b.label("f")
+        b.jr(ra)
+        stream = list(FunctionalCore(b.build()).run())
         jal = next(d for d in stream if d.op == Op.JAL)
         assert jal.result == 1  # return to instruction index 1
 
+    @staticmethod
+    def skip_program(t0_value: int):
+        b = AsmBuilder()
+        b.label("main")
+        b.li(t0, t0_value)
+        b.beq(t0, zero, "skip")
+        b.li(t1, 5)
+        b.label("skip")
+        b.halt()
+        return b.build()
+
     def test_branch_dyninst_records_outcome(self):
-        program = assemble("""
-        main: li  $t0, 1
-              beq $t0, $zero, skip
-              li  $t1, 5
-        skip: halt
-        """)
-        stream = list(FunctionalCore(program).run())
+        stream = list(FunctionalCore(self.skip_program(1)).run())
         branch = next(d for d in stream if d.is_cond_branch)
         assert branch.taken is False
         assert branch.next_pc == branch.pc + 1
 
     def test_taken_branch_next_pc(self):
-        program = assemble("""
-        main: li  $t0, 0
-              beq $t0, $zero, skip
-              li  $t1, 5
-        skip: halt
-        """)
+        program = self.skip_program(0)
         stream = list(FunctionalCore(program).run())
         branch = next(d for d in stream if d.is_cond_branch)
         assert branch.taken is True
         assert branch.next_pc == program.labels["skip"]
 
+    @pytest.mark.parametrize("op", sorted(Op(o) for o in COND_BRANCH_OPS),
+                             ids=lambda op: op.name.lower())
+    @given(a=st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000, WORD])
+           | st.integers(0, WORD),
+           b=st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000, WORD])
+           | st.integers(0, WORD))
+    @settings(max_examples=25, deadline=None)
+    def test_branch_handler_matches_branch_taken(self, op, a, b):
+        # The core's per-opcode handlers compare raw words; branch_taken is
+        # the signed reference. Each pair is also tried against itself.
+        bld = AsmBuilder()
+        bld.label("main")
+        bld.li(t0, a)
+        bld.li(t1, b)
+        getattr(bld, op.name.lower())(t0, t1, "next")
+        bld.label("next")
+        getattr(bld, op.name.lower())(t0, t0, "end")
+        bld.label("end")
+        bld.halt()
+        stream = list(FunctionalCore(bld.build()).run())
+        first, second = [d for d in stream if d.is_cond_branch]
+        assert first.taken is branch_taken(op, a, b)
+        assert second.taken is branch_taken(op, a, a)
+
+    def test_jalr_links_and_jumps_through_register(self):
+        b = AsmBuilder()
+        b.label("main")
+        b.li(t0, 4)
+        b.emit(Instruction(Op.JALR, rd=ra, rs1=t0))
+        b.halt()
+        b.li(t1, 99)  # skipped
+        assert b.pc == 4
+        b.move(v0, ra)
+        b.jr(ra)
+        core = FunctionalCore(b.build())
+        core.run_to_completion(100)
+        assert core.halted
+        assert core.registers[v0] == 2  # return to the halt after the jalr
+        assert core.registers[t1] == 0
+
+    def test_jump_skips_code(self):
+        def setup(b):
+            b.li(t0, 1)
+            b.j("over")
+            b.li(t0, 99)
+            b.label("over")
+        assert execute(setup).registers[t0] == 1
+
     def test_pc_out_of_range_faults(self):
-        program = assemble("main: jr $t0")  # t0 = 0... jumps to main: loops
-        core = FunctionalCore(program)
+        b = AsmBuilder()
+        b.label("main")
+        b.jr(t0)  # t0 = 0: jumps back to main and loops
+        core = FunctionalCore(b.build())
         # jr to pc 0 loops forever: bounded run, no fault.
         core.run_to_completion(max_instructions=10)
         assert core.instruction_count == 10
 
     def test_instruction_budget_stops_run(self):
-        program = assemble("main: j main")
-        core = FunctionalCore(program)
+        b = AsmBuilder()
+        b.label("main")
+        b.j("main")
+        core = FunctionalCore(b.build())
         assert core.run_to_completion(max_instructions=25) == 25
         assert not core.halted
 
 
 class TestDynInstRecords:
-    def test_load_records_address_and_value(self):
-        def stream_of(source):
-            return list(FunctionalCore(assemble(source)).run())
+    @staticmethod
+    def stream_of(setup) -> list[DynInst]:
+        b = AsmBuilder()
+        b.label("main")
+        setup(b)
+        b.halt()
+        return list(FunctionalCore(b.build()).run())
 
-        stream = stream_of("""
-        .data
-        w: .word 77
-        .text
-        main: la $t0, w
-              lw $t1, 0($t0)
-              halt
-        """)
-        load = next(d for d in stream if d.is_load)
+    def test_load_records_address_and_value(self):
+        def setup(b):
+            b.data_word("w", 77)
+            b.la(t0, "w")
+            b.lw(t1, t0, 0)
+        load = next(d for d in self.stream_of(setup) if d.is_load)
         assert load.result == 77
         assert load.addr is not None and load.addr % 4 == 0
 
     def test_store_records_value(self):
-        stream = list(FunctionalCore(assemble("""
-        .data
-        w: .word 0
-        .text
-        main: la $t0, w
-              li $t1, 9
-              sw $t1, 0($t0)
-              halt
-        """)).run())
-        store = next(d for d in stream if d.is_store)
+        def setup(b):
+            b.data_word("w", 0)
+            b.la(t0, "w")
+            b.li(t1, 9)
+            b.sw(t1, t0, 0)
+        store = next(d for d in self.stream_of(setup) if d.is_store)
         assert store.store_value == 9
 
     def test_sequence_numbers_monotone(self):
-        stream = list(FunctionalCore(assemble("""
-        main: li $t0, 3
-        l:    addi $t0, $t0, -1
-              bne $t0, $zero, l
-              halt
-        """)).run())
+        def setup(b):
+            b.li(t0, 3)
+            b.label("l")
+            b.addi(t0, t0, -1)
+            b.bne(t0, zero, "l")
+        stream = self.stream_of(setup)
         assert [d.seq for d in stream] == list(range(len(stream)))

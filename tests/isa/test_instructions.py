@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.isa import regs
 from repro.isa.instructions import (
     ALU_IMM_OPS,
     ALU_REG_OPS,
@@ -11,12 +12,14 @@ from repro.isa.instructions import (
     JUMP_OPS,
     LOAD_OPS,
     NEGATED_BRANCH,
+    NUM_LOGICAL_REGS,
+    REG_ALIASES,
+    REG_NAMES,
     STORE_OPS,
     Instruction,
     Op,
     branch_taken,
     disassemble,
-    parse_reg,
     to_s32,
     to_u32,
     validate,
@@ -39,18 +42,14 @@ class TestWordArithmetic:
         assert -(1 << 31) <= to_s32(value) < (1 << 31)
 
 
-class TestParseReg:
-    @pytest.mark.parametrize("token,expected", [
-        ("$t0", 8), ("t0", 8), ("$zero", 0), ("$ra", 31),
-        ("$5", 5), ("r17", 17), ("$sp", 29),
-    ])
-    def test_accepts(self, token, expected):
-        assert parse_reg(token) == expected
+class TestRegisterNames:
+    def test_aliases_match_regs_constants(self):
+        named = {name: getattr(regs, name) for name in REG_ALIASES}
+        assert named == REG_ALIASES
 
-    @pytest.mark.parametrize("token", ["$t99", "r32", "$x1", "", "$-1"])
-    def test_rejects(self, token):
-        with pytest.raises(ValueError):
-            parse_reg(token)
+    def test_names_cover_every_logical_register_once(self):
+        assert sorted(REG_NAMES) == list(range(NUM_LOGICAL_REGS))
+        assert len(set(REG_NAMES.values())) == NUM_LOGICAL_REGS
 
 
 class TestCategories:
@@ -127,3 +126,57 @@ class TestValidateAndDisassemble:
             Instruction(Op.SW, rs1=29, rs2=8, imm=-8)) == "sw $t0, -8($sp)"
         assert "beq" in disassemble(
             Instruction(Op.BEQ, rs1=8, rs2=0, target="loop"))
+
+    @pytest.mark.parametrize("inst,text", [
+        pytest.param(Instruction(Op.MULT, rd=2, rs1=4, rs2=5),
+                     "mult $v0, $a0, $a1", id="mult"),
+        pytest.param(Instruction(Op.ADDI, rd=8, rs1=8, imm=-3),
+                     "addi $t0, $t0, -3", id="addi"),
+        pytest.param(Instruction(Op.LUI, rd=8, imm=0x1234), "lui $t0, 0x1234",
+                     id="lui"),
+        pytest.param(Instruction(Op.LBU, rd=9, rs1=8, imm=1),
+                     "lbu $t1, 1($t0)", id="lbu"),
+        pytest.param(Instruction(Op.SB, rs1=8, rs2=9), "sb $t1, 0($t0)",
+                     id="sb"),
+        pytest.param(Instruction(Op.J, target="loop"), "j loop",
+                     id="j"),
+        pytest.param(Instruction(Op.JAL, rd=31, target=12), "jal 12",
+                     id="jal"),
+        pytest.param(Instruction(Op.JR, rs1=31), "jr $ra",
+                     id="jr"),
+        pytest.param(Instruction(Op.JALR, rd=31, rs1=8), "jalr $ra, $t0",
+                     id="jalr"),
+        pytest.param(Instruction(Op.NOP), "nop",
+                     id="nop"),
+        pytest.param(Instruction(Op.HALT), "halt",
+                     id="halt"),
+        # validate's messages render unnamed and missing registers.
+        pytest.param(Instruction(Op.ADD, rd=40, rs1=8), "add $r40, $t0, ?",
+                     id="unnamed-and-missing"),
+    ])
+    def test_disassemble_other_forms(self, inst, text):
+        assert disassemble(inst) == text
+
+    @pytest.mark.parametrize("inst,message", [
+        pytest.param(Instruction(Op.ADD, rd=32, rs1=1, rs2=2),
+                     "destination", id="add-rd"),
+        pytest.param(Instruction(Op.ADD, rd=1, rs1=2, rs2=32),
+                     "two sources", id="add-rs2"),
+        pytest.param(Instruction(Op.MULT, rd=1, rs1=-1, rs2=2),
+                     "two sources", id="mult-rs1"),
+        pytest.param(Instruction(Op.ADDI, rd=1, rs1=-1, imm=4),
+                     "one source", id="addi-rs1"),
+        pytest.param(Instruction(Op.LUI, rd=32, imm=1),
+                     "destination", id="lui-rd"),
+        pytest.param(Instruction(Op.LW, rd=1, rs1=32),
+                     "base register", id="lw-base"),
+        pytest.param(Instruction(Op.SW, rs1=2, rs2=32),
+                     "value register", id="sw-value"),
+        pytest.param(Instruction(Op.BEQ, rs1=32, rs2=1, target=0),
+                     "two sources", id="beq-rs1"),
+        pytest.param(Instruction(Op.JR, rs1=32),
+                     "target register", id="jr-rs1"),
+    ])
+    def test_validate_rejects_out_of_range_registers(self, inst, message):
+        with pytest.raises(ValueError, match=message):
+            validate(inst)

@@ -69,10 +69,12 @@ class TestTable2Values:
         assert config.dtlb.entries == 128
         assert config.itlb.miss_penalty == 30
 
-    def test_physical_registers_cover_early_rename(self):
+    @pytest.mark.parametrize("depth", [20, 40, 60])
+    @pytest.mark.parametrize("rob", [256, 8, 33])
+    def test_physical_registers_cover_early_rename(self, depth, rob):
         """Early rename needs a physical register per ROB entry."""
-        config = machine_for_depth(20)
-        assert config.num_phys_regs == 32 + 256
+        config = machine_for_depth(depth, rob_entries=rob)
+        assert config.num_phys_regs == 32 + rob
 
     def test_frontend_depth(self):
         assert machine_for_depth(20).frontend_depth == 18

@@ -32,7 +32,7 @@ from repro.pipeline.kernel import (
     is_lowered,
     kernel_run,
 )
-from repro.pipeline.trace import TraceError, record_trace
+from repro.pipeline.trace import TraceError, TraceRecorder
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import BENCHMARKS, get_program
 
@@ -46,7 +46,7 @@ def program():
 
 @pytest.fixture(scope="module")
 def trace(program):
-    return record_trace(program)
+    return TraceRecorder(program).record()
 
 
 def engine_result(program, *, kind=LevelTwoKind.HYBRID, depth=20,
@@ -94,7 +94,7 @@ class TestEquality:
             b.rem(t1, s1, s0)
         b.halt()
         program = b.build()
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         cycles = []
         for units in (1, 2):
             config = machine_for_depth(20, int_muldiv=units)
@@ -108,7 +108,7 @@ class TestEquality:
     @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_other_workloads(self, workload):
         program = get_program(workload, scale=0.02, seed=1)
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         kernel = kernel_run(program, trace, machine_for_depth(20),
                             warmup_instructions=100)
         assert kernel == engine_result(program, warmup=100)
@@ -125,7 +125,7 @@ class TestEquality:
         """Lowering computes the gskew streams once: level 1's verdicts
         are the live engine's level-1 hits, and level 2's are the
         hybrid's final hits (it overrides exactly on disagreement)."""
-        lowered = ensure_lowered(program, record_trace(program))
+        lowered = ensure_lowered(program, TraceRecorder(program).record())
         streams = lowered.branch_streams
         taken = lowered.branch_taken
         assert len(streams.l1_pred) == len(streams.l2_pred) == len(taken)
@@ -183,7 +183,7 @@ class TestFetchStream:
         """Each stand-in's code size and layout gives its own L1I/ITLB
         miss pattern on the direct-mapped geometry."""
         program = get_program(workload, scale=0.01, seed=1)
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         config = machine_for_depth(20, **SMALL_ISIDE[0])
         live = live_result(program, config, kind, warmup=100)
         assert kernel_run(program, trace, config, kind,
@@ -209,7 +209,7 @@ class TestFetchStream:
     def test_geometries_in_turn_on_one_trace(self, program, kind):
         """One trace replayed under alternating geometries must never
         hand a replay the stream cached for another geometry."""
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         for iside in (SMALL_ISIDE[0], SMALL_ISIDE[1], {}, SMALL_ISIDE[0]):
             config = machine_for_depth(20, **iside)
             assert kernel_run(program, trace, config, kind,
@@ -222,7 +222,7 @@ def _small():
     """A small (program, trace) pair the budget property replays
     (built once; hypothesis forbids function-scoped fixtures)."""
     program = get_program("li", scale=0.01, seed=1)
-    return program, record_trace(program)
+    return program, TraceRecorder(program).record()
 
 
 class TestBudgetProperty:
@@ -259,13 +259,13 @@ class TestFallback:
                        machine_for_depth(20, speculation="wrongpath"))
 
     def test_truncated_trace_raises_instead_of_diverging(self, program):
-        short = record_trace(program, max_instructions=50)
+        short = TraceRecorder(program).record(50)
         with pytest.raises(TraceError, match="exhausted"):
             kernel_run(program, short, machine_for_depth(20))
 
     def test_budget_truncated_recording_replays_within_budget(self,
                                                               program):
-        short = record_trace(program, max_instructions=50)
+        short = TraceRecorder(program).record(50)
         kernel = kernel_run(program, short, machine_for_depth(20),
                             warmup_instructions=0, max_instructions=50)
         assert kernel == engine_result(program, warmup=0, budget=50)

@@ -28,11 +28,11 @@ from repro.core.rse import RSEArray
 from repro.isa import regs
 from repro.isa.instructions import NUM_LOGICAL_REGS
 from repro.isa.program import DATA_BASE, STACK_TOP
-from repro.pipeline.config import MachineConfig, machine_for_depth
-from repro.pipeline.engine import PipelineEngine, RenameError, build_predictor
+from repro.pipeline.config import machine_for_depth
+from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.isa.decoded import FU_DIV as K_DIV, FU_MULT as K_MULT
 from repro.pipeline.kernel import ensure_lowered, kernel_run
-from repro.pipeline.trace import record_trace
+from repro.pipeline.trace import TraceRecorder
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import BENCHMARKS, get_program
 
@@ -43,7 +43,7 @@ MODES = (ValueMode.CURRENT, ValueMode.LOAD_BACK, ValueMode.PERFECT)
 @functools.lru_cache(maxsize=None)
 def _recorded(workload, scale=SCALE):
     program = get_program(workload, scale=scale, seed=1)
-    return program, record_trace(program)
+    return program, TraceRecorder(program).record()
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +246,9 @@ class TestLoweredChainsMatchHardware:
     ])
     def test_tables_equal_ddt_and_rse(self, workload, budget, rob):
         program = get_program(workload, scale=0.02, seed=1)
-        trace = (record_trace(program) if budget is None
-                 else record_trace(program, budget))
+        recorder = TraceRecorder(program)
+        trace = (recorder.record() if budget is None
+                 else recorder.record(budget))
         chains = ensure_lowered(program, trace).arvi_chains(rob)
         n_pregs = NUM_LOGICAL_REGS + rob
         ddt = DDT(n_pregs, rob)
@@ -330,43 +331,6 @@ class TestLoweredChainsMatchHardware:
         assert branch == len(chains.tok_off) - 1 and checked > branch
 
 
-class TestFreeListGate:
-    """``MachineConfig`` gives the free list one slot per ROB entry, so
-    neither tier can run it dry and the kernel's free-list check is
-    gated off.  With fewer physical registers the gate opens: then both
-    tiers raise :class:`RenameError`, or neither does and they agree."""
-
-    @pytest.mark.parametrize("workload,rob,short,underflows", [
-        ("m88ksim", 32, 16, True),
-        ("li", 32, 31, True),
-        ("go", 64, 31, True),
-        ("m88ksim", 64, 4, False),
-        ("li", 64, 16, False),
-        ("go", 64, 16, False),
-    ])
-    def test_tiers_agree_on_a_short_free_list(self, monkeypatch, workload,
-                                              rob, short, underflows):
-        monkeypatch.setattr(MachineConfig, "num_phys_regs", property(
-            lambda config: NUM_LOGICAL_REGS + config.rob_entries - short))
-        program, trace = _recorded(workload)
-        config = machine_for_depth(20, rob_entries=rob)
-        outcomes = []
-        for run in (
-                lambda: PipelineEngine(
-                    program, config,
-                    build_predictor(LevelTwoKind.ARVI, config),
-                    warmup_instructions=500).run(),
-                lambda: kernel_run(program, trace, config, LevelTwoKind.ARVI,
-                                   warmup_instructions=500)):
-            try:
-                outcomes.append(run())
-            except RenameError:
-                outcomes.append(RenameError)
-        live, kernel = outcomes
-        assert (live is RenameError) is underflows
-        assert kernel == live
-
-
 class TestHardwareDDTAgreement:
     """The engine keeps its DDT as plain ints (``FastDDT``) and can mirror
     every DDT operation into the hardware-faithful circular
@@ -380,7 +344,7 @@ class TestHardwareDDTAgreement:
     @pytest.mark.parametrize("mode", MODES)
     def test_kernel_equals_cross_checked_engine(self, workload, mode):
         program = get_program(workload, scale=0.02, seed=1)
-        trace = record_trace(program)
+        trace = TraceRecorder(program).record()
         config = machine_for_depth(20)
         engine = PipelineEngine(
             program, config, build_predictor(LevelTwoKind.ARVI, config),
@@ -405,7 +369,7 @@ def _small():
     """A small (program, trace) pair the property replays (built once;
     hypothesis forbids function-scoped fixtures)."""
     program = get_program("li", scale=0.01, seed=1)
-    return program, record_trace(program)
+    return program, TraceRecorder(program).record()
 
 
 class TestARVIProperty:

@@ -178,6 +178,37 @@ class TestWrongPathRecovery:
         assert preg_partition(engine) == list(range(config.num_phys_regs))
 
 
+class TestRenameCapacity:
+    """``MachineConfig.num_phys_regs`` leaves the free list room for every
+    rename, so nothing checks it: at each episode it holds more than the
+    episode's ``need`` (the mispredicted branch holds a DDT entry but no
+    register), the main loop never pops it empty, and the run ends with
+    every register held exactly once."""
+
+    @pytest.mark.parametrize("rob", [8, 16, 33])
+    @pytest.mark.parametrize("kind", [LevelTwoKind.HYBRID, LevelTwoKind.ARVI])
+    def test_free_list_covers_every_episode(self, kind, rob):
+        from repro.workloads import get_program
+        config = machine_for_depth(20, speculation="wrongpath",
+                                   rob_entries=rob)
+        for workload in ("li", "go", "m88ksim"):
+            engine = PipelineEngine(get_program(workload, scale=0.02),
+                                    config, build_predictor(kind, config))
+            prefix = engine.episodes.prefix
+            needs = []
+
+            def checked_prefix(entry, need):
+                assert len(engine.free_list) > need
+                needs.append(need)
+                return prefix(entry, need)
+
+            engine.episodes.prefix = checked_prefix
+            result = engine.run(4_000)
+            assert len(needs) > 0 and result.rollbacks > 0
+            assert preg_partition(engine) == list(
+                range(config.num_phys_regs))
+
+
 def episode_engine():
     """A fresh wrongpath engine on a program whose branch (pc 1) falls
     through to three instructions, the first writing no register, and
@@ -234,17 +265,6 @@ class TestWrongPathEpisode:
         assert engine.rename_map == list(range(32))
         assert list(engine.free_list) == free_before
         assert engine.predictor.history_state() == history_before
-
-    def test_empty_free_list_stalls_wrong_path_fetch(self):
-        """Fetch stops at the first wrong-path destination the free list
-        cannot rename, and nothing is handed back to the list."""
-        engine = episode_engine()
-        engine.free_list.clear()
-        run_episode(engine, predicted_taken=False)
-        assert engine.result.wrong_path_instructions == 1  # `add zero`
-        assert engine.result.squashed_tokens == 1
-        assert not engine.free_list
-        assert engine.rename_map == list(range(32))
 
     def test_fetch_limit_caps_every_episode(self):
         limit = 2

@@ -14,11 +14,7 @@ from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.functional import FunctionalCore
 from repro.pipeline.kernel import ensure_lowered, kernel_run
-from repro.pipeline.trace import (
-    TraceError,
-    TraceRecorder,
-    record_trace,
-)
+from repro.pipeline.trace import TraceError, TraceRecorder
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import get_program
 
@@ -32,7 +28,7 @@ def program():
 
 @pytest.fixture(scope="module")
 def trace(program):
-    return record_trace(program)
+    return TraceRecorder(program).record()
 
 
 def engine_result(program, *, kind=LevelTwoKind.HYBRID,
@@ -83,7 +79,7 @@ class TestRecording:
             recorder.record()
 
     def test_budget_truncated_recording(self, program):
-        short = record_trace(program, max_instructions=100)
+        short = TraceRecorder(program).record(100)
         assert short.length == 100
         assert not short.halted
 

@@ -1,4 +1,4 @@
-"""Tests for bimodal, gshare and static predictors."""
+"""Tests for the bimodal and gshare predictors."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.predictors.base import (
 )
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
-from repro.predictors.statics import AlwaysNotTaken, AlwaysTaken, BackwardTaken
 
 
 class TestSaturatingCounterTable:
@@ -127,22 +126,3 @@ class TestGshare:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             GsharePredictor(1000)
-
-
-class TestStatics:
-    def test_always_taken(self):
-        predictor = AlwaysTaken()
-        assert predictor.predict(1) is True
-        predictor.update(1, False)  # no-op
-        assert predictor.predict(1) is True
-
-    def test_always_not_taken(self):
-        assert AlwaysNotTaken().predict(1) is False
-
-    def test_backward_taken_uses_target(self):
-        predictor = BackwardTaken()
-        predictor.set_target(pc=10, target=2)    # backward
-        predictor.set_target(pc=20, target=30)   # forward
-        assert predictor.predict(10) is True
-        assert predictor.predict(20) is False
-        assert predictor.predict(99) is False    # unseen

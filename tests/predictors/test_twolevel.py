@@ -8,11 +8,24 @@ from repro.core.arvi import (
     ARVIRequest,
     RegisterView,
 )
+from repro.predictors.base import BranchPredictor
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gskew import TwoBcGskew
-from repro.predictors.statics import AlwaysNotTaken, AlwaysTaken
 from repro.predictors.twolevel import LevelTwoKind, TwoLevelPredictor
 from repro.predictors.ras import ReturnAddressStack
+
+
+class Fixed(BranchPredictor):
+    """A predictor that always predicts ``taken`` and learns nothing."""
+
+    def __init__(self, taken: bool) -> None:
+        self.taken = taken
+
+    def predict(self, pc: int) -> bool:
+        return self.taken
+
+    def update(self, pc: int, taken: bool) -> None:
+        pass
 
 
 def arvi_request(value=3):
@@ -25,16 +38,16 @@ def arvi_request(value=3):
 class TestConstruction:
     def test_hybrid_requires_level2(self):
         with pytest.raises(ValueError):
-            TwoLevelPredictor(AlwaysTaken(), LevelTwoKind.HYBRID)
+            TwoLevelPredictor(Fixed(True), LevelTwoKind.HYBRID)
 
     def test_arvi_requires_components(self):
         with pytest.raises(ValueError):
-            TwoLevelPredictor(AlwaysTaken(), LevelTwoKind.ARVI)
+            TwoLevelPredictor(Fixed(True), LevelTwoKind.ARVI)
 
 
 class TestNoneKind:
     def test_level1_passthrough(self):
-        composite = TwoLevelPredictor(AlwaysTaken(), LevelTwoKind.NONE)
+        composite = TwoLevelPredictor(Fixed(True), LevelTwoKind.NONE)
         decision = composite.decide(5)
         assert decision.final_pred is True
         assert not decision.used_l2
@@ -44,8 +57,8 @@ class TestNoneKind:
 class TestHybridKind:
     def test_l2_overrides_on_disagreement(self):
         composite = TwoLevelPredictor(
-            AlwaysTaken(), LevelTwoKind.HYBRID,
-            level2_hybrid=AlwaysNotTaken(), latency=2)
+            Fixed(True), LevelTwoKind.HYBRID,
+            level2_hybrid=Fixed(False), latency=2)
         decision = composite.decide(5)
         assert decision.l1_pred is True
         assert decision.l2_pred is False
@@ -54,8 +67,8 @@ class TestHybridKind:
 
     def test_no_override_on_agreement(self):
         composite = TwoLevelPredictor(
-            AlwaysTaken(), LevelTwoKind.HYBRID,
-            level2_hybrid=AlwaysTaken())
+            Fixed(True), LevelTwoKind.HYBRID,
+            level2_hybrid=Fixed(True))
         decision = composite.decide(5)
         assert not decision.override
 
@@ -74,7 +87,7 @@ class TestHybridKind:
 class TestArviKind:
     def build(self, threshold=2):
         return TwoLevelPredictor(
-            AlwaysTaken(), LevelTwoKind.ARVI,
+            Fixed(True), LevelTwoKind.ARVI,
             arvi=ARVIPredictor(ARVIConfig(allocate_only_hard=False)),
             confidence=ConfidenceEstimator(entries=1, history_bits=1,
                                            threshold=threshold),

@@ -1,9 +1,12 @@
-"""Every example imports cleanly, so none can name a deleted API.
+"""Every example imports cleanly and has a ``main()``.
 
 Each ``examples/*.py`` keeps its work behind a ``__main__`` guard and a
-``main()`` function; importing one resolves its ``repro`` imports
-without running a simulation.  The m88ksim case study's per-branch
-profile is also run at a small scale and checked against its result.
+``main()`` function; importing one resolves its module-level ``repro``
+imports without running a simulation, so a deleted name used only
+inside a function body still passes here.  CI's ``reproduce`` job runs
+every example end to end, which catches those.  The m88ksim case
+study's per-branch profile is also run at a small scale and checked
+against its result.
 """
 
 import importlib.util
