@@ -18,7 +18,6 @@ from repro.applications import (
     BexExtractor,
     ChainLengthObserver,
     CriticalityObserver,
-    ThreadModel,
     run_selective_value_prediction,
 )
 from repro.applications.scheduling import compare_policies as sched_policies

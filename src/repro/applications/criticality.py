@@ -10,7 +10,7 @@ population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pipeline.engine import TimingRecord
 

@@ -9,8 +9,10 @@ hands the batches to one of two plain functions, picked by name:
   traces and wrong-path episode stores across the sweep exactly like a
   worker batch; the deterministic reference the pool is diffed against.
 * :func:`run_pool` (``"local"``) — ``ProcessPoolExecutor`` sharding on
-  the local host; per-point progress ticks travel through a manager
-  queue.
+  the local host.  Workers write no files and return nothing: each
+  finished point (its result payload or exception, with its compute
+  seconds) and each ledger line travels to the parent over one manager
+  queue, the *channel*, as it is produced.
 
 Both simulate a batch through the one loop :func:`run_batch`, which
 funnels every point through :func:`~repro.experiments.runner.
@@ -21,9 +23,9 @@ execute_point`, so results are bit-for-bit equal (``==``) on both
 picks ``serial`` for single-worker runs and ``local`` otherwise
 (:func:`resolve_backend`).
 
-Both report to the scheduler's ``_PlanReport``: ``deliver`` and
-``tick`` once per completed point, ``fail`` once per failed point (or
-whole pool batch).
+Both report to the scheduler's ``_PlanReport``, in the parent process:
+``deliver`` once per completed point, ``fail`` once per failed point
+(or per pool batch whose worker died with points unfinished).
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ Batches = Mapping[str, tuple[ExperimentPoint, ...]]
 
 
 def _relayable_exception(exc: Exception) -> Exception:
-    """Make a worker exception safe to return across the process boundary.
+    """Make a worker exception safe to send across the process boundary.
 
     The worker traceback is attached as an exception note (the future
     machinery's ``_RemoteTraceback`` only decorates exceptions *raised*
-    out of a task, not ones returned in a payload), and unpicklable
-    exceptions are summarized into a plain ``RuntimeError`` so they can
-    never poison the batch's return value and take sibling results down
-    with them.
+    out of a task, not ones sent on the channel), and unpicklable
+    exceptions are summarized into a plain ``RuntimeError`` so putting
+    them can never fail the batch and take its later points down too.
     """
     import pickle
     import traceback
@@ -103,50 +104,36 @@ def run_batch(points, *, on_ok, on_error, traces=None) -> None:
         on_ok(index, payload, time.perf_counter() - started)
 
 
-def _compute_batch(points: tuple[ExperimentPoint, ...],
-                   batch_id: str | None = None,
-                   ticker=None, obs_ctx: dict | None = None) -> list[tuple]:
+def _compute_batch(points: tuple[ExperimentPoint, ...], batch_id: str,
+                   channel, obs_ctx: dict | None = None) -> None:
     """Pool-worker entry: simulate a same-benchmark batch of points.
 
     The workload registry caches the shared ``Program`` (and its
     pre-decoded table) per process, so it is built once for the whole
     batch, and :func:`run_batch` shares one recorded trace across its
-    ``redirect`` points.  Failures are isolated per point — the batch
-    returns ``("ok", payload)`` / ``("error", exception)`` entries
-    positionally so sibling results still reach the parent (and its
-    cache).
-
-    ``ticker`` (a manager queue) receives ``(batch_id, index,
-    duration_seconds)`` after each completed point so the parent can
-    stream per-point progress while the batch is still running.
+    ``redirect`` points.  Each finished point is put on ``channel`` (a
+    manager queue) at once as ``(batch_id, index, payload or exception,
+    duration)``; failures are isolated per point.
 
     ``obs_ctx`` (a parent :meth:`repro.obs.Telemetry.context`) joins
     this worker to the parent's telemetry run: the batch runs under a
-    ``batch`` span in a per-process shard stream the parent merges at
-    run close.
+    ``batch`` span whose ledger lines go to ``channel`` too.
     """
-    entries: list[tuple] = []
-
     def ok(index, payload, duration) -> None:
-        nonlocal ticker
-        entries.append(("ok", payload))
-        if ticker is not None:
-            try:
-                ticker.put((batch_id, index, duration))
-            except Exception:  # noqa: BLE001 - a dead manager must
-                ticker = None  # not take the results down with it
+        channel.put((batch_id, index, payload, duration))
 
-    def error(_index, exc) -> None:
-        entries.append(("error", _relayable_exception(exc)))
+    def error(index, exc) -> None:
+        channel.put((batch_id, index, _relayable_exception(exc), None))
 
-    shard = obs.worker_shard(obs_ctx) if obs_ctx is not None else None
-    with obs.activate(shard):
-        with obs.span(batch_id or "batch", kind="batch", attrs={
+    telemetry = None if obs_ctx is None else obs.Telemetry(
+        obs_ctx["run"], emitter=f"worker-{os.getpid()}-{batch_id}",
+        channel=channel, root_span=obs_ctx["parent"])
+    with obs.activate(telemetry):
+        with obs.span(batch_id, kind="batch", attrs={
                 "batch_id": batch_id, "points": len(points),
                 "benchmark": points[0].benchmark if points else None,
                 "worker": os.getpid()}):
             run_batch(points, on_ok=ok, on_error=error)
-        return entries
 
 
 def _make_batches(pending: list[ExperimentPoint],
@@ -216,9 +203,8 @@ def resolve_backend(backend: str | None, *, jobs: int,
                     pending: int) -> str:
     """``backend=`` -> ``"serial"`` or ``"local"``; anything else raises.
 
-    ``None`` keeps the historical scheduler behaviour: one worker (or a
-    single pending point) runs serially in-process, anything else
-    shards across the local pool.
+    ``None`` runs one worker (or a single pending point) serially
+    in-process and anything else on the local pool.
     """
     if backend is None:
         return "serial" if jobs == 1 or pending == 1 else "local"
@@ -241,80 +227,71 @@ def run_serial(batches: Batches, report) -> None:
     traces = SharedTraces(
         [point for group in batches.values() for point in group])
     for batch_id, group in batches.items():
-
-        def ok(index, payload, duration, batch_id=batch_id):
-            report.deliver(batch_id, index, payload)
-            report.tick(batch_id, index, duration)
-
         with obs.span(batch_id, kind="batch", attrs={
                 "batch_id": batch_id, "points": len(group),
                 "benchmark": group[0].benchmark if group else None}):
-            run_batch(group, traces=traces, on_ok=ok,
+            run_batch(group, traces=traces,
+                      on_ok=functools.partial(report.deliver, batch_id),
                       on_error=functools.partial(report.fail, batch_id))
 
 
 def run_pool(batches: Batches, report, *, jobs: int) -> None:
-    """``ProcessPoolExecutor`` sharding on the local host."""
+    """``ProcessPoolExecutor`` sharding on the local host.
+
+    The parent drains the channel while the batches run and reports
+    each message as it arrives; a batch's future is read only for a
+    whole-batch exception (a dead worker), which is reported after every
+    message its worker put has been drained.
+    """
     # Imported here: serial runs never start a pool.
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    workers = min(jobs, len(batches))
     context = _pool_context()
     needs_path = context.get_start_method() != "fork"
     saved_path = _ensure_worker_import_path() if needs_path else None
-    # Per-point progress ticks travel through a manager queue so big
-    # batches do not look stalled; only created when someone listens.
-    manager = context.Manager() if report.wants_ticks else None
-    ticker = manager.Queue() if manager is not None else None
-    # Workers join the parent's telemetry run (if any) by writing
-    # shard streams straight into its shards/ directory — same host,
-    # same filesystem — which the close-time merge picks up.
-    obs_ctx = obs.worker_context()
+    telemetry = obs.current()
+    obs_ctx = telemetry.context() if telemetry is not None else None
+    # A manager queue rather than a multiprocessing.Queue: a put returns
+    # only once the manager holds the message, so a worker that dies
+    # mid-batch has still delivered every point and line it put, where a
+    # queue's feeder thread can lose them.
+    manager = context.Manager()
 
-    def drain_ticker() -> None:
-        if ticker is None:
-            return
+    def drain() -> None:
         while True:
             try:
-                batch_id, index, duration = ticker.get_nowait()
+                message = channel.get_nowait()
             except queue_module.Empty:
                 return
-            report.tick(batch_id, index, duration)
+            if isinstance(message, str):
+                telemetry.write_line(message)
+                continue
+            batch_id, index, outcome, duration = message
+            if isinstance(outcome, Exception):
+                report.fail(batch_id, index, outcome)
+            else:
+                report.deliver(batch_id, index, outcome, duration)
 
     try:
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context) as pool:
+        channel = manager.Queue()
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches)),
+                                 mp_context=context) as pool:
             futures = {
-                pool.submit(_compute_batch, group,
-                            batch_id=batch_id, ticker=ticker,
-                            obs_ctx=obs_ctx): batch_id
+                pool.submit(_compute_batch, group, batch_id, channel,
+                            obs_ctx): batch_id
                 for batch_id, group in batches.items()}
             remaining = set(futures)
             while remaining:
                 finished, remaining = wait(
-                    remaining, return_when=FIRST_COMPLETED,
-                    timeout=0.05 if ticker is not None else None)
-                drain_ticker()
+                    remaining, timeout=0.05, return_when=FIRST_COMPLETED)
+                # A finished batch's worker put all its messages before
+                # the future resolved, so this drain holds all of them.
+                drain()
                 for future in finished:
-                    batch_id = futures[future]
-                    try:
-                        entries = future.result()
-                    except Exception as exc:
-                        # A whole-batch failure (e.g. a dead worker);
-                        # keep draining so completed sibling batches
-                        # still reach the cache.
-                        report.fail(batch_id, None, exc)
-                        continue
-                    for index, entry in enumerate(entries):
-                        if entry[0] == "ok":
-                            report.deliver(batch_id, index, entry[1])
-                        else:
-                            report.fail(batch_id, index, entry[1])
-            # A worker's final ticks can land just after its future
-            # resolves; one last drain catches them.
-            drain_ticker()
+                    if future.exception() is not None:
+                        report.fail(futures[future], None,
+                                    future.exception())
     finally:
-        if manager is not None:
-            manager.shutdown()
+        manager.shutdown()
         if needs_path:
             _restore_worker_import_path(saved_path)

@@ -7,8 +7,11 @@ in-process (``backend="serial"``) or a local ``ProcessPoolExecutor``
 (``backend="local"``); ``backend=None`` runs serially for one worker
 (``REPRO_JOBS=1``) and on the local pool otherwise.
 Point keys, cache bytes and progress events are identical on both
-backends, so the result cache and per-point progress ticks are
-backend-agnostic.
+backends.  This process is the only writer of the cache, the progress
+stream and the ledger: a pool worker sends each finished point (and
+each ledger line) over one channel as it finishes, and the scheduler
+caches the result, hands it to the sink and then emits its progress
+event, in that order on both backends.
 
 **In-worker batching** (default on): pending points are
 grouped by workload identity — ``(benchmark, scale, seed)``, the
@@ -38,11 +41,13 @@ Progress is streamed through an optional callback receiving one
 :class:`ProgressEvent` per completed point, in completion order, with a
 monotone ``completed`` counter.  Failures are collected per point and
 the first one is raised once the grid has drained — completed siblings
-always reach the cache first; the raised error carries one ``also
-failed`` note per other failure, and each failure is also a
+always reach the cache first, and a pool worker that dies mid-batch
+loses only the points it had not finished; the raised error carries one
+``also failed`` note per other failure, and each failure is also a
 ``kind="error"`` ledger event and a ``status`` view entry.  The cache
 is also the resume store: a killed grid rerun with the same plan and
-cache recomputes only the points that never reached it.
+cache recomputes only the points that never reached it — never one that
+got a progress event.
 """
 
 from __future__ import annotations
@@ -93,9 +98,9 @@ class ProgressEvent:
     #: Wall-clock time the event was emitted (``time.time()``); pairs
     #: with the monotonic ``elapsed`` for cross-process correlation.
     timestamp: float = 0.0
-    #: Seconds this point's simulation took, when the producing backend
-    #: measured it (serial always; pool workers ship it with their
-    #: progress ticks).  None for cache hits.
+    #: Seconds this point's simulation took, as the backend that ran it
+    #: measured it (pool workers send it with the result).  None for
+    #: cache hits.
     duration: float | None = None
 
 
@@ -104,41 +109,49 @@ ProgressCallback = Callable[[ProgressEvent], None]
 
 class _PlanReport:
     """What :func:`~repro.experiments.backends.run_serial` and
-    :func:`~repro.experiments.backends.run_pool` report to.
+    :func:`~repro.experiments.backends.run_pool` report to, in the
+    parent process.
 
-    Translates their callbacks into cache writes, progress events and
-    collected failures: ``tick`` (a point finished; once per point, with
-    its compute seconds), ``deliver`` (its result payload arrived; once
-    per point) and ``fail`` (a per-point or, ``index=None``, whole-batch
-    failure; the first one is raised after the grid drains).
-    ``wants_ticks`` tells the pool whether anyone listens to ticks.
+    ``deliver`` (a point finished: its result payload and compute
+    seconds; once per point) caches the result, feeds the sink and then
+    emits the progress event, in that order on both backends.  ``fail``
+    collects a point's failure or, with ``index=None``, a whole batch's
+    (a dead pool worker): the points of that batch not yet reported are
+    what it lost.  The first failure is raised after the grid drains.
     """
 
     def __init__(self, batches: dict[str, tuple[ExperimentPoint, ...]],
-                 source: str, emit, deliver, *,
-                 wants_ticks: bool) -> None:
+                 deliver) -> None:
         self._batches = batches
-        self._source = source
-        self._emit = emit            # (point, source, batch_id, batch_size)
-        self._deliver = deliver      # (point, payload) -> None
-        self.wants_ticks = wants_ticks
-        self.failure: Exception | None = None
-        self.failures: list[tuple[ExperimentPoint | None, Exception]] = []
+        self._deliver = deliver    # (point, payload, batch_id, size, secs)
+        self._reported: set[tuple[str, int]] = set()
+        #: ``(label, point or None, error)`` per failure, first first.
+        self.failures: list[tuple[str, ExperimentPoint | None,
+                                  Exception]] = []
 
-    def tick(self, batch_id: str, index: int, duration: float) -> None:
+    def deliver(self, batch_id: str, index: int, payload: dict,
+                duration: float) -> None:
         group = self._batches[batch_id]
-        self._emit(group[index], self._source, batch_id, len(group),
-                   duration=duration)
-
-    def deliver(self, batch_id: str, index: int, payload: dict) -> None:
-        self._deliver(self._batches[batch_id][index], payload)
+        self._reported.add((batch_id, index))
+        self._deliver(group[index], payload, batch_id, len(group),
+                      duration)
 
     def fail(self, batch_id: str, index: int | None,
              error: Exception) -> None:
-        point = None if index is None else self._batches[batch_id][index]
-        self.failures.append((point, error))
-        if self.failure is None:
-            self.failure = error
+        group = self._batches[batch_id]
+        if index is None:
+            rest = [point for at, point in enumerate(group)
+                    if (batch_id, at) not in self._reported]
+            if not rest:
+                return          # every point reached the parent already
+            point = None
+            label = (f"{batch_id} (unfinished: "
+                     + ", ".join(map(_describe, rest)) + ")")
+        else:
+            self._reported.add((batch_id, index))
+            point = group[index]
+            label = _describe(point)
+        self.failures.append((label, point, error))
 
 
 def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
@@ -253,54 +266,53 @@ def _run_plan(plan: ExperimentPlan, knobs: settings.Settings, *, jobs,
     if pending:
         source = "serial" if name == "serial" else "worker"
 
-        def deliver(point: ExperimentPoint, payload: dict) -> None:
+        def deliver(point: ExperimentPoint, payload: dict, batch_id: str,
+                    batch_size: int, duration: float) -> None:
             results[point] = _finish(point, payload, keys, cache)
             sink_result(point, source, results[point])
+            emit(point, source, batch_id, batch_size, duration=duration)
 
         batches = (_make_batches(pending, jobs) if batch
                    else [(point,) for point in pending])
         groups = {f"batch-{index}": group
                   for index, group in enumerate(batches)}
-        report = _PlanReport(groups, source, emit, deliver,
-                             wants_ticks=(progress is not None
-                                          or sink is not None
-                                          or obs.current() is not None))
+        report = _PlanReport(groups, deliver)
         if name == "serial":
             run_serial(groups, report)
         else:
             run_pool(groups, report, jobs=jobs)
-        if report.failure is not None:
-            _raise_failures(report, keys, sink)
+        if report.failures:
+            _raise_failures(report.failures, keys, sink)
 
     # Return in plan order regardless of completion order.
     return {point: results[point] for point in plan}
 
 
-def _raise_failures(report: _PlanReport, keys, sink) -> None:
+def _raise_failures(failures, keys, sink) -> None:
     """Report the drained grid's failures, then raise the first one.
 
-    Each failure — a point's, or a whole batch's (``point=None``) — goes
-    to the sink and becomes one ``kind="error"`` ledger event; the
-    raised first failure gets one note per other failure.
+    Each failure — a point's, or a whole batch's (``point=None``, named
+    by its unfinished points) — goes to the sink and becomes one
+    ``kind="error"`` ledger event; the raised first failure gets one
+    note per other failure.
     """
-    for point, error in report.failures:
+    for label, point, error in failures:
         key = keys.get(point)
         if sink is not None:
             sink.on_failure(point, key, error)
-        obs.emit(f"failed: {_describe(point)}", kind="error", attrs={
+        obs.emit(f"failed: {label}", kind="error", attrs={
             "point": point.to_dict() if point is not None else None,
             "key": key, "type": type(error).__name__,
             "message": str(error),
             "notes": list(getattr(error, "__notes__", ()))})
-    for point, error in report.failures[1:]:
-        report.failure.add_note(f"also failed: {_describe(point)}: "
-                                f"{type(error).__name__}: {error}")
-    raise report.failure
+    first = failures[0][2]
+    for label, _point, error in failures[1:]:
+        first.add_note(f"also failed: {label}: "
+                       f"{type(error).__name__}: {error}")
+    raise first
 
 
-def _describe(point: ExperimentPoint | None) -> str:
-    if point is None:
-        return "a whole batch"
+def _describe(point: ExperimentPoint) -> str:
     return (f"{point.benchmark} {point.configuration} "
             f"d{point.pipeline_depth} {point.speculation}")
 

@@ -13,9 +13,10 @@ events to it:
 * **events** — one ``progress`` event per completed point (its cache
   key, result source and compute seconds) and one ``kind="error"``
   event per failed point;
-* **worker shards** — pool workers write their own streams into the
-  run directory (:func:`worker_shard`); the parent merges them into
-  one totally ordered ``ledger.jsonl``, written atomically at run close
+* **one writer** — pool workers write no files: each puts its ledger
+  lines on the pool's channel and the parent appends them to its own
+  stream (:meth:`Telemetry.write_line`); at run close the parent writes
+  that stream, totally ordered, to ``ledger.jsonl`` in one atomic write
   (:mod:`repro.obs.ledger`);
 * **interval samples** — ``REPRO_OBS_INTERVAL=N`` attaches a read-only
   per-N-cycle sampler to the live engine (:mod:`repro.obs.interval`):
@@ -53,7 +54,7 @@ import time
 from typing import Iterator
 
 from repro import settings
-from repro.obs.ledger import EVENT_SCHEMA_VERSION, merge_streams
+from repro.obs.ledger import EVENT_SCHEMA_VERSION, write_ledger
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -64,52 +65,64 @@ __all__ = [
     "emit",
     "span",
     "start_run",
-    "worker_context",
-    "worker_shard",
 ]
 
 class Telemetry:
     """One process's event stream within a telemetry run.
 
-    The parent scheduler owns the *root* instance (its stream is
-    ``<run_dir>/events.jsonl`` and it performs the close-time merge);
-    worker processes own *shard* instances writing to their own files.
-    Every line is flushed as written, so a worker killed mid-batch
-    (``os._exit`` included) leaves a readable stream whose unclosed
-    spans record exactly where it died.
+    The parent scheduler owns the *root* instance: its stream is
+    ``<run_dir>/events.jsonl``, flushed per line, and it writes the
+    ledger at close.  A pool worker's instance is built on the pool's
+    ``channel`` and puts each line there instead; the parent appends the
+    lines it drains to its own stream (:meth:`write_line`), so it is the
+    run's only writer.  A put returns once the pool's manager holds the
+    line, so a worker killed mid-batch (``os._exit`` included) leaves
+    every line it wrote in the parent's stream, its unclosed spans
+    recording exactly where it died.
     """
 
-    def __init__(self, run_id: str, run_dir: str | os.PathLike, *,
-                 emitter: str = "parent",
-                 path: str | os.PathLike | None = None,
+    def __init__(self, run_id: str,
+                 run_dir: str | os.PathLike | None = None, *,
+                 emitter: str = "parent", channel=None,
                  root_span: str | None = None) -> None:
         self.run_id = run_id
-        self.run_dir = pathlib.Path(run_dir)
         self.emitter = emitter
         self.pid = os.getpid()
         self._seq = 0
         self._span_n = 0
         self._stack: list[str | None] = [root_span]
         self._open_spans: dict[str, float] = {}
-        self.path = pathlib.Path(path) if path is not None \
-            else self.run_dir / "events.jsonl"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "a", encoding="utf-8")
         self._closed = False
+        if channel is not None:
+            self.run_dir = self.path = None
+            self._put = channel.put
+            return
+        self.run_dir = pathlib.Path(run_dir)
+        self.path = self.run_dir / "events.jsonl"
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        self._file = open(self.path, "a", encoding="utf-8")
+        self._put = self._append
 
     # -- primitives ----------------------------------------------------------
 
-    def _write(self, record: dict) -> None:
+    def _append(self, line: str) -> None:
+        self._file.write(line + "\n")
+        self._file.flush()
+
+    def write_line(self, line: str) -> None:
+        """Add one encoded ledger line (its own, or a relayed worker's)."""
         if self._closed:
             return
         try:
-            self._file.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-            self._file.flush()
-        except (OSError, ValueError):
-            # A torn-down filesystem (run dir removed under a straggling
-            # worker) must never take the simulation down.
+            self._put(line)
+        except (OSError, ValueError, EOFError):
+            # A torn-down filesystem (run dir removed) or manager must
+            # never take the simulation down.
             self._closed = True
+
+    def _write(self, record: dict) -> None:
+        self.write_line(json.dumps(record, sort_keys=True,
+                                   separators=(",", ":")))
 
     def _record(self, event: str, name: str, kind: str,
                 attrs: dict | None = None, **extra) -> dict:
@@ -176,31 +189,25 @@ class Telemetry:
 
     def context(self) -> dict:
         """What a worker needs to join this run's span tree."""
-        return {"run": self.run_id, "parent": self._stack[-1],
-                "dir": str(self.run_dir)}
+        return {"run": self.run_id, "parent": self._stack[-1]}
 
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self, *, merge: bool = True) -> pathlib.Path | None:
-        """Close this stream; the root instance also merges the run.
+    def close(self) -> pathlib.Path | None:
+        """Close the stream; the root instance also writes the ledger.
 
-        With ``merge=False`` (a shard) it only closes the stream.  The
-        root instance merges its own stream and every shard's into the
-        atomically-visible ``ledger.jsonl``.  Returns the ledger path
-        (root) or None (shard).
+        The root instance writes its stream, totally ordered, to the
+        atomically-visible ``ledger.jsonl`` beside it and returns that
+        path; a channel instance returns None.
         """
         if self._closed:
             return None
-        self._file.close()
         self._closed = True
-        if not merge:
+        if self.path is None:
             return None
-        streams = [self.path]
-        shard_dir = self.run_dir / "shards"
-        if shard_dir.is_dir():
-            streams.extend(sorted(shard_dir.glob("*.jsonl")))
+        self._file.close()
         ledger = self.run_dir / "ledger.jsonl"
-        merge_streams(streams, ledger)
+        write_ledger(self.path, ledger)
         return ledger
 
 
@@ -215,8 +222,8 @@ def current() -> Telemetry | None:
 
     An instance inherited across ``fork`` is the parent's — writing to
     its stream would interleave two processes' sequence numbers — so it
-    is invisible here; workers join explicitly via :func:`activate` with
-    their :func:`worker_shard`.
+    is invisible here; a pool worker joins explicitly via
+    :func:`activate` with a :class:`Telemetry` on the pool's channel.
     """
     if _current is not None and _current.pid == os.getpid():
         return _current
@@ -248,7 +255,7 @@ def start_run(label: str | None = None,
 
 
 def close_run(telemetry: Telemetry) -> pathlib.Path | None:
-    """Close a :func:`start_run` telemetry: end the run span and merge."""
+    """Close a :func:`start_run` telemetry: end its spans, write the ledger."""
     global _current
     for span_id in list(reversed(telemetry._stack)):
         if span_id is not None and span_id in telemetry._open_spans:
@@ -270,47 +277,6 @@ def activate(telemetry: Telemetry | None) -> Iterator[Telemetry | None]:
         yield telemetry
     finally:
         _current = previous
-
-
-def worker_context() -> dict | None:
-    """The current run's :meth:`Telemetry.context`, for shipping."""
-    telemetry = current()
-    return telemetry.context() if telemetry is not None else None
-
-
-_shards: dict[tuple[str, str, int], Telemetry] = {}
-
-
-def worker_shard(context: dict | None) -> Telemetry | None:
-    """This worker process's shard stream for a parent's run, cached.
-
-    ``context`` is a shipped :meth:`Telemetry.context`; the shard file
-    lives in the run directory's ``shards/``.  One instance per (run,
-    directory, pid) is reused across batches so sequence numbers stay
-    monotone; the stream lives until process
-    exit (every line is flushed, so even an ``os._exit`` crash leaves it
-    readable).  Returns None when the context is unusable — telemetry
-    must never fail a simulation.
-    """
-    if not isinstance(context, dict) or not context.get("run"):
-        return None
-    run_dir = pathlib.Path(context.get("dir", ""))
-    base = run_dir / "shards"
-    key = (str(context["run"]), str(base), os.getpid())
-    shard = _shards.get(key)
-    if shard is not None and not shard._closed:
-        return shard
-    emitter = f"worker-{os.getpid()}"
-    parent = context.get("parent")
-    try:
-        shard = Telemetry(
-            str(context["run"]), run_dir, emitter=emitter,
-            path=base / f"{emitter}.jsonl",
-            root_span=parent if isinstance(parent, str) else None)
-    except OSError:
-        return None
-    _shards[key] = shard
-    return shard
 
 
 # -- no-op-when-inactive instrumentation helpers ------------------------------

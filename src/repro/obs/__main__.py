@@ -7,10 +7,11 @@
   events), per-phase timing breakdown and completed points per result
   source.
 * ``tail`` — follow a *live* run: echo one formatted line per new
-  event of the parent's ``events.jsonl`` and of every worker shard, as
-  they are written.
-* ``validate`` — check every line of a ledger (or a whole run
-  directory) against the event schema; exit 1 on any violation.
+  event of its ``events.jsonl`` as it is written (pool workers' lines
+  included: the parent relays them into that one stream).
+* ``validate`` — check every line of a ledger (or of a run directory's
+  ledger, or its live stream before close) against the event schema;
+  exit 1 on any violation.
 
 ``path`` may be a run directory, a ledger file, or an observability
 root (``REPRO_OBS_DIR``) — the newest run is picked automatically when
@@ -56,28 +57,19 @@ def _resolve_run(path: str | None) -> pathlib.Path:
     raise SystemExit(f"no telemetry run found at {candidate}")
 
 
-def _ledger_streams(run: pathlib.Path) -> list[pathlib.Path]:
-    """The event streams of one run, merged-ledger preferred."""
+def _ledger_stream(run: pathlib.Path) -> pathlib.Path | None:
+    """A run's one event stream: the ledger, else the live stream."""
     if run.is_file():
-        return [run]
-    ledger = run / "ledger.jsonl"
-    if ledger.exists():
-        return [ledger]
-    streams = []
-    if (run / "events.jsonl").exists():
-        streams.append(run / "events.jsonl")
-    shard_dir = run / "shards"
-    if shard_dir.is_dir():
-        streams.extend(sorted(shard_dir.glob("*.jsonl")))
-    return streams
+        return run
+    for name in ("ledger.jsonl", "events.jsonl"):
+        if (run / name).exists():
+            return run / name
+    return None
 
 
 def _load_events(run: pathlib.Path) -> list[dict]:
-    events: list[dict] = []
-    for stream in _ledger_streams(run):
-        events.extend(read_events(stream))
-    events.sort(key=sort_key)
-    return events
+    stream = _ledger_stream(run)
+    return sorted(read_events(stream), key=sort_key) if stream else []
 
 
 # -- summary ------------------------------------------------------------------
@@ -186,20 +178,6 @@ def summary(run: pathlib.Path, echo=print) -> int:
 # -- tail ---------------------------------------------------------------------
 
 
-def _live_streams(run: pathlib.Path) -> list[pathlib.Path]:
-    streams = []
-    if run.is_file():
-        return [run]
-    for name in ("events.jsonl", "ledger.jsonl"):
-        if (run / name).exists():
-            streams.append(run / name)
-            break
-    shard_dir = run / "shards"
-    if shard_dir.is_dir():
-        streams.extend(sorted(shard_dir.glob("*.jsonl")))
-    return streams
-
-
 def _format_line(record: dict) -> str:
     stamp = time.strftime("%H:%M:%S", time.localtime(record.get("ts", 0)))
     attrs = record.get("attrs") or {}
@@ -214,30 +192,28 @@ def _format_line(record: dict) -> str:
 
 def tail(run: pathlib.Path, *, follow: bool = True, poll: float = 0.5,
          echo=print, max_polls: int | None = None) -> int:
-    """Stream events from a live run's streams (parent + shards)."""
-    offsets: dict[pathlib.Path, int] = {}
-    polls = 0
+    """Stream events from a live run's stream as they are written."""
+    stream = run if run.is_file() else run / "events.jsonl"
+    offset = polls = 0
     echo(f"tailing {run}  (ctrl-c to stop)")
     while True:
+        try:
+            with open(stream, "r", encoding="utf-8") as handle:
+                handle.seek(offset)
+                chunk = handle.read()
+        except OSError:
+            chunk = ""
+        offset += len(chunk)
         progressed = False
-        for stream in _live_streams(run):
-            offset = offsets.get(stream, 0)
-            try:
-                with open(stream, "r", encoding="utf-8") as handle:
-                    handle.seek(offset)
-                    chunk = handle.read()
-                    offsets[stream] = offset + len(chunk)
-            except OSError:
+        for raw in chunk.splitlines():
+            if not raw.strip():
                 continue
-            for raw in chunk.splitlines():
-                if not raw.strip():
-                    continue
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    continue
-                progressed = True
-                echo(_format_line(record))
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                continue
+            progressed = True
+            echo(_format_line(record))
         if not follow:
             return 0
         polls += 1
@@ -251,21 +227,19 @@ def tail(run: pathlib.Path, *, follow: bool = True, poll: float = 0.5,
 
 
 def validate(run: pathlib.Path, echo=print) -> int:
-    """Schema-check every line of every stream; exit 1 on violations."""
-    streams = _ledger_streams(run)
-    if not streams:
-        echo(f"{run}: no ledger streams found")
+    """Schema-check every line of the run's stream; exit 1 on violations."""
+    stream = _ledger_stream(run)
+    if stream is None:
+        echo(f"{run}: no ledger stream found")
         return 1
     bad = total = 0
-    for stream in streams:
-        for number, _raw, record, error in iter_lines(stream):
-            total += 1
-            problems = [error] if error is not None \
-                else validate_event(record)
-            if problems:
-                bad += 1
-                echo(f"{stream}:{number}: {'; '.join(problems)}")
-    echo(f"{total} line(s) across {len(streams)} stream(s): "
+    for number, _raw, record, error in iter_lines(stream):
+        total += 1
+        problems = [error] if error is not None else validate_event(record)
+        if problems:
+            bad += 1
+            echo(f"{stream}:{number}: {'; '.join(problems)}")
+    echo(f"{total} line(s) in {stream.name}: "
          + ("all valid" if bad == 0 else f"{bad} invalid"))
     return 0 if bad == 0 else 1
 

@@ -1,23 +1,24 @@
-"""Run-ledger lines: event schema, validation, shard merging, span trees.
+"""Run-ledger lines: event schema, validation, the ledger, span trees.
 
 One telemetry *run* produces a directory (DESIGN.md §11):
 
-* ``events.jsonl`` — the parent process's live event stream (appended a
-  line at a time, flushed per line, so ``python -m repro.obs tail`` can
-  follow a run in flight);
-* ``shards/*.jsonl`` — one stream per pool worker process;
-* ``ledger.jsonl`` — written **atomically at run close**: every stream
-  merged and totally ordered by ``(ts, emitter, seq)``.  A reader either
-  sees no ledger (run still live / crashed before close) or a complete
-  one, never a torn merge.
+* ``events.jsonl`` — the run's live event stream, written by the parent
+  process alone (appended a line at a time, flushed per line, so
+  ``python -m repro.obs tail`` can follow a run in flight).  Pool
+  workers write no files: the parent appends the lines they put on the
+  pool's channel as it drains them;
+* ``ledger.jsonl`` — written **atomically at run close**: the stream
+  totally ordered by ``(ts, emitter, seq)``.  A reader either sees no
+  ledger (run still live / crashed before close) or a complete one,
+  never a torn write.
 
 Every line is one JSON object validated by :func:`validate_event`; the
 schema is deliberately flat so lines grep well and any JSONL tool can
 consume them.  Span events (``span_start`` / ``span_end``) carry
 globally unique ids (``emitter#n``) and explicit parent ids — including
-across process boundaries, because parents ship their current span id to
-workers — so :func:`build_span_tree` reconstructs the full
-run → plan → batch → point → phase hierarchy from a merged ledger.  A
+across process boundaries, because parents ship their current span id
+to workers — so :func:`build_span_tree` reconstructs the full
+run → plan → batch → point → phase hierarchy from a ledger.  A
 ``span_start`` with no matching ``span_end`` is how a crashed worker
 looks: the tree keeps it, flagged ``closed=False``.
 """
@@ -118,26 +119,19 @@ def sort_key(record: dict):
             record.get("seq", 0))
 
 
-def merge_streams(paths, out_path: str | os.PathLike) -> int:
-    """Merge event streams into one atomically-visible ordered ledger.
+def write_ledger(stream: str | os.PathLike,
+                 out_path: str | os.PathLike) -> int:
+    """Write an event stream as one atomically-visible ordered ledger.
 
-    Unparseable lines are dropped (a crashed worker may leave a torn
-    final line; the flight recorder must still close), the merged lines
-    are totally ordered by ``(ts, emitter, seq)``, and the output file
-    appears via :func:`repro.fsio.atomic_write_bytes` — a concurrent
-    reader never sees a partial ledger.  Returns the number of merged
-    events.
+    Unparseable lines are dropped (the flight recorder must still
+    close), the lines are totally ordered by ``(ts, emitter, seq)`` —
+    relayed worker lines reach the stream when the parent drains them,
+    not when they were written — and the output file appears via
+    :func:`repro.fsio.atomic_write_bytes`, so a concurrent reader never
+    sees a partial ledger.  Returns the number of events written.
     """
-    events: list[dict] = []
-    for path in paths:
-        try:
-            events.extend(read_events(path))
-        except OSError:
-            continue
-    events.sort(key=sort_key)
-    out_path = pathlib.Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    fsio.atomic_write_bytes(out_path, "".join(
+    events = sorted(read_events(stream), key=sort_key)
+    fsio.atomic_write_bytes(pathlib.Path(out_path), "".join(
         json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         for record in events).encode())
     return len(events)
@@ -179,7 +173,7 @@ class SpanNode:
 
 @dataclass
 class SpanTree:
-    """A merged ledger reconstructed into forests plus loose events."""
+    """A ledger reconstructed into forests plus loose events."""
 
     roots: list[SpanNode]
     nodes: dict[str, SpanNode]
@@ -199,7 +193,7 @@ class SpanTree:
 
 
 def build_span_tree(events: list[dict]) -> SpanTree:
-    """Reconstruct the span forest from merged (ordered) ledger events.
+    """Reconstruct the span forest from ordered ledger events.
 
     Tolerant by construction: an unclosed span (crashed worker) stays in
     the tree with ``closed=False``; a span whose parent id never appears
@@ -221,7 +215,7 @@ def build_span_tree(events: list[dict]) -> SpanTree:
             if parent is not None:
                 parent.children.append(node)
             elif parent_id:
-                # Parent may merge later (shards interleave); park it.
+                # A parent may sort later (clock skew); park the child.
                 pending_parents.setdefault(parent_id, []).append(node)
             else:
                 roots.append(node)

@@ -15,7 +15,7 @@ speculation modes and the pollution itself is measurable.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pipeline.config import CacheConfig, MachineConfig, TLBConfig
 

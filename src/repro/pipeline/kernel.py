@@ -66,7 +66,6 @@ from repro.core.bvit import COUNTER_MAX, PERF_INIT, PERF_MAX
 from repro.isa import regs
 from repro.isa.decoded import (
     FU_ALU as K_ALU,
-    FU_DIV as K_DIV,
     FU_LOAD as K_LOAD,
     FU_MULT as K_MULT,
     FU_OTHER as K_OTHER,
@@ -807,7 +806,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
             issue = ready if ready >= server_free else server_free
             heappush(muldiv_free, issue + 1)
             complete = issue + mult_latency
-        else:  # K_DIV (unpipelined)
+        else:  # FU_DIV (unpipelined)
             server_free = heappop(muldiv_free)
             issue = ready if ready >= server_free else server_free
             heappush(muldiv_free, issue + div_latency)

@@ -11,10 +11,10 @@ exploitable structure (paper Figure 6: ARVI lifts compress from about
 
 from __future__ import annotations
 
-from repro.isa import AsmBuilder, eq, eqz, nez
+from repro.isa import AsmBuilder, eq, eqz
 from repro.isa.program import Program
 from repro.isa.regs import (
-    a0, k0, k1, s0, s1, s2, s3, s4, s5, t0, t1, t2, t3, t4, t5, zero,
+    a0, k0, k1, s0, s1, s2, s3, s4, s5, t0, t1, t2, t3, t4, t5,
 )
 from repro.workloads.common import rng_for, scaled, skewed_bytes
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.isa import AsmBuilder, eqz, ge, gt, lt
 from repro.isa.program import Program
 from repro.isa.regs import (
-    s0, s1, s2, s3, s4, s5, s6, t0, t1, t2, t3, t4, t5, t6, t7, t9, zero,
+    s0, s1, s2, s3, s4, s5, s6, t0, t1, t2, t3, t4, t5, t6, t7, t9,
 )
 from repro.workloads.common import rng_for, scaled
 

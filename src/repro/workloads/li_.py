@@ -11,10 +11,10 @@ moderate gain in the paper (93% -> 95.5%).
 
 from __future__ import annotations
 
-from repro.isa import AsmBuilder, eq, eqz
+from repro.isa import AsmBuilder, eq
 from repro.isa.program import Program
 from repro.isa.regs import (
-    a0, s0, s1, s2, s3, s4, s5, t0, t1, t2, t3, v0, zero,
+    a0, s0, s1, s2, s4, s5, t0, t1, t2, t3, zero,
 )
 from repro.workloads.common import rng_for, scaled
 

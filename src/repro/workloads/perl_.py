@@ -9,10 +9,10 @@ roughly comparable with a small edge, as the paper reports for perl.
 
 from __future__ import annotations
 
-from repro.isa import AsmBuilder, eq, eqz, ne
+from repro.isa import AsmBuilder, eq, eqz
 from repro.isa.program import Program
 from repro.isa.regs import (
-    k0, s0, s1, s2, s3, s4, t0, t1, t2, t3, t4, zero,
+    k0, s0, s1, s2, s4, t0, t1, t2, t3, t4,
 )
 from repro.workloads.common import rng_for, scaled
 

@@ -25,7 +25,6 @@ from repro.applications.value_pred import (
     run_selective_value_prediction,
 )
 from repro.core.ddt import FastDDT
-from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.predictors.twolevel import LevelTwoKind
 from tests.conftest import build_memory_loop

@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.isa import AsmBuilder, nez
-from repro.isa.regs import s0, s1, t0, t1, t2, zero
+from repro.isa.regs import s0, s1, t0, t1, t2
 from repro.obs.ledger import read_events
 from repro.pipeline.config import machine_for_depth
 

@@ -1,6 +1,5 @@
 """ARVI predictor tests: keys, classification, training, ablation flags."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """RSE tests, including the paper's Figure 3 worked example."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,6 @@
 """Result-cache layer: robustness against corrupt entries, hit fidelity."""
 
 import json
-import os
 import pathlib
 import shutil
 

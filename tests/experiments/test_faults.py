@@ -7,9 +7,11 @@ Three layers of guarantees:
 * failed points are reported once, completely — the first error is
   raised after the grid drains, with one note per other failure, one
   ``kind="error"`` ledger event per failure, and every sibling cached;
+  a pool worker that dies mid-batch loses only its unfinished points;
 * resumable runs — a killed grid restarted with the same plan and
   result cache replays the points that reached the cache and converges
-  bit-identically, serial and pooled;
+  bit-identically, serial and pooled; every point that got a progress
+  event is among them;
 
 plus the top-level storage property: a pooled grid run cold into a
 fresh cache, then warm after a seeded subset of its entries was
@@ -20,6 +22,7 @@ is exactly one warm-run miss.
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -33,6 +36,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import runner
 from repro.experiments.aggregate import (
     ViewAggregator,
     build_views,
@@ -43,7 +47,7 @@ from repro.experiments.plan import ExperimentPoint, build_plan, point_key
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan, run_points
 from repro.obs import __main__ as obs_cli
-from repro.obs.ledger import read_events
+from repro.obs.ledger import build_span_tree, read_events
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -220,6 +224,73 @@ class TestFailureReport:
                        for line in lines)
 
 
+DEAD_PLAN = build_plan(configurations=("baseline", "current"),
+                       depths=(20, 40, 60), benchmarks=("li", "vortex"),
+                       scale=0.01, warmup=50)
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched point body reaches workers only by fork")
+    def test_dead_worker_loses_only_its_unfinished_points(
+            self, tmp_path, monkeypatch):
+        """A pool worker ``os._exit``s on the third point of its six-point
+        batch, once the sibling batch and its own first two points are
+        cached.  The grid drains and raises ``BrokenProcessPool``; every
+        point that got a progress event is in the cache; the ledger
+        holds the dead point's unclosed ``point`` span and one ``error``
+        event naming the rest of the batch.
+
+        The patch replaces ``runner._execute_phases``, the body
+        ``execute_point`` runs inside the point span, so the dead point's
+        span is the real one."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        cache_dir = tmp_path / "cache"
+        li = [point for point in DEAD_PLAN if point.benchmark == "li"]
+        doomed, rest = li[2], li[2:]
+        before_death = len(DEAD_PLAN) - len(rest)
+        real = runner._execute_phases
+
+        def dies_on_doomed(point, trace, episodes):
+            if point == doomed:
+                deadline = time.monotonic() + 60
+                while len(list(cache_dir.glob("*.json"))) < before_death \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(3)
+            return real(point, trace, episodes)
+
+        monkeypatch.setattr(runner, "_execute_phases", dies_on_doomed)
+        events = []
+        with pytest.raises(BrokenProcessPool):
+            run_plan(DEAD_PLAN, jobs=2, cache=ResultCache(cache_dir),
+                     backend="local", progress=events.append)
+
+        cached = {path.stem for path in cache_dir.glob("*.json")}
+        assert {event.key for event in events} == cached
+        assert len(cached) == before_death
+        assert cached.isdisjoint(point_key(point) for point in rest)
+
+        [run_dir] = (tmp_path / "obs").iterdir()
+        tree = build_span_tree(read_events(run_dir / "ledger.jsonl"))
+        [dead] = [node for node in tree.find("point") if not node.closed]
+        assert (dead.attrs["benchmark"], dead.attrs["configuration"],
+                dead.attrs["depth"]) == (doomed.benchmark,
+                                         doomed.configuration,
+                                         doomed.pipeline_depth)
+        [error] = [event for node in tree.nodes.values()
+                   for event in node.events if event["kind"] == "error"]
+        assert error["attrs"]["type"] == "BrokenProcessPool"
+        named = [point for point in li if
+                 f"li {point.configuration} d{point.pipeline_depth} "
+                 f"{point.speculation}" in error["name"]]
+        assert named == rest
+
+
 # -- resume from the result cache --------------------------------------------
 
 
@@ -255,6 +326,47 @@ class TestCacheResume:
     def test_sigkilled_pooled_grid_resumes_from_cache(self, tmp_path,
                                                       serial_results):
         self.sigkill_and_resume(tmp_path, serial_results, "local", 2)
+
+    def test_pooled_grid_killed_after_k_events_resumes(self, tmp_path):
+        """SIGKILL the pooled grid's process group right after its k-th
+        progress line: every point that got a progress event is already
+        in the cache, and the resumed run equals the serial run."""
+        k = 2
+        plan_kw = dict(PLAN_KW, configurations=(
+            "baseline", "current", "load back", "perfect"))
+        script = (
+            "import sys\n"
+            "from repro.experiments.cache import ResultCache\n"
+            "from repro.experiments.plan import build_plan\n"
+            "from repro.experiments.scheduler import run_plan\n"
+            f"plan = build_plan(**{plan_kw!r})\n"
+            "run_plan(plan, jobs=2, cache=ResultCache(sys.argv[1]),\n"
+            "         backend='local',\n"
+            "         progress=lambda e: print(e.key, flush=True))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=subprocess_env(), cwd=REPO_ROOT, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        try:
+            reported = [proc.stdout.readline().strip() for _ in range(k)]
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            proc.stdout.close()
+        assert all(reported), "the grid ended before k progress lines"
+        cached = {path.stem for path in tmp_path.glob("*.json")}
+        assert len(cached) >= k
+        assert set(reported) <= cached
+        plan = build_plan(**plan_kw)
+        resumed = run_plan(plan, jobs=2, cache=ResultCache(tmp_path),
+                           backend="local")
+        assert resumed == run_plan(plan, jobs=1, use_cache=False,
+                                   backend="serial")
 
     @staticmethod
     def sigkill_and_resume(tmp_path, serial_results, backend, jobs):

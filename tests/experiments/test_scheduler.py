@@ -145,6 +145,36 @@ class TestSchedulerBehaviour:
         # Every point is reported exactly once.
         assert {e.point for e in events} == set(plan)
 
+    @pytest.mark.parametrize("backend", ["serial", "local"])
+    def test_progress_follows_cache_write_and_sink_delivery(
+            self, tmp_path, backend):
+        """Each point is cached, then handed to the sink, then reported:
+        the progress callback finds the event's key in the cache and its
+        result in the sink, on both backends."""
+        store = ResultCache(tmp_path)
+        delivered = {}
+
+        class Sink:
+            def on_plan(self, plan, keys): pass
+            def on_progress(self, event): pass
+            def on_failure(self, point, key, error): pass
+
+            def on_result(self, point, key, result, *, source):
+                delivered[key] = result
+
+        checked = []
+
+        def progress(event):
+            assert event.key in store
+            assert delivered[event.key] == store.get(event.key)
+            checked.append(event.key)
+
+        plan = build_plan(("baseline", "current"), (20, 40), ("li",),
+                          scale=0.01, warmup=50)
+        run_plan(plan, jobs=2, cache=store, backend=backend,
+                 progress=progress, sink=Sink())
+        assert sorted(checked) == sorted(point_key(p) for p in plan)
+
     def test_use_cache_false_recomputes(self, tmp_path):
         store = ResultCache(tmp_path)
         kw = dict(configurations=("baseline",), depths=(20,),

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.isa.builder as bld
 from repro.isa import AsmBuilder, eq, eqz, ge, gt, le, lt, ne, nez
 from repro.isa.instructions import Op
 from repro.isa.program import DATA_BASE
-from repro.isa.regs import a0, ra, s0, t0, t1, t2, v0, zero
+from repro.isa.regs import a0, s0, t0, t1, t2, v0, zero
 from repro.pipeline.functional import FunctionalCore
 
 

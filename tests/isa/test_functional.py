@@ -10,11 +10,9 @@ from repro.isa.instructions import (
     Instruction,
     Op,
     branch_taken,
-    to_s32,
-    to_u32,
 )
 from repro.isa.program import STACK_TOP
-from repro.isa.regs import a0, gp, ra, s0, sp, t0, t1, t2, v0, zero
+from repro.isa.regs import gp, ra, sp, t0, t1, t2, v0, zero
 from repro.pipeline.functional import DynInst, ExecutionError, FunctionalCore
 
 WORD = 0xFFFFFFFF

@@ -1,21 +1,20 @@
-"""Ledger lines: schema validation, stream merging, span-tree rebuild."""
+"""Ledger lines: schema validation, the ledger write, span-tree rebuild."""
 
 import json
-import os
+import queue
 
 import pytest
 
-from repro import obs
 from repro.obs import Telemetry
 from repro.obs.ledger import (
     EVENT_SCHEMA_VERSION,
     LedgerError,
     build_span_tree,
     iter_lines,
-    merge_streams,
     read_events,
     sort_key,
     validate_event,
+    write_ledger,
 )
 
 
@@ -36,7 +35,7 @@ class TestValidation:
         with pytest.raises(RuntimeError):
             with telemetry.span("bad", kind="batch"):
                 raise RuntimeError("boom")
-        telemetry.close(merge=False)
+        telemetry.close()
         for number, _raw, record, error in iter_lines(telemetry.path):
             assert error is None, f"line {number}: {error}"
             assert validate_event(record) == [], f"line {number}"
@@ -79,28 +78,29 @@ class TestValidation:
             read_events(path, strict=True)
 
 
-class TestMerge:
-    def test_merge_orders_across_streams(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        a.write_text("".join(
-            json.dumps(_event(ts=ts, emitter="parent", seq=i)) + "\n"
-            for i, ts in enumerate((1.0, 3.0))))
-        b.write_text("".join(
-            json.dumps(_event(ts=ts, emitter="worker-1", seq=i)) + "\n"
-            for i, ts in enumerate((2.0, 2.5))))
+class TestWriteLedger:
+    def test_ledger_orders_relayed_lines(self, tmp_path):
+        """Worker lines reach the parent's stream when it drains them,
+        after its own later lines; the ledger orders them by time."""
+        stream = tmp_path / "events.jsonl"
+        stream.write_text("".join(json.dumps(record) + "\n" for record in (
+            _event(ts=1.0, emitter="parent", seq=0),
+            _event(ts=3.0, emitter="parent", seq=1),
+            _event(ts=2.0, emitter="worker-1-batch-0", seq=0),
+            _event(ts=2.5, emitter="worker-1-batch-0", seq=1))))
         out = tmp_path / "ledger.jsonl"
-        assert merge_streams([a, b], out) == 4
-        merged = read_events(out)
-        assert [e["ts"] for e in merged] == [1.0, 2.0, 2.5, 3.0]
-        assert merged == sorted(merged, key=sort_key)
+        assert write_ledger(stream, out) == 4
+        ordered = read_events(out)
+        assert [e["ts"] for e in ordered] == [1.0, 2.0, 2.5, 3.0]
+        assert ordered == sorted(ordered, key=sort_key)
 
-    def test_merge_is_atomic_and_drops_torn_lines(self, tmp_path):
-        """A crashed worker's torn final line is skipped and no temp file
-        survives the merge — readers see a complete ledger or none."""
-        a = tmp_path / "a.jsonl"
-        a.write_text(json.dumps(_event()) + "\n" + '{"v":1,"truncat')
+    def test_ledger_is_atomic_and_drops_torn_lines(self, tmp_path):
+        """A torn final line is skipped and no temp file survives the
+        write — readers see a complete ledger or none."""
+        stream = tmp_path / "events.jsonl"
+        stream.write_text(json.dumps(_event()) + "\n" + '{"v":1,"truncat')
         out = tmp_path / "ledger.jsonl"
-        assert merge_streams([a, tmp_path / "missing.jsonl"], out) == 1
+        assert write_ledger(stream, out) == 1
         assert len(read_events(out)) == 1
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
 
@@ -113,7 +113,7 @@ class TestSpanTree:
                 with telemetry.span("batch-0", kind="batch"):
                     telemetry.emit("progress", kind="point",
                                    attrs={"completed": 1})
-        telemetry.close(merge=False)
+        telemetry.close()
         tree = build_span_tree(read_events(telemetry.path))
 
         [root] = tree.roots
@@ -137,8 +137,9 @@ class TestSpanTree:
         assert tree.nodes[outer].closed is False
 
     def test_cross_stream_parent_arrives_late(self):
-        """Shard lines can merge ahead of the parent's span_start (clock
-        skew); the child is parked and attached when the parent shows."""
+        """A worker's line can sort ahead of the parent's span_start
+        (clock skew); the child is parked and attached when the parent
+        shows."""
         child = _event(event="span_start", span="worker-9#0",
                        parent="parent#1", emitter="worker-9",
                        name="batch-0", kind="batch")
@@ -166,19 +167,24 @@ class TestTelemetryPlumbing:
         telemetry.emit("after-teardown")   # must not raise
         assert telemetry._closed
 
-    def test_close_merges_shards_into_one_ledger(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setattr(obs, "_shards", {})
+    def test_close_writes_relayed_worker_lines_into_one_ledger(
+            self, tmp_path):
+        """A worker's Telemetry puts its lines on a channel and writes no
+        file; the parent relays them into its own stream, and its close
+        writes both emitters' lines into the one ledger."""
         root = Telemetry("run-t", tmp_path / "run-t")
         root.emit("progress", kind="point")
-        shard = obs.worker_shard(root.context())
-        assert obs.worker_shard(root.context()) is shard   # one per process
-        shard.emit("progress", kind="point")
-        shard.close(merge=False)
+        channel = queue.Queue()
+        context = root.context()
+        worker = Telemetry(context["run"], emitter="worker-9-batch-0",
+                           channel=channel, root_span=context["parent"])
+        worker.emit("progress", kind="point")
+        assert worker.close() is None
+        root.write_line(channel.get_nowait())
         ledger = root.close()
 
         assert ledger is not None and ledger.name == "ledger.jsonl"
         emitters = {e["emitter"] for e in read_events(ledger)}
-        assert emitters == {"parent", f"worker-{os.getpid()}"}
+        assert emitters == {"parent", "worker-9-batch-0"}
         assert sorted(path.name for path in (tmp_path / "run-t").iterdir()) \
-            == ["events.jsonl", "ledger.jsonl", "shards"]
+            == ["events.jsonl", "ledger.jsonl"]

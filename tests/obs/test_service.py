@@ -3,9 +3,9 @@
 * ``REPRO_OBS=1`` leaves every ``SimulationResult`` bit-for-bit
   identical on serial and local-pool backends (the do-no-harm
   invariant — telemetry observes, never feeds back);
-* the merged ledger reconstructs the full run → plan → batch → point →
-  phase span tree, pool worker shards included, and in it each recorded
-  trace is lowered once, inside a point;
+* the ledger reconstructs the full run → plan → batch → point → phase
+  span tree, pool workers' relayed lines included, and in it each
+  recorded trace is lowered once, inside a point;
 * ``python -m repro.obs`` summarizes and validates those ledgers.
 """
 
@@ -63,7 +63,7 @@ def obs_run(tmp_path, monkeypatch, *, backend, jobs=2, progress=None):
 
 def load_tree(run_dir):
     events = read_events(run_dir / "ledger.jsonl")
-    assert events, "merged ledger is empty"
+    assert events, "ledger is empty"
     for record in events:
         assert validate_event(record) == [], record
     return events, build_span_tree(events)
@@ -160,25 +160,30 @@ class TestSerialLedger:
 
 
 class TestPoolLedger:
-    def test_worker_shards_merge_into_one_tree(
+    def test_worker_lines_relay_into_one_tree(
             self, tmp_path, monkeypatch, reference_results):
+        """Workers write no files: their lines reach the parent's one
+        stream, their spans hang under the parent's ``plan`` span, and
+        ``(emitter, seq)`` names each line once."""
         results, run_dir = obs_run(tmp_path, monkeypatch,
                                    backend="local", jobs=2)
         assert results == reference_results
+        assert sorted(path.name for path in run_dir.iterdir()) \
+            == ["events.jsonl", "ledger.jsonl"]
 
         events, tree = load_tree(run_dir)
-        emitters = {e["emitter"] for e in events}
-        assert "parent" in emitters
-        assert any(e.startswith("worker-") for e in emitters)
-        # Worker batch spans attach under the parent's plan span via the
-        # shipped parent ids — one tree, not per-process islands.
-        [run] = tree.find("run")
+        assert len({(e["emitter"], e["seq"]) for e in events}) \
+            == len(events)
+        workers = {e["span"] for e in events
+                   if e["event"] == "span_start"
+                   and e["emitter"].startswith("worker-")}
+        [plan] = tree.find("plan")
+        assert workers and workers == {node.span_id for node in descendants(plan)
+                           if node.start["emitter"].startswith("worker-")}
         batches = tree.find("batch")
         assert batches and all(b.closed for b in batches)
-        under_run = {node.span_id for node, _ in tree.walk()}
-        assert {b.span_id for b in batches} <= under_run
-        assert all(not b.start["emitter"].startswith("parent")
-                   for b in batches)
+        assert {b.span_id for b in batches} <= workers
+        assert all(tree.nodes[b.start["parent"]] is plan for b in batches)
 
 
 def descendants(node):

@@ -4,8 +4,6 @@ import pytest
 
 from repro.pipeline.config import (
     CacheConfig,
-    MachineConfig,
-    PredictorLatencies,
     TLBConfig,
     machine_for_depth,
     table2_rows,

@@ -6,11 +6,9 @@ bounds, dependence serialization, misprediction penalties scaling with
 pipeline depth, ARVI's branch classification, and bookkeeping invariants.
 """
 
-import pytest
-
 from repro.core import ARVIConfig, ValueMode
-from repro.isa import AsmBuilder, eq, ge, nez
-from repro.isa.regs import a0, s0, s1, t0, t1, t2, t3, v0, zero
+from repro.isa import AsmBuilder, ge, nez
+from repro.isa.regs import s0, s1, t0, t1, t2, t3, zero
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor, simulate
 from repro.predictors.twolevel import LevelTwoKind

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core import ValueMode
 from repro.core.arvi import ARVIConfig
 from repro.isa import AsmBuilder, nez
-from repro.isa.regs import s0, s1, s2, s3, t0, t1, t2, zero
+from repro.isa.regs import s0, s1, s2, t0, t1, zero
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.predictors.twolevel import LevelTwoKind

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.isa.instructions import COND_BRANCH_OPS
 from repro.pipeline.functional import FunctionalCore
 from repro.workloads import BENCHMARKS, get_program, get_spec, table3_rows
 from repro.workloads.common import scaled, skewed_bytes, rng_for
